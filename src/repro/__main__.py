@@ -394,20 +394,20 @@ def _trace_main(argv: list[str]) -> int:
     strategy = strategies[args.strategy]
     host_spans = None
     if args.telemetry:
-        # Record the simulator's own phase spans over one full run,
-        # then switch tracing back off so the timeline export below
-        # does not re-record duplicates.
+        # Record the simulator's own phase spans over the very run
+        # whose timeline is exported below.
         from repro import telemetry
-        from repro.core.simulator import simulate
         telemetry.enable(fresh=True)
         try:
-            simulate(config, network, args.batch, strategy)
+            timeline = iteration_timeline(config, network, args.batch,
+                                          strategy)
             recorder = telemetry.span_recorder()
             host_spans = list(recorder.spans) if recorder else []
         finally:
             telemetry.disable()
-    timeline = iteration_timeline(config, network, args.batch,
-                                  strategy)
+    else:
+        timeline = iteration_timeline(config, network, args.batch,
+                                      strategy)
     text = to_chrome_trace(
         timeline, include_bubbles=strategy is ParallelStrategy.PIPELINE,
         host_spans=host_spans)

@@ -5,9 +5,7 @@ JSON baseline each into the repository root:
 
 ========================  ============================================
 ``BENCH_core.json``       single ``simulate()`` calls, cold and warm
-``BENCH_campaign.json``   the full 6x8x2 evaluation grid, plus the
-                          ``REPRO_SCALAR_CORE=1`` reference run the
-                          headline speedup is quoted against
+``BENCH_campaign.json``   the full 6x8x2 evaluation grid
 ``BENCH_cluster.json``    one multi-job cluster simulation
 ``BENCH_prefetch.json``   the prefetch-policy training sweep
 ========================  ============================================
@@ -30,7 +28,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -94,26 +91,6 @@ def _time(fn, *, cold: bool) -> float:
     return best
 
 
-def _scalar(fn) -> float:
-    """Cold-time ``fn()`` under the scalar reference core."""
-    from repro.core import pricing
-    from repro.core.optable import SCALAR_CORE_ENV
-
-    prior = os.environ.get(SCALAR_CORE_ENV)
-    os.environ[SCALAR_CORE_ENV] = "1"
-    try:
-        pricing.clear_caches()
-        t0 = time.perf_counter()
-        fn()
-        return time.perf_counter() - t0
-    finally:
-        if prior is None:
-            del os.environ[SCALAR_CORE_ENV]
-        else:
-            os.environ[SCALAR_CORE_ENV] = prior
-        pricing.clear_caches()
-
-
 # -- Suite workloads -------------------------------------------------------
 
 
@@ -140,8 +117,7 @@ def _suite_core(quick: bool) -> dict[str, float]:
                             ParallelStrategy.MODEL)
     return {"vgg-mcb-cold": _time(vgg, cold=True),
             "vgg-mcb-warm": _time(vgg, cold=False),
-            "googlenet-mcb-model-cold": _time(goog, cold=True),
-            "vgg-mcb-scalar": _scalar(vgg)}
+            "googlenet-mcb-model-cold": _time(goog, cold=True)}
 
 
 def _suite_campaign(quick: bool) -> dict[str, float]:
@@ -158,8 +134,7 @@ def _suite_campaign(quick: bool) -> dict[str, float]:
                 "mini-grid-warm": _time(run, cold=False)}
     run = lambda: compute_evaluation_matrix(512)  # noqa: E731
     return {"grid-512-cold": _time(run, cold=True),
-            "grid-512-warm": _time(run, cold=False),
-            "grid-512-scalar": _scalar(run)}
+            "grid-512-warm": _time(run, cold=False)}
 
 
 def _suite_cluster(quick: bool) -> dict[str, float]:
@@ -170,26 +145,20 @@ def _suite_cluster(quick: bool) -> dict[str, float]:
     n_jobs = 8 if quick else 24
     run = lambda: simulate_cluster(  # noqa: E731
         cfg, policy="fifo", n_jobs=n_jobs, seed=7)
-    out = {"fifo-cold": _time(run, cold=True),
-           "fifo-warm": _time(run, cold=False)}
-    if not quick:
-        out["fifo-scalar"] = _scalar(run)
-    return out
+    return {"fifo-cold": _time(run, cold=True),
+            "fifo-warm": _time(run, cold=False)}
 
 
 def _suite_prefetch(quick: bool) -> dict[str, float]:
     from repro.experiments.prefetch_comparison import (
         run_prefetch_comparison)
 
-    if quick:
-        run = lambda: run_prefetch_comparison(  # noqa: E731
-            modes=("training",), cache=None)
-        return {"all-policy-training-cold": _time(run, cold=True)}
     run = lambda: run_prefetch_comparison(  # noqa: E731
         modes=("training",), cache=None)
+    if quick:
+        return {"all-policy-training-cold": _time(run, cold=True)}
     return {"all-policy-training-cold": _time(run, cold=True),
-            "all-policy-training-warm": _time(run, cold=False),
-            "all-policy-training-scalar": _scalar(run)}
+            "all-policy-training-warm": _time(run, cold=False)}
 
 
 _SUITE_FNS = {"core": _suite_core, "campaign": _suite_campaign,
@@ -201,19 +170,12 @@ _SUITE_FNS = {"core": _suite_core, "campaign": _suite_campaign,
 
 def run_suite(suite: str, *, quick: bool,
               spin: float) -> dict[str, object]:
-    """One section of one suite: entries + derived speedup."""
+    """One section of one suite: its timed entries."""
     raw = _SUITE_FNS[suite](quick)
-    entries = {
+    return {"entries": {
         label: {"seconds": round(seconds, 6),
                 "normalized": round(seconds / spin, 3)}
-        for label, seconds in raw.items()}
-    section: dict[str, object] = {"entries": entries}
-    scalars = [k for k in raw if k.endswith("-scalar")]
-    for label in scalars:
-        cold = label[:-len("-scalar")] + "-cold"
-        if cold in raw and raw[cold] > 0:
-            section["speedup"] = round(raw[label] / raw[cold], 2)
-    return section
+        for label, seconds in raw.items()}}
 
 
 def check_section(suite: str, section: str,
@@ -303,10 +265,6 @@ def main(argv: list[str] | None = None) -> int:
                     print(f"  {label:<28} "
                           f"{cell['seconds'] * 1e3:9.2f} ms "
                           f"(x{cell['normalized']:.1f} spin)")
-                speedup = measured[section].get("speedup")
-                if speedup is not None:
-                    print(f"  scalar/vectorized speedup: "
-                          f"{speedup:.1f}x")
 
             path = bench_path(suite, root)
             if args.update:

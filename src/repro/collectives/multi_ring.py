@@ -11,11 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.collectives.ring_algorithm import (DEFAULT_SPEC, CollectiveSpec,
-                                              Primitive, collective_time,
-                                              collective_time_array)
+                                              Primitive, collective_time)
 
 
 @dataclass(frozen=True)
@@ -58,30 +55,3 @@ def striped_collective_time(primitive: Primitive,
     return max(
         collective_time(primitive, c.size, share, c.bandwidth, spec)
         for c, share in zip(channels, shares))
-
-
-def striped_collective_time_array(primitive: Primitive,
-                                  channels: list[RingChannel],
-                                  sizes,
-                                  spec: CollectiveSpec = DEFAULT_SPEC) \
-        -> np.ndarray:
-    """Vectorized :func:`striped_collective_time` over a size column.
-
-    Elementwise bit-identical to the scalar function: shares are the
-    same proportional split, each ring prices its share with the
-    vectorized ring model, and the slowest ring wins per element.
-    """
-    if not channels:
-        raise ValueError("no rings to stripe over")
-    arr = np.asarray(sizes, dtype=np.float64)
-    if arr.size and float(arr.min()) < 0:
-        raise ValueError("negative message size")
-    total_bw = sum(c.bandwidth for c in channels)
-    times = [collective_time_array(primitive, c.size,
-                                   arr * c.bandwidth / total_bw,
-                                   c.bandwidth, spec)
-             for c in channels]
-    out = times[0]
-    for t in times[1:]:
-        out = np.maximum(out, t)
-    return np.where(arr == 0.0, 0.0, out)

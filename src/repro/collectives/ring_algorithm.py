@@ -25,8 +25,6 @@ import enum
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.units import KB, US
 
 
@@ -121,76 +119,6 @@ def collective_time(primitive: Primitive, n_nodes: int, nbytes: float,
                     spec: CollectiveSpec = DEFAULT_SPEC) -> float:
     """Dispatch on the primitive (see the per-primitive functions)."""
     return _TIME_FNS[primitive](n_nodes, nbytes, ring_bw, spec)
-
-
-# -- Vectorized variants --------------------------------------------------
-#
-# Array versions of the latency models, elementwise bit-identical to the
-# scalar functions above: every arithmetic step runs the same IEEE-754
-# operations in the same order on float64, so pricing a column of
-# message sizes yields exactly the floats a loop of scalar calls would.
-
-
-def _as_sizes(sizes) -> np.ndarray:
-    arr = np.asarray(sizes, dtype=np.float64)
-    if arr.size and float(arr.min()) < 0:
-        raise ValueError("negative message size")
-    return arr
-
-
-def _segment_step_time_array(segments: np.ndarray, ring_bw: float,
-                             spec: CollectiveSpec) -> np.ndarray:
-    chunks = np.maximum(1.0, np.ceil(segments / spec.chunk_bytes))
-    return (spec.hop_latency + segments / ring_bw
-            + chunks * spec.chunk_overhead)
-
-
-def all_gather_time_array(n_nodes: int, sizes, ring_bw: float,
-                          spec: CollectiveSpec = DEFAULT_SPEC) \
-        -> np.ndarray:
-    """Vectorized :func:`all_gather_time` over a column of sizes."""
-    _check(n_nodes, 0, ring_bw)
-    arr = _as_sizes(sizes)
-    steps = _segment_step_time_array(arr / n_nodes, ring_bw, spec)
-    return np.where(arr == 0.0, 0.0, (n_nodes - 1) * steps)
-
-
-def all_reduce_time_array(n_nodes: int, sizes, ring_bw: float,
-                          spec: CollectiveSpec = DEFAULT_SPEC) \
-        -> np.ndarray:
-    """Vectorized :func:`all_reduce_time` over a column of sizes."""
-    _check(n_nodes, 0, ring_bw)
-    arr = _as_sizes(sizes)
-    steps = _segment_step_time_array(arr / n_nodes, ring_bw, spec)
-    return np.where(arr == 0.0, 0.0, 2 * (n_nodes - 1) * steps)
-
-
-def broadcast_time_array(n_nodes: int, sizes, ring_bw: float,
-                         spec: CollectiveSpec = DEFAULT_SPEC) \
-        -> np.ndarray:
-    """Vectorized :func:`broadcast_time` over a column of sizes."""
-    _check(n_nodes, 0, ring_bw)
-    arr = _as_sizes(sizes)
-    chunks = np.maximum(1.0, np.ceil(arr / spec.chunk_bytes))
-    stage = (spec.hop_latency
-             + np.minimum(arr, spec.chunk_bytes) / ring_bw
-             + spec.chunk_overhead)
-    return np.where(arr == 0.0, 0.0, (n_nodes - 2 + chunks) * stage)
-
-
-_TIME_ARRAY_FNS = {
-    Primitive.ALL_GATHER: all_gather_time_array,
-    Primitive.ALL_REDUCE: all_reduce_time_array,
-    Primitive.BROADCAST: broadcast_time_array,
-}
-
-
-def collective_time_array(primitive: Primitive, n_nodes: int, sizes,
-                          ring_bw: float,
-                          spec: CollectiveSpec = DEFAULT_SPEC) \
-        -> np.ndarray:
-    """Vectorized :func:`collective_time` over a column of sizes."""
-    return _TIME_ARRAY_FNS[primitive](n_nodes, sizes, ring_bw, spec)
 
 
 # -- Functional reference implementations --------------------------------

@@ -1,56 +1,34 @@
-"""Columnar (struct-of-arrays) op tables: the vectorized simulator core.
+"""Columnar (struct-of-arrays) op tables: the simulator core.
 
-The scalar reference core (:mod:`repro.core.timeline`) materializes one
-frozen :class:`~repro.core.timeline.Op` dataclass per operation and one
-:class:`~repro.core.timeline.ScheduledOp` per scheduling decision.
-That is the right shape for tests and trace export, but a campaign
-grid schedules hundreds of thousands of ops, and per-op Python objects
-(allocation, ``__post_init__`` validation, attribute walks) dominate
-the wall clock long before the arithmetic does.
+A campaign grid schedules hundreds of thousands of ops, and per-op
+Python objects (allocation, validation, attribute walks) would
+dominate the wall clock long before the arithmetic does.  This module
+keeps the *data* in parallel columns instead:
 
-This module keeps the *data* in parallel columns instead:
-
-* :class:`OpTable` -- an append-only struct-of-arrays op container with
-  the exact ``add()`` signature of :class:`~repro.core.timeline.OpList`,
-  so every emitter works against either sink unchanged;
-* :func:`schedule_table` -- the same deterministic list-scheduler
-  recurrence as :func:`~repro.core.timeline.run_timeline`, run as a
-  tight loop over the columns (the recurrence is a sequential
+* :class:`OpTable` -- the append-only struct-of-arrays op container
+  every emitter fills;
+* :func:`schedule_ops` -- the deterministic list-scheduler recurrence,
+  run as a tight loop over the columns (the recurrence is a sequential
   dependency chain, so a numpy level-sweep would lose: the evaluated
   graphs average under two ops per dependency level);
-* :class:`ColumnarTimeline` -- the scheduled result, duck-compatible
-  with :class:`~repro.core.timeline.TimelineResult` (``makespan``,
+* :class:`ColumnarTimeline` -- the scheduled result (``makespan``,
   ``busy``, ``busy_per_channel``, ``busy_time``, ``finish_of``,
   ``ops_on``, ``channels``, and a lazily materialized ``scheduled``
-  tuple for trace export), plus :meth:`ColumnarTimeline.as_arrays`
-  exposing the columns as numpy arrays for vectorized consumers
+  tuple of :class:`~repro.core.timeline.ScheduledOp` for trace
+  export), plus :meth:`ColumnarTimeline.as_arrays` exposing the
+  columns as numpy arrays for vectorized consumers
   (:func:`repro.vmem.prefetch.collect_prefetch_stats` prices its
   DMA/collective overlap on them).
-
-Byte-identity is the contract: every float produced here -- start and
-finish times, busy sums, the makespan -- is computed with the same
-IEEE-754 operations in the same order as the scalar core, so golden
-snapshots and differential tests compare *exactly* equal, not merely
-close.  ``REPRO_SCALAR_CORE=1`` in the environment selects the scalar
-core everywhere (emitters return :class:`OpList`, schedulers run
-:func:`run_timeline`, pricing memoization is bypassed) for bisection.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Union
-
 import numpy as np
 
-from repro.core.timeline import (EngineKind, Op, OpList, ScheduledOp,
-                                 TimelineResult, run_timeline)
+from repro.core.timeline import EngineKind, Op, ScheduledOp
 from repro.telemetry.registry import NOOP, on_activation
 
-#: Environment variable selecting the scalar reference core.
-SCALAR_CORE_ENV = "REPRO_SCALAR_CORE"
-
-#: Telemetry probes for :func:`schedule_table`, updated once per call
+#: Telemetry probes for :func:`schedule_ops`, updated once per call
 #: *after* the scheduling loop -- the tight loop itself is untouched.
 _SCHED_RUNS = NOOP
 _SCHED_OPS = NOOP
@@ -64,10 +42,10 @@ def _bind_probes(registry) -> None:
     else:
         _SCHED_RUNS = registry.counter(
             "repro_schedule_runs_total",
-            "schedule_table invocations")
+            "schedule_ops invocations")
         _SCHED_OPS = registry.counter(
             "repro_schedule_ops_total",
-            "ops scheduled by schedule_table")
+            "ops scheduled by schedule_ops")
         _SCHED_TABLE_OPS = registry.histogram(
             "repro_schedule_table_ops",
             "ops per scheduled op table",
@@ -90,24 +68,14 @@ CODE_ENGINE: tuple[EngineKind, ...] = tuple(
     sorted(ENGINE_CODE, key=ENGINE_CODE.__getitem__))
 
 
-def scalar_core_enabled() -> bool:
-    """True when ``REPRO_SCALAR_CORE`` selects the scalar reference core.
-
-    Read dynamically on every call (not cached at import) so tests and
-    the bench harness can flip the escape hatch per invocation.
-    """
-    return os.environ.get(SCALAR_CORE_ENV, "") not in ("", "0")
-
-
 class OpTable:
-    """Struct-of-arrays op container, ``add()``-compatible with
-    :class:`~repro.core.timeline.OpList`.
+    """Struct-of-arrays op container.
 
     Columns are plain Python lists while the table is being built
     (appends are the hot path); :meth:`ColumnarTimeline.as_arrays`
-    freezes them to numpy arrays after scheduling.  Validation matches
-    :class:`~repro.core.timeline.Op` exactly, so invalid emissions fail
-    identically on either sink.
+    freezes them to numpy arrays after scheduling.  :meth:`add`
+    validates before appending, so a rejected op leaves every column
+    untouched.
     """
 
     __slots__ = ("engines", "codes", "durations", "deps", "tags",
@@ -147,7 +115,6 @@ class OpTable:
         self.tags.append(tag)
         self.nbytes.append(nbytes)
         self.channels.append(channel)
-        self._ops = None
         return uid
 
     def __len__(self) -> int:
@@ -155,12 +122,9 @@ class OpTable:
 
     @property
     def ops(self) -> list[Op]:
-        """Materialized :class:`Op` view (lazily built, then cached).
-
-        Exists so scalar consumers -- :func:`run_timeline`, tests that
-        introspect tags/deps -- accept an :class:`OpTable` anywhere an
-        :class:`OpList` is expected.
-        """
+        """Materialized :class:`Op` view for trace export and tests
+        that introspect tags and deps (built lazily, rebuilt only after
+        the append-only table grows)."""
         if self._ops is None or len(self._ops) != len(self.durations):
             self._ops = [
                 Op(uid=i, engine=self.engines[i],
@@ -172,15 +136,14 @@ class OpTable:
 
 
 class ColumnarTimeline:
-    """Scheduled outcome of an :class:`OpTable` (vectorized core).
+    """Scheduled outcome of an :class:`OpTable`.
 
-    Duck-compatible with :class:`~repro.core.timeline.TimelineResult`:
-    exposes the same ``makespan`` / ``busy`` / ``busy_per_channel``
-    attributes and ``finish_of`` / ``busy_time`` / ``ops_on`` /
-    ``channels`` / ``scheduled`` surface, with identical float values.
-    ``scheduled`` materializes per-op objects lazily, so consumers that
-    never iterate ops (the ``simulate()`` fast path) never pay for
-    them; :meth:`as_arrays` serves vectorized consumers instead.
+    ``busy`` aggregates across channels (the SPMD view);
+    ``busy_per_channel`` keeps the per-stage split pipeline metrics
+    need.  ``scheduled`` materializes per-op objects lazily, so
+    consumers that never iterate ops (the ``simulate()`` path) never
+    pay for them; :meth:`as_arrays` serves vectorized consumers
+    instead.
     """
 
     __slots__ = ("table", "start", "finish", "prev_slot_finish",
@@ -206,7 +169,7 @@ class ColumnarTimeline:
         self._scheduled: tuple[ScheduledOp, ...] | None = None
         self._arrays: dict[str, np.ndarray] | None = None
 
-    # -- TimelineResult surface ------------------------------------------
+    # -- Per-op surface ---------------------------------------------------
 
     @property
     def scheduled(self) -> tuple[ScheduledOp, ...]:
@@ -268,14 +231,16 @@ class ColumnarTimeline:
         return self._arrays
 
 
-def schedule_table(table: OpTable) -> ColumnarTimeline:
-    """List-schedule an :class:`OpTable`; byte-identical to
-    :func:`~repro.core.timeline.run_timeline` on the same ops.
+def schedule_ops(table: OpTable) -> ColumnarTimeline:
+    """List-schedule an :class:`OpTable`; engines serialize, deps must
+    finish first.
 
-    The recurrence (op start = max of engine-free time and dependency
-    finishes) is a sequential chain, so it runs as one tight loop over
-    the columns; ``max`` and ``+`` on float64 are order-stable, and
-    busy times accumulate in uid order exactly as the scalar core does.
+    Op *i* starts at ``max(prev_slot_finish[i], finish of its deps,
+    0.0)`` and finishes ``duration[i]`` later, where
+    ``prev_slot_finish[i]`` is the finish of the previous op on its
+    (engine, channel) slot; busy times accumulate in uid order.  The
+    recurrence is a sequential chain, so it runs as one tight loop
+    over the columns.
     """
     codes = table.codes
     durations = table.durations
@@ -283,8 +248,8 @@ def schedule_table(table: OpTable) -> ColumnarTimeline:
     tab_channels = table.channels
 
     # Slot state indexed by engine code; dict keys are plain-int
-    # channels (the enum-keyed dicts of the scalar core hash the enum
-    # several times per op -- measurable over a campaign grid).
+    # channels (enum-keyed dicts would hash the enum several times per
+    # op -- measurable over a campaign grid).
     free_by_code: list[dict[int, float]] = [{}, {}, {}, {}]
     busy_by_code: list[float] = [0.0, 0.0, 0.0, 0.0]
     busy_ch_by_code: list[dict[int, float]] = [{}, {}, {}, {}]
@@ -331,22 +296,3 @@ def schedule_table(table: OpTable) -> ColumnarTimeline:
                             makespan=makespan, busy=busy,
                             busy_per_channel=busy_per_channel)
 
-
-OpSink = Union[OpList, OpTable]
-Timeline = Union[TimelineResult, ColumnarTimeline]
-
-
-def new_op_sink() -> OpSink:
-    """The op container the active core wants emitters to fill.
-
-    Columnar :class:`OpTable` by default; :class:`OpList` under
-    ``REPRO_SCALAR_CORE=1``.
-    """
-    return OpList() if scalar_core_enabled() else OpTable()
-
-
-def schedule_ops(ops: OpSink) -> Timeline:
-    """Schedule whichever sink the emitter produced."""
-    if isinstance(ops, OpTable):
-        return schedule_table(ops)
-    return run_timeline(ops)

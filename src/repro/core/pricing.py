@@ -1,4 +1,4 @@
-"""Memoized pricing for the vectorized simulator core.
+"""Memoized pricing for the simulator core.
 
 Profiling the campaign grid shows the simulator spends most of its
 time *re-deriving prices*, not scheduling: every ``simulate()`` call
@@ -8,8 +8,8 @@ context, once for op emission), and re-prices identical collectives,
 while all six design points share one device model and one device
 count, so the answers are identical across most of the grid.
 
-This module is the memo layer the vectorized core routes those
-derivations through:
+This module is the memo layer the core routes those derivations
+through:
 
 * :func:`cached_partition` / :func:`cached_migration` -- per-network
   partitioning and migration planning, keyed on the network's
@@ -23,19 +23,17 @@ derivations through:
   stage-timing equivalents, keyed per layer;
 * :func:`collective_time` -- ring-collective latency per
   (model, primitive, nbytes);
-* :func:`memoized_pricer` -- wraps a per-transfer DMA pricer with a
+* :class:`MemoPricer` -- wraps a per-transfer DMA pricer with a
   size-keyed memo and, when the model provides one, a vectorized
   ``array`` variant for whole fetch lists;
 * :func:`cached_cluster_cell` -- cross-instance memo for the cluster
   cost oracle, so four scheduling policies price one design's job
   classes with one set of ``simulate()`` calls.
 
-Every cache is a pure memo: values are computed by exactly the code
-the scalar core runs, so cached and uncached paths are byte-identical.
-Under ``REPRO_SCALAR_CORE=1`` every helper here bypasses its memo and
-computes fresh -- the escape hatch reproduces the seed's work, not
-just its answers.  :func:`clear_caches` empties everything; the bench
-harness calls it so cold timings measure simulation, not cache replay.
+Every cache is a pure memo: a hit returns exactly the value a fresh
+computation would, so results do not depend on what the memos hold.
+:func:`clear_caches` empties everything; the bench harness calls it
+so cold timings measure simulation, not cache replay.
 """
 
 from __future__ import annotations
@@ -44,7 +42,6 @@ from collections.abc import Callable
 from typing import TYPE_CHECKING
 from weakref import WeakKeyDictionary
 
-from repro.core.optable import scalar_core_enabled
 from repro.telemetry.registry import NOOP, on_activation
 from repro.training.backprop import TrainingStep, expand
 from repro.training.parallel import (ParallelStrategy, PartitionedLayer,
@@ -137,8 +134,6 @@ def cached_partition(net: "Network", batch: int,
     Returns the cached list itself; callers treat it as read-only
     (every consumer immediately re-keys it into a dict).
     """
-    if scalar_core_enabled():
-        return partition(net, batch, strategy, n_devices)
     key = ("partition", net.version, batch, strategy, n_devices)
     cache = _net_cache(net)
     if key not in cache:
@@ -157,15 +152,11 @@ def cached_migration(net: "Network", batch: int, virtualize: bool) \
     :class:`~repro.vmem.policy.MigrationPolicy` at this ``virtualize``
     setting -- the only policy shape ``plan_iteration`` builds.
     """
-    policy = MigrationPolicy(virtualize=virtualize)
-    if scalar_core_enabled():
-        plans = policy.plan(net, batch)
-        return plans, expand(net, plans)
     key = ("migration", net.version, batch, virtualize)
     cache = _net_cache(net)
     if key not in cache:
         _MISSES["migration"].inc()
-        plans = policy.plan(net, batch)
+        plans = MigrationPolicy(virtualize=virtualize).plan(net, batch)
         cache[key] = (plans, expand(net, plans))
     else:
         _HITS["migration"].inc()
@@ -183,22 +174,16 @@ def layer_times(net: "Network", device: "DeviceSpec", batch: int,
     design points sharing the baseline device share the entry.
     """
     parts = cached_partition(net, batch, strategy, n_devices)
-
-    def compute() -> dict[str, tuple[float, float]]:
-        op_time = device.op_time
-        return {
-            p.name: (op_time(p.fwd_gemms, p.fwd_stream_bytes),
-                     op_time(p.bwd_gemms, p.fwd_stream_bytes))
-            for p in parts}
-
-    if scalar_core_enabled():
-        return compute()
     key = ("layer-times", net.version, device, batch, strategy,
            n_devices)
     cache = _net_cache(net)
     if key not in cache:
         _MISSES["layer-times"].inc()
-        cache[key] = compute()
+        op_time = device.op_time
+        cache[key] = {
+            p.name: (op_time(p.fwd_gemms, p.fwd_stream_bytes),
+                     op_time(p.bwd_gemms, p.fwd_stream_bytes))
+            for p in parts}
     else:
         _HITS["layer-times"].inc()
     return cache[key]
@@ -207,8 +192,6 @@ def layer_times(net: "Network", device: "DeviceSpec", batch: int,
 def layer_fwd_time(device: "DeviceSpec", layer: "Layer",
                    batch: int) -> float:
     """Memoized :meth:`DeviceSpec.layer_fwd_time` (pipeline staging)."""
-    if scalar_core_enabled():
-        return device.layer_fwd_time(layer, batch)
     key = (device, layer, batch)
     if key not in _LAYER_FWD:
         _MISSES["layer-fwd"].inc()
@@ -221,8 +204,6 @@ def layer_fwd_time(device: "DeviceSpec", layer: "Layer",
 def layer_bwd_time(device: "DeviceSpec", layer: "Layer",
                    batch: int) -> float:
     """Memoized :meth:`DeviceSpec.layer_bwd_time` (pipeline staging)."""
-    if scalar_core_enabled():
-        return device.layer_bwd_time(layer, batch)
     key = (device, layer, batch)
     if key not in _LAYER_BWD:
         _MISSES["layer-bwd"].inc()
@@ -240,8 +221,6 @@ def layer_bwd_split_time(device: "DeviceSpec", layer: "Layer",
     stage timing; sums to :func:`layer_bwd_time` up to float
     re-association.
     """
-    if scalar_core_enabled():
-        return device.layer_bwd_split_time(layer, batch)
     key = (device, layer, batch)
     if key not in _LAYER_BWD_SPLIT:
         _MISSES["layer-bwd-split"].inc()
@@ -268,8 +247,6 @@ def _collective_memo(model: "CollectiveModel") -> dict:
 def collective_time(model: "CollectiveModel", primitive,
                     nbytes: int) -> float:
     """Memoized :meth:`CollectiveModel.time`."""
-    if scalar_core_enabled():
-        return model.time(primitive, nbytes)
     memo = _collective_memo(model)
     key = (primitive, nbytes)
     if key not in memo:
@@ -282,14 +259,12 @@ def collective_time(model: "CollectiveModel", primitive,
 
 def collective_pricer(model: "CollectiveModel") \
         -> Callable[[object, int], float]:
-    """Bind one model's memoized ``time`` (env check hoisted out).
+    """Bind one model's memoized ``time``.
 
     Returns a ``(primitive, nbytes) -> seconds`` callable; inner-loop
-    emitters call it per op without re-reading ``REPRO_SCALAR_CORE``
-    or re-fetching the instance memo each time.
+    emitters call it per op without re-fetching the instance memo
+    each time.
     """
-    if scalar_core_enabled():
-        return model.time
     memo = _collective_memo(model)
     time = model.time
 
@@ -345,15 +320,6 @@ class MemoPricer:
         return [self(n) for n in sizes]
 
 
-def memoized_pricer(fn: Callable[[int], float],
-                    array_fn: Callable | None = None) \
-        -> Callable[[int], float]:
-    """Wrap a DMA pricer in a memo (identity under the scalar core)."""
-    if scalar_core_enabled():
-        return fn
-    return MemoPricer(fn, array_fn)
-
-
 def cached_cluster_cell(config: "SystemConfig", key: tuple,
                         thunk: Callable[[], "SimulationResult"]) \
         -> "SimulationResult":
@@ -363,8 +329,6 @@ def cached_cluster_cell(config: "SystemConfig", key: tuple,
     design point it addresses one ``simulate()`` outcome shared by
     every scheduler policy comparing on that design.
     """
-    if scalar_core_enabled():
-        return thunk()
     full_key = (config, key)
     if full_key not in _CLUSTER_CELLS:
         _MISSES["cluster-cell"].inc()

@@ -4,20 +4,16 @@ This is where the paper's three latency components meet: forward and
 backward computation on the PE array, offload/prefetch DMAs on the
 virtualization channel (with vDNN's pinned-buffer back-pressure and
 bounded prefetch lookahead), and collective synchronization on the ring
-networks.  The resulting op sink (a columnar
-:class:`~repro.core.optable.OpTable` by default, or a scalar
-:class:`~repro.core.timeline.OpList` under ``REPRO_SCALAR_CORE=1``)
-encodes every overlap opportunity and every stall the design point
-implies.
+networks.  The resulting :class:`~repro.core.optable.OpTable` encodes
+every overlap opportunity and every stall the design point implies.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections.abc import Callable
 
 from repro.core import pricing
-from repro.core.optable import OpSink, new_op_sink
+from repro.core.optable import OpTable
 from repro.core.system import SystemConfig
 from repro.core.timeline import EngineKind
 from repro.dnn.graph import Network
@@ -92,7 +88,7 @@ def contention_fraction(compute_seconds: float,
 
 
 def vmem_pricer(config: SystemConfig, compute_seconds: float,
-                comm_seconds: float) -> Callable[[int], float]:
+                comm_seconds: float) -> pricing.MemoPricer:
     """The DMA pricing the active prefetch policy implies.
 
     The legacy ``on-demand`` baseline keeps the paper's conservative
@@ -101,29 +97,15 @@ def vmem_pricer(config: SystemConfig, compute_seconds: float,
     contention fraction instead.
     """
     if config.prefetch_policy == ON_DEMAND:
-        return pricing.memoized_pricer(
+        return pricing.MemoPricer(
             config.vmem.transfer_time,
             array_fn=config.vmem.transfer_time_array)
     fraction = contention_fraction(compute_seconds, comm_seconds)
-    return pricing.memoized_pricer(
+    return pricing.MemoPricer(
         lambda nbytes: config.vmem.contended_transfer_time(nbytes,
                                                            fraction),
         array_fn=lambda sizes: config.vmem.contended_transfer_time_array(
             sizes, fraction))
-
-
-def _price_many(pricer: Callable[[int], float],
-                sizes: list[int]) -> list[float]:
-    """Price a list of transfer sizes through ``pricer``.
-
-    Uses the pricer's vectorized ``many`` batch API when it has one
-    (the memoized pricers of :mod:`repro.core.pricing` do); otherwise
-    falls back to per-size calls.  Values are identical either way.
-    """
-    many = getattr(pricer, "many", None)
-    if many is not None:
-        return many(sizes)
-    return [pricer(nbytes) for nbytes in sizes]
 
 
 def _iteration_seconds(plan: IterationPlan,
@@ -148,14 +130,14 @@ def _iteration_seconds(plan: IterationPlan,
 
 
 def iteration_pricer(plan: IterationPlan,
-                     config: SystemConfig) -> Callable[[int], float]:
+                     config: SystemConfig) -> pricing.MemoPricer:
     """The migration-DMA pricer of one training iteration."""
     compute, comm = _iteration_seconds(plan, config)
     return vmem_pricer(config, compute, comm)
 
 
 def plan_training_prefetch(plan: IterationPlan, config: SystemConfig,
-                           pricer: Callable[[int], float] | None
+                           pricer: pricing.MemoPricer | None
                            = None) -> PrefetchSchedule:
     """Run the configured prefetch policy over a training iteration."""
     if pricer is None:
@@ -172,7 +154,7 @@ def plan_training_prefetch(plan: IterationPlan, config: SystemConfig,
             sites.append(FetchSite(producer=producer,
                                    use_step=step_index, nbytes=shard))
             shards.append(shard)
-    fetch_seconds = _price_many(pricer, shards)
+    fetch_seconds = pricer.many(shards)
     ctx = PrefetchContext(
         n_steps=len(plan.step.bwd_order), sites=tuple(sites),
         step_seconds=tuple(step_seconds),
@@ -266,14 +248,14 @@ def _inference_seconds(plan: InferencePlan,
 
 
 def inference_pricer(plan: InferencePlan,
-                     config: SystemConfig) -> Callable[[int], float]:
+                     config: SystemConfig) -> pricing.MemoPricer:
     """The weight-streaming DMA pricer of one inference batch."""
     compute, comm = _inference_seconds(plan, config)
     return vmem_pricer(config, compute, comm)
 
 
 def plan_inference_prefetch(plan: InferencePlan, config: SystemConfig,
-                            pricer: Callable[[int], float] | None
+                            pricer: pricing.MemoPricer | None
                             = None) -> PrefetchSchedule:
     """Run the configured prefetch policy over the weight stream.
 
@@ -300,7 +282,7 @@ def plan_inference_prefetch(plan: InferencePlan, config: SystemConfig,
                                    nbytes=nbytes))
             weights.append(nbytes)
         step_index += 1
-    fetch_seconds = _price_many(pricer, weights)
+    fetch_seconds = pricer.many(weights)
     ctx = PrefetchContext(
         n_steps=step_index, sites=tuple(sites),
         step_seconds=tuple(step_seconds),
@@ -311,8 +293,8 @@ def plan_inference_prefetch(plan: InferencePlan, config: SystemConfig,
 
 def build_inference_ops(plan: InferencePlan, config: SystemConfig,
                         prefetch: PrefetchSchedule | None = None,
-                        pricer: Callable[[int], float] | None = None) \
-        -> OpSink:
+                        pricer: pricing.MemoPricer | None = None) \
+        -> OpTable:
     """Emit one forward-only batch's ops in issue order.
 
     Weight fetches ride the prefetch DMA engine, gated per the active
@@ -325,7 +307,7 @@ def build_inference_ops(plan: InferencePlan, config: SystemConfig,
     if prefetch is None:
         prefetch = plan_inference_prefetch(plan, config, pricer)
     waste_before = prefetch.waste_before()
-    ops = new_op_sink()
+    ops = OpTable()
     collective = pricing.collective_pricer(config.collectives)
     times = pricing.layer_times(plan.net, config.device, plan.batch,
                                 plan.strategy, config.n_devices)
@@ -386,8 +368,8 @@ def build_inference_ops(plan: InferencePlan, config: SystemConfig,
 
 def build_iteration_ops(plan: IterationPlan, config: SystemConfig,
                         prefetch: PrefetchSchedule | None = None,
-                        pricer: Callable[[int], float] | None = None,
-                        split_wgrad: bool = False) -> OpSink:
+                        pricer: pricing.MemoPricer | None = None) \
+        -> OpTable:
     """Emit the iteration's ops in dependency-consistent issue order.
 
     ``prefetch`` carries the active policy's issue plan (computed from
@@ -395,20 +377,13 @@ def build_iteration_ops(plan: IterationPlan, config: SystemConfig,
     baseline reproduces the seed's gate structure and pricing
     byte-for-byte.  Callers that already derived the DMA ``pricer``
     (one O(layers) plan walk) can pass it to avoid recomputing.
-
-    With ``split_wgrad`` each weighted layer's backward is emitted as
-    two ops -- ``bwd:{name}`` (activation grad, what successors and dX
-    reductions wait on) and ``wgrad:{name}`` (weight grad, what dW
-    all-reduces wait on) -- mirroring the zero-bubble pipeline B/W
-    split at single-device granularity.  Off (the default) the op
-    stream is byte-identical to the seed's.
     """
     if pricer is None:
         pricer = iteration_pricer(plan, config)
     if prefetch is None:
         prefetch = plan_training_prefetch(plan, config, pricer)
     waste_before = prefetch.waste_before()
-    ops = new_op_sink()
+    ops = OpTable()
     collective = pricing.collective_pricer(config.collectives)
     times = pricing.layer_times(plan.net, config.device, plan.batch,
                                 plan.strategy, config.n_devices)
@@ -516,32 +491,16 @@ def build_iteration_ops(plan: IterationPlan, config: SystemConfig,
                 EngineKind.COMPUTE, times[producer][0],
                 list(prefetch_ids), tag=f"recompute:{producer}"))
 
-        bwd_seconds = times[name][1]
-        wgrad_seconds = 0.0
-        if split_wgrad and part.bwd_gemms:
-            wgrad_seconds = config.device.op_time(
-                part.bwd_gemms[1::2], 0)
-            bwd_seconds = max(0.0, bwd_seconds - wgrad_seconds)
-
-        compute = ops.add(EngineKind.COMPUTE, bwd_seconds,
+        compute = ops.add(EngineKind.COMPUTE, times[name][1],
                           deps + prefetch_ids + recompute_ids,
                           tag=f"bwd:{name}")
         bwd_computes.append(compute)
-        grad_done = compute
-        if wgrad_seconds > 0.0:
-            grad_done = ops.add(EngineKind.COMPUTE, wgrad_seconds,
-                                [compute], tag=f"wgrad:{name}")
 
         if part.bwd_sync is not None:
-            # dX reductions (model parallel) only need the activation
-            # grad; dW all-reduces wait for the weight grad.
-            sync_dep = (compute
-                        if plan.strategy is ParallelStrategy.MODEL
-                        else grad_done)
             sync = ops.add(EngineKind.COMM,
                            collective(part.bwd_sync.primitive,
                                       part.bwd_sync.nbytes),
-                           [sync_dep], tag=f"sync-bwd:{name}",
+                           [compute], tag=f"sync-bwd:{name}",
                            nbytes=part.bwd_sync.nbytes)
             # Model-parallel dX reductions gate the grand-producers'
             # backward pass (pipelined, above); data-parallel dW

@@ -14,8 +14,7 @@ import numpy as np
 
 from repro.accelerator.device import BASELINE_DEVICE, DeviceSpec
 from repro.collectives.multi_ring import (RingChannel,
-                                          striped_collective_time,
-                                          striped_collective_time_array)
+                                          striped_collective_time)
 from repro.collectives.ring_algorithm import (DEFAULT_SPEC, CollectiveSpec,
                                               Primitive)
 from repro.host.cpu import CpuSocketSpec
@@ -41,15 +40,6 @@ class CollectiveModel:
             return 0.0
         return striped_collective_time(primitive, list(self.channels),
                                        nbytes, self.spec)
-
-    def time_array(self, primitive: Primitive, sizes) -> np.ndarray:
-        """Vectorized :meth:`time` over a column of message sizes.
-
-        Elementwise bit-identical to per-size scalar calls (same
-        striping, same ring model, float64 throughout).
-        """
-        return striped_collective_time_array(
-            primitive, list(self.channels), sizes, self.spec)
 
     @classmethod
     def from_topology(cls, topo: SystemTopology,

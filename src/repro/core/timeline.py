@@ -1,4 +1,4 @@
-"""Engine-level timeline scheduler.
+"""Engine-level timeline vocabulary.
 
 Each device-node runs four engines concurrently (the paper's simulator
 overlaps computation with synchronization and memory virtualization,
@@ -10,23 +10,28 @@ Figure 11's caption):
 * ``COMM``    -- collective operations on the ring networks.
 
 Ops declare dependencies; every engine executes its ops in issue order.
-The scheduler is a deterministic list scheduler: an op starts when its
-engine is free and all dependencies have finished.  Because the
-evaluated workloads are SPMD-symmetric across devices, one device's
-timeline (with collectives priced at full-system cost) is the node's.
+The scheduler (:func:`repro.core.optable.schedule_ops`) is a
+deterministic list scheduler: an op starts when its engine is free and
+all dependencies have finished.  Because the evaluated workloads are
+SPMD-symmetric across devices, one device's timeline (with collectives
+priced at full-system cost) is the node's.
 
 Pipeline-parallel training breaks that symmetry: each stage is a
 different device doing different work.  Ops therefore carry a
 ``channel`` index -- channel *c* owns a private instance of each of the
-four engines (stage *c*'s device) -- and one :class:`OpList` can hold a
-whole pipeline's asymmetric timeline.  SPMD schedules simply leave
-every op on channel 0 and behave exactly as before.
+four engines (stage *c*'s device) -- and one op table can hold a whole
+pipeline's asymmetric timeline.  SPMD schedules simply leave every op
+on channel 0.
+
+:class:`Op` and :class:`ScheduledOp` are per-op views of a scheduled
+:class:`~repro.core.optable.OpTable`, materialized on demand for trace
+export and tests.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class EngineKind(enum.Enum):
@@ -57,125 +62,9 @@ class Op:
     #: on the same :class:`EngineKind` (pipeline stages; 0 = SPMD).
     channel: int = 0
 
-    def __post_init__(self) -> None:
-        if self.duration < 0:
-            raise ValueError(f"op {self.tag}: negative duration")
-        if self.nbytes < 0:
-            raise ValueError(f"op {self.tag}: negative byte count")
-        if self.channel < 0:
-            raise ValueError(f"op {self.tag}: negative channel")
-        if any(d >= self.uid for d in self.deps):
-            raise ValueError(
-                f"op {self.tag}: dependency on a later op (cycle)")
-
-
-@dataclass
-class OpList:
-    """Append-only op container guaranteeing valid uid ordering."""
-
-    ops: list[Op] = field(default_factory=list)
-
-    def add(self, engine: EngineKind, duration: float, deps: list[int],
-            tag: str, nbytes: int = 0, channel: int = 0) -> int:
-        """Append an op and return its uid (dense, starting at 0).
-
-        ``duration`` is seconds; ``deps`` must reference earlier uids.
-        The columnar :class:`~repro.core.optable.OpTable` exposes the
-        same signature, so emitters work against either container.
-        """
-        uid = len(self.ops)
-        self.ops.append(Op(uid=uid, engine=engine, duration=duration,
-                           deps=tuple(deps), tag=tag, nbytes=nbytes,
-                           channel=channel))
-        return uid
-
-    def __len__(self) -> int:
-        return len(self.ops)
-
 
 @dataclass(frozen=True)
 class ScheduledOp:
     op: Op
     start: float
     finish: float
-
-
-@dataclass(frozen=True)
-class TimelineResult:
-    """Outcome of scheduling one iteration's ops.
-
-    ``busy`` aggregates across channels (the historical SPMD view);
-    ``busy_per_channel`` keeps the per-stage split pipeline metrics
-    need.
-    """
-
-    scheduled: tuple[ScheduledOp, ...]
-    makespan: float
-    busy: dict[EngineKind, float]
-    busy_per_channel: dict[tuple[EngineKind, int], float] \
-        = None  # type: ignore[assignment]
-
-    def __post_init__(self) -> None:
-        if self.busy_per_channel is None:
-            object.__setattr__(
-                self, "busy_per_channel",
-                {(engine, 0): time for engine, time in self.busy.items()})
-
-    def finish_of(self, uid: int) -> float:
-        """Completion time (seconds) of op ``uid``."""
-        return self.scheduled[uid].finish
-
-    def ops_on(self, engine: EngineKind,
-               channel: int | None = None) -> list[ScheduledOp]:
-        """Scheduled ops of one engine, in issue (uid) order.
-
-        Event order IS uid order even across equal timestamps -- the
-        property tests hold both cores to this.
-        """
-        return [s for s in self.scheduled if s.op.engine is engine
-                and (channel is None or s.op.channel == channel)]
-
-    def busy_time(self, engine: EngineKind,
-                  channel: int | None = None) -> float:
-        """Total seconds ``engine`` spent executing ops (not idle),
-        across all channels unless one is given."""
-        if channel is None:
-            return self.busy.get(engine, 0.0)
-        return self.busy_per_channel.get((engine, channel), 0.0)
-
-    @property
-    def channels(self) -> tuple[int, ...]:
-        """Channel indices present, ascending (SPMD timelines: (0,))."""
-        return tuple(sorted({s.op.channel for s in self.scheduled})) \
-            or (0,)
-
-
-def run_timeline(ops: OpList) -> TimelineResult:
-    """List-schedule ``ops``; engines serialize, deps must finish first.
-
-    This is the scalar reference scheduler.  The default (vectorized)
-    core schedules the columnar :class:`~repro.core.optable.OpTable`
-    through :func:`~repro.core.optable.schedule_table`; the two are
-    held byte-identical by ``tests/test_optable_properties.py``.
-    """
-    engine_free: dict[tuple[EngineKind, int], float] = {}
-    busy: dict[EngineKind, float] = {e: 0.0 for e in EngineKind}
-    busy_per_channel: dict[tuple[EngineKind, int], float] = {}
-    finish: list[float] = []
-    scheduled: list[ScheduledOp] = []
-
-    for op in ops.ops:
-        slot = (op.engine, op.channel)
-        ready = max((finish[d] for d in op.deps), default=0.0)
-        start = max(engine_free.get(slot, 0.0), ready)
-        end = start + op.duration
-        engine_free[slot] = end
-        busy[op.engine] += op.duration
-        busy_per_channel[slot] = busy_per_channel.get(slot, 0.0) \
-            + op.duration
-        finish.append(end)
-        scheduled.append(ScheduledOp(op=op, start=start, finish=end))
-
-    makespan = max(finish, default=0.0)
-    return TimelineResult(scheduled=tuple(scheduled), makespan=makespan,
-                          busy=busy, busy_per_channel=busy_per_channel)

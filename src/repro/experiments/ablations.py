@@ -112,8 +112,8 @@ def _mean_time(report: CampaignReport, label: str, batch: int) -> float:
 def _recompute_rows(batch: int) -> list[AblationRow]:
     """Ablation 2: the recompute knob sits below ``simulate``."""
     from repro.core.design_points import dc_dla
+    from repro.core.optable import schedule_ops
     from repro.core.schedule import (IterationPlan, build_iteration_ops)
-    from repro.core.timeline import run_timeline
     from repro.dnn.registry import build_network
     from repro.training.backprop import expand
     from repro.training.parallel import partition
@@ -140,7 +140,7 @@ def _recompute_rows(batch: int) -> list[AblationRow]:
                                  parts=parts, step=step,
                                  migrated_shards=migrated)
             ops = build_iteration_ops(plan, config)
-            times.append(run_timeline(ops).makespan)
+            times.append(schedule_ops(ops).makespan)
         rows.append(AblationRow("recompute-rule", label,
                                 harmonic_mean(times)))
     return rows

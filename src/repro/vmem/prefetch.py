@@ -42,13 +42,13 @@ schedule builders in :mod:`repro.core.schedule` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 from collections.abc import Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from repro.core.metrics import PrefetchStats
-    from repro.core.timeline import TimelineResult
+    from repro.core.optable import ColumnarTimeline
 
 #: Presentation order of the policy axis (baseline first, oracle last).
 PREFETCH_POLICY_ORDER = ("on-demand", "next-op", "stride", "cost-model",
@@ -398,43 +398,27 @@ def prefetch_policy(name: str) -> PrefetchPolicy:
 # Post-schedule accounting
 
 
-@dataclass
-class _Intervals:
-    """Per-channel busy intervals of one engine family."""
+def collect_prefetch_stats(timeline: ColumnarTimeline, policy: str,
+                           evictions: int = 0) -> PrefetchStats:
+    """Distil a scheduled timeline into the campaign-facing stats.
 
-    spans: dict[int, list[tuple[float, float]]] = field(
-        default_factory=dict)
+    Works for any schedule the emitters produce -- training, inference
+    weight streaming, and multi-channel pipelines -- because it reasons
+    only over engine kinds: a compute op stalls when its DMA-in
+    dependencies finish after both its own engine and its non-DMA
+    dependencies were ready.  Wasted traffic is whatever rode a
+    ``waste:`` tag.
 
-    def add(self, channel: int, start: float, finish: float) -> None:
-        if finish > start:
-            self.spans.setdefault(channel, []).append((start, finish))
-
-    def overlap(self, other: "_Intervals") -> float:
-        total = 0.0
-        for channel, mine in self.spans.items():
-            theirs = other.spans.get(channel)
-            if not theirs:
-                continue
-            for a0, a1 in mine:
-                for b0, b1 in theirs:
-                    total += max(0.0, min(a1, b1) - max(a0, b0))
-        return total
-
-
-def _collect_columnar(timeline, policy: str,
-                      evictions: int) -> PrefetchStats:
-    """Columnar fast path of :func:`collect_prefetch_stats`.
-
-    Operates on a :class:`~repro.core.optable.ColumnarTimeline`'s raw
-    columns -- no :class:`~repro.core.timeline.ScheduledOp` objects are
+    Reads the timeline's columns directly: no per-op objects are
     materialized, the scheduler's recorded per-slot previous-finish
-    column replaces the collector's running dict, and the DMA/collective
-    overlap is priced on numpy interval arrays.  Every float it returns
-    is accumulated in the same order as the scalar collector, so the
-    stats are byte-identical.
+    column gives each op's engine-ready time, and the DMA/collective
+    overlap is priced on numpy interval arrays.
     """
     import numpy as np
 
+    # Imported here, not at module scope: repro.training (and through
+    # it repro.core.metrics) imports repro.vmem, so a top-level import
+    # would close an import cycle through the package __init__.
     from repro.core.metrics import PrefetchStats
     from repro.core.optable import ENGINE_CODE
     from repro.core.timeline import EngineKind
@@ -484,7 +468,7 @@ def _collect_columnar(timeline, policy: str,
                 early += 1
     hit_rate = 1.0 if n_prefetches == 0 \
         else (n_prefetches - late) / n_prefetches
-    return PrefetchStats(
+    stats = PrefetchStats(
         policy=policy,
         n_prefetches=n_prefetches,
         prefetch_bytes=prefetch_bytes,
@@ -493,19 +477,21 @@ def _collect_columnar(timeline, policy: str,
         stall_seconds=stall,
         late=late, jit=jit, early=early,
         hit_rate=hit_rate,
-        contended_seconds=_columnar_overlap(arrays),
+        contended_seconds=_dma_comm_overlap(arrays),
     )
+    _record_stats(stats)
+    return stats
 
 
-def _columnar_overlap(arrays) -> float:
-    """DMA x collective busy overlap on numpy interval columns.
+def _dma_comm_overlap(arrays) -> float:
+    """Seconds of DMA x collective busy overlap, summed over op pairs.
 
-    Replicates :meth:`_Intervals.overlap` exactly: per channel (in the
-    DMA family's first-appearance order, matching the scalar dict's
-    insertion order) the pairwise clipped overlaps are laid out
-    row-major, concatenated, and reduced with one sequential
-    ``cumsum`` -- the same additions in the same order as the scalar
-    nested loops, hence bit-identical totals.
+    Per channel (in the order DMA ops first appear on each), every
+    (DMA op, collective op) pair of non-empty intervals contributes
+    its clipped overlap.  The pairwise overlaps are laid out row-major
+    (DMA op major, both in uid order), concatenated across channels,
+    and reduced with one sequential ``cumsum``, so the total is summed
+    in a fixed order.
     """
     import numpy as np
 
@@ -539,92 +525,6 @@ def _columnar_overlap(arrays) -> float:
     if not terms:
         return 0.0
     return float(np.cumsum(np.concatenate(terms))[-1])
-
-
-def collect_prefetch_stats(timeline: TimelineResult, policy: str,
-                           evictions: int = 0) -> PrefetchStats:
-    """Distil a scheduled timeline into the campaign-facing stats.
-
-    Works for any schedule the emitters produce -- training, inference
-    weight streaming, and multi-channel pipelines -- because it reasons
-    only over engine kinds: a compute op stalls when its DMA-in
-    dependencies finish after both its own engine and its non-DMA
-    dependencies were ready.  Wasted traffic is whatever rode a
-    ``waste:`` tag.
-
-    Accepts either timeline flavor: a columnar
-    :class:`~repro.core.optable.ColumnarTimeline` takes the vectorized
-    fast path (same numbers, no per-op object materialization), a
-    scalar :class:`~repro.core.timeline.TimelineResult` the reference
-    loop below.
-    """
-    # Imported here, not at module scope: repro.training (and through
-    # it repro.core.metrics) imports repro.vmem, so a top-level import
-    # would close an import cycle through the package __init__.
-    from repro.core.metrics import PrefetchStats
-    from repro.core.optable import ColumnarTimeline
-    from repro.core.timeline import EngineKind
-
-    if isinstance(timeline, ColumnarTimeline):
-        stats = _collect_columnar(timeline, policy, evictions)
-        _record_stats(stats)
-        return stats
-
-    scheduled = timeline.scheduled
-    prev_finish: dict[tuple[EngineKind, int], float] = {}
-    dma_busy = _Intervals()
-    comm_busy = _Intervals()
-    late = jit = early = 0
-    n_prefetches = 0
-    stall = 0.0
-    prefetch_bytes = 0
-    wasted = 0
-    for entry in scheduled:
-        op = entry.op
-        slot = (op.engine, op.channel)
-        if op.engine is EngineKind.DMA_IN:
-            prefetch_bytes += op.nbytes
-            if op.tag.startswith("waste:"):
-                wasted += op.nbytes
-        if op.engine in (EngineKind.DMA_IN, EngineKind.DMA_OUT):
-            dma_busy.add(op.channel, entry.start, entry.finish)
-        elif op.engine is EngineKind.COMM:
-            comm_busy.add(op.channel, entry.start, entry.finish)
-        elif op.engine is EngineKind.COMPUTE and op.deps:
-            fetches = [d for d in op.deps
-                       if scheduled[d].op.engine is EngineKind.DMA_IN]
-            if fetches:
-                other = max(
-                    (scheduled[d].finish for d in op.deps
-                     if scheduled[d].op.engine is not EngineKind.DMA_IN),
-                    default=0.0)
-                unblocked = max(prev_finish.get(slot, 0.0), other)
-                stall += max(0.0, entry.start - unblocked)
-                for d in fetches:
-                    n_prefetches += 1
-                    slack = unblocked - scheduled[d].finish
-                    if slack < 0:
-                        late += 1
-                    elif slack <= scheduled[d].op.duration:
-                        jit += 1
-                    else:
-                        early += 1
-        prev_finish[slot] = entry.finish
-    hit_rate = 1.0 if n_prefetches == 0 \
-        else (n_prefetches - late) / n_prefetches
-    stats = PrefetchStats(
-        policy=policy,
-        n_prefetches=n_prefetches,
-        prefetch_bytes=prefetch_bytes,
-        wasted_bytes=wasted,
-        evictions=evictions,
-        stall_seconds=stall,
-        late=late, jit=jit, early=early,
-        hit_rate=hit_rate,
-        contended_seconds=dma_busy.overlap(comm_busy),
-    )
-    _record_stats(stats)
-    return stats
 
 
 def _record_stats(stats) -> None:

@@ -4,12 +4,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.timeline import EngineKind, Op, OpList, run_timeline
+from repro.core.optable import OpTable, schedule_ops
+from repro.core.timeline import EngineKind
 
 
 def oplist(specs):
     """specs: list of (engine, duration, deps)."""
-    ops = OpList()
+    ops = OpTable()
     for engine, duration, deps in specs:
         ops.add(engine, duration, deps, tag=f"op{len(ops)}")
     return ops
@@ -18,36 +19,36 @@ def oplist(specs):
 class TestOpValidation:
     def test_rejects_negative_duration(self):
         with pytest.raises(ValueError):
-            Op(0, EngineKind.COMPUTE, -1.0, (), "x")
+            OpTable().add(EngineKind.COMPUTE, -1.0, [], "x")
 
     def test_rejects_forward_dependency(self):
         with pytest.raises(ValueError):
-            Op(0, EngineKind.COMPUTE, 1.0, (1,), "x")
+            OpTable().add(EngineKind.COMPUTE, 1.0, [0], "x")
 
     def test_rejects_negative_bytes(self):
         with pytest.raises(ValueError):
-            Op(0, EngineKind.DMA_IN, 1.0, (), "x", nbytes=-1)
+            OpTable().add(EngineKind.DMA_IN, 1.0, [], "x", nbytes=-1)
 
 
 class TestScheduling:
     def test_engine_serializes(self):
         ops = oplist([(EngineKind.COMPUTE, 1.0, []),
                       (EngineKind.COMPUTE, 2.0, [])])
-        result = run_timeline(ops)
+        result = schedule_ops(ops)
         assert result.scheduled[1].start == pytest.approx(1.0)
         assert result.makespan == pytest.approx(3.0)
 
     def test_different_engines_overlap(self):
         ops = oplist([(EngineKind.COMPUTE, 2.0, []),
                       (EngineKind.DMA_OUT, 2.0, [])])
-        result = run_timeline(ops)
+        result = schedule_ops(ops)
         assert result.makespan == pytest.approx(2.0)
 
     def test_dependencies_respected(self):
         ops = oplist([(EngineKind.COMPUTE, 1.0, []),
                       (EngineKind.DMA_OUT, 0.5, [0]),
                       (EngineKind.COMPUTE, 1.0, [1])])
-        result = run_timeline(ops)
+        result = schedule_ops(ops)
         assert result.scheduled[1].start == pytest.approx(1.0)
         assert result.scheduled[2].start == pytest.approx(1.5)
 
@@ -55,49 +56,49 @@ class TestScheduling:
         ops = oplist([(EngineKind.COMPUTE, 1.0, []),
                       (EngineKind.COMPUTE, 2.5, []),
                       (EngineKind.COMM, 4.0, [])])
-        result = run_timeline(ops)
+        result = schedule_ops(ops)
         assert result.busy_time(EngineKind.COMPUTE) == pytest.approx(3.5)
         assert result.busy_time(EngineKind.COMM) == pytest.approx(4.0)
         assert result.busy_time(EngineKind.DMA_IN) == 0.0
 
     def test_empty_oplist(self):
-        result = run_timeline(OpList())
+        result = schedule_ops(OpTable())
         assert result.makespan == 0.0
 
     def test_zero_duration_ops(self):
         ops = oplist([(EngineKind.COMPUTE, 0.0, []),
                       (EngineKind.COMPUTE, 0.0, [0])])
-        assert run_timeline(ops).makespan == 0.0
+        assert schedule_ops(ops).makespan == 0.0
 
     def test_ops_on_engine_filter(self):
         ops = oplist([(EngineKind.COMPUTE, 1.0, []),
                       (EngineKind.COMM, 1.0, [])])
-        result = run_timeline(ops)
+        result = schedule_ops(ops)
         assert len(result.ops_on(EngineKind.COMPUTE)) == 1
 
 
 class TestChannels:
     def test_same_engine_different_channels_overlap(self):
-        ops = OpList()
+        ops = OpTable()
         ops.add(EngineKind.COMPUTE, 2.0, [], tag="a", channel=0)
         ops.add(EngineKind.COMPUTE, 2.0, [], tag="b", channel=1)
-        result = run_timeline(ops)
+        result = schedule_ops(ops)
         assert result.scheduled[1].start == 0.0
         assert result.makespan == pytest.approx(2.0)
         assert result.channels == (0, 1)
 
     def test_same_channel_serializes(self):
-        ops = OpList()
+        ops = OpTable()
         ops.add(EngineKind.COMPUTE, 2.0, [], tag="a", channel=1)
         ops.add(EngineKind.COMPUTE, 2.0, [], tag="b", channel=1)
-        result = run_timeline(ops)
+        result = schedule_ops(ops)
         assert result.scheduled[1].start == pytest.approx(2.0)
 
     def test_busy_aggregates_and_splits(self):
-        ops = OpList()
+        ops = OpTable()
         ops.add(EngineKind.COMPUTE, 1.0, [], tag="a", channel=0)
         ops.add(EngineKind.COMPUTE, 3.0, [], tag="b", channel=2)
-        result = run_timeline(ops)
+        result = schedule_ops(ops)
         assert result.busy_time(EngineKind.COMPUTE) == pytest.approx(4.0)
         assert result.busy_time(EngineKind.COMPUTE, 0) \
             == pytest.approx(1.0)
@@ -107,19 +108,19 @@ class TestChannels:
         assert result.ops_on(EngineKind.COMPUTE, 2)[0].op.tag == "b"
 
     def test_cross_channel_dependencies(self):
-        ops = OpList()
+        ops = OpTable()
         first = ops.add(EngineKind.COMPUTE, 2.0, [], tag="a", channel=0)
         ops.add(EngineKind.COMPUTE, 1.0, [first], tag="b", channel=1)
-        result = run_timeline(ops)
+        result = schedule_ops(ops)
         assert result.scheduled[1].start == pytest.approx(2.0)
 
     def test_rejects_negative_channel(self):
         with pytest.raises(ValueError):
-            Op(0, EngineKind.COMPUTE, 1.0, (), "x", channel=-1)
+            OpTable().add(EngineKind.COMPUTE, 1.0, [], "x", channel=-1)
 
     def test_default_channel_is_spmd(self):
         ops = oplist([(EngineKind.COMPUTE, 1.0, [])])
-        result = run_timeline(ops)
+        result = schedule_ops(ops)
         assert result.channels == (0,)
         assert result.busy_per_channel[(EngineKind.COMPUTE, 0)] \
             == pytest.approx(1.0)
@@ -131,11 +132,11 @@ class TestInvariants:
         st.floats(min_value=0.0, max_value=10.0),
         st.booleans()), min_size=1, max_size=40))
     def test_schedule_is_consistent(self, raw):
-        ops = OpList()
+        ops = OpTable()
         for engine, duration, dep_on_prev in raw:
-            deps = [len(ops.ops) - 1] if dep_on_prev and ops.ops else []
+            deps = [len(ops) - 1] if dep_on_prev and len(ops) else []
             ops.add(engine, duration, deps, tag="t")
-        result = run_timeline(ops)
+        result = schedule_ops(ops)
 
         finish = [s.finish for s in result.scheduled]
         last_on_engine: dict[EngineKind, float] = {}

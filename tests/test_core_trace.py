@@ -1,13 +1,15 @@
 """Tests for the timeline trace exporter and bar renderers."""
 
+import dataclasses
 import json
 
 import pytest
 
 from repro.core.design_points import dc_dla, design_point
+from repro.core.optable import OpTable, schedule_ops
 from repro.core.schedule import build_iteration_ops, plan_iteration
-from repro.core.simulator import iteration_timeline
-from repro.core.timeline import EngineKind, OpList, run_timeline
+from repro.core.simulator import iteration_timeline, simulate
+from repro.core.timeline import EngineKind
 from repro.core.trace import (TAG_CATEGORIES, engine_utilization,
                               register_tag_category, tag_category,
                               to_chrome_trace, to_records)
@@ -21,7 +23,7 @@ def alexnet_timeline():
     config = dc_dla()
     plan = plan_iteration(build_network("AlexNet"), config, 64,
                           ParallelStrategy.DATA)
-    return run_timeline(build_iteration_ops(plan, config))
+    return schedule_ops(build_iteration_ops(plan, config))
 
 
 @pytest.fixture(scope="module")
@@ -161,6 +163,42 @@ class TestTraceCli:
         assert "unknown network" in capsys.readouterr().err
 
 
+class TestTraceEqualsSimulate:
+    """The exported timeline is the very one ``simulate()`` priced."""
+
+    @pytest.mark.parametrize("network,batch,strategy,replacements", [
+        ("VGG-E", 64, ParallelStrategy.DATA, {"fault_model": "storm"}),
+        ("GPT2", 64, ParallelStrategy.PIPELINE,
+         {"pipeline_stages": 4, "pipeline_schedule": "zb-auto"}),
+        ("GoogLeNet", 128, ParallelStrategy.DATA,
+         {"prefetch_policy": "clairvoyant"}),
+    ], ids=["storm", "zb-auto", "clairvoyant"])
+    def test_makespan_is_iteration_time(self, network, batch, strategy,
+                                        replacements):
+        config = dataclasses.replace(design_point("MC-DLA(B)"),
+                                     **replacements)
+        timeline = iteration_timeline(config, network, batch, strategy)
+        result = simulate(config, network, batch, strategy)
+        assert timeline.makespan == result.iteration_time
+
+    def test_telemetry_trace_schedules_once(self, tmp_path, monkeypatch,
+                                            capsys):
+        from repro.__main__ import main
+        from repro.core import simulator
+        calls = []
+        real = simulator.schedule_ops
+
+        def counting(table):
+            calls.append(len(table))
+            return real(table)
+
+        monkeypatch.setattr(simulator, "schedule_ops", counting)
+        assert main(["trace", "MC-DLA(B)", "AlexNet", "--telemetry",
+                     "-o", str(tmp_path / "once.trace.json")]) == 0
+        capsys.readouterr()
+        assert len(calls) == 1
+
+
 class TestUtilization:
     def test_fractions_bounded(self, alexnet_timeline):
         util = engine_utilization(alexnet_timeline)
@@ -173,7 +211,7 @@ class TestUtilization:
         assert util["dma-out"] > util["comm"]
 
     def test_empty_timeline(self):
-        util = engine_utilization(run_timeline(OpList()))
+        util = engine_utilization(schedule_ops(OpTable()))
         assert all(v == 0.0 for v in util.values())
 
     def test_per_channel_matches_fleet_average(self, pipeline_timeline):
@@ -196,7 +234,7 @@ class TestUtilization:
                        for engine in EngineKind}
 
     def test_per_channel_empty_timeline(self):
-        per = engine_utilization(run_timeline(OpList()),
+        per = engine_utilization(schedule_ops(OpTable()),
                                  per_channel=True)
         assert all(v == 0.0 for v in per.values())
 

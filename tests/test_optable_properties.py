@@ -1,16 +1,20 @@
-"""Property tests of the columnar op table vs the scalar op list.
+"""Property tests of the columnar op table and its scheduler.
 
-Hypothesis drives random DAG-shaped op programs through both
-containers and both schedulers and holds them to exact equality:
+Hypothesis drives random DAG-shaped op programs through
+:func:`schedule_ops` and holds the schedule to exact invariants:
 
-* identical start/finish/busy/makespan for every op (bitwise float
-  equality -- both schedulers walk ops in uid order and accumulate in
-  the same sequence);
+* identical start/finish/busy/makespan to a plain reference list
+  scheduler over the raw program (bitwise float equality -- both walk
+  ops in uid order and accumulate in the same sequence);
+* every op starts at ``max(prev_slot_finish, latest dep finish, 0.0)``
+  and finishes ``duration`` later, and ``prev_slot_finish`` is exactly
+  the engine-slot free time the scheduler saw when the op was issued;
+* busy totals are the uid-order sums of the durations;
 * stable event order: ``ops_on`` never reorders ops, even across
-  equal timestamps (zero-duration ops pile up on one instant);
-* ``prev_slot_finish`` is exactly the engine-slot free time the
-  scheduler saw when each op was issued;
-* validation parity: both containers reject the same malformed ops.
+  equal timestamps (zero-duration ops pile up on one instant).
+
+The recurrence and busy-sum invariants alone already fix the schedule
+uniquely, bit for bit.
 """
 
 from __future__ import annotations
@@ -18,9 +22,8 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.optable import (ENGINE_CODE, ColumnarTimeline, OpTable,
-                                schedule_ops, schedule_table)
-from repro.core.timeline import EngineKind, OpList, run_timeline
+from repro.core.optable import ENGINE_CODE, OpTable, schedule_ops
+from repro.core.timeline import EngineKind
 
 ENGINES = tuple(EngineKind)
 
@@ -47,74 +50,108 @@ def op_programs(draw):
     return program
 
 
-def build_both(program) -> tuple[OpList, OpTable]:
-    op_list, table = OpList(), OpTable()
+def build_table(program) -> OpTable:
+    table = OpTable()
     for i, (engine, duration, deps, channel, nbytes) in enumerate(program):
-        tag = f"op{i}"
-        a = op_list.add(engine, duration, deps, tag, nbytes=nbytes,
+        uid = table.add(engine, duration, deps, f"op{i}", nbytes=nbytes,
                         channel=channel)
-        b = table.add(engine, duration, deps, tag, nbytes=nbytes,
-                      channel=channel)
-        assert a == b == i
-    return op_list, table
+        assert uid == i
+    return table
+
+
+def reference_schedule(program) -> dict:
+    """Plain list scheduler over the raw program tuples.
+
+    Shares no code with :func:`schedule_ops`: slots are keyed by
+    ``(engine, channel)`` and every quantity is accumulated in uid
+    order, so an exact match pins the columnar scheduler bit for bit.
+    """
+    slot_free: dict[tuple[EngineKind, int], float] = {}
+    busy = dict.fromkeys(EngineKind, 0.0)
+    busy_per_channel: dict[tuple[EngineKind, int], float] = {}
+    start: list[float] = []
+    finish: list[float] = []
+    for engine, duration, deps, channel, _ in program:
+        slot = (engine, channel)
+        ready = max((finish[d] for d in deps), default=0.0)
+        begin = max(slot_free.get(slot, 0.0), ready, 0.0)
+        start.append(begin)
+        finish.append(begin + duration)
+        slot_free[slot] = finish[-1]
+        busy[engine] += duration
+        busy_per_channel[slot] = busy_per_channel.get(slot, 0.0) + duration
+    return {"start": start, "finish": finish, "busy": busy,
+            "busy_per_channel": busy_per_channel,
+            "makespan": max(finish, default=0.0),
+            "channels": tuple(sorted({p[3] for p in program})) or (0,)}
 
 
 class TestSchedulerEquivalence:
     @given(op_programs())
     @settings(max_examples=100, deadline=None)
     def test_schedules_identically(self, program):
-        op_list, table = build_both(program)
-        ref = run_timeline(op_list)
-        col = schedule_table(table)
+        ref = reference_schedule(program)
+        col = schedule_ops(build_table(program))
 
-        assert col.makespan == ref.makespan
-        assert col.busy == ref.busy
-        assert col.busy_per_channel == ref.busy_per_channel
-        assert col.channels == ref.channels
+        assert col.makespan == ref["makespan"]
+        assert col.busy == ref["busy"]
+        assert col.busy_per_channel == ref["busy_per_channel"]
+        assert col.channels == ref["channels"]
         for uid in range(len(program)):
-            assert col.finish_of(uid) == ref.finish_of(uid)
-            assert col.scheduled[uid].start == ref.scheduled[uid].start
+            assert col.finish_of(uid) == ref["finish"][uid]
+            assert col.scheduled[uid].start == ref["start"][uid]
 
     @given(op_programs())
     @settings(max_examples=75, deadline=None)
     def test_no_reordering_across_equal_timestamps(self, program):
-        """``ops_on`` preserves issue (uid) order on both cores.
+        """``ops_on`` preserves issue (uid) order.
 
         With many zero-duration ops sharing one timestamp, a sort by
         start time could legally permute them; the contract is
         stronger -- event order IS uid order, always.
         """
-        op_list, table = build_both(program)
-        ref = run_timeline(op_list)
-        col = schedule_table(table)
+        table = build_table(program)
+        col = schedule_ops(table)
         for engine in ENGINES:
             for channel in (None, 0, 1, 2):
-                ref_ops = ref.ops_on(engine, channel)
-                col_ops = col.ops_on(engine, channel)
-                assert ([s.op.uid for s in col_ops]
-                        == [s.op.uid for s in ref_ops])
-                uids = [s.op.uid for s in col_ops]
-                assert uids == sorted(uids)
+                uids = [s.op.uid for s in col.ops_on(engine, channel)]
+                assert uids == [
+                    uid for uid in range(len(program))
+                    if table.engines[uid] is engine
+                    and channel in (None, table.channels[uid])]
 
     @given(op_programs())
     @settings(max_examples=100, deadline=None)
     def test_prev_slot_finish_matches_scheduler_state(self, program):
-        """The recorded slot-free time replays the scheduler exactly."""
-        _, table = build_both(program)
-        col = schedule_table(table)
+        """The schedule is exactly the list-scheduling recurrence."""
+        table = build_table(program)
+        col = schedule_ops(table)
         slot_free: dict[tuple[EngineKind, int], float] = {}
+        busy = dict.fromkeys(EngineKind, 0.0)
+        busy_per_channel: dict[tuple[EngineKind, int], float] = {}
         for uid in range(len(program)):
-            engine = table.engines[uid]
-            channel = table.channels[uid]
-            assert (col.prev_slot_finish[uid]
-                    == slot_free.get((engine, channel), 0.0))
-            slot_free[(engine, channel)] = col.finish_of(uid)
+            slot = (table.engines[uid], table.channels[uid])
+            duration = table.durations[uid]
+            assert col.prev_slot_finish[uid] == slot_free.get(slot, 0.0)
+            assert col.start[uid] == max(
+                col.prev_slot_finish[uid],
+                max((col.finish[d] for d in table.deps[uid]),
+                    default=0.0),
+                0.0)
+            assert col.finish[uid] == col.start[uid] + duration
+            slot_free[slot] = col.finish_of(uid)
+            busy[slot[0]] += duration
+            busy_per_channel[slot] = busy_per_channel.get(slot, 0.0) \
+                + duration
+        assert col.busy == busy
+        assert col.busy_per_channel == busy_per_channel
+        assert col.makespan == max(col.finish, default=0.0)
 
     @given(op_programs())
     @settings(max_examples=60, deadline=None)
     def test_as_arrays_mirrors_columns(self, program):
-        _, table = build_both(program)
-        col = schedule_table(table)
+        table = build_table(program)
+        col = schedule_ops(table)
         arrays = col.as_arrays()
         n = len(program)
         assert all(arrays[k].shape == (n,) for k in arrays)
@@ -127,48 +164,50 @@ class TestSchedulerEquivalence:
             assert arrays["channel"][uid] == table.channels[uid]
 
 
+def column_lengths(table: OpTable) -> set[int]:
+    return {len(column) for column in (
+        table.engines, table.codes, table.durations, table.deps,
+        table.tags, table.nbytes, table.channels)}
+
+
 class TestContainerParity:
-    def test_schedule_ops_dispatches_both(self):
-        op_list, table = build_both(
-            [(EngineKind.COMPUTE, 1.0, [], 0, 0),
-             (EngineKind.DMA_IN, 2.0, [0], 0, 8)])
-        assert isinstance(schedule_ops(table), ColumnarTimeline)
-        ref = schedule_ops(op_list)
-        assert ref.makespan == schedule_ops(table).makespan
+    """A table's columns stay in step, and its per-op views mirror
+    them."""
 
     def test_validation_parity_forward_dep(self):
-        for container in (OpList(), OpTable()):
-            container.add(EngineKind.COMPUTE, 1.0, [], "a")
-            try:
-                container.add(EngineKind.COMPUTE, 1.0, [5], "b")
-            except ValueError as exc:
-                assert "cycle" in str(exc)
-            else:  # pragma: no cover - failure path
-                raise AssertionError("forward dep accepted")
+        table = OpTable()
+        table.add(EngineKind.COMPUTE, 1.0, [], "a")
+        try:
+            table.add(EngineKind.COMPUTE, 1.0, [5], "b")
+        except ValueError as exc:
+            assert "cycle" in str(exc)
+        else:  # pragma: no cover - failure path
+            raise AssertionError("forward dep accepted")
+        assert column_lengths(table) == {1}
 
     def test_validation_parity_negative_fields(self):
         for kwargs in ({"duration": -1.0}, {"nbytes": -1},
                        {"channel": -1}):
-            for container in (OpList(), OpTable()):
-                base = {"engine": EngineKind.COMPUTE, "duration": 1.0,
-                        "deps": [], "tag": "x", "nbytes": 0,
-                        "channel": 0, **kwargs}
-                try:
-                    container.add(base.pop("engine"),
-                                  base.pop("duration"),
-                                  base.pop("deps"), base.pop("tag"),
-                                  **base)
-                except ValueError:
-                    continue
-                raise AssertionError(  # pragma: no cover
-                    f"{type(container).__name__} accepted {kwargs}")
+            table = OpTable()
+            base = {"engine": EngineKind.COMPUTE, "duration": 1.0,
+                    "deps": [], "tag": "x", "nbytes": 0, "channel": 0,
+                    **kwargs}
+            try:
+                table.add(base.pop("engine"), base.pop("duration"),
+                          base.pop("deps"), base.pop("tag"), **base)
+            except ValueError:
+                assert column_lengths(table) == {0}
+                continue
+            raise AssertionError(  # pragma: no cover
+                f"OpTable accepted {kwargs}")
 
     def test_lazy_ops_materialization(self):
-        _, table = build_both(
+        table = build_table(
             [(EngineKind.COMPUTE, 1.0, [], 0, 0),
              (EngineKind.COMM, 0.5, [0], 1, 16)])
         ops = table.ops
         assert ops is table.ops  # cached
         assert [o.uid for o in ops] == [0, 1]
+        assert ops[1].deps == (0,) and ops[1].channel == 1
         table.add(EngineKind.DMA_OUT, 0.1, [1], "late")
         assert len(table.ops) == 3  # cache invalidated by add

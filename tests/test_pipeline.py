@@ -9,8 +9,9 @@ from repro.campaign import ResultCache, pipeline_grid, run_campaign
 from repro.campaign.cli import main as campaign_cli
 from repro.core.design_points import DESIGN_ORDER, design_point
 from repro.core.metrics import PipelineStats, SimulationResult
+from repro.core.optable import schedule_ops
 from repro.core.simulator import iteration_timeline, simulate
-from repro.core.timeline import EngineKind, run_timeline
+from repro.core.timeline import EngineKind
 from repro.dnn.registry import build_network
 from repro.pipeline import (ScheduleKind, build_pipeline_ops,
                             build_schedule, crossing_sends,
@@ -178,7 +179,7 @@ class TestLowering:
         syncs = [op for op in ops.ops if op.tag.startswith("sync-dw")]
         assert len(syncs) == 4
         # Drain all-reduce is the last op on each stage's timeline.
-        timeline = run_timeline(ops)
+        timeline = schedule_ops(ops)
         for sync in syncs:
             finish = timeline.finish_of(sync.uid)
             stage_ops = [s for s in timeline.scheduled

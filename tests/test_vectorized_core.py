@@ -1,17 +1,18 @@
-"""Differential tests: vectorized core vs the scalar reference core.
+"""Cell-level consistency of the (columnar) simulator core.
 
-The vectorized simulator (columnar op tables + numpy pricing, the
-default) must be *byte-identical* to the scalar seed core selected by
-``REPRO_SCALAR_CORE=1`` -- not approximately equal: every float in a
-``SimulationResult`` must compare ``==``.  These tests run both cores
-in-process over the paper's full evaluation matrix (6 designs x 8
-workloads x 2 strategies) and over the pipeline, serving, and cluster
-subsystems, and assert exact dataclass equality.
+Two properties, checked over the paper's full evaluation matrix (6
+designs x 8 workloads x 2 strategies) and the inference, pipeline,
+serving, cluster, and prefetch subsystems:
 
-The scalar toggle is dynamic (read per ``simulate()`` call), so one
-process can run both sides; pricing memos are cleared around every
-scalar run so the comparison is never served from a vectorized-mode
-cache (which would make the differential vacuous).
+* memo purity -- a run from empty pricing memos and a rerun served
+  from hot memos give *equal* results, every float compared with
+  ``==`` (the memos of :mod:`repro.core.pricing` only ever skip work);
+* trace equals simulate -- the timeline :func:`iteration_timeline`
+  returns is the one :func:`simulate` priced: its makespan is the
+  iteration time and its engine busy totals are the breakdown.
+
+The full-result digest golden (``tests/test_result_digest.py``) pins
+the values themselves.
 """
 
 from __future__ import annotations
@@ -24,37 +25,36 @@ from repro.cluster.simulator import simulate_cluster
 from repro.core import pricing
 from repro.core.design_points import DESIGN_ORDER, design_point
 from repro.core.metrics import ExecutionMode, SimulationResult
-from repro.core.optable import SCALAR_CORE_ENV, scalar_core_enabled
-from repro.core.simulator import simulate
+from repro.core.simulator import iteration_timeline, simulate
+from repro.core.timeline import EngineKind
 from repro.dnn.registry import BENCHMARK_NAMES
 from repro.serving.server import simulate_serving
 from repro.training.parallel import ParallelStrategy
 
 
-@pytest.fixture
-def both_cores(monkeypatch):
-    """Run a thunk under each core and return (vectorized, scalar)."""
-
-    def run(thunk):
-        pricing.clear_caches()
-        monkeypatch.delenv(SCALAR_CORE_ENV, raising=False)
-        assert not scalar_core_enabled()
-        vectorized = thunk()
-        pricing.clear_caches()
-        monkeypatch.setenv(SCALAR_CORE_ENV, "1")
-        assert scalar_core_enabled()
-        scalar = thunk()
-        monkeypatch.delenv(SCALAR_CORE_ENV, raising=False)
-        pricing.clear_caches()
-        return vectorized, scalar
-
-    return run
+def cold_and_warm(thunk) -> SimulationResult:
+    """Run ``thunk`` from empty pricing memos, then again from hot
+    ones; assert exact equality and return the result."""
+    pricing.clear_caches()
+    cold = thunk()
+    warm = thunk()
+    assert dataclasses.asdict(cold) == dataclasses.asdict(warm)
+    return cold
 
 
-def assert_identical(vectorized: SimulationResult,
-                     scalar: SimulationResult) -> None:
-    """Exact (bitwise, via ``==``) equality of two results."""
-    assert dataclasses.asdict(vectorized) == dataclasses.asdict(scalar)
+def check_cell(config, network: str, batch: int,
+               strategy: ParallelStrategy) -> None:
+    """Memo purity plus trace-equals-simulate for one training cell."""
+    result = cold_and_warm(
+        lambda: simulate(config, network, batch, strategy))
+    timeline = iteration_timeline(config, network, batch, strategy)
+    assert timeline.makespan == result.iteration_time
+    assert timeline.busy_time(EngineKind.COMPUTE) \
+        == result.breakdown.compute
+    assert timeline.busy_time(EngineKind.COMM) == result.breakdown.sync
+    assert (timeline.busy_time(EngineKind.DMA_OUT)
+            + timeline.busy_time(EngineKind.DMA_IN)) \
+        == result.breakdown.vmem
 
 
 class TestEvaluationMatrix:
@@ -62,89 +62,55 @@ class TestEvaluationMatrix:
 
     @pytest.mark.parametrize("design", DESIGN_ORDER)
     @pytest.mark.parametrize("network", BENCHMARK_NAMES)
-    def test_training_grid_cell(self, both_cores, design, network):
+    def test_training_grid_cell(self, design, network):
         config = design_point(design)
         for strategy in (ParallelStrategy.DATA, ParallelStrategy.MODEL):
-            vec, ref = both_cores(
-                lambda: simulate(config, network, 512, strategy))
-            assert_identical(vec, ref)
+            check_cell(config, network, 512, strategy)
 
     @pytest.mark.parametrize("design", ("DC-DLA", "MC-DLA(B)"))
-    def test_inference_cells(self, both_cores, design):
+    def test_inference_cells(self, design):
         config = design_point(design)
-        vec, ref = both_cores(
+        result = cold_and_warm(
             lambda: simulate(config, "ResNet", 64, ParallelStrategy.DATA,
                              ExecutionMode.INFERENCE))
-        assert_identical(vec, ref)
+        assert result.mode is ExecutionMode.INFERENCE
 
 
 class TestSubsystems:
-    def test_pipeline_mode(self, both_cores):
+    def test_pipeline_mode(self):
         config = dataclasses.replace(design_point("MC-DLA(B)"),
                                      pipeline_stages=4)
-        vec, ref = both_cores(
-            lambda: simulate(config, "VGG-E", 256,
-                             ParallelStrategy.PIPELINE))
-        assert_identical(vec, ref)
+        check_cell(config, "VGG-E", 256, ParallelStrategy.PIPELINE)
 
-    def test_pipeline_gpipe_schedule(self, both_cores):
+    def test_pipeline_gpipe_schedule(self):
         config = dataclasses.replace(design_point("HC-DLA"),
                                      pipeline_stages=4,
                                      pipeline_schedule="gpipe")
-        vec, ref = both_cores(
-            lambda: simulate(config, "BERT-Large", 256,
-                             ParallelStrategy.PIPELINE))
-        assert_identical(vec, ref)
+        check_cell(config, "BERT-Large", 256, ParallelStrategy.PIPELINE)
 
-    def test_serving_mode(self, both_cores):
+    def test_serving_mode(self):
         config = design_point("MC-DLA(B)")
-        vec, ref = both_cores(
-            lambda: simulate_serving(config, "ResNet", rate=200.0,
-                                     n_requests=64, seed=7,
-                                     max_batch=16))
-        assert_identical(vec, ref)
+        cold_and_warm(lambda: simulate_serving(
+            config, "ResNet", rate=200.0, n_requests=64, seed=7,
+            max_batch=16))
 
-    def test_cluster_mode(self, both_cores):
+    def test_cluster_mode(self):
         config = design_point("MC-DLA(B)")
-        vec, ref = both_cores(
-            lambda: simulate_cluster(config, policy="fifo", n_jobs=8,
-                                     seed=7))
-        assert_identical(vec, ref)
+        cold_and_warm(lambda: simulate_cluster(
+            config, policy="fifo", n_jobs=8, seed=7))
 
     @pytest.mark.parametrize("policy", ("next-op", "stride",
                                         "cost-model", "clairvoyant"))
-    def test_prefetch_policies(self, both_cores, policy):
+    def test_prefetch_policies(self, policy):
         config = dataclasses.replace(design_point("MC-DLA(L)"),
                                      prefetch_policy=policy)
-        vec, ref = both_cores(
-            lambda: simulate(config, "GoogLeNet", 128,
-                             ParallelStrategy.DATA))
-        assert_identical(vec, ref)
+        check_cell(config, "GoogLeNet", 128, ParallelStrategy.DATA)
 
 
 class TestEscapeHatch:
-    """``REPRO_SCALAR_CORE`` gates every memo, not just the scheduler."""
+    """Memoization has no off switch; design builds are shared."""
 
-    def test_toggle_is_dynamic(self, monkeypatch):
-        monkeypatch.delenv(SCALAR_CORE_ENV, raising=False)
-        assert not scalar_core_enabled()
-        monkeypatch.setenv(SCALAR_CORE_ENV, "1")
-        assert scalar_core_enabled()
-        monkeypatch.setenv(SCALAR_CORE_ENV, "0")
-        assert not scalar_core_enabled()
-        monkeypatch.setenv(SCALAR_CORE_ENV, "")
-        assert not scalar_core_enabled()
-
-    def test_scalar_mode_bypasses_design_memo(self, monkeypatch):
-        pricing.clear_caches()
-        monkeypatch.setenv(SCALAR_CORE_ENV, "1")
-        a = design_point("DC-DLA")
-        b = design_point("DC-DLA")
-        assert a is not b
-        assert a == b
-
-    def test_vectorized_mode_shares_design_builds(self, monkeypatch):
-        monkeypatch.delenv(SCALAR_CORE_ENV, raising=False)
+    def test_vectorized_mode_shares_design_builds(self):
         pricing.clear_caches()
         a = design_point("DC-DLA")
         b = design_point("DC-DLA")

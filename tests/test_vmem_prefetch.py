@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
+from repro.core.design_points import design_point
 from repro.core.metrics import PrefetchStats
-from repro.core.timeline import EngineKind, OpList, run_timeline
+from repro.core.optable import OpTable, schedule_ops
+from repro.core.simulator import iteration_timeline
+from repro.core.timeline import EngineKind
+from repro.training.parallel import ParallelStrategy
 from repro.vmem.prefetch import (ON_DEMAND, PREFETCH_POLICY_ORDER,
                                  FetchIssue, FetchSite, PrefetchContext,
                                  PrefetchSchedule, WasteFetch,
@@ -207,10 +213,62 @@ class TestChooseVictim:
         assert choose_victim(residents, frontier=2, window=2) == 0
 
 
+def reference_stats(timeline, policy: str,
+                    evictions: int) -> PrefetchStats:
+    """Plain per-op loop over the scheduled ops: the reference the
+    columnar :func:`collect_prefetch_stats` must match exactly."""
+    scheduled = timeline.scheduled
+    prev_finish: dict = {}
+    busy: dict = {"dma": {}, "comm": {}}
+    late = jit = early = n_prefetches = prefetch_bytes = wasted = 0
+    stall = 0.0
+    for entry in scheduled:
+        op = entry.op
+        slot = (op.engine, op.channel)
+        if op.engine is EngineKind.DMA_IN:
+            prefetch_bytes += op.nbytes
+            wasted += op.nbytes if op.tag.startswith("waste:") else 0
+        family = {EngineKind.DMA_IN: "dma", EngineKind.DMA_OUT: "dma",
+                  EngineKind.COMM: "comm"}.get(op.engine)
+        if family and entry.finish > entry.start:
+            busy[family].setdefault(op.channel, []).append(
+                (entry.start, entry.finish))
+        fetches = [d for d in op.deps
+                   if scheduled[d].op.engine is EngineKind.DMA_IN]
+        if op.engine is EngineKind.COMPUTE and fetches:
+            other = max((scheduled[d].finish for d in op.deps
+                         if d not in fetches), default=0.0)
+            unblocked = max(prev_finish.get(slot, 0.0), other)
+            stall += max(0.0, entry.start - unblocked)
+            for d in fetches:
+                n_prefetches += 1
+                slack = unblocked - scheduled[d].finish
+                if slack < 0:
+                    late += 1
+                elif slack <= scheduled[d].op.duration:
+                    jit += 1
+                else:
+                    early += 1
+        prev_finish[slot] = entry.finish
+    overlap = 0.0
+    for channel, mine in busy["dma"].items():
+        for a0, a1 in mine:
+            for b0, b1 in busy["comm"].get(channel, ()):
+                overlap += max(0.0, min(a1, b1) - max(a0, b0))
+    return PrefetchStats(
+        policy=policy, n_prefetches=n_prefetches,
+        prefetch_bytes=prefetch_bytes, wasted_bytes=wasted,
+        evictions=evictions, stall_seconds=stall, late=late, jit=jit,
+        early=early,
+        hit_rate=(1.0 if n_prefetches == 0
+                  else (n_prefetches - late) / n_prefetches),
+        contended_seconds=overlap)
+
+
 class TestStats:
     def _timeline(self):
         """offload -> prefetch -> compute consuming it, plus comm."""
-        ops = OpList()
+        ops = OpTable()
         off = ops.add(EngineKind.DMA_OUT, 1.0, [], tag="offload:a",
                       nbytes=100)
         pre = ops.add(EngineKind.DMA_IN, 2.0, [off], tag="prefetch:a",
@@ -219,7 +277,7 @@ class TestStats:
                 nbytes=40)
         ops.add(EngineKind.COMM, 2.0, [], tag="sync-fwd:x", nbytes=8)
         ops.add(EngineKind.COMPUTE, 1.0, [pre], tag="bwd:a")
-        return run_timeline(ops)
+        return schedule_ops(ops)
 
     def test_collect_counts_stall_and_waste(self):
         stats = collect_prefetch_stats(self._timeline(), "stride",
@@ -238,9 +296,9 @@ class TestStats:
         assert stats.contended_seconds == pytest.approx(2.0)
 
     def test_no_prefetches_is_a_perfect_hit_rate(self):
-        ops = OpList()
+        ops = OpTable()
         ops.add(EngineKind.COMPUTE, 1.0, [], tag="fwd:a")
-        stats = collect_prefetch_stats(run_timeline(ops), ON_DEMAND)
+        stats = collect_prefetch_stats(schedule_ops(ops), ON_DEMAND)
         assert stats.n_prefetches == 0
         assert stats.hit_rate == 1.0
         assert stats.stall_seconds == 0.0
@@ -256,6 +314,22 @@ class TestStats:
                           wasted_bytes=0, evictions=0,
                           stall_seconds=0.0, late=1, jit=0, early=0,
                           hit_rate=0.5, contended_seconds=0.0)
+
+    @pytest.mark.parametrize("design,network,strategy,replacements", [
+        ("MC-DLA(L)", "GoogLeNet", ParallelStrategy.DATA,
+         {"prefetch_policy": "stride"}),
+        ("DC-DLA", "GoogLeNet", ParallelStrategy.MODEL,
+         {"prefetch_policy": "cost-model"}),
+        ("MC-DLA(B)", "GPT2", ParallelStrategy.PIPELINE,
+         {"pipeline_stages": 4, "pipeline_schedule": "zb-h1"}),
+    ], ids=["stride", "model-parallel", "pipeline"])
+    def test_collector_matches_reference_loop(self, design, network,
+                                              strategy, replacements):
+        config = dataclasses.replace(design_point(design), **replacements)
+        timeline = iteration_timeline(config, network, 64, strategy)
+        stats = collect_prefetch_stats(timeline, "p", evictions=3)
+        assert stats == reference_stats(timeline, "p", evictions=3)
+        assert stats.n_prefetches > 0 and stats.contended_seconds > 0
 
     def test_hit_rate_bounds_enforced(self):
         with pytest.raises(ValueError, match="hit rate"):

@@ -9,8 +9,9 @@ long recurrent chains) exercises the planner, scheduler, and timeline.
 import pytest
 
 from repro.core.design_points import dc_dla, dc_dla_oracle, mc_dla_bw
+from repro.core.optable import schedule_ops
 from repro.core.schedule import build_iteration_ops, plan_iteration
-from repro.core.timeline import EngineKind, run_timeline
+from repro.core.timeline import EngineKind
 from repro.dnn.layers import LayerKind
 from repro.dnn.registry import BENCHMARK_NAMES, build_network
 from repro.training.parallel import ParallelStrategy
@@ -49,7 +50,7 @@ class TestEveryWorkload:
         net = build_network(name)
         config = mc_dla_bw()
         plan = plan_iteration(net, config, 64, ParallelStrategy.DATA)
-        timeline = run_timeline(build_iteration_ops(plan, config))
+        timeline = schedule_ops(build_iteration_ops(plan, config))
         fwd_finish = {}
         for s in timeline.scheduled:
             if s.op.tag.startswith("fwd:"):
@@ -63,7 +64,7 @@ class TestEveryWorkload:
         net = build_network(name)
         config = dc_dla()
         plan = plan_iteration(net, config, 64, ParallelStrategy.DATA)
-        timeline = run_timeline(build_iteration_ops(plan, config))
+        timeline = schedule_ops(build_iteration_ops(plan, config))
         prefetch_finish = {}
         for s in timeline.scheduled:
             if s.op.tag.startswith("prefetch:"):
@@ -86,14 +87,14 @@ class TestEveryWorkload:
                                     strategy)
             plan_b = plan_iteration(build_network(name), baseline, 64,
                                     strategy)
-            t_o = run_timeline(build_iteration_ops(plan_o, oracle))
-            t_b = run_timeline(build_iteration_ops(plan_b, baseline))
+            t_o = schedule_ops(build_iteration_ops(plan_o, oracle))
+            t_b = schedule_ops(build_iteration_ops(plan_b, baseline))
             assert t_o.makespan <= t_b.makespan + 1e-12
 
     def test_comm_engine_used_iff_multi_device_syncs(self, name):
         config = mc_dla_bw()
         plan = plan_iteration(build_network(name), config, 64,
                               ParallelStrategy.DATA)
-        timeline = run_timeline(build_iteration_ops(plan, config))
+        timeline = schedule_ops(build_iteration_ops(plan, config))
         has_sync = plan.sync_bytes_per_iteration > 0
         assert (timeline.busy_time(EngineKind.COMM) > 0) == has_sync

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from repro.core import pricing
 from repro.core.design_points import DESIGN_ORDER, design_point
 from repro.core.metrics import PipelineStats, SimulationResult
-from repro.core.schedule import build_iteration_ops, plan_iteration
 from repro.core.simulator import iteration_timeline, simulate
 from repro.core.timeline import EngineKind
 from repro.core.trace import tag_category, to_chrome_trace
@@ -373,41 +372,6 @@ class TestZeroBubbleSimulation:
                                            include_bubbles=True))
         assert any(e.get("name", "").startswith("wgrad:")
                    for e in trace["traceEvents"])
-
-
-class TestSplitIterationOps:
-    def test_off_by_default_and_byte_identical(self):
-        net = build_network("GPT2")
-        config = design_point("DC-DLA")
-        plan = plan_iteration(net, config, 64, ParallelStrategy.DATA)
-        default = build_iteration_ops(plan, config)
-        explicit = build_iteration_ops(plan, config, split_wgrad=False)
-        assert [repr(op) for op in default.ops] \
-            == [repr(op) for op in explicit.ops]
-        assert not [op for op in default.ops
-                    if op.tag.startswith("wgrad:")]
-
-    @pytest.mark.parametrize("strategy", (ParallelStrategy.DATA,
-                                          ParallelStrategy.MODEL))
-    def test_split_conserves_compute_seconds(self, strategy):
-        net = build_network("GPT2")
-        config = design_point("DC-DLA")
-        plan = plan_iteration(net, config, 64, strategy)
-        merged = build_iteration_ops(plan, config)
-        split = build_iteration_ops(plan, config, split_wgrad=True)
-
-        def total(ops):
-            return sum(op.duration for op in ops.ops
-                       if op.engine is EngineKind.COMPUTE)
-
-        assert total(split) == pytest.approx(total(merged), rel=1e-9)
-        wgrads = {op.tag.split(":", 1)[1]: op for op in split.ops
-                  if op.tag.startswith("wgrad:")}
-        assert wgrads
-        bwds = {op.tag.split(":", 1)[1]: op for op in split.ops
-                if op.tag.startswith("bwd:")}
-        for name, op in wgrads.items():
-            assert list(op.deps) == [bwds[name].uid]
 
 
 class TestZeroBubbleGolden:
