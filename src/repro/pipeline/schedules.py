@@ -238,7 +238,8 @@ class ScheduleCosts:
     All tuples are indexed by stage.  ``t_bwd`` is the activation-grad
     (B) time alone; ``send_fwd[s]`` prices stage ``s``'s activation
     send toward ``s+1`` and ``send_bwd[s]`` its gradient send toward
-    ``s-1`` (zero at the respective pipeline ends).
+    ``s-1`` (zero at the respective pipeline ends).  Every entry must
+    be finite and non-negative (ValueError otherwise).
     """
 
     t_fwd: tuple[float, ...]
@@ -246,6 +247,28 @@ class ScheduleCosts:
     t_wgrad: tuple[float, ...]
     send_fwd: tuple[float, ...]
     send_bwd: tuple[float, ...]
+
+    def __post_init__(self) -> None:
+        for name in _COST_FIELDS:
+            for stage, value in enumerate(getattr(self, name)):
+                # Written so NaN fails too: it compares false.
+                if not 0.0 <= value < float("inf"):
+                    raise ValueError(
+                        f"ScheduleCosts.{name}[{stage}] must be finite "
+                        f"and non-negative, got {value!r}")
+
+
+_COST_FIELDS = ("t_fwd", "t_bwd", "t_wgrad", "send_fwd", "send_bwd")
+
+
+def _check_stage_costs(costs: ScheduleCosts, n_stages: int) -> None:
+    """ValueError naming the first cost field not sized ``n_stages``."""
+    for name in _COST_FIELDS:
+        length = len(getattr(costs, name))
+        if length != n_stages:
+            raise ValueError(
+                f"ScheduleCosts.{name} has {length} entries for "
+                f"{n_stages} stages")
 
 
 def _gpipe_program(stage: int, n_microbatches: int) -> StageProgram:
@@ -268,8 +291,16 @@ def _one_f_one_b_program(stage: int, n_stages: int,
     return StageProgram(stage=stage, slots=tuple(slots))
 
 
-def _zero_bubble_program(stage: int, n_stages: int, n_microbatches: int,
-                         defer: int, drain_w: int) -> StageProgram:
+#: Slot kind codes of a compiled sequence: a stage's slots as a tuple
+#: of ``(code, microbatch)`` pairs, the form the makespan model reads.
+_FWD, _BWD, _WGRAD = 0, 1, 2
+_Seq = tuple[tuple[int, int], ...]
+_CODE_OF_KIND = {OpKind.F: _FWD, OpKind.B: _BWD, OpKind.W: _WGRAD}
+_SLOT_OF_CODE = (_f, _b, _w)
+
+
+def _zero_bubble_slots(stage: int, n_stages: int, n_microbatches: int,
+                       defer: int, drain_w: int) -> _Seq:
     """1F1B slot order with W split off and deferred as bubble filler.
 
     ``defer`` bounds how many microbatches may sit between a B and its
@@ -277,30 +308,39 @@ def _zero_bubble_program(stage: int, n_stages: int, n_microbatches: int,
     the stage's warmup so memory stays at the 1F1B bound); ``drain_w``
     is how many banked W ops are retired per drain-phase B, filling the
     idle gaps between grad arrivals.  Leftover W ops flush at the tail.
+    Returns the compiled ``(code, microbatch)`` sequence.
     """
     warmup = min(n_stages - 1 - stage, n_microbatches)
     defer = max(0, min(defer, warmup, n_microbatches))
-    slots = [_f(m) for m in range(warmup)]
+    slots = [(_FWD, m) for m in range(warmup)]
     next_w = 0
 
     def retire(limit: int, upto: int) -> None:
         nonlocal next_w
         emitted = 0
         while next_w <= upto and emitted < limit:
-            slots.append(_w(next_w))
+            slots.append((_WGRAD, next_w))
             next_w += 1
             emitted += 1
 
     for m in range(n_microbatches - warmup):
-        slots.append(_f(warmup + m))
-        slots.append(_b(m))
+        slots.append((_FWD, warmup + m))
+        slots.append((_BWD, m))
         if m + 1 - next_w > defer:
             retire(m + 1 - next_w - defer, m)
     for m in range(n_microbatches - warmup, n_microbatches):
-        slots.append(_b(m))
+        slots.append((_BWD, m))
         retire(drain_w, m)
     retire(n_microbatches - next_w, n_microbatches - 1)
-    return StageProgram(stage=stage, slots=tuple(slots))
+    return tuple(slots)
+
+
+def _zero_bubble_program(stage: int, n_stages: int, n_microbatches: int,
+                         defer: int, drain_w: int) -> StageProgram:
+    """:func:`_zero_bubble_slots` as a :class:`StageProgram`."""
+    return StageProgram(stage=stage, slots=tuple(
+        _SLOT_OF_CODE[code](m) for code, m in _zero_bubble_slots(
+            stage, n_stages, n_microbatches, defer, drain_w)))
 
 
 def _zb_h1_params(n_stages: int,
@@ -309,6 +349,89 @@ def _zb_h1_params(n_stages: int,
     one banked W per drain gap."""
     return [(min(n_stages - 1 - s, n_microbatches), 1)
             for s in range(n_stages)]
+
+
+def _makespan(seqs: list[_Seq], costs: ScheduleCosts,
+              n_microbatches: int) -> float:
+    """Analytic makespan of compiled per-stage slot sequences.
+
+    ``seqs[s]`` is stage ``s``'s ``(code, microbatch)`` sequence with
+    microbatches in ``range(n_microbatches)``.  Each stage advances its
+    cursor until a slot's input is not ready yet; completion times live
+    in per-stage lists indexed by microbatch (``None``: not yet run).
+    A slot finishes at ``max(engine_free, ready) + cost``; the inline
+    ``ready if ready > free else free`` is exactly what ``max(free,
+    ready)`` returns (the first argument on ties), without the call.
+    """
+    n_stages = len(seqs)
+    last = n_stages - 1
+    f_done = [[None] * n_microbatches for _ in range(n_stages)]
+    b_done = [[None] * n_microbatches for _ in range(n_stages)]
+    cursors = [0] * n_stages
+    engine_free = [0.0] * n_stages
+    t_fwd, t_bwd, t_wgrad = costs.t_fwd, costs.t_bwd, costs.t_wgrad
+    send_fwd, send_bwd = costs.send_fwd, costs.send_bwd
+    total = sum(len(seq) for seq in seqs)
+    emitted = 0
+    # F work flows down the stages and B work up, so sweeping in
+    # alternating directions lets each sweep carry both along.
+    down = range(n_stages)
+    up = down[::-1]
+    order = down
+    progress = True
+    while progress:
+        progress = False
+        for s in order:
+            seq = seqs[s]
+            start = cursor = cursors[s]
+            end = len(seq)
+            if cursor == end:
+                continue
+            free = engine_free[s]
+            f_here, b_here = f_done[s], b_done[s]
+            f_up = f_done[s - 1] if s > 0 else None
+            b_down = b_done[s + 1] if s < last else None
+            while cursor < end:
+                code, m = seq[cursor]
+                if code == _FWD:
+                    if f_up is None:
+                        ready = 0.0
+                    else:
+                        ready = f_up[m]
+                        if ready is None:
+                            break
+                        ready = ready + send_fwd[s - 1]
+                    free = (ready if ready > free else free) + t_fwd[s]
+                    f_here[m] = free
+                elif code == _BWD:
+                    if b_down is None:
+                        ready = f_here[m]
+                        if ready is None:
+                            break
+                    else:
+                        ready = b_down[m]
+                        if ready is None:
+                            break
+                        ready = ready + send_bwd[s + 1]
+                    free = (ready if ready > free else free) + t_bwd[s]
+                    b_here[m] = free
+                else:
+                    ready = b_here[m]
+                    if ready is None:
+                        break
+                    free = (ready if ready > free else free) + t_wgrad[s]
+                cursor += 1
+            if cursor != start:
+                engine_free[s] = free
+                cursors[s] = cursor
+                emitted += cursor - start
+                progress = True
+        order = up if order is down else down
+    if emitted != total:
+        raise RuntimeError(
+            f"schedule deadlocked after {emitted}/{total} slots in "
+            "analytic evaluation (inconsistent stage programs)")
+    return max(engine_free) if engine_free else 0.0
 
 
 def evaluate_makespan(programs: tuple[StageProgram, ...],
@@ -321,53 +444,17 @@ def evaluate_makespan(programs: tuple[StageProgram, ...],
     W gated on its own B -- but prices sends as fixed latencies rather
     than occupying a COMM engine.  It is the auto-scheduler's cheap
     inner-loop objective; the found schedule is validated by replaying
-    through ``simulate()``.
+    through ``simulate()``.  A slot that can never become ready (a W
+    ahead of its own B, say) raises the named "deadlocked"
+    RuntimeError.
     """
-    n_stages = len(programs)
-    cursors = [0] * n_stages
-    engine_free = [0.0] * n_stages
-    f_done: dict[tuple[int, int], float] = {}
-    b_done: dict[tuple[int, int], float] = {}
-    total = sum(len(p.slots) for p in programs)
-    emitted = 0
-    progress = True
-    while progress:
-        progress = False
-        for s in range(n_stages):
-            slots = programs[s].slots
-            while cursors[s] < len(slots):
-                slot = slots[cursors[s]]
-                m = slot.microbatch
-                if slot.kind is OpKind.F:
-                    if s > 0:
-                        if (s - 1, m) not in f_done:
-                            break
-                        ready = f_done[(s - 1, m)] + costs.send_fwd[s - 1]
-                    else:
-                        ready = 0.0
-                    finish = max(engine_free[s], ready) + costs.t_fwd[s]
-                    f_done[(s, m)] = finish
-                elif slot.kind is OpKind.B:
-                    if s < n_stages - 1:
-                        if (s + 1, m) not in b_done:
-                            break
-                        ready = b_done[(s + 1, m)] + costs.send_bwd[s + 1]
-                    else:
-                        ready = f_done[(s, m)]
-                    finish = max(engine_free[s], ready) + costs.t_bwd[s]
-                    b_done[(s, m)] = finish
-                else:
-                    finish = max(engine_free[s], b_done[(s, m)]) \
-                        + costs.t_wgrad[s]
-                engine_free[s] = finish
-                cursors[s] += 1
-                emitted += 1
-                progress = True
-    if emitted != total:
-        raise RuntimeError(
-            f"schedule deadlocked after {emitted}/{total} slots in "
-            "analytic evaluation (inconsistent stage programs)")
-    return max(engine_free) if engine_free else 0.0
+    _check_stage_costs(costs, len(programs))
+    dense: dict[int, int] = {}
+    seqs = [tuple((_CODE_OF_KIND[slot.kind],
+                   dense.setdefault(slot.microbatch, len(dense)))
+                  for slot in program.slots)
+            for program in programs]
+    return _makespan(seqs, costs, len(dense))
 
 
 def _auto_zero_bubble_params(n_stages: int, n_microbatches: int,
@@ -379,16 +466,38 @@ def _auto_zero_bubble_params(n_stages: int, n_microbatches: int,
     time against the analytic makespan, two sweeps.  Deterministic;
     the deferral depth never exceeds the stage's warmup, keeping the
     weight-grad-input backlog under the 1F1B memory bound.
-    """
 
-    def build(params: list[tuple[int, int]]) \
-            -> tuple[StageProgram, ...]:
-        return tuple(
-            _zero_bubble_program(s, n_stages, n_microbatches, d, k)
-            for s, (d, k) in enumerate(params))
+    Each (stage, defer, drain_w) sequence is compiled once; identical
+    sequences share an id, and the makespan is memoized per vector of
+    stage sequence ids, so every distinct schedule is evaluated once.
+    The memos live only for this call.
+    """
+    seq_ids: dict[_Seq, int] = {}
+    seqs: list[_Seq] = []
+    compiled: dict[tuple[int, int, int], int] = {}
+    spans: dict[tuple[int, ...], float] = {}
+
+    def seq_id(stage: int, defer: int, drain_w: int) -> int:
+        key = (stage, defer, drain_w)
+        found = compiled.get(key)
+        if found is None:
+            seq = _zero_bubble_slots(stage, n_stages, n_microbatches,
+                                     defer, drain_w)
+            found = compiled[key] = seq_ids.setdefault(seq, len(seqs))
+            if found == len(seqs):
+                seqs.append(seq)
+        return found
+
+    def makespan(vector: tuple[int, ...]) -> float:
+        span = spans.get(vector)
+        if span is None:
+            span = spans[vector] = _makespan(
+                [seqs[i] for i in vector], costs, n_microbatches)
+        return span
 
     params = _zb_h1_params(n_stages, n_microbatches)
-    best = evaluate_makespan(build(params), costs)
+    vector = tuple(seq_id(s, d, k) for s, (d, k) in enumerate(params))
+    best = makespan(vector)
     for _ in range(2):
         for s in range(n_stages):
             warmup = min(n_stages - 1 - s, n_microbatches)
@@ -396,12 +505,13 @@ def _auto_zero_bubble_params(n_stages: int, n_microbatches: int,
                 for drain_w in (0, 1, 2, n_microbatches):
                     if (defer, drain_w) == params[s]:
                         continue
-                    trial = list(params)
-                    trial[s] = (defer, drain_w)
-                    span = evaluate_makespan(build(trial), costs)
+                    trial = vector[:s] + (seq_id(s, defer, drain_w),) \
+                        + vector[s + 1:]
+                    span = makespan(trial)
                     if span < best * (1.0 - 1e-12):
                         best = span
-                        params = trial
+                        params[s] = (defer, drain_w)
+                        vector = trial
     return params
 
 
@@ -419,6 +529,8 @@ def build_schedule(kind: ScheduleKind, n_stages: int,
         raise ValueError("need at least one stage")
     if n_microbatches < 1:
         raise ValueError("need at least one microbatch")
+    if costs is not None:
+        _check_stage_costs(costs, n_stages)
     if kind is ScheduleKind.GPIPE:
         programs = tuple(_gpipe_program(s, n_microbatches)
                          for s in range(n_stages))

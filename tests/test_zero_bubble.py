@@ -4,6 +4,7 @@ the 1F1B bubbles."""
 
 import dataclasses
 import json
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,8 @@ from repro.dnn.layers import LayerKind
 from repro.dnn.registry import build_network
 from repro.naming import resolve_schedule
 from repro.pipeline import (OpKind, ScheduleCosts, ScheduleKind, Slot,
-                            build_schedule, evaluate_makespan,
+                            StageProgram, build_schedule,
+                            evaluate_makespan,
                             parse_schedule_kind, pipeline_stats,
                             plan_pipeline, structural_bubble_time)
 from repro.scenarios.paper import zero_bubble_suite
@@ -134,7 +136,6 @@ class TestZeroBubblePrograms:
             == [p.slots for p in h1.programs]
 
     def test_evaluate_makespan_detects_deadlock(self):
-        from repro.pipeline.schedules import StageProgram
         # Stage 0 waits on a grad that stage 1 never produces first.
         programs = (
             StageProgram(stage=0, slots=(Slot(0, False), Slot(0, True))),
@@ -142,6 +143,44 @@ class TestZeroBubblePrograms:
         )
         with pytest.raises(RuntimeError, match="deadlock"):
             evaluate_makespan(programs, _unit_costs(2))
+        # A W ahead of its own B can never become ready.
+        w_first = (StageProgram(stage=0, slots=(
+            Slot(0, True), Slot(0, False, OpKind.W), Slot(0, False))),)
+        with pytest.raises(RuntimeError, match="deadlocked after 1/3"):
+            evaluate_makespan(w_first, _unit_costs(1))
+        # Nor can the loss stage's B ahead of its own F.
+        b_first = (StageProgram(stage=0, slots=(
+            Slot(0, False), Slot(0, True))),)
+        with pytest.raises(RuntimeError, match="deadlocked after 0/2"):
+            evaluate_makespan(b_first, _unit_costs(1))
+
+    def test_cost_length_mismatch_is_named_before_searching(
+            self, monkeypatch):
+        from repro.pipeline import schedules
+
+        def no_search(*args):
+            raise AssertionError("searched with mis-sized costs")
+
+        monkeypatch.setattr(schedules, "_auto_zero_bubble_params",
+                            no_search)
+        short = dataclasses.replace(_unit_costs(4), t_wgrad=(0.5,) * 3)
+        with pytest.raises(ValueError, match=r"t_wgrad has 3 .* 4 stages"):
+            build_schedule(ScheduleKind.ZB_AUTO, 4, 8, short)
+        long = dataclasses.replace(_unit_costs(4), send_bwd=(0.0,) * 5)
+        with pytest.raises(ValueError, match="send_bwd"):
+            build_schedule(ScheduleKind.ZB_AUTO, 4, 8, long)
+        with pytest.raises(ValueError, match="t_fwd"):
+            evaluate_makespan(
+                build_schedule(ScheduleKind.ZB_H1, 4, 8).programs,
+                _unit_costs(3))
+
+    @pytest.mark.parametrize("bad", [float("nan"), -1.0, float("inf"),
+                                     float("-inf")])
+    def test_costs_reject_non_finite_or_negative(self, bad):
+        for field in ("t_fwd", "t_bwd", "t_wgrad", "send_fwd",
+                      "send_bwd"):
+            with pytest.raises(ValueError, match=rf"{field}\[1\]"):
+                dataclasses.replace(_unit_costs(2), **{field: (0.0, bad)})
 
     def test_structural_bound_drops_with_wgrad_split(self):
         base = structural_bubble_time(4, 1.0, 2.0)
@@ -150,6 +189,54 @@ class TestZeroBubblePrograms:
         assert split == 6.0
         # Floored at zero when W work exceeds the fill/drain idle.
         assert structural_bubble_time(4, 1.0, 2.0, t_wgrad=2.0) == 0.0
+
+
+class TestSearchMemo:
+    def test_each_schedule_compiled_and_evaluated_once(self, monkeypatch):
+        """The DC-DLA / GPT2 / b64 search on 8 stages x 8 microbatches
+        tries 156 knob vectors that are only 72 distinct schedules; it
+        evaluates each once and compiles each (stage, defer, drain_w)
+        sequence once (the rebuild-every-trial search ran the evaluator
+        156 times and rebuilt 1,248 stage programs)."""
+        from repro.pipeline import schedules
+        generated: Counter = Counter()
+        evaluated: list = []
+        searches: list = []
+        real_slots = schedules._zero_bubble_slots
+        real_makespan = schedules._makespan
+        real_search = schedules._auto_zero_bubble_params
+
+        def counting_slots(stage, n_stages, n_mb, defer, drain_w):
+            generated[(stage, defer, drain_w)] += 1
+            return real_slots(stage, n_stages, n_mb, defer, drain_w)
+
+        def counting_makespan(seqs, costs, n_mb):
+            evaluated.append(tuple(seqs))
+            return real_makespan(seqs, costs, n_mb)
+
+        def counting_search(n_stages, n_mb, costs):
+            generated.clear()
+            evaluated.clear()
+            params = real_search(n_stages, n_mb, costs)
+            searches.append((n_stages, n_mb, dict(generated),
+                             list(evaluated)))
+            return params
+
+        monkeypatch.setattr(schedules, "_zero_bubble_slots",
+                            counting_slots)
+        monkeypatch.setattr(schedules, "_makespan", counting_makespan)
+        monkeypatch.setattr(schedules, "_auto_zero_bubble_params",
+                            counting_search)
+        config = _config("DC-DLA", pipeline_schedule="zb-auto",
+                         pipeline_stages=8, pipeline_microbatches=8)
+        plan = plan_pipeline(build_network("GPT2"), config, 64)
+        assert plan.n_stages == 8
+        [(n_stages, n_mb, generated_in_search, evaluations)] = searches
+        assert (n_stages, n_mb) == (8, 8)
+        assert len(evaluations) == 72
+        assert len(set(evaluations)) == 72
+        assert sum(generated_in_search.values()) <= 96
+        assert set(generated_in_search.values()) == {1}
 
 
 schedule_cases = given(
