@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
-
 from repro.dnn.layers import Layer, LayerKind
 from repro.units import FP32_BYTES
 
@@ -23,20 +21,24 @@ class Network:
 
     Layers are kept in insertion order, which must be a valid topological
     order (builders construct networks front to back); this keeps
-    simulation schedules deterministic.
+    simulation schedules deterministic.  Each layer records the producers
+    it was wired from; :meth:`add_layer` only accepts producers that
+    already exist, so every edge points forward in insertion order and the
+    graph is acyclic by construction.
     """
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self._graph = nx.DiGraph()
-        self._order: list[str] = []
+        #: name -> layer, in (topological) insertion order.
+        self._layers: dict[str, Layer] = {}
+        #: name -> producers as passed to :meth:`add_layer`.
+        self._inputs: dict[str, list[str]] = {}
         #: Mutation counter; bumps on every :meth:`add_layer`.  Caches
         #: keyed on ``(network, version)`` can never replay stale
         #: adjacency or pricing for a graph edited after caching.
         self._version = 0
         self._adjacency: tuple[dict[str, int], dict[str, list[str]],
                                dict[str, list[str]]] | None = None
-        self._layer_map: dict[str, Layer] | None = None
 
     @property
     def version(self) -> int:
@@ -47,18 +49,20 @@ class Network:
                             dict[str, list[str]]]:
         """(position, predecessors, successors) maps, built once.
 
-        The per-call ``position`` dict comprehension in adjacency
-        queries was quadratic over a simulation (every layer queries
-        every other layer's index); this builds all three maps in one
-        pass and caches them until the next mutation.
+        Both neighbour lists are sorted by insertion position, and a
+        producer named twice in one layer's inputs is one edge.  Built in
+        one pass and cached until the next mutation: the simulator asks
+        for neighbours hundreds of times per op table.
         """
         if self._adjacency is None:
-            position = {n: i for i, n in enumerate(self._order)}
+            position = {n: i for i, n in enumerate(self._layers)}
             by_pos = position.__getitem__
-            preds = {n: sorted(self._graph.predecessors(n), key=by_pos)
-                     for n in self._order}
-            succs = {n: sorted(self._graph.successors(n), key=by_pos)
-                     for n in self._order}
+            preds = {n: sorted(set(srcs), key=by_pos)
+                     for n, srcs in self._inputs.items()}
+            succs: dict[str, list[str]] = {n: [] for n in self._layers}
+            for n, srcs in preds.items():
+                for src in srcs:
+                    succs[src].append(n)
             self._adjacency = (position, preds, succs)
         return self._adjacency
 
@@ -66,81 +70,71 @@ class Network:
 
     def add_layer(self, layer: Layer, inputs: list[str] | None = None) -> Layer:
         """Add ``layer``, wiring edges from each named producer."""
-        if layer.name in self._graph:
+        if layer.name in self._layers:
             raise ValueError(f"duplicate layer name: {layer.name}")
         for src in inputs or []:
-            if src not in self._graph:
+            if src not in self._layers:
                 raise ValueError(
                     f"layer {layer.name} consumes unknown layer {src}")
-        self._graph.add_node(layer.name, layer=layer)
-        self._order.append(layer.name)
-        for src in inputs or []:
-            self._graph.add_edge(src, layer.name)
+        self._layers[layer.name] = layer
+        self._inputs[layer.name] = list(inputs or [])
         self._version += 1
         self._adjacency = None
-        self._layer_map = None
         return layer
 
     def validate(self) -> None:
         """Check the invariants builders must maintain."""
-        if not nx.is_directed_acyclic_graph(self._graph):
-            raise ValueError(f"network {self.name} contains a cycle")
-        position = {name: i for i, name in enumerate(self._order)}
-        for src, dst in self._graph.edges:
-            if position[src] >= position[dst]:
-                raise ValueError(
-                    f"insertion order is not topological: {src} -> {dst}")
-        non_input = [n for n in self._order
-                     if self.layer(n).kind is not LayerKind.INPUT]
-        for name in non_input:
-            if not list(self._graph.predecessors(name)):
+        position, preds, _ = self._adj()
+        for dst, srcs in preds.items():
+            for src in srcs:
+                if position[src] >= position[dst]:
+                    raise ValueError(
+                        f"insertion order is not topological: "
+                        f"{src} -> {dst}")
+        for name, layer in self._layers.items():
+            if layer.kind is not LayerKind.INPUT and not preds[name]:
                 raise ValueError(f"non-input layer {name} has no producer")
 
     # -- Accessors ---------------------------------------------------------
 
-    def layer(self, name: str) -> Layer:
-        """The :class:`Layer` registered as ``name``.
+    def _unknown(self, name: str) -> KeyError:
+        return KeyError(f"network {self.name} has no layer {name!r}")
 
-        Served from a flat name map (rebuilt on mutation); the raw
-        networkx node-attribute lookup costs several dict hops and the
-        simulator asks for layers hundreds of times per op table.
-        """
-        layer_map = self._layer_map
-        if layer_map is None:
-            layer_map = self._layer_map = {
-                n: self._graph.nodes[n]["layer"] for n in self._order}
+    def layer(self, name: str) -> Layer:
+        """The :class:`Layer` registered as ``name``."""
         try:
-            return layer_map[name]
+            return self._layers[name]
         except KeyError:
-            # Unknown names keep raising the networkx KeyError shape.
-            return self._graph.nodes[name]["layer"]
+            raise self._unknown(name) from None
 
     @property
     def layer_names(self) -> list[str]:
         """Layer names in (topological) insertion order."""
-        return list(self._order)
+        return list(self._layers)
 
     @property
     def layers(self) -> list[Layer]:
-        return [self.layer(n) for n in self._order]
+        return list(self._layers.values())
 
     def predecessors(self, name: str) -> list[str]:
         """Producers of ``name``, in topological (insertion) order."""
-        if name in self._graph:
+        try:
             return list(self._adj()[1][name])
-        return list(self._graph.predecessors(name))  # raises NetworkXError
+        except KeyError:
+            raise self._unknown(name) from None
 
     def successors(self, name: str) -> list[str]:
         """Consumers of ``name``, in topological (insertion) order."""
-        if name in self._graph:
+        try:
             return list(self._adj()[2][name])
-        return list(self._graph.successors(name))  # raises NetworkXError
+        except KeyError:
+            raise self._unknown(name) from None
 
     def __len__(self) -> int:
-        return len(self._order)
+        return len(self._layers)
 
     def __contains__(self, name: str) -> bool:
-        return name in self._graph
+        return name in self._layers
 
     # -- Analyses ----------------------------------------------------------
 
@@ -166,7 +160,7 @@ class Network:
         slack available to hide its migration.
         """
         position = self._adj()[0]
-        total = len(self._order)
+        total = len(self._layers)
         last_use = position[self.last_forward_consumer(name)]
         # Forward steps remaining after last use, plus backward steps
         # until control returns to the consumer.

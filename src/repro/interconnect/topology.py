@@ -12,8 +12,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-import networkx as nx
-
 from repro.interconnect.link import LinkSpec
 
 
@@ -65,12 +63,14 @@ class Topology:
     def __init__(self, name: str, max_links: int = 6) -> None:
         self.name = name
         self.max_links = max_links
-        self._graph = nx.MultiGraph()
+        #: node -> its incident links as ``(peer, spec, tag)``, in the
+        #: order they were added (parallel links stay distinct).
+        self._links: dict[NodeId, list[tuple[NodeId, LinkSpec, str]]] = {}
 
     def add_node(self, node: NodeId) -> NodeId:
-        if node in self._graph:
+        if node in self._links:
             raise ValueError(f"duplicate node {node}")
-        self._graph.add_node(node)
+        self._links[node] = []
         return node
 
     def add_link(self, a: NodeId, b: NodeId, spec: LinkSpec,
@@ -79,30 +79,28 @@ class Topology:
         if a == b:
             raise ValueError(f"self-link on {a}")
         for n in (a, b):
-            if n not in self._graph:
+            if n not in self._links:
                 raise ValueError(f"unknown node {n}")
-        self._graph.add_edge(a, b, spec=spec, tag=tag)
+        self._links[a].append((b, spec, tag))
+        self._links[b].append((a, spec, tag))
 
     # -- Queries -----------------------------------------------------------
 
     def nodes(self, kind: NodeKind | None = None) -> list[NodeId]:
-        nodes = list(self._graph.nodes)
+        nodes = list(self._links)
         if kind is not None:
             nodes = [n for n in nodes if n.kind is kind]
         return sorted(nodes, key=lambda n: (n.kind.value, n.index))
 
     def degree(self, node: NodeId, link_name: str | None = None) -> int:
         """Number of link endpoints at ``node`` (optionally by spec name)."""
-        count = 0
-        for _, _, data in self._graph.edges(node, data=True):
-            if link_name is None or data["spec"].name == link_name:
-                count += 1
-        return count
+        return sum(1 for _, spec, _ in self._links[node]
+                   if link_name is None or spec.name == link_name)
 
     def links_between(self, a: NodeId, b: NodeId) -> list[LinkSpec]:
-        if not self._graph.has_edge(a, b):
-            return []
-        return [d["spec"] for d in self._graph[a][b].values()]
+        """Parallel links joining ``a`` and ``b``, in insertion order."""
+        return [spec for peer, spec, _ in self._links.get(a, ())
+                if peer == b]
 
     def bandwidth_between(self, a: NodeId, b: NodeId) -> float:
         """Aggregate uni-directional bandwidth across parallel links."""
@@ -116,8 +114,3 @@ class Topology:
                 raise ValueError(
                     f"{self.name}: node {node} uses {used} high-bandwidth "
                     f"links, budget is {self.max_links}")
-
-    @property
-    def graph(self) -> nx.MultiGraph:
-        """The underlying networkx multigraph (read-only by convention)."""
-        return self._graph

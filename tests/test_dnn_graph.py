@@ -67,6 +67,22 @@ class TestConstruction:
         assert net.layer("fc1").kind is LayerKind.FC
         assert len(net) == 4
 
+    @pytest.mark.parametrize("query", ("layer", "predecessors",
+                                       "successors"))
+    def test_unknown_name_raises_key_error_naming_it(self, query):
+        net = linear_net()
+        with pytest.raises(KeyError, match="ghost"):
+            getattr(net, query)("ghost")
+
+    def test_duplicate_inputs_are_one_edge(self):
+        net = Network("dup")
+        net.add_layer(input_layer("in", 4))
+        net.add_layer(Layer(name="sum", kind=LayerKind.ELTWISE,
+                            out_elems=4), inputs=["in", "in"])
+        net.validate()
+        assert net.predecessors("sum") == ["in"]
+        assert net.successors("in") == ["sum"]
+
 
 class TestOrdering:
     def test_insertion_order_is_topological(self):

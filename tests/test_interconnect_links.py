@@ -55,6 +55,18 @@ class TestTopology:
         assert topo.bandwidth_between(a, b) == 50 * GBPS
         assert len(topo.links_between(a, b)) == 2
 
+    def test_parallel_links_in_insertion_order(self):
+        topo = Topology("t")
+        a, b = topo.add_node(device(0)), topo.add_node(host(0))
+        c = topo.add_node(device(1))
+        topo.add_link(a, b, NVLINK)
+        topo.add_link(a, c, NVLINK)
+        topo.add_link(b, a, PCIE_GEN3)
+        assert topo.links_between(a, b) == [NVLINK, PCIE_GEN3]
+        assert topo.links_between(b, a) == [NVLINK, PCIE_GEN3]
+        assert topo.links_between(b, c) == []
+        assert topo.degree(a) == 3 and topo.degree(c) == 1
+
     def test_rejects_self_link(self):
         topo = Topology("t")
         a = topo.add_node(device(0))
