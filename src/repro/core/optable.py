@@ -79,7 +79,7 @@ class OpTable:
     """
 
     __slots__ = ("engines", "codes", "durations", "deps", "tags",
-                 "nbytes", "channels", "_ops")
+                 "nbytes", "channels", "_ops", "_prefetch_index")
 
     def __init__(self) -> None:
         self.engines: list[EngineKind] = []
@@ -93,6 +93,10 @@ class OpTable:
         self.nbytes: list[int] = []
         self.channels: list[int] = []
         self._ops: list[Op] | None = None
+        #: The structural index :func:`repro.vmem.prefetch.
+        #: collect_prefetch_stats` reads (built on first use; shared by
+        #: every table re-priced from one emitted structure).
+        self._prefetch_index = None
 
     def add(self, engine: EngineKind, duration: float, deps: list[int],
             tag: str, nbytes: int = 0, channel: int = 0) -> int:
@@ -115,10 +119,27 @@ class OpTable:
         self.tags.append(tag)
         self.nbytes.append(nbytes)
         self.channels.append(channel)
+        self._prefetch_index = None
         return uid
 
     def __len__(self) -> int:
         return len(self.durations)
+
+    def _repriced(self, durations: list[float]) -> "OpTable":
+        """A copy of this table with ``durations`` as its duration
+        column (checked by the caller).  Every other column is copied,
+        so appending to the copy never changes this table; the
+        structural prefetch index is shared."""
+        table = OpTable()
+        table.engines = self.engines.copy()
+        table.codes = self.codes.copy()
+        table.durations = durations
+        table.deps = self.deps.copy()
+        table.tags = self.tags.copy()
+        table.nbytes = self.nbytes.copy()
+        table.channels = self.channels.copy()
+        table._prefetch_index = self._prefetch_index
+        return table
 
     @property
     def ops(self) -> list[Op]:

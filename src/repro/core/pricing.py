@@ -16,6 +16,11 @@ through:
   mutation ``version`` so a network edited after caching can never
   replay stale plans (networks are weakly referenced; test-local
   graphs do not pin memory);
+* the training iteration plans of
+  :func:`repro.core.schedule.plan_iteration`, in the same per-network
+  store, each carrying a private memo of the op-table structures
+  emitted from it (one per device, offload window and prefetch gate
+  plan), which every design point sharing the structure re-prices;
 * :func:`layer_times` -- per-layer (forward, backward) seconds for a
   (device, batch, strategy, n_devices) cell, shared by every design
   point with the same device model;
@@ -81,7 +86,7 @@ _CLUSTER_CELLS: dict = {}
 #: hook so the lookup paths never test an enabled flag.
 _MEMO_NAMES = ("partition", "migration", "layer-times", "layer-fwd",
                "layer-bwd", "layer-bwd-split", "collective", "dma",
-               "cluster-cell")
+               "cluster-cell", "iteration-plan", "op-structure")
 _HITS: dict = dict.fromkeys(_MEMO_NAMES, NOOP)
 _MISSES: dict = dict.fromkeys(_MEMO_NAMES, NOOP)
 
@@ -126,6 +131,22 @@ def _net_cache(net: "Network") -> dict:
     return cache
 
 
+def _memoized(store: dict, key, memo: str, build: Callable):
+    """``store[key]``, calling ``build()`` to fill it on first use.
+
+    Counts the lookup on ``memo``'s hit/miss probes.  ``store`` is a
+    per-network cache or a memo owned by an object in one (an
+    iteration plan's structures), so :func:`clear_caches` drops it.
+    """
+    value = store.get(key)
+    if value is None:
+        _MISSES[memo].inc()
+        value = store[key] = build()
+    else:
+        _HITS[memo].inc()
+    return value
+
+
 def cached_partition(net: "Network", batch: int,
                      strategy: ParallelStrategy,
                      n_devices: int) -> list[PartitionedLayer]:
@@ -134,14 +155,10 @@ def cached_partition(net: "Network", batch: int,
     Returns the cached list itself; callers treat it as read-only
     (every consumer immediately re-keys it into a dict).
     """
-    key = ("partition", net.version, batch, strategy, n_devices)
-    cache = _net_cache(net)
-    if key not in cache:
-        _MISSES["partition"].inc()
-        cache[key] = partition(net, batch, strategy, n_devices)
-    else:
-        _HITS["partition"].inc()
-    return cache[key]
+    return _memoized(
+        _net_cache(net), ("partition", net.version, batch, strategy,
+                          n_devices), "partition",
+        lambda: partition(net, batch, strategy, n_devices))
 
 
 def cached_migration(net: "Network", batch: int, virtualize: bool) \
@@ -152,15 +169,13 @@ def cached_migration(net: "Network", batch: int, virtualize: bool) \
     :class:`~repro.vmem.policy.MigrationPolicy` at this ``virtualize``
     setting -- the only policy shape ``plan_iteration`` builds.
     """
-    key = ("migration", net.version, batch, virtualize)
-    cache = _net_cache(net)
-    if key not in cache:
-        _MISSES["migration"].inc()
+    def build() -> tuple[list[TensorPlan], TrainingStep]:
         plans = MigrationPolicy(virtualize=virtualize).plan(net, batch)
-        cache[key] = (plans, expand(net, plans))
-    else:
-        _HITS["migration"].inc()
-    return cache[key]
+        return plans, expand(net, plans)
+
+    return _memoized(_net_cache(net),
+                     ("migration", net.version, batch, virtualize),
+                     "migration", build)
 
 
 def layer_times(net: "Network", device: "DeviceSpec", batch: int,
@@ -174,19 +189,13 @@ def layer_times(net: "Network", device: "DeviceSpec", batch: int,
     design points sharing the baseline device share the entry.
     """
     parts = cached_partition(net, batch, strategy, n_devices)
-    key = ("layer-times", net.version, device, batch, strategy,
-           n_devices)
-    cache = _net_cache(net)
-    if key not in cache:
-        _MISSES["layer-times"].inc()
-        op_time = device.op_time
-        cache[key] = {
-            p.name: (op_time(p.fwd_gemms, p.fwd_stream_bytes),
-                     op_time(p.bwd_gemms, p.fwd_stream_bytes))
-            for p in parts}
-    else:
-        _HITS["layer-times"].inc()
-    return cache[key]
+    op_time = device.op_time
+    return _memoized(
+        _net_cache(net), ("layer-times", net.version, device, batch,
+                          strategy, n_devices), "layer-times",
+        lambda: {p.name: (op_time(p.fwd_gemms, p.fwd_stream_bytes),
+                          op_time(p.bwd_gemms, p.fwd_stream_bytes))
+                 for p in parts})
 
 
 def layer_fwd_time(device: "DeviceSpec", layer: "Layer",

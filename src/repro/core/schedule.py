@@ -6,11 +6,17 @@ virtualization channel (with vDNN's pinned-buffer back-pressure and
 bounded prefetch lookahead), and collective synchronization on the ring
 networks.  The resulting :class:`~repro.core.optable.OpTable` encodes
 every overlap opportunity and every stall the design point implies.
+
+Design points that differ only in their interconnect and memory pool
+emit the same training op DAG, so :func:`build_iteration_ops` emits
+each DAG once per iteration plan (an :class:`_OpStructure`) and gives
+every design its own copy with the collective and DMA durations priced
+on that design's models.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.core import pricing
 from repro.core.optable import OpTable
@@ -22,7 +28,8 @@ from repro.training.backprop import TrainingStep
 from repro.training.parallel import ParallelStrategy, PartitionedLayer
 from repro.vmem.policy import MigrationAction
 from repro.vmem.prefetch import (ON_DEMAND, FetchSite, PrefetchContext,
-                                 PrefetchSchedule, prefetch_policy)
+                                 PrefetchSchedule, _index_prefetches,
+                                 prefetch_policy)
 
 
 @dataclass(frozen=True)
@@ -36,6 +43,11 @@ class IterationPlan:
     step: TrainingStep
     #: producer layer -> per-device shard bytes migrated (0 if resident).
     migrated_shards: dict[str, int]
+    #: Derived from this plan only: its compute/sync walk per device,
+    #: and its emitted op structures (see :func:`build_iteration_ops`).
+    #: Never copied: ``dataclasses.replace`` starts an empty memo.
+    _memo: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
 
     @property
     def offload_bytes_per_device(self) -> int:
@@ -57,18 +69,33 @@ class IterationPlan:
 
 def plan_iteration(net: Network, config: SystemConfig, batch: int,
                    strategy: ParallelStrategy) -> IterationPlan:
-    """Partition the network and derive the migration plan."""
-    parts = {p.name: p for p in pricing.cached_partition(
-        net, batch, strategy, config.n_devices)}
-    tensor_plans, step = pricing.cached_migration(
-        net, batch, config.virtualizes)
-    migrated = {
-        plan.producer: parts[plan.producer].out_shard_bytes
-        for plan in tensor_plans
-        if plan.action is MigrationAction.OFFLOAD
-    }
-    return IterationPlan(net=net, batch=batch, strategy=strategy,
-                         parts=parts, step=step, migrated_shards=migrated)
+    """Partition the network and derive the migration plan.
+
+    Memoized per network: every design point with the same device
+    count and virtualization setting shares one plan object (and with
+    it the op structures emitted from it).
+    """
+    n_devices = config.n_devices
+    virtualizes = config.virtualizes
+
+    def build() -> IterationPlan:
+        parts = {p.name: p for p in pricing.cached_partition(
+            net, batch, strategy, n_devices)}
+        tensor_plans, step = pricing.cached_migration(net, batch,
+                                                      virtualizes)
+        migrated = {
+            plan.producer: parts[plan.producer].out_shard_bytes
+            for plan in tensor_plans
+            if plan.action is MigrationAction.OFFLOAD
+        }
+        return IterationPlan(net=net, batch=batch, strategy=strategy,
+                             parts=parts, step=step,
+                             migrated_shards=migrated)
+
+    return pricing._memoized(
+        pricing._net_cache(net),
+        ("iteration-plan", net.version, batch, strategy, n_devices,
+         virtualizes), "iteration-plan", build)
 
 
 def contention_fraction(compute_seconds: float,
@@ -110,22 +137,38 @@ def vmem_pricer(config: SystemConfig, compute_seconds: float,
 
 def _iteration_seconds(plan: IterationPlan,
                        config: SystemConfig) -> tuple[float, float]:
-    """(compute, collective) seconds of one training iteration plan."""
-    times = pricing.layer_times(plan.net, config.device, plan.batch,
-                                plan.strategy, config.n_devices)
+    """(compute, collective) seconds of one training iteration plan.
+
+    The compute sum and the list of collectives depend on the plan and
+    device only, so they are kept on the plan; each design point sums
+    its own collective prices in the same order.
+    """
+    def walk() -> tuple[float, tuple]:
+        times = pricing.layer_times(plan.net, config.device, plan.batch,
+                                    plan.strategy, config.n_devices)
+        compute = 0.0
+        syncs = []
+        for name in plan.step.fwd_order:
+            if plan.net.layer(name).kind is LayerKind.INPUT:
+                continue
+            part = plan.parts[name]
+            fwd_s, bwd_s = times[name]
+            compute += fwd_s
+            compute += bwd_s
+            for sync in (part.fwd_sync, part.bwd_sync):
+                if sync is not None:
+                    syncs.append((sync.primitive, sync.nbytes))
+        return compute, tuple(syncs)
+
+    key = ("iteration-seconds", config.device, config.n_devices)
+    cached = plan._memo.get(key)
+    if cached is None:
+        cached = plan._memo[key] = walk()
+    compute, syncs = cached
     collective = pricing.collective_pricer(config.collectives)
-    compute = 0.0
     comm = 0.0
-    for name in plan.step.fwd_order:
-        if plan.net.layer(name).kind is LayerKind.INPUT:
-            continue
-        part = plan.parts[name]
-        fwd_s, bwd_s = times[name]
-        compute += fwd_s
-        compute += bwd_s
-        for sync in (part.fwd_sync, part.bwd_sync):
-            if sync is not None:
-                comm += collective(sync.primitive, sync.nbytes)
+    for primitive, nbytes in syncs:
+        comm += collective(primitive, nbytes)
     return compute, comm
 
 
@@ -366,6 +409,41 @@ def build_inference_ops(plan: InferencePlan, config: SystemConfig,
     return ops
 
 
+class _OpStructure:
+    """One emitted training op DAG and the keys that price it.
+
+    ``table`` holds every column.  Its compute durations are final;
+    each collective and DMA op holds 0.0 until :meth:`priced` fills it
+    from ``comm`` (``(uid, primitive, nbytes)``) or ``dma`` (``(uid,
+    nbytes)``), both in uid order.
+    """
+
+    __slots__ = ("table", "comm", "dma")
+
+    def __init__(self, table: OpTable, comm: list[tuple[int, object, int]],
+                 dma: list[tuple[int, int]]) -> None:
+        self.table = table
+        self.comm = comm
+        self.dma = dma
+
+    def priced(self, collective, pricer: pricing.MemoPricer) -> OpTable:
+        """A fresh table with one design point's collective and DMA
+        prices; the structure itself is never modified."""
+        tags = self.table.tags
+        durations = self.table.durations.copy()
+        for uid, primitive, nbytes in self.comm:
+            seconds = collective(primitive, nbytes)
+            if seconds < 0:
+                raise ValueError(f"op {tags[uid]}: negative duration")
+            durations[uid] = seconds
+        for uid, nbytes in self.dma:
+            seconds = pricer(nbytes)
+            if seconds < 0:
+                raise ValueError(f"op {tags[uid]}: negative duration")
+            durations[uid] = seconds
+        return self.table._repriced(durations)
+
+
 def build_iteration_ops(plan: IterationPlan, config: SystemConfig,
                         prefetch: PrefetchSchedule | None = None,
                         pricer: pricing.MemoPricer | None = None) \
@@ -377,19 +455,52 @@ def build_iteration_ops(plan: IterationPlan, config: SystemConfig,
     baseline reproduces the seed's gate structure and pricing
     byte-for-byte.  Callers that already derived the DMA ``pricer``
     (one O(layers) plan walk) can pass it to avoid recomputing.
+
+    The op structure (every column but the collective and DMA
+    durations) is emitted once per plan for each device, device count,
+    offload window and prefetch gate plan, and kept on the plan; every
+    call returns a new table priced through this config's collective
+    model and ``pricer``.
     """
     if pricer is None:
         pricer = iteration_pricer(plan, config)
     if prefetch is None:
         prefetch = plan_training_prefetch(plan, config, pricer)
+    key = ("op-structure", config.device, config.n_devices,
+           config.offload_window,
+           tuple(issue.gate_step for issue in prefetch.issues),
+           prefetch.waste)
+    structure = pricing._memoized(
+        plan._memo, key, "op-structure",
+        lambda: _emit_structure(plan, config, prefetch))
+    return structure.priced(pricing.collective_pricer(config.collectives),
+                            pricer)
+
+
+def _emit_structure(plan: IterationPlan, config: SystemConfig,
+                    prefetch: PrefetchSchedule) -> _OpStructure:
+    """Emit one iteration's op structure (see :class:`_OpStructure`)."""
     waste_before = prefetch.waste_before()
     ops = OpTable()
-    collective = pricing.collective_pricer(config.collectives)
+    comm: list[tuple[int, object, int]] = []
+    dma: list[tuple[int, int]] = []
     times = pricing.layer_times(plan.net, config.device, plan.batch,
                                 plan.strategy, config.n_devices)
     net = plan.net
     parts = plan.parts
     site_index = 0
+
+    def sync_op(sync, compute: int, tag: str) -> int:
+        uid = ops.add(EngineKind.COMM, 0.0, [compute], tag=tag,
+                      nbytes=sync.nbytes)
+        comm.append((uid, sync.primitive, sync.nbytes))
+        return uid
+
+    def dma_op(engine: EngineKind, nbytes: int, deps: list[int],
+               tag: str) -> int:
+        uid = ops.add(engine, 0.0, deps, tag=tag, nbytes=nbytes)
+        dma.append((uid, nbytes))
+        return uid
 
     fwd_ready: dict[str, int | None] = {}
     fwd_sync_uid: dict[str, int] = {}
@@ -423,11 +534,7 @@ def build_iteration_ops(plan: IterationPlan, config: SystemConfig,
                           deps, tag=f"fwd:{name}")
         ready = compute
         if part.fwd_sync is not None:
-            sync = ops.add(EngineKind.COMM,
-                           collective(part.fwd_sync.primitive,
-                                      part.fwd_sync.nbytes),
-                           [compute], tag=f"sync-fwd:{name}",
-                           nbytes=part.fwd_sync.nbytes)
+            sync = sync_op(part.fwd_sync, compute, f"sync-fwd:{name}")
             fwd_sync_uid[name] = sync
             ready = sync
         fwd_ready[name] = compute if part.fwd_sync is not None else ready
@@ -435,10 +542,8 @@ def build_iteration_ops(plan: IterationPlan, config: SystemConfig,
         # Offload every tensor whose last forward reuse is this layer;
         # a gathered tensor only becomes complete after its collective.
         for producer in plan.step.prefetch_sites.get(name, ()):
-            shard = plan.migrated_shards[producer]
-            uid = ops.add(EngineKind.DMA_OUT, pricer(shard),
-                          [ready], tag=f"offload:{producer}",
-                          nbytes=shard)
+            uid = dma_op(EngineKind.DMA_OUT, plan.migrated_shards[producer],
+                         [ready], f"offload:{producer}")
             offload_uid[producer] = uid
             offload_order.append(uid)
 
@@ -447,7 +552,6 @@ def build_iteration_ops(plan: IterationPlan, config: SystemConfig,
     bwd_sync_uid: dict[str, int] = {}
     bwd_computes: list[int] = []
     for step_index, name in enumerate(plan.step.bwd_order):
-        layer = net.layer(name)
         part = parts[name]
 
         succs = net.successors(name)
@@ -472,17 +576,14 @@ def build_iteration_ops(plan: IterationPlan, config: SystemConfig,
             for waste in waste_before.get(site_index, ()):
                 waste_gate = ([] if waste.gate_step is None
                               else [bwd_computes[waste.gate_step]])
-                ops.add(EngineKind.DMA_IN, pricer(waste.nbytes),
-                        waste_gate, tag=f"waste:{waste.label}",
-                        nbytes=waste.nbytes)
+                dma_op(EngineKind.DMA_IN, waste.nbytes, waste_gate,
+                       f"waste:{waste.label}")
             site_index += 1
             gate = ([] if issue.gate_step is None
                     else [bwd_computes[issue.gate_step]])
-            shard = plan.migrated_shards[producer]
-            prefetch_ids.append(ops.add(
-                EngineKind.DMA_IN, pricer(shard),
-                gate + [offload_uid[producer]],
-                tag=f"prefetch:{producer}", nbytes=shard))
+            prefetch_ids.append(dma_op(
+                EngineKind.DMA_IN, plan.migrated_shards[producer],
+                gate + [offload_uid[producer]], f"prefetch:{producer}"))
 
         # Cheap tensors regenerated instead of migrated (footnote 4).
         recompute_ids = []
@@ -497,15 +598,14 @@ def build_iteration_ops(plan: IterationPlan, config: SystemConfig,
         bwd_computes.append(compute)
 
         if part.bwd_sync is not None:
-            sync = ops.add(EngineKind.COMM,
-                           collective(part.bwd_sync.primitive,
-                                      part.bwd_sync.nbytes),
-                           [compute], tag=f"sync-bwd:{name}",
-                           nbytes=part.bwd_sync.nbytes)
             # Model-parallel dX reductions gate the grand-producers'
             # backward pass (pipelined, above); data-parallel dW
             # all-reduces only gate iteration end.
-            bwd_sync_uid[name] = sync
+            bwd_sync_uid[name] = sync_op(part.bwd_sync, compute,
+                                         f"sync-bwd:{name}")
         bwd_ready[name] = compute
 
-    return ops
+    # Indexed here, once: every table priced from this structure
+    # shares the index collect_prefetch_stats reads.
+    _index_prefetches(ops)
+    return _OpStructure(ops, comm, dma)

@@ -21,6 +21,7 @@ below ``simulate()``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.campaign import CampaignPoint, ResultCache, run_campaign
 from repro.campaign.runner import CampaignReport
@@ -30,6 +31,10 @@ from repro.experiments.report import format_table
 from repro.interconnect.builders import build_fig7a_derivative
 from repro.training.parallel import ParallelStrategy
 from repro.units import harmonic_mean
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.core.schedule import IterationPlan
+    from repro.dnn.graph import Network
 
 ABLATION_NETWORKS = ("VGG-E", "RNN-GRU")
 
@@ -109,15 +114,35 @@ def _mean_time(report: CampaignReport, label: str, batch: int) -> float:
     return harmonic_mean(times)
 
 
+def _recompute_plan(net: Network, batch: int, config: SystemConfig,
+                    recompute: bool) -> IterationPlan:
+    """The data-parallel iteration plan with the recompute knob set.
+
+    Built by hand (not through ``plan_iteration``'s memo), so each
+    call returns a new plan with its own op structures.
+    """
+    from repro.core.schedule import IterationPlan
+    from repro.training.backprop import expand
+    from repro.training.parallel import partition
+    from repro.vmem.policy import MigrationAction, MigrationPolicy
+
+    plans = MigrationPolicy(recompute_cheap=recompute).plan(net, batch)
+    parts = {p.name: p for p in partition(
+        net, batch, ParallelStrategy.DATA, config.n_devices)}
+    migrated = {p.producer: parts[p.producer].out_shard_bytes
+                for p in plans if p.action is MigrationAction.OFFLOAD}
+    return IterationPlan(net=net, batch=batch,
+                         strategy=ParallelStrategy.DATA, parts=parts,
+                         step=expand(net, plans),
+                         migrated_shards=migrated)
+
+
 def _recompute_rows(batch: int) -> list[AblationRow]:
     """Ablation 2: the recompute knob sits below ``simulate``."""
     from repro.core.design_points import dc_dla
     from repro.core.optable import schedule_ops
-    from repro.core.schedule import (IterationPlan, build_iteration_ops)
+    from repro.core.schedule import build_iteration_ops
     from repro.dnn.registry import build_network
-    from repro.training.backprop import expand
-    from repro.training.parallel import partition
-    from repro.vmem.policy import MigrationAction, MigrationPolicy
 
     rows = []
     for label, recompute in (("recompute-on", True),
@@ -125,20 +150,8 @@ def _recompute_rows(batch: int) -> list[AblationRow]:
         config = dc_dla()
         times = []
         for network in ABLATION_NETWORKS:
-            net = build_network(network)
-            policy = MigrationPolicy(recompute_cheap=recompute)
-            plans = policy.plan(net, batch)
-            # Rebuild the iteration manually with the modified policy.
-            parts = {p.name: p for p in partition(
-                net, batch, ParallelStrategy.DATA, config.n_devices)}
-            step = expand(net, plans)
-            migrated = {p.producer: parts[p.producer].out_shard_bytes
-                        for p in plans
-                        if p.action is MigrationAction.OFFLOAD}
-            plan = IterationPlan(net=net, batch=batch,
-                                 strategy=ParallelStrategy.DATA,
-                                 parts=parts, step=step,
-                                 migrated_shards=migrated)
+            plan = _recompute_plan(build_network(network), batch, config,
+                                   recompute)
             ops = build_iteration_ops(plan, config)
             times.append(schedule_ops(ops).makespan)
         rows.append(AblationRow("recompute-rule", label,

@@ -398,6 +398,56 @@ def prefetch_policy(name: str) -> PrefetchPolicy:
 # Post-schedule accounting
 
 
+@dataclass(frozen=True)
+class _PrefetchIndex:
+    """The structural part of :func:`collect_prefetch_stats`.
+
+    Depends only on an op table's engines, deps, tags and byte counts,
+    never on its durations, so one index serves every table priced
+    from the same emitted structure.
+    """
+
+    #: ``(compute uid, DMA-in dep uids, other dep uids)`` for each
+    #: compute op with at least one DMA-in dependency, in uid order.
+    waits: tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...]
+    n_prefetches: int
+    prefetch_bytes: int
+    wasted_bytes: int
+
+
+def _index_prefetches(table) -> _PrefetchIndex:
+    """The table's :class:`_PrefetchIndex`, built on first use and kept
+    on the table (appending an op drops it)."""
+    index = table._prefetch_index
+    if index is not None:
+        return index
+    from repro.core.optable import ENGINE_CODE
+    from repro.core.timeline import EngineKind
+
+    compute = ENGINE_CODE[EngineKind.COMPUTE]
+    dma_in = ENGINE_CODE[EngineKind.DMA_IN]
+    codes = table.codes
+    nbytes = table.nbytes
+    waits = []
+    prefetch_bytes = wasted = 0
+    for uid, code in enumerate(codes):
+        if code == dma_in:
+            prefetch_bytes += nbytes[uid]
+            if table.tags[uid].startswith("waste:"):
+                wasted += nbytes[uid]
+        elif code == compute:
+            deps = table.deps[uid]
+            fetches = tuple(d for d in deps if codes[d] == dma_in)
+            if fetches:
+                waits.append((uid, fetches, tuple(
+                    d for d in deps if codes[d] != dma_in)))
+    index = table._prefetch_index = _PrefetchIndex(
+        waits=tuple(waits),
+        n_prefetches=sum(len(fetches) for _, fetches, _ in waits),
+        prefetch_bytes=prefetch_bytes, wasted_bytes=wasted)
+    return index
+
+
 def collect_prefetch_stats(timeline: ColumnarTimeline, policy: str,
                            evictions: int = 0) -> PrefetchStats:
     """Distil a scheduled timeline into the campaign-facing stats.
@@ -412,53 +462,30 @@ def collect_prefetch_stats(timeline: ColumnarTimeline, policy: str,
     Reads the timeline's columns directly: no per-op objects are
     materialized, the scheduler's recorded per-slot previous-finish
     column gives each op's engine-ready time, and the DMA/collective
-    overlap is priced on numpy interval arrays.
+    overlap is priced on numpy interval arrays.  Which compute ops wait
+    on fetches comes from the table's structural index, which a
+    training table shares with every design point priced from the
+    same emitted structure.
     """
-    import numpy as np
-
     # Imported here, not at module scope: repro.training (and through
     # it repro.core.metrics) imports repro.vmem, so a top-level import
     # would close an import cycle through the package __init__.
     from repro.core.metrics import PrefetchStats
-    from repro.core.optable import ENGINE_CODE
-    from repro.core.timeline import EngineKind
 
-    table = timeline.table
-    arrays = timeline.as_arrays()
-    engine = arrays["engine"]
+    index = _index_prefetches(timeline.table)
     starts = timeline.start
     finishes = timeline.finish
     prev_slot = timeline.prev_slot_finish
-    engines = table.engines
-    deps = table.deps
-    tags = table.tags
-    nbytes = table.nbytes
-    durations = table.durations
-
-    dma_in_idx = np.nonzero(engine == ENGINE_CODE[EngineKind.DMA_IN])[0]
-    prefetch_bytes = sum(nbytes[i] for i in dma_in_idx)
-    wasted = sum(nbytes[i] for i in dma_in_idx
-                 if tags[i].startswith("waste:"))
+    durations = timeline.table.durations
 
     late = jit = early = 0
-    n_prefetches = 0
     stall = 0.0
-    compute = EngineKind.COMPUTE
-    dma_in = EngineKind.DMA_IN
-    for i in np.nonzero(engine == ENGINE_CODE[compute])[0]:
-        op_deps = deps[i]
-        if not op_deps:
-            continue
-        fetches = [d for d in op_deps if engines[d] is dma_in]
-        if not fetches:
-            continue
-        other = max((finishes[d] for d in op_deps
-                     if engines[d] is not dma_in), default=0.0)
+    for i, fetches, others in index.waits:
+        other = max((finishes[d] for d in others), default=0.0)
         prev = prev_slot[i]
         unblocked = prev if prev > other else other
         stall += max(0.0, starts[i] - unblocked)
         for d in fetches:
-            n_prefetches += 1
             slack = unblocked - finishes[d]
             if slack < 0:
                 late += 1
@@ -466,18 +493,19 @@ def collect_prefetch_stats(timeline: ColumnarTimeline, policy: str,
                 jit += 1
             else:
                 early += 1
+    n_prefetches = index.n_prefetches
     hit_rate = 1.0 if n_prefetches == 0 \
         else (n_prefetches - late) / n_prefetches
     stats = PrefetchStats(
         policy=policy,
         n_prefetches=n_prefetches,
-        prefetch_bytes=prefetch_bytes,
-        wasted_bytes=wasted,
+        prefetch_bytes=index.prefetch_bytes,
+        wasted_bytes=index.wasted_bytes,
         evictions=evictions,
         stall_seconds=stall,
         late=late, jit=jit, early=early,
         hit_rate=hit_rate,
-        contended_seconds=_dma_comm_overlap(arrays),
+        contended_seconds=_dma_comm_overlap(timeline.as_arrays()),
     )
     _record_stats(stats)
     return stats

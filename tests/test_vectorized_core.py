@@ -1,12 +1,15 @@
 """Cell-level consistency of the (columnar) simulator core.
 
-Two properties, checked over the paper's full evaluation matrix (6
+Three properties, checked over the paper's full evaluation matrix (6
 designs x 8 workloads x 2 strategies) and the inference, pipeline,
-serving, cluster, and prefetch subsystems:
+serving, cluster, prefetch and fault subsystems:
 
 * memo purity -- a run from empty pricing memos and a rerun served
   from hot memos give *equal* results, every float compared with
   ``==`` (the memos of :mod:`repro.core.pricing` only ever skip work);
+* structure sharing -- a training op table priced from an op structure
+  another design point emitted equals, column by column and bit for
+  bit, the table emitted with the memos cleared;
 * trace equals simulate -- the timeline :func:`iteration_timeline`
   returns is the one :func:`simulate` priced: its makespan is the
   iteration time and its engine busy totals are the breakdown.
@@ -25,10 +28,16 @@ from repro.cluster.simulator import simulate_cluster
 from repro.core import pricing
 from repro.core.design_points import DESIGN_ORDER, design_point
 from repro.core.metrics import ExecutionMode, SimulationResult
+from repro.core.optable import OpTable
+from repro.core.schedule import build_iteration_ops, plan_iteration
 from repro.core.simulator import iteration_timeline, simulate
 from repro.core.timeline import EngineKind
-from repro.dnn.registry import BENCHMARK_NAMES
+from repro.dnn.layers import Layer, LayerKind
+from repro.dnn.registry import BENCHMARK_NAMES, benchmark_info
+from repro.dnn.shapes import fc_gemm
+from repro.experiments.ablations import _recompute_plan
 from repro.serving.server import simulate_serving
+from repro.telemetry.registry import disable_metrics, enable_metrics
 from repro.training.parallel import ParallelStrategy
 
 
@@ -42,12 +51,40 @@ def cold_and_warm(thunk) -> SimulationResult:
     return cold
 
 
+def assert_same_table(actual: OpTable, expected: OpTable) -> None:
+    """Column-by-column equality; durations compared bit for bit."""
+    assert actual.codes == expected.codes
+    assert [d.hex() for d in actual.durations] \
+        == [d.hex() for d in expected.durations]
+    assert actual.deps == expected.deps
+    assert actual.tags == expected.tags
+    assert actual.nbytes == expected.nbytes
+    assert actual.channels == expected.channels
+
+
 def check_cell(config, network: str, batch: int,
-               strategy: ParallelStrategy) -> None:
-    """Memo purity plus trace-equals-simulate for one training cell."""
+               strategy: ParallelStrategy, donors=()) -> None:
+    """Memo purity, structure sharing and trace-equals-simulate for one
+    training cell.
+
+    The cell's op table is emitted with the memos cleared, then again
+    after every ``donors`` config ran the same workload, so it is
+    priced from a structure a donor emitted wherever they share one.
+    """
+    def table() -> OpTable:
+        return iteration_timeline(config, network, batch, strategy).table
+
+    pricing.clear_caches()
+    cold_table = table()
+    pricing.clear_caches()
+    for donor in donors:
+        simulate(donor, network, batch, strategy)
+    assert_same_table(table(), cold_table)
+
     result = cold_and_warm(
         lambda: simulate(config, network, batch, strategy))
     timeline = iteration_timeline(config, network, batch, strategy)
+    assert_same_table(timeline.table, cold_table)
     assert timeline.makespan == result.iteration_time
     assert timeline.busy_time(EngineKind.COMPUTE) \
         == result.breakdown.compute
@@ -55,6 +92,12 @@ def check_cell(config, network: str, batch: int,
     assert (timeline.busy_time(EngineKind.DMA_OUT)
             + timeline.busy_time(EngineKind.DMA_IN)) \
         == result.breakdown.vmem
+
+
+def other_designs(design: str, **overrides) -> list:
+    """Every other paper design point, with the same overrides."""
+    return [dataclasses.replace(design_point(other), **overrides)
+            for other in DESIGN_ORDER if other != design]
 
 
 class TestEvaluationMatrix:
@@ -65,7 +108,8 @@ class TestEvaluationMatrix:
     def test_training_grid_cell(self, design, network):
         config = design_point(design)
         for strategy in (ParallelStrategy.DATA, ParallelStrategy.MODEL):
-            check_cell(config, network, 512, strategy)
+            check_cell(config, network, 512, strategy,
+                       donors=other_designs(design))
 
     @pytest.mark.parametrize("design", ("DC-DLA", "MC-DLA(B)"))
     def test_inference_cells(self, design):
@@ -99,12 +143,27 @@ class TestSubsystems:
         cold_and_warm(lambda: simulate_cluster(
             config, policy="fifo", n_jobs=8, seed=7))
 
-    @pytest.mark.parametrize("policy", ("next-op", "stride",
+    @pytest.mark.parametrize("policy", ("on-demand", "next-op", "stride",
                                         "cost-model", "clairvoyant"))
     def test_prefetch_policies(self, policy):
+        # Stride emits waste fetches; cost-model gates depend on each
+        # design's DMA prices, so its structures split by design.
         config = dataclasses.replace(design_point("MC-DLA(L)"),
                                      prefetch_policy=policy)
-        check_cell(config, "GoogLeNet", 128, ParallelStrategy.DATA)
+        check_cell(config, "GoogLeNet", 128, ParallelStrategy.DATA,
+                   donors=other_designs("MC-DLA(L)",
+                                        prefetch_policy=policy))
+
+    @pytest.mark.parametrize("design", ("DC-DLA", "MC-DLA(B)"))
+    @pytest.mark.parametrize("fault", ("flaky-link", "storm",
+                                       "node-loss"))
+    def test_fault_models(self, design, fault):
+        config = dataclasses.replace(design_point(design),
+                                     fault_model=fault)
+        donors = [design_point(design)] + other_designs(
+            design, fault_model=fault)
+        check_cell(config, "VGG-E", 64, ParallelStrategy.DATA,
+                   donors=donors)
 
 
 class TestEscapeHatch:
@@ -119,3 +178,103 @@ class TestEscapeHatch:
         c = design_point("DC-DLA", n_devices=4)
         assert c is not a and c.n_devices == 4
         pricing.clear_caches()
+
+
+def _grid_cells():
+    for design in DESIGN_ORDER:
+        for network in BENCHMARK_NAMES:
+            for strategy in (ParallelStrategy.DATA,
+                             ParallelStrategy.MODEL):
+                yield design_point(design), network, strategy
+
+
+class TestStructureSharing:
+    """Design points that share an op structure emit it once."""
+
+    def test_grid_emits_each_structure_once(self, monkeypatch):
+        adds = [0]
+        emitted = []
+        add = OpTable.add
+        build = build_iteration_ops
+
+        def counting_add(self, *args, **kwargs):
+            adds[0] += 1
+            return add(self, *args, **kwargs)
+
+        def counting_build(*args, **kwargs):
+            table = build(*args, **kwargs)
+            emitted.append(len(table))
+            return table
+
+        monkeypatch.setattr(OpTable, "add", counting_add)
+        monkeypatch.setattr("repro.core.simulator.build_iteration_ops",
+                            counting_build)
+        pricing.clear_caches()
+        registry = enable_metrics(fresh=True)
+        try:
+            for config, network, strategy in _grid_cells():
+                simulate(config, network, 512, strategy)
+            counters = {
+                (entry["name"], entry["labels"].get("memo")):
+                    entry["value"]
+                for entry in registry.snapshot()["counters"]}
+        finally:
+            disable_metrics()
+            pricing.clear_caches()
+        # 32 distinct structures (DC-DLA(O) never migrates; the other
+        # five designs share one per workload and strategy) hold 8,938
+        # ops; emitting per design point added 30,914.
+        assert adds[0] == 8938
+        assert len(emitted) == 96 and sum(emitted) == 30914
+        for memo in ("op-structure", "iteration-plan"):
+            assert counters[("repro_pricing_memo_misses_total",
+                             memo)] == 32
+            assert counters[("repro_pricing_memo_hits_total",
+                             memo)] == 64
+
+
+class TestStructureIsolation:
+    """Structures never cross plans."""
+
+    @pytest.mark.parametrize("first", (True, False))
+    def test_recompute_ablation_plans_keep_their_own(self, first):
+        from repro.core.design_points import dc_dla
+        from repro.dnn.registry import build_network
+
+        config = dc_dla()
+        net = build_network("VGG-E")
+        pricing.clear_caches()
+        expected = {True: (173, 26), False: (199, 0)}
+        for recompute in (first, not first):
+            ops = build_iteration_ops(
+                _recompute_plan(net, 512, config, recompute), config)
+            recomputes = sum(tag.startswith("recompute:")
+                             for tag in ops.tags)
+            assert (len(ops), recomputes) == expected[recompute]
+
+    def test_add_layer_after_simulate_gives_fresh_plan(self):
+        config = design_point("MC-DLA(B)")
+        net = benchmark_info("AlexNet").builder()
+        pricing.clear_caches()
+        before = simulate(config, net, 64)
+        plan = plan_iteration(net, config, 64, ParallelStrategy.DATA)
+        assert plan_iteration(net, config, 64,
+                              ParallelStrategy.DATA) is plan
+        old_ops = build_iteration_ops(plan, config)
+
+        last = net.layer_names[-1]
+        net.add_layer(Layer(name="extra_fc", kind=LayerKind.FC,
+                            out_elems=10, weight_elems=10 * 10,
+                            gemms=(fc_gemm(10, 10),)), inputs=[last])
+        after = simulate(config, net, 64)
+        fresh = plan_iteration(net, config, 64, ParallelStrategy.DATA)
+        assert fresh is not plan
+        new_ops = build_iteration_ops(fresh, config)
+        # The new plan holds structures of its own, none of the old.
+        assert fresh._memo
+        assert not ({id(v) for v in fresh._memo.values()}
+                    & {id(v) for v in plan._memo.values()})
+        assert "fwd:extra_fc" in new_ops.tags
+        assert "fwd:extra_fc" not in old_ops.tags
+        assert len(new_ops) > len(old_ops)
+        assert after.iteration_time > before.iteration_time
