@@ -11,11 +11,15 @@ SHA-256 of everything that determines the result:
 
 Layout: ``<root>/<generation>/<key[:2]>/<key>.json``, where the
 generation directory is the code fingerprint (the fan-out keeps
-directories small on big sweeps).  The first write of a new generation
-prunes older generations, so edits never accumulate orphaned entries.
-Writes are atomic (tmp + rename) so concurrent campaigns sharing a
-cache directory never read torn files.  Corrupt or unreadable entries
-read as misses.
+directories small on big sweeps).  A cache stamps its generation
+directory's modification time on its first write and on its first hit,
+and its first write prunes every other generation not stamped for
+:data:`STALE_GENERATION_SECONDS` (a week).  Two checkouts sharing one
+cache directory therefore keep each other's entries, while a
+generation no checkout uses any more is removed and edits never
+accumulate orphaned entries for long.  Writes are atomic (tmp +
+rename) so concurrent campaigns sharing a cache directory never read
+torn files.  Corrupt or unreadable entries read as misses.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ import json
 import os
 import shutil
 import tempfile
+import time
 from pathlib import Path
 
 from repro.core.metrics import SimulationResult
@@ -32,6 +37,9 @@ from repro.telemetry.registry import NOOP, on_activation
 
 #: Environment variable naming a cache directory shared across runs.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
+
+#: A generation last stamped longer ago than this is pruned.
+STALE_GENERATION_SECONDS = 7 * 24 * 3600
 
 #: Telemetry probes (rebound by the registry activation hook).  The
 #: per-instance ``hits``/``misses``/``bytes_read``/``bytes_written``
@@ -98,6 +106,7 @@ class ResultCache:
         self.root = Path(root)
         self.code_version = (code_version if code_version is not None
                              else code_fingerprint())
+        self._stamped = False
         self._pruned = False
         #: Lifetime lookup tallies (always on; see module docstring).
         self.hits = 0
@@ -128,19 +137,37 @@ class ResultCache:
     def path(self, key: str) -> Path:
         return self.generation_root / key[:2] / f"{key}.json"
 
+    def _stamp_generation(self) -> None:
+        """Mark this generation as in use now (once per instance, best
+        effort)."""
+        if self._stamped:
+            return
+        self._stamped = True
+        try:
+            os.utime(self.generation_root)
+        except OSError:
+            pass
+
     def _prune_stale_generations(self) -> None:
-        """Drop entries written by other code versions (best effort)."""
+        """Drop other code versions' generations that no cache has
+        stamped for :data:`STALE_GENERATION_SECONDS` (best effort)."""
         if self._pruned:
             return
         self._pruned = True
         current = self.generation_root.name
+        cutoff = time.time() - STALE_GENERATION_SECONDS
         try:
-            stale = [d for d in self.root.iterdir()
-                     if d.is_dir() and d.name != current]
+            others = [d for d in self.root.iterdir()
+                      if d.is_dir() and d.name != current]
         except OSError:
             return
-        for directory in stale:
-            shutil.rmtree(directory, ignore_errors=True)
+        for directory in others:
+            try:
+                stale = directory.stat().st_mtime < cutoff
+            except OSError:
+                continue
+            if stale:
+                shutil.rmtree(directory, ignore_errors=True)
 
     def get(self, key: str) -> SimulationResult | None:
         """The cached result for ``key``, or ``None`` on any miss."""
@@ -155,6 +182,7 @@ class ResultCache:
         self.bytes_read += len(text)
         _HIT.inc()
         _READ.inc(len(text))
+        self._stamp_generation()
         return result
 
     def put(self, key: str, result: SimulationResult) -> None:
@@ -162,6 +190,7 @@ class ResultCache:
         self._prune_stale_generations()
         path = self.path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
+        self._stamp_generation()
         payload = json.dumps(result.to_dict(), sort_keys=True)
         self.bytes_written += len(payload)
         _WRITTEN.inc(len(payload))

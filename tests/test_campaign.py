@@ -7,12 +7,14 @@ so ``==`` is the byte-identity assertion).
 """
 
 import json
+import os
+import time
 
 import pytest
 
 from repro.campaign import (CampaignError, CampaignPoint, ResultCache,
                             grid, run_campaign)
-from repro.campaign.cache import code_fingerprint
+from repro.campaign.cache import STALE_GENERATION_SECONDS, code_fingerprint
 from repro.campaign.cli import main as campaign_cli
 from repro.campaign.points import canonicalize
 from repro.core.design_points import design_point
@@ -92,6 +94,12 @@ class TestSerialization:
         assert replayed.strategy is ParallelStrategy.MODEL
 
 
+def _age(directory, seconds: float) -> None:
+    """Set ``directory``'s modification time ``seconds`` into the past."""
+    stamp = time.time() - seconds
+    os.utime(directory, (stamp, stamp))
+
+
 class TestCache:
     def test_miss_then_hit(self, cache):
         first = run_campaign(SMALL_GRID, cache=cache)
@@ -106,11 +114,42 @@ class TestCache:
         new = ResultCache(tmp_path, code_version="v-new")
         run_campaign(SMALL_GRID[:1], cache=old)
         assert old.generation_root.is_dir()
+        _age(old.generation_root, STALE_GENERATION_SECONDS + 60)
         report = run_campaign(SMALL_GRID[:1], cache=new)
         assert not report.outcomes[0].cached
-        # The first write of the new generation prunes the old one.
+        # The first write of the new generation prunes the stale one.
         assert not old.generation_root.exists()
         assert len(new) == 1
+
+    def test_generation_in_use_survives_other_versions(self, tmp_path):
+        """Two checkouts sharing a cache keep each other's entries."""
+        old = ResultCache(tmp_path, code_version="v-old")
+        new = ResultCache(tmp_path, code_version="v-new")
+        run_campaign(SMALL_GRID[:1], cache=old)
+        run_campaign(SMALL_GRID[:1], cache=new)
+        assert len(old) == 1 and len(new) == 1
+        replay = run_campaign(SMALL_GRID[:1],
+                              cache=ResultCache(tmp_path,
+                                                code_version="v-old"))
+        assert replay.outcomes[0].cached
+
+    def test_generation_stamped_eight_days_ago_is_pruned(self, tmp_path):
+        old = ResultCache(tmp_path, code_version="v-old")
+        run_campaign(SMALL_GRID[:1], cache=old)
+        _age(old.generation_root, 8 * 24 * 3600)
+        run_campaign(SMALL_GRID[:1],
+                     cache=ResultCache(tmp_path, code_version="v-new"))
+        assert not old.generation_root.exists()
+
+    def test_first_hit_stamps_generation(self, tmp_path):
+        old = ResultCache(tmp_path, code_version="v-old")
+        run_campaign(SMALL_GRID[:1], cache=old)
+        _age(old.generation_root, 8 * 24 * 3600)
+        reader = ResultCache(tmp_path, code_version="v-old")
+        assert run_campaign(SMALL_GRID[:1], cache=reader).outcomes[0].cached
+        run_campaign(SMALL_GRID[:1],
+                     cache=ResultCache(tmp_path, code_version="v-new"))
+        assert len(old) == 1
 
     def test_corrupt_entry_is_a_miss(self, cache):
         run_campaign(SMALL_GRID[:1], cache=cache)
