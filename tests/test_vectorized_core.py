@@ -236,7 +236,8 @@ class TestStructureSharing:
 class TestStructureIsolation:
     """Structures never cross plans."""
 
-    @pytest.mark.parametrize("first", (True, False))
+    @pytest.mark.parametrize("first", (True, False),
+                             ids=("on-first", "off-first"))
     def test_recompute_ablation_plans_keep_their_own(self, first):
         from repro.core.design_points import dc_dla
         from repro.dnn.registry import build_network
