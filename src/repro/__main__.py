@@ -109,94 +109,35 @@ def _fleet() -> str:
     return format_cluster_comparison(run_cluster_comparison())
 
 
-def _prefetch_main(argv: list[str]) -> int:
-    """``python -m repro prefetch``: the policy x design x mode study."""
-    from repro.experiments.prefetch_comparison import (
-        MODES, format_prefetch_comparison, run_prefetch_comparison,
-        scalars_json)
-    from repro.vmem.prefetch import PREFETCH_POLICY_ORDER
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro prefetch",
-        description="Compare vmem prefetch/eviction policies across "
-                    "all six designs in training, pipeline, serving, "
-                    "and cluster modes.")
-    parser.add_argument(
-        "--policies", default=",".join(PREFETCH_POLICY_ORDER),
-        help="comma-separated policies (default: all five)")
-    parser.add_argument(
-        "--modes", default=",".join(MODES),
-        help="comma-separated modes (default: all four)")
-    parser.add_argument(
-        "--quick", action="store_true",
-        help="smoke run: training mode only, on AlexNet")
-    parser.add_argument(
-        "-j", "--jobs", type=int, default=1,
-        help="worker processes (default: 1)")
-    parser.add_argument(
-        "--format", choices=("table", "json"), default="table",
-        help="output format (default: table); json emits the study's "
-             "key scalars, sorted and byte-deterministic")
-    parser.add_argument(
-        "-o", "--output", default=None,
-        help="write output to this file instead of stdout")
-    from repro.telemetry.session import (TelemetrySession,
-                                         add_telemetry_argument)
-    add_telemetry_argument(parser)
-    args = parser.parse_args(argv)
-
-    policies = [p.strip() for p in args.policies.split(",")
-                if p.strip()]
-    unknown = [p for p in policies if p not in PREFETCH_POLICY_ORDER]
-    if unknown:
-        print(f"unknown policy(ies): {', '.join(unknown)}; known: "
-              f"{', '.join(PREFETCH_POLICY_ORDER)}", file=sys.stderr)
-        return 2
-    modes = [m.strip() for m in args.modes.split(",") if m.strip()]
-    bad = [m for m in modes if m not in MODES]
-    if bad:
-        print(f"unknown mode(s): {', '.join(bad)}; known: "
-              f"{', '.join(MODES)}", file=sys.stderr)
-        return 2
-    kwargs = {}
-    if args.quick:
-        modes = ["training"]
-        kwargs["training_network"] = "AlexNet"
-
-    session = TelemetrySession(
-        tool="prefetch", argv=argv, enabled=args.telemetry,
-        output=args.output,
-        config={"policies": policies, "modes": modes, **kwargs})
-    with session:
-        study = run_prefetch_comparison(policies=tuple(policies),
-                                        modes=tuple(modes),
-                                        jobs=args.jobs, **kwargs)
-    text = (scalars_json(study) if args.format == "json"
-            else format_prefetch_comparison(study))
-    if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(text + "\n")
+def _mode_study_main(tool: str, argv: list[str]) -> int:
+    """``python -m repro prefetch`` / ``faults``: one swept axis x the
+    six designs x the four execution modes."""
+    from repro.experiments.modes import MODES, scalars_json
+    if tool == "prefetch":
+        from repro.experiments.prefetch_comparison import (
+            format_prefetch_comparison as render,
+            run_prefetch_comparison as run)
+        from repro.vmem.prefetch import PREFETCH_POLICY_ORDER as known
+        flag, noun = "--policies", "policy(ies)"
+        description = ("Compare vmem prefetch/eviction policies across "
+                       "all six designs in training, pipeline, "
+                       "serving, and cluster modes.")
+        values_help = "comma-separated policies (default: all five)"
     else:
-        print(text)
-    return 0
+        from repro.experiments.faults_comparison import (
+            format_fault_comparison as render,
+            run_fault_comparison as run)
+        from repro.faults.model import FAULT_MODEL_ORDER as known
+        flag, noun = "--fault-models", "fault model(s)"
+        description = ("Inject deterministic fault models (link flaps, "
+                       "stragglers, memory-node loss) across all six "
+                       "designs in training, pipeline, serving, and "
+                       "cluster modes and report slowdown/availability.")
+        values_help = "comma-separated fault models (default: all six)"
 
-
-def _faults_main(argv: list[str]) -> int:
-    """``python -m repro faults``: the fault x design x mode study."""
-    from repro.experiments.faults_comparison import (
-        MODES, format_fault_comparison, run_fault_comparison,
-        scalars_json)
-    from repro.faults.model import FAULT_MODEL_ORDER
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro faults",
-        description="Inject deterministic fault models (link flaps, "
-                    "stragglers, memory-node loss) across all six "
-                    "designs in training, pipeline, serving, and "
-                    "cluster modes and report slowdown/availability.")
-    parser.add_argument(
-        "--fault-models", default=",".join(FAULT_MODEL_ORDER),
-        help="comma-separated fault models (default: all six)")
+    parser = argparse.ArgumentParser(prog=f"python -m repro {tool}",
+                                     description=description)
+    parser.add_argument(flag, default=",".join(known), help=values_help)
     parser.add_argument(
         "--modes", default=",".join(MODES),
         help="comma-separated modes (default: all four)")
@@ -218,34 +159,39 @@ def _faults_main(argv: list[str]) -> int:
     add_telemetry_argument(parser)
     args = parser.parse_args(argv)
 
-    models = [m.strip() for m in args.fault_models.split(",")
-              if m.strip()]
-    unknown = [m for m in models if m not in FAULT_MODEL_ORDER]
-    if unknown:
-        print(f"unknown fault model(s): {', '.join(unknown)}; known: "
-              f"{', '.join(FAULT_MODEL_ORDER)}", file=sys.stderr)
+    if args.jobs < 1:
+        print(f"{tool}: --jobs must be >= 1", file=sys.stderr)
         return 2
+    key = flag[2:].replace("-", "_")  # argparse dest = config key
+    values = [v.strip() for v in getattr(args, key).split(",")
+              if v.strip()]
     modes = [m.strip() for m in args.modes.split(",") if m.strip()]
-    bad = [m for m in modes if m not in MODES]
-    if bad:
-        print(f"unknown mode(s): {', '.join(bad)}; known: "
-              f"{', '.join(MODES)}", file=sys.stderr)
-        return 2
+    for option, given, allowed, what in (
+            (flag, values, known, noun),
+            ("--modes", modes, MODES, "mode(s)")):
+        if not given:
+            print(f"{tool}: {option} needs at least one value",
+                  file=sys.stderr)
+            return 2
+        unknown = [v for v in given if v not in allowed]
+        if unknown:
+            print(f"unknown {what}: {', '.join(unknown)}; known: "
+                  f"{', '.join(allowed)}", file=sys.stderr)
+            return 2
     kwargs = {}
     if args.quick:
         modes = ["training"]
         kwargs["training_network"] = "AlexNet"
 
     session = TelemetrySession(
-        tool="faults", argv=argv, enabled=args.telemetry,
+        tool=tool, argv=argv, enabled=args.telemetry,
         output=args.output,
-        config={"fault_models": models, "modes": modes, **kwargs})
+        config={key: values, "modes": modes, **kwargs})
     with session:
-        study = run_fault_comparison(models=tuple(models),
-                                     modes=tuple(modes),
-                                     jobs=args.jobs, **kwargs)
+        study = run(tuple(values), tuple(modes), jobs=args.jobs,
+                    **kwargs)
     text = (scalars_json(study) if args.format == "json"
-            else format_fault_comparison(study))
+            else render(study))
     if args.output:
         with open(args.output, "w") as handle:
             handle.write(text + "\n")
@@ -478,11 +424,8 @@ def main(argv: list[str] | None = None) -> int:
         from repro.cluster.cli import main as cluster_main
         return cluster_main(args[1:])
 
-    if args[0] == "prefetch":
-        return _prefetch_main(args[1:])
-
-    if args[0] == "faults":
-        return _faults_main(args[1:])
+    if args[0] in ("prefetch", "faults"):
+        return _mode_study_main(args[0], args[1:])
 
     if args[0] == "claims":
         from repro.scenarios.cli import main as claims_main

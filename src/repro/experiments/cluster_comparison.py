@@ -16,9 +16,9 @@ device-centric baseline's JCT p95 sits multiples above every MC
 design at equal pool capacity, and smarter scheduling (SJF, pool-aware
 packing, gang backfill) only narrows the gap it cannot close.
 
-Runs entirely through the campaign engine (process fan-out + disk
-cache) and is deterministic for a fixed seed: two runs produce
-byte-identical JSON.
+The cells are declared as scenarios and run through the scenario
+runner (process fan-out + disk cache); the study is deterministic for
+a fixed seed: two runs produce byte-identical JSON.
 """
 
 from __future__ import annotations
@@ -26,10 +26,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from repro.campaign import ResultCache, cluster_grid, run_campaign
+from repro.campaign import ResultCache
 from repro.core.design_points import DESIGN_ORDER
 from repro.core.metrics import ClusterStats
 from repro.experiments.report import format_table, percent
+from repro.scenarios.dsl import DesignSpec, FleetSpec, Scenario
+from repro.scenarios.runner import run_study
 from repro.units import TB
 
 DEFAULT_POLICIES = ("fifo", "sjf", "pool-fit", "gang")
@@ -94,19 +96,6 @@ class ClusterComparison:
         return out
 
 
-def comparison_points(policies: tuple[str, ...] = DEFAULT_POLICIES,
-                      n_jobs: int = DEFAULT_JOBS,
-                      seed: int = DEFAULT_SEED,
-                      pool_capacity: int = DEFAULT_POOL_CAPACITY,
-                      arrival_rate: float = DEFAULT_ARRIVAL_RATE):
-    """The study's campaign cells."""
-    return cluster_grid(DESIGN_ORDER, policies=policies,
-                        job_mixes=(DEFAULT_JOB_MIX,),
-                        n_jobs=n_jobs, seed=seed,
-                        arrival_rate=arrival_rate,
-                        pool_capacity=pool_capacity)
-
-
 def run_cluster_comparison(
         policies: tuple[str, ...] = DEFAULT_POLICIES,
         n_jobs: int = DEFAULT_JOBS,
@@ -115,21 +104,21 @@ def run_cluster_comparison(
         arrival_rate: float = DEFAULT_ARRIVAL_RATE,
         jobs: int = 1,
         cache: ResultCache | None = None) -> ClusterComparison:
-    """Run the study through the campaign engine."""
-    if cache is None:
-        cache = ResultCache.from_env()
-    report = run_campaign(
-        comparison_points(policies, n_jobs, seed, pool_capacity,
-                          arrival_rate),
-        jobs=jobs, cache=cache).raise_failures()
-
-    stats: dict[tuple[str, str], ClusterStats] = {}
-    for outcome in report.outcomes:
-        cluster = outcome.result.cluster
-        stats[(outcome.point.design, cluster.policy)] = cluster
-    return ClusterComparison(job_mix=DEFAULT_JOB_MIX, n_jobs=n_jobs,
-                             pool_capacity=pool_capacity,
-                             policies=tuple(policies), stats=stats)
+    """Run the study's ``(design, policy)`` scenarios."""
+    scenarios = {
+        (design, policy): Scenario(
+            name=f"{design}/{policy}", system=DesignSpec(design),
+            fleet=FleetSpec(policy=policy, job_mix=DEFAULT_JOB_MIX,
+                            n_jobs=n_jobs, seed=seed,
+                            arrival_rate=arrival_rate,
+                            pool_capacity=pool_capacity))
+        for policy in policies for design in DESIGN_ORDER
+    }
+    results = run_study(scenarios, jobs=jobs, cache=cache)
+    return ClusterComparison(
+        job_mix=DEFAULT_JOB_MIX, n_jobs=n_jobs,
+        pool_capacity=pool_capacity, policies=tuple(policies),
+        stats={key: result.cluster for key, result in results.items()})
 
 
 def format_cluster_comparison(study: ClusterComparison) -> str:

@@ -13,27 +13,27 @@ transformer era; on top of that, splitting backward into B/W ops lets
 ZB-H1 fill 1F1B's steady-state bubbles with deferred weight-grad work
 at the same activation-stash bound.
 
-Runs entirely through the campaign engine, so cells fan out across
-worker processes and replay from the shared disk cache.
+The cells are declared as scenarios and run through the scenario
+runner, so they fan out across worker processes and replay from the
+shared disk cache.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.campaign import ResultCache, grid, pipeline_grid, run_campaign
+from repro.campaign import ResultCache
 from repro.core.design_points import DESIGN_ORDER
 from repro.core.metrics import SimulationResult
 from repro.dnn.registry import TRANSFORMER_NAMES
 from repro.experiments.report import format_table, percent
-from repro.training.parallel import ParallelStrategy
+from repro.scenarios.dsl import DesignSpec, Scenario, WorkloadSpec
+from repro.scenarios.runner import run_study
 
-#: Presentation order of the strategy variants.
+#: Presentation order of the strategy variants: ``strategy`` or
+#: ``pipeline/<schedule>``.
 VARIANTS = ("data", "model", "pipeline/gpipe", "pipeline/1f1b",
             "pipeline/zb-h1", "pipeline/interleaved")
-
-#: Pipeline schedules the study sweeps (presentation order).
-SCHEDULES = ("gpipe", "1f1b", "zb-h1", "interleaved")
 
 DEFAULT_BATCH = 512
 DEFAULT_MICROBATCHES = 8
@@ -72,15 +72,13 @@ class PipelineComparison:
             network, design, v).iteration_time)
 
 
-def comparison_points(batch: int = DEFAULT_BATCH,
-                      microbatches: int = DEFAULT_MICROBATCHES):
-    """The study's campaign cells (data/model plus both schedules)."""
-    flat = grid(DESIGN_ORDER, TRANSFORMER_NAMES, (batch,),
-                (ParallelStrategy.DATA, ParallelStrategy.MODEL))
-    piped = pipeline_grid(DESIGN_ORDER, TRANSFORMER_NAMES, (batch,),
-                          schedules=SCHEDULES,
-                          microbatches=microbatches)
-    return flat + piped
+def _workload(network: str, variant: str, batch: int,
+              microbatches: int) -> WorkloadSpec:
+    strategy, _, schedule = variant.partition("/")
+    # The schedule knob only lowers under the pipeline strategy.
+    return WorkloadSpec(network, batch=batch, strategy=strategy,
+                        microbatches=microbatches,
+                        schedule=schedule or "1f1b")
 
 
 def run_pipeline_comparison(
@@ -88,24 +86,18 @@ def run_pipeline_comparison(
         microbatches: int = DEFAULT_MICROBATCHES,
         jobs: int = 1,
         cache: ResultCache | None = None) -> PipelineComparison:
-    """Run the study through the campaign engine."""
-    if cache is None:
-        cache = ResultCache.from_env()
-    report = run_campaign(comparison_points(batch, microbatches),
-                          jobs=jobs, cache=cache).raise_failures()
-
-    results: dict[tuple[str, str, str], SimulationResult] = {}
-    for outcome in report.outcomes:
-        point = outcome.point
-        if point.strategy is ParallelStrategy.DATA:
-            variant = "data"
-        elif point.strategy is ParallelStrategy.MODEL:
-            variant = "model"
-        else:
-            variant = "pipeline/" + point.name.split("|", 1)[1]
-        results[(point.network, point.design, variant)] = outcome.result
-    return PipelineComparison(batch=batch, microbatches=microbatches,
-                              results=results)
+    """Run the study's ``(network, design, variant)`` scenarios."""
+    scenarios = {
+        (network, design, variant): Scenario(
+            name=f"{network}/{design}/{variant}",
+            system=DesignSpec(design),
+            workload=_workload(network, variant, batch, microbatches))
+        for variant in VARIANTS for network in TRANSFORMER_NAMES
+        for design in DESIGN_ORDER
+    }
+    return PipelineComparison(
+        batch=batch, microbatches=microbatches,
+        results=run_study(scenarios, jobs=jobs, cache=cache))
 
 
 def format_pipeline_comparison(study: PipelineComparison) -> str:

@@ -25,35 +25,25 @@ while the stride predictor shows the waste side of the trade-off:
 mispredicted and evicted speculative fetches move gigabytes nothing
 consumes.
 
-Runs entirely through the campaign engine (process fan-out + disk
-cache) and is deterministic: two runs produce byte-identical JSON.
+The cells are the shared four-mode scenarios of
+:mod:`repro.experiments.modes`, run through the scenario runner
+(process fan-out + disk cache); two runs produce byte-identical JSON.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Any
 
-from repro.campaign import CampaignPoint, ResultCache, run_campaign
+from repro.campaign import ResultCache
 from repro.core.design_points import DESIGN_ORDER
 from repro.core.metrics import SimulationResult
+from repro.experiments.modes import (DEFAULT_CLUSTER_JOBS,
+                                     DEFAULT_TRAINING_NETWORK, MODES,
+                                     run_mode_study, scalars_json)
 from repro.experiments.report import format_table, percent
-from repro.training.parallel import ParallelStrategy
-from repro.units import GB, TB
+from repro.units import GB
 from repro.vmem.prefetch import ON_DEMAND, PREFETCH_POLICY_ORDER
-
-MODES = ("training", "pipeline", "serving", "cluster")
-
-DEFAULT_TRAINING_NETWORK = "VGG-E"
-DEFAULT_TRAINING_BATCH = 512
-DEFAULT_PIPELINE_NETWORK = "GPT2"
-DEFAULT_PIPELINE_BATCH = 64
-DEFAULT_SERVING_NETWORK = "GPT2"
-DEFAULT_SERVING_RATE = 800.0
-DEFAULT_SERVING_REQUESTS = 128
-DEFAULT_CLUSTER_JOBS = 12
-DEFAULT_CLUSTER_POOL = 1 * TB
 
 #: The designs the strict stall-reduction claim covers.
 MC_DESIGNS = ("MC-DLA(S)", "MC-DLA(L)", "MC-DLA(B)")
@@ -107,66 +97,6 @@ class PrefetchComparison:
         return out
 
 
-def comparison_points(policies=PREFETCH_POLICY_ORDER, modes=MODES,
-                      cluster_jobs: int = DEFAULT_CLUSTER_JOBS,
-                      training_network: str = DEFAULT_TRAINING_NETWORK) \
-        -> tuple[CampaignPoint, ...]:
-    """The study's campaign cells, mode-major."""
-    points: list[CampaignPoint] = []
-    for mode in modes:
-        if mode not in MODES:
-            raise ValueError(f"unknown mode {mode!r}; "
-                             f"known: {', '.join(MODES)}")
-        for policy in policies:
-            knob = ("prefetch_policy", policy)
-            for design in DESIGN_ORDER:
-                if mode == "training":
-                    points.append(CampaignPoint(
-                        design=design, network=training_network,
-                        batch=DEFAULT_TRAINING_BATCH,
-                        replacements=(knob,),
-                        label=f"{design}|{policy}|training"))
-                elif mode == "pipeline":
-                    points.append(CampaignPoint(
-                        design=design,
-                        network=DEFAULT_PIPELINE_NETWORK,
-                        batch=DEFAULT_PIPELINE_BATCH,
-                        strategy=ParallelStrategy.PIPELINE,
-                        replacements=(knob,),
-                        label=f"{design}|{policy}|pipeline"))
-                elif mode == "serving":
-                    points.append(CampaignPoint(
-                        design=design,
-                        network=DEFAULT_SERVING_NETWORK,
-                        batch=8,
-                        replacements=(knob,),
-                        serving=(
-                            ("max_batch", 8),
-                            ("max_wait", 0.002),
-                            ("n_requests", DEFAULT_SERVING_REQUESTS),
-                            ("rate", DEFAULT_SERVING_RATE),
-                            ("seed", 0),
-                            ("slo", 0.05)),
-                        label=f"{design}|{policy}|serving"))
-                else:
-                    points.append(CampaignPoint(
-                        design=design, network="mix:balanced",
-                        batch=cluster_jobs,
-                        replacements=(knob,),
-                        cluster=(
-                            ("arrival_rate", 0.05),
-                            ("job_mix", "balanced"),
-                            ("n_jobs", cluster_jobs),
-                            # Oversubscribed so spilling occurs and the
-                            # policy's exposure actually prices.
-                            ("oversubscription", 1.5),
-                            ("policy", "fifo"),
-                            ("pool_capacity", DEFAULT_CLUSTER_POOL),
-                            ("seed", 0)),
-                        label=f"{design}|{policy}|cluster"))
-    return tuple(points)
-
-
 def run_prefetch_comparison(policies=PREFETCH_POLICY_ORDER,
                             modes=MODES,
                             cluster_jobs: int = DEFAULT_CLUSTER_JOBS,
@@ -175,19 +105,10 @@ def run_prefetch_comparison(policies=PREFETCH_POLICY_ORDER,
                             jobs: int = 1,
                             cache: ResultCache | None = None) \
         -> PrefetchComparison:
-    """Run the study through the campaign engine."""
-    if cache is None:
-        cache = ResultCache.from_env()
-    points = comparison_points(policies, modes, cluster_jobs,
-                               training_network)
-    report = run_campaign(points, jobs=jobs,
-                          cache=cache).raise_failures()
-    results: dict[tuple[str, str, str], SimulationResult] = {}
-    for outcome in report.outcomes:
-        design, policy, mode = outcome.point.label.split("|")
-        results[(mode, design, policy)] = outcome.result
-    return PrefetchComparison(policies=tuple(policies),
-                              modes=tuple(modes), results=results)
+    """Run the study through the scenario runner."""
+    return run_mode_study(PrefetchComparison, "prefetch_policy",
+                          policies, modes, cluster_jobs,
+                          training_network, jobs, cache)
 
 
 def _mode_rows(study: PrefetchComparison, mode: str) -> list[list]:
@@ -273,6 +194,6 @@ def format_prefetch_comparison(study: PrefetchComparison) -> str:
     return "\n".join(blocks) + "\n" + "\n".join(lines)
 
 
-def scalars_json(study: PrefetchComparison) -> str:
-    """The study's scalars as deterministic, sorted JSON."""
-    return json.dumps(study.scalars(), indent=2, sort_keys=True)
+__all__ = ["MC_DESIGNS", "MODES", "PrefetchComparison",
+           "format_prefetch_comparison", "run_prefetch_comparison",
+           "scalars_json"]

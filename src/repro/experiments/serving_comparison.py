@@ -15,18 +15,21 @@ attainment collapses an order of magnitude below the memory-centric
 designs' knee -- while MC-DLA(B) tracks the infinite-memory oracle
 within a few percent of goodput at every load.
 
-Runs entirely through the campaign engine (process fan-out + disk
-cache).
+The cells are declared as scenarios and run through the scenario
+runner (process fan-out + disk cache).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.campaign import ResultCache, run_campaign, serving_grid
+from repro.campaign import ResultCache
 from repro.core.design_points import DESIGN_ORDER
 from repro.core.metrics import ServingStats
 from repro.experiments.report import format_table, percent
+from repro.scenarios.dsl import (DesignSpec, Scenario, TrafficSpec,
+                                 WorkloadSpec)
+from repro.scenarios.runner import run_study
 
 DEFAULT_NETWORK = "GPT2"
 #: The offered-load ladder (requests/sec) climbed until SLO collapse.
@@ -74,17 +77,6 @@ class ServingComparison:
         return max(self.at(design, r).goodput for r in self.rates)
 
 
-def comparison_points(network: str = DEFAULT_NETWORK,
-                      rates: tuple[float, ...] = DEFAULT_RATES,
-                      slo_ms: float = DEFAULT_SLO_MS,
-                      policy: tuple[int, float] = DEFAULT_POLICY,
-                      n_requests: int = 512):
-    """The study's campaign cells."""
-    return serving_grid(DESIGN_ORDER, (network,), rates,
-                        slo_ms=(slo_ms,), batch_policies=(policy,),
-                        n_requests=n_requests)
-
-
 def run_serving_comparison(
         network: str = DEFAULT_NETWORK,
         rates: tuple[float, ...] = DEFAULT_RATES,
@@ -93,20 +85,22 @@ def run_serving_comparison(
         n_requests: int = 512,
         jobs: int = 1,
         cache: ResultCache | None = None) -> ServingComparison:
-    """Run the study through the campaign engine."""
-    if cache is None:
-        cache = ResultCache.from_env()
-    report = run_campaign(
-        comparison_points(network, rates, slo_ms, policy, n_requests),
-        jobs=jobs, cache=cache).raise_failures()
-
-    stats: dict[tuple[str, float], ServingStats] = {}
-    for outcome in report.outcomes:
-        serving = outcome.result.serving
-        stats[(outcome.point.design, serving.offered_rate)] = serving
-    return ServingComparison(network=network, slo_ms=slo_ms,
-                             rates=tuple(float(r) for r in rates),
-                             stats=stats)
+    """Run the study's ``(design, rate)`` scenarios."""
+    max_batch, max_wait_ms = policy
+    scenarios = {
+        (design, float(rate)): Scenario(
+            name=f"{design}/{rate:g}", system=DesignSpec(design),
+            workload=WorkloadSpec(network),
+            traffic=TrafficSpec(rate=rate, n_requests=n_requests,
+                                slo_ms=slo_ms, max_batch=max_batch,
+                                max_wait_ms=max_wait_ms))
+        for rate in rates for design in DESIGN_ORDER
+    }
+    results = run_study(scenarios, jobs=jobs, cache=cache)
+    return ServingComparison(
+        network=network, slo_ms=slo_ms,
+        rates=tuple(float(r) for r in rates),
+        stats={key: result.serving for key, result in results.items()})
 
 
 def format_serving_comparison(study: ServingComparison) -> str:

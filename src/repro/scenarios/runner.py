@@ -1,20 +1,29 @@
-"""Execute claim suites through the campaign engine.
+"""Execute scenarios through the campaign engine.
 
-:func:`run_suite` lowers every scenario to a campaign point, fans the
-cells out through :func:`repro.campaign.runner.run_campaign` (same
-process pool, same content-addressed cache as CLI campaigns), then
-evaluates the suite's claims against the per-scenario results.  A
-scenario that fails to simulate does not abort the run: every claim
-binding it reports ERROR with the cell's error text, and unrelated
-claims still evaluate.
+:func:`run_scenarios` is the one place scenarios meet the engine: it
+lowers every scenario to a campaign point and fans the cells out
+through :func:`repro.campaign.runner.run_campaign` (same process pool,
+same content-addressed cache as CLI campaigns) under the
+:func:`~repro.scenarios.lowering.scenario_design_point` factory, so a
+cell declared once keys one cache entry whoever runs it.  Two callers:
+
+* :func:`run_suite` evaluates a :class:`ClaimSuite`'s claims against
+  the per-scenario results.  A scenario that fails to simulate does
+  not abort the run: every claim binding it reports ERROR with the
+  cell's error text, and unrelated claims still evaluate.
+* :func:`run_study` runs a comparison study's ``{key: Scenario}``
+  declaration and hands the results back under the same keys.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
+from typing import TypeVar
 
 from repro.campaign.cache import ResultCache
-from repro.campaign.runner import ProgressFn, run_campaign
+from repro.campaign.runner import (CampaignError, CellOutcome, ProgressFn,
+                                   run_campaign)
 from repro.core.metrics import SimulationResult
 from repro.scenarios.claims import Claim, evaluate_claims
 from repro.scenarios.dsl import Scenario
@@ -63,21 +72,53 @@ class ClaimSuite:
         raise KeyError(f"no scenario named {name!r}")
 
 
+K = TypeVar("K")
+
+
+def run_scenarios(scenarios: Mapping[K, Scenario], *, jobs: int = 1,
+                  cache: ResultCache | None = None,
+                  progress: ProgressFn | None = None) \
+        -> dict[K, CellOutcome]:
+    """Simulate every scenario; outcomes come back under its key, in
+    declaration order."""
+    points = [lower_scenario(s) for s in scenarios.values()]
+    report = run_campaign(points, jobs=jobs, cache=cache,
+                          factory=scenario_design_point,
+                          progress=progress)
+    return dict(zip(scenarios, report.outcomes))
+
+
+def run_study(scenarios: Mapping[K, Scenario], *, jobs: int = 1,
+              cache: ResultCache | None = None) \
+        -> dict[K, SimulationResult]:
+    """A comparison study's results, keyed as declared.
+
+    ``cache=None`` means ``$REPRO_CACHE_DIR`` (no cache when unset).
+    Raises :class:`~repro.campaign.runner.CampaignError` naming every
+    cell that failed: a study needs all of its cells.
+    """
+    if cache is None:
+        cache = ResultCache.from_env()
+    outcomes = run_scenarios(scenarios, jobs=jobs, cache=cache)
+    failures = tuple(o for o in outcomes.values() if not o.ok)
+    if failures:
+        raise CampaignError(failures)
+    return {key: outcome.result for key, outcome in outcomes.items()}
+
+
 def run_suite(suite: ClaimSuite, *, jobs: int = 1,
               cache: ResultCache | None = None,
               progress: ProgressFn | None = None) -> SuiteReport:
     """Simulate every scenario and evaluate every claim."""
-    points = [lower_scenario(s) for s in suite.scenarios]
-    report = run_campaign(points, jobs=jobs, cache=cache,
-                          factory=scenario_design_point,
-                          progress=progress)
+    outcomes = run_scenarios({s.name: s for s in suite.scenarios},
+                             jobs=jobs, cache=cache, progress=progress)
     results: dict[str, SimulationResult] = {}
     errors: dict[str, str] = {}
-    for scenario, outcome in zip(suite.scenarios, report.outcomes):
+    for name, outcome in outcomes.items():
         if outcome.ok:
-            results[scenario.name] = outcome.result
+            results[name] = outcome.result
         else:
-            errors[scenario.name] = outcome.error or "unknown error"
+            errors[name] = outcome.error or "unknown error"
 
     def lookup(name: str) -> SimulationResult:
         if name in errors:
@@ -94,5 +135,5 @@ def run_suite(suite: ClaimSuite, *, jobs: int = 1,
                          for s in suite.scenarios)
     return SuiteReport(
         suite=suite.name, verdicts=verdicts,
-        fingerprints=fingerprints, n_cells=len(points),
-        cached=report.cached_count)
+        fingerprints=fingerprints, n_cells=len(outcomes),
+        cached=sum(o.cached for o in outcomes.values()))

@@ -8,8 +8,9 @@ import pytest
 
 from repro.__main__ import main as repro_main
 from repro.core.design_points import DESIGN_ORDER
+from repro.experiments.modes import mode_scenarios
 from repro.experiments.prefetch_comparison import (
-    MC_DESIGNS, MODES, comparison_points, format_prefetch_comparison,
+    MC_DESIGNS, MODES, format_prefetch_comparison,
     run_prefetch_comparison, scalars_json)
 from repro.vmem.prefetch import ON_DEMAND, PREFETCH_POLICY_ORDER
 
@@ -28,14 +29,17 @@ class TestStudy:
                 assert result.prefetch.policy == policy
 
     def test_full_grid_shape(self):
-        points = comparison_points()
-        assert len(points) == (len(MODES) * len(DESIGN_ORDER)
-                               * len(PREFETCH_POLICY_ORDER))
-        assert len({p.label for p in points}) == len(points)
+        scenarios = mode_scenarios("prefetch_policy",
+                                   PREFETCH_POLICY_ORDER)
+        assert len(scenarios) == (len(MODES) * len(DESIGN_ORDER)
+                                  * len(PREFETCH_POLICY_ORDER))
+        assert len({s.name for s in scenarios.values()}) \
+            == len(scenarios)
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="unknown mode"):
-            comparison_points(modes=("training", "chaos"))
+            mode_scenarios("prefetch_policy", PREFETCH_POLICY_ORDER,
+                           modes=("training", "chaos"))
 
     def test_clairvoyant_strictly_reduces_stall_on_mc(self,
                                                       quick_study):
@@ -95,6 +99,16 @@ class TestPrefetchCli:
     def test_unknown_mode_rejected(self, capsys):
         assert repro_main(["prefetch", "--modes", "chaos"]) == 2
         assert "unknown mode" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("policies", ["", ","])
+    def test_empty_policies_rejected(self, capsys, policies):
+        assert repro_main(["prefetch", "--policies", policies]) == 2
+        assert "--policies needs at least one value" \
+            in capsys.readouterr().err
+
+    def test_nonpositive_jobs_rejected(self, capsys):
+        assert repro_main(["prefetch", "--quick", "--jobs", "-2"]) == 2
+        assert "--jobs must be >= 1" in capsys.readouterr().err
 
     def test_listed_in_usage(self, capsys):
         assert repro_main([]) == 0

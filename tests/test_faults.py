@@ -27,8 +27,8 @@ from repro.core.metrics import FaultStats, SimulationResult
 from repro.core.simulator import simulate
 from repro.core.trace import cluster_chrome_trace
 from repro.experiments.faults_comparison import (
-    MODES, comparison_points, format_fault_comparison,
-    run_fault_comparison, scalars_json)
+    MODES, format_fault_comparison, run_fault_comparison, scalars_json)
+from repro.experiments.modes import mode_scenarios
 from repro.faults import (FAULT_MODEL_ORDER, FaultModel,
                           active_fault_model, degraded_config,
                           fault_model, healthy_config)
@@ -381,14 +381,16 @@ class TestFaultsStudy:
                 assert result.system == design
 
     def test_full_grid_shape(self):
-        points = comparison_points()
-        assert len(points) == (len(MODES) * len(DESIGN_ORDER)
-                               * len(FAULT_MODEL_ORDER))
-        assert len({p.label for p in points}) == len(points)
+        scenarios = mode_scenarios("fault_model", FAULT_MODEL_ORDER)
+        assert len(scenarios) == (len(MODES) * len(DESIGN_ORDER)
+                                  * len(FAULT_MODEL_ORDER))
+        assert len({s.name for s in scenarios.values()}) \
+            == len(scenarios)
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="unknown mode"):
-            comparison_points(modes=("training", "chaos"))
+            mode_scenarios("fault_model", FAULT_MODEL_ORDER,
+                           modes=("training", "chaos"))
 
     def test_none_is_never_slower(self, quick_study):
         """Fault injection can only take performance away."""
@@ -430,3 +432,13 @@ class TestFaultsCli:
         code = repro_main(["faults", "--fault-models", "chaos"])
         assert code == 2
         assert "unknown fault model" in capsys.readouterr().err
+
+    def test_rejects_empty_fault_models(self, capsys):
+        assert repro_main(["faults", "--fault-models", ""]) == 2
+        assert "--fault-models needs at least one value" \
+            in capsys.readouterr().err
+
+    def test_rejects_empty_modes(self, capsys):
+        assert repro_main(["faults", "--modes", ""]) == 2
+        assert "--modes needs at least one value" \
+            in capsys.readouterr().err

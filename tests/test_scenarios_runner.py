@@ -6,19 +6,28 @@ snapshot and the cross-process cache test run the shipped quick suite
 """
 
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from repro.campaign import (ResultCache, cluster_grid, fault_grid, grid,
+                            pipeline_grid, prefetch_grid, run_campaign,
+                            serving_grid)
+from repro.core.design_points import DESIGN_ORDER
+from repro.experiments.faults_comparison import run_fault_comparison
+from repro.experiments.prefetch_comparison import run_prefetch_comparison
 from repro.scenarios.claims import at_least, ratio_at_least
 from repro.scenarios.cli import main as claims_cli
-from repro.scenarios.dsl import DesignSpec, Scenario, WorkloadSpec
+from repro.scenarios.dsl import (DesignSpec, FleetSpec, Scenario,
+                                 TrafficSpec, WorkloadSpec)
 from repro.scenarios.paper import paper_suite
-from repro.scenarios.runner import ClaimSuite, run_suite
+from repro.scenarios.runner import ClaimSuite, run_scenarios, run_suite
 from repro.scenarios.verdict import (Status, render_csv, render_json,
                                      render_text)
+from repro.units import TB
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -194,3 +203,86 @@ class TestCrossProcessCache:
         payload = json.loads(first_out.read_text())
         assert payload["counts"]["FAIL"] == 0
         assert payload["counts"]["ERROR"] == 0
+
+
+_ALEXNET = WorkloadSpec("AlexNet", batch=64)
+_PIPELINE_SCHEDULES = ("1f1b", "zb-h1")
+
+#: Small cells both ways: the campaign CLI's builder, and the Scenario
+#: fields of each builder variant (variant-major, then design, like
+#: the builders).
+_BUILDER_CASES = {
+    "training-prefetch": (
+        lambda: prefetch_grid(DESIGN_ORDER, ("AlexNet",),
+                              ("cost-model",), batches=(64,)),
+        [{"workload": _ALEXNET, "prefetch_policy": "cost-model"}]),
+    "training-faults": (
+        lambda: fault_grid(grid(DESIGN_ORDER, ("AlexNet",), (64,)),
+                           ("none", "storm")),
+        [{"workload": _ALEXNET, "fault_model": model}
+         for model in ("none", "storm")]),
+    "pipeline": (
+        lambda: pipeline_grid(DESIGN_ORDER, ("GPT2",), (16,),
+                              schedules=_PIPELINE_SCHEDULES,
+                              microbatches=4),
+        [{"workload": WorkloadSpec("GPT2", batch=16,
+                                   strategy="pipeline", microbatches=4,
+                                   schedule=schedule)}
+         for schedule in _PIPELINE_SCHEDULES]),
+    "serving": (
+        lambda: serving_grid(DESIGN_ORDER, ("GPT2",), (400.0,),
+                             n_requests=32),
+        [{"workload": WorkloadSpec("GPT2"),
+          "traffic": TrafficSpec(rate=400.0, n_requests=32)}]),
+    "cluster": (
+        lambda: cluster_grid(DESIGN_ORDER, policies=("sjf",), n_jobs=4,
+                             pool_capacity=TB),
+        [{"fleet": FleetSpec(policy="sjf", n_jobs=4, arrival_rate=0.02,
+                             pool_capacity=TB)}]),
+}
+
+
+class TestBuildersMatchLowering:
+    """The campaign CLI's grid builders and ``lower_scenario`` encode
+    the same cells twice; both must give the same simulation."""
+
+    @pytest.mark.parametrize("case", list(_BUILDER_CASES))
+    def test_same_results(self, case):
+        build, variants = _BUILDER_CASES[case]
+        scenarios = {
+            (index, design): Scenario(name=f"{design}/{index}",
+                                      system=DesignSpec(design),
+                                      **fields)
+            for index, fields in enumerate(variants)
+            for design in DESIGN_ORDER
+        }
+        built = run_campaign(build()).raise_failures().outcomes
+        lowered = run_scenarios(scenarios).values()
+        assert len(built) == len(lowered) \
+            == len(variants) * len(DESIGN_ORDER)
+        for point, scenario in zip(built, lowered):
+            assert scenario.ok, scenario.error
+            assert point.result.to_dict() == scenario.result.to_dict()
+
+
+class TestStudiesShareClaimsCells:
+    """A study cell declared like a claims cell keys the same cache
+    entry, so it replays from a cache the claims suite filled."""
+
+    @pytest.fixture(scope="class")
+    def claims_cache(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("claims-cache")
+        run_suite(paper_suite(quick=True), cache=ResultCache(root))
+        return root
+
+    @pytest.mark.parametrize("run, hits, misses", [
+        (run_prefetch_comparison, 4, 26),
+        (run_fault_comparison, 7, 29),
+    ], ids=["prefetch", "faults"])
+    def test_training_cells_hit(self, claims_cache, tmp_path, run, hits,
+                                misses):
+        root = tmp_path / "cache"
+        shutil.copytree(claims_cache, root)
+        cache = ResultCache(root)
+        run(modes=("training",), cache=cache)
+        assert (cache.hits, cache.misses) == (hits, misses)
