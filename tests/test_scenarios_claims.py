@@ -5,6 +5,7 @@ namespaces) so each primitive's pass/fail/error logic is pinned down
 without running the simulator.
 """
 
+import math
 from types import SimpleNamespace
 
 import pytest
@@ -15,6 +16,7 @@ from repro.scenarios.claims import (at_least, at_most, dominates,
                                     evaluate_claims, monotone_in,
                                     ratio_at_least, ratio_dominates,
                                     within_pct)
+from repro.scenarios.paper import zero_bubble_claims
 from repro.scenarios.verdict import Status
 
 
@@ -255,3 +257,39 @@ class TestEvaluate:
         verdict = claim.check(_lookup(a=0.0, b=-0.0))
         assert str(verdict.measured) == "0.0"
         assert str(verdict.margin) == "0.0"
+
+
+class TestShippedClaimsAtUlpTies:
+    """A shipped claim's measured value must not hinge on one ulp."""
+
+    #: DC-DLA bubble fractions (1F1B, zb-h1): zb-h1 ties 1F1B, one ulp
+    #: above it.
+    DC_TIES = {"GPT2": (0.8334195571066086, 0.8334195571066088),
+               "BERT-Large": (0.8173821485491338, 0.8173821485491339)}
+
+    def _lookup(self, claim, ulps):
+        table = {}
+        for name in claim.scenario_names():
+            design, network, schedule = name.split("/")
+            is_zb = schedule == "zbpp-zb-h1"
+            if design != "DC-DLA":
+                fraction = 0.4 if is_zb else 0.5
+            else:
+                fraction = self.DC_TIES[network][is_zb]
+                for _ in range(abs(ulps) if is_zb else 0):
+                    fraction = math.nextafter(
+                        fraction, math.copysign(math.inf, ulps))
+            table[name] = _result(pipeline=SimpleNamespace(
+                bubble_fraction=fraction))
+        return _lookup(**table)
+
+    def test_zb_h1_never_worse_than_1f1b(self):
+        claim, = [c for c in zero_bubble_claims()
+                  if c.name == "zb-h1-never-worse-than-1f1b"]
+        verdicts = [claim.check(self._lookup(claim, ulps))
+                    for ulps in (-1, 0, 1)]
+        measured = verdicts[1].measured
+        for verdict in verdicts:
+            assert verdict.status is Status.PASS
+            assert abs(verdict.measured - measured) \
+                < 1e-9 * abs(measured)
