@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from typing import TypeVar
 
 from repro.campaign.cache import ResultCache
-from repro.campaign.runner import (CampaignError, CellOutcome, ProgressFn,
-                                   run_campaign)
+from repro.campaign.runner import (CampaignReport, CellOutcome,
+                                   ProgressFn, run_campaign)
 from repro.core.metrics import SimulationResult
 from repro.scenarios.claims import Claim, evaluate_claims
 from repro.scenarios.dsl import Scenario
@@ -100,9 +100,7 @@ def run_study(scenarios: Mapping[K, Scenario], *, jobs: int = 1,
     if cache is None:
         cache = ResultCache.from_env()
     outcomes = run_scenarios(scenarios, jobs=jobs, cache=cache)
-    failures = tuple(o for o in outcomes.values() if not o.ok)
-    if failures:
-        raise CampaignError(failures)
+    CampaignReport(tuple(outcomes.values())).raise_failures()
     return {key: outcome.result for key, outcome in outcomes.items()}
 
 

@@ -13,9 +13,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.campaign import (ResultCache, cluster_grid, fault_grid, grid,
-                            pipeline_grid, prefetch_grid, run_campaign,
-                            serving_grid)
+from repro.campaign import (CampaignError, ResultCache, cluster_grid,
+                            fault_grid, grid, pipeline_grid,
+                            prefetch_grid, run_campaign, serving_grid)
 from repro.core.design_points import DESIGN_ORDER
 from repro.experiments.faults_comparison import run_fault_comparison
 from repro.experiments.prefetch_comparison import run_prefetch_comparison
@@ -24,7 +24,8 @@ from repro.scenarios.cli import main as claims_cli
 from repro.scenarios.dsl import (DesignSpec, FleetSpec, Scenario,
                                  TrafficSpec, WorkloadSpec)
 from repro.scenarios.paper import paper_suite
-from repro.scenarios.runner import ClaimSuite, run_scenarios, run_suite
+from repro.scenarios.runner import (ClaimSuite, run_scenarios, run_study,
+                                   run_suite)
 from repro.scenarios.verdict import (Status, render_csv, render_json,
                                      render_text)
 from repro.units import TB
@@ -107,6 +108,19 @@ class TestRunSuite:
         doomed = report.verdict("doomed")
         assert doomed.status is Status.ERROR
         assert "'broken' failed" in doomed.detail
+
+
+class TestRunStudy:
+    def test_results_keyed_as_declared(self):
+        results = run_study({("dc", 1): _scenario("dc", "dc"),
+                             ("mc", 2): _scenario("mc")})
+        assert list(results) == [("dc", 1), ("mc", 2)]
+        assert results[("mc", 2)].system == "MC-DLA(B)"
+
+    def test_failed_cell_raises_naming_it(self):
+        doomed = {"pim": _scenario("dc-pim", "dc", pim_fraction=0.25)}
+        with pytest.raises(CampaignError, match="dc-pim"):
+            run_study(doomed)
 
 
 class TestSuiteValidation:
