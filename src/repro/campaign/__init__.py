@@ -22,16 +22,12 @@ and scalability sweeps are all declarative grids over it.
 
 from repro.campaign.cache import (CACHE_DIR_ENV, ResultCache,
                                   code_fingerprint, default_cache_dir)
-from repro.campaign.points import (CampaignPoint, canonicalize,
-                                   cluster_grid, fault_grid, grid,
-                                   pipeline_grid, prefetch_grid,
-                                   serving_grid)
+from repro.campaign.points import CampaignPoint, canonicalize, grid
 from repro.campaign.runner import (CampaignError, CampaignReport,
                                    CellOutcome, run_campaign)
 
 __all__ = [
     "CACHE_DIR_ENV", "CampaignError", "CampaignPoint", "CampaignReport",
-    "CellOutcome", "ResultCache", "canonicalize", "cluster_grid",
-    "code_fingerprint", "default_cache_dir", "fault_grid", "grid",
-    "pipeline_grid", "prefetch_grid", "run_campaign", "serving_grid",
+    "CellOutcome", "ResultCache", "canonicalize", "code_fingerprint",
+    "default_cache_dir", "grid", "run_campaign",
 ]

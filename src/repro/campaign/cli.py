@@ -9,14 +9,19 @@ memoized in the shared disk cache::
         --networks VGG-E --batches 256,512 --format csv
     python -m repro campaign --no-cache --format json -o grid.json
 
-Progress and the cache-hit summary go to stderr; results go to stdout
-(or ``--output``) as a table, JSON, or CSV.
+Every cell is declared as a :class:`~repro.scenarios.dsl.Scenario`
+named by its row label and run through
+:func:`repro.scenarios.runner.run_scenarios`, so a campaign cell keys
+the same cache entry as an identical claims or study cell.  Progress
+and the cache-hit summary go to stderr; results go to stdout (or
+``--output``) as a table, JSON, or CSV.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -24,29 +29,23 @@ import sys
 import time
 
 from repro.campaign.cache import ResultCache, default_cache_dir
-from repro.campaign.points import (cluster_grid, fault_grid, grid,
-                                   pipeline_grid, prefetch_grid,
-                                   serving_grid)
-from repro.campaign.runner import CampaignReport, CellOutcome, run_campaign
+from repro.campaign.runner import CampaignReport, CellOutcome
 from repro.core.design_points import DESIGN_ORDER
 from repro.dnn.registry import (BENCHMARK_NAMES, TRANSFORMER_NAMES,
                                 WORKLOAD_NAMES)
 from repro.faults.model import FAULT_MODEL_ORDER
-from repro.naming import resolve_schedule
-from repro.pipeline.schedules import SCHEDULE_ORDER
+from repro.naming import resolve_fault_model
+from repro.scenarios.dsl import (DesignSpec, FleetSpec, Scenario,
+                                 TrafficSpec, WorkloadSpec)
+from repro.scenarios.lowering import lower_scenario
+from repro.scenarios.runner import run_scenarios
 from repro.telemetry.session import (TelemetrySession,
                                      add_telemetry_argument, eta_seconds)
-from repro.training.parallel import ParallelStrategy
 from repro.vmem.prefetch import PREFETCH_POLICY_ORDER
 
-_STRATEGY_ALIASES = {
-    "data": ParallelStrategy.DATA,
-    "model": ParallelStrategy.MODEL,
-    "pipeline": ParallelStrategy.PIPELINE,
-    ParallelStrategy.DATA.value: ParallelStrategy.DATA,
-    ParallelStrategy.MODEL.value: ParallelStrategy.MODEL,
-    ParallelStrategy.PIPELINE.value: ParallelStrategy.PIPELINE,
-}
+#: Job arrival rate of every cluster cell, in jobs/s (``FleetSpec``
+#: defaults to 0.05; campaign rows and cache keys use this rate).
+_CLUSTER_ARRIVAL_RATE = 0.02
 
 _CSV_FIELDS = (
     "design", "network", "batch", "strategy", "n_devices",
@@ -66,8 +65,7 @@ _CSV_FIELDS = (
 
 
 def _split(raw: str) -> list[str]:
-    items = [item.strip() for item in raw.split(",") if item.strip()]
-    return list(dict.fromkeys(items))  # dedupe, keep order
+    return [item.strip() for item in raw.split(",") if item.strip()]
 
 
 def _parse_policy(raw: str) -> tuple[int, float]:
@@ -79,6 +77,103 @@ def _parse_policy(raw: str) -> tuple[int, float]:
         raise ValueError(
             f"bad batch policy {raw!r}; expected MAXxWAITms, "
             f"e.g. 8x2") from None
+
+
+def _scenarios(args: argparse.Namespace) -> list[Scenario]:
+    """Every cell the flags ask for, as a Scenario named by its row label.
+
+    Row order: fault model outermost, then training, pipeline, serving
+    and cluster cells, each with the design innermost.  The specs
+    resolve every name through :mod:`repro.naming` and check every
+    value, so bad input raises here, before any cell runs.
+    """
+    systems = [DesignSpec(name) for name in _split(args.designs)]
+    networks = _split(args.networks)
+    batches = [int(b) for b in _split(args.batches)]
+    strategies = _split(args.strategies)
+    # (label suffix, Scenario fields) per cell, design left open.
+    cells: list[tuple[str, dict]] = []
+    flat = [WorkloadSpec(network, batch, strategy)
+            for strategy in strategies if strategy != "pipeline"
+            for network in networks for batch in batches]
+    policies = _split(args.prefetch_policies)
+    if policies:
+        cells += [(f"|{policy}",
+                   {"workload": workload, "prefetch_policy": policy})
+                  for policy in policies for workload in flat]
+    else:
+        cells += [("", {"workload": workload}) for workload in flat]
+    if "pipeline" in strategies:
+        piped = [WorkloadSpec(network, batch, "pipeline",
+                              microbatches=args.microbatches,
+                              schedule=schedule)
+                 for schedule in _split(args.pipeline_schedules)
+                 for network in networks for batch in batches]
+        cells += [(f"|{workload.schedule}", {"workload": workload})
+                  for workload in piped]
+    if args.arrival_rates.strip():
+        served = [WorkloadSpec(network) for network in networks]
+        batch_policies = [_parse_policy(p)
+                          for p in _split(args.batch_policies)]
+        if args.batcher == "continuous":
+            flat_nets = [w.network for w in served
+                         if w.network not in TRANSFORMER_NAMES]
+            if flat_nets:
+                raise ValueError(
+                    f"continuous batching needs transformer workloads "
+                    f"(decode phase); not: {', '.join(flat_nets)}")
+            # Iteration-level batching admits at step boundaries;
+            # there is no fill deadline, so wait variants collapse.
+            batch_policies = [(max_batch, 0.0)
+                              for max_batch, _ in batch_policies]
+        traffic = [TrafficSpec(arrival=args.arrival, rate=float(rate),
+                               n_requests=args.requests, seed=args.seed,
+                               slo_ms=float(slo), max_batch=max_batch,
+                               max_wait_ms=wait_ms, batcher=args.batcher)
+                   for max_batch, wait_ms in batch_policies
+                   for slo in _split(args.slo_ms)
+                   for rate in _split(args.arrival_rates)]
+        cells += [(f"|{t.arrival}@{t.rate:g}rps|slo{t.slo_ms:g}ms"
+                   f"|b{t.max_batch}w{t.max_wait_ms:g}ms",
+                   {"workload": workload, "traffic": t})
+                  for t in traffic for workload in served]
+    if args.policies.strip():
+        from repro.cluster.jobs import JOB_MIX_NAMES
+        from repro.cluster.policies import POLICY_NAMES
+        from repro.units import GB
+        sched = _split(args.policies)
+        bad_policies = [p for p in sched if p not in POLICY_NAMES]
+        if bad_policies:
+            raise ValueError(f"unknown policy(ies): "
+                             f"{', '.join(bad_policies)}; known: "
+                             f"{', '.join(POLICY_NAMES)}")
+        mixes = _split(args.job_mixes)
+        bad_mixes = [m for m in mixes if m not in JOB_MIX_NAMES]
+        if bad_mixes:
+            raise ValueError(f"unknown job mix(es): "
+                             f"{', '.join(bad_mixes)}; known: "
+                             f"{', '.join(JOB_MIX_NAMES)}")
+        pool = int(args.pool_gb * GB) if args.pool_gb is not None \
+            else None
+        fleets = [FleetSpec(policy=policy, job_mix=mix,
+                            n_jobs=args.cluster_jobs, seed=args.seed,
+                            arrival_rate=_CLUSTER_ARRIVAL_RATE,
+                            pool_capacity=pool,
+                            oversubscription=float(oversub))
+                  for oversub in _split(args.pool_oversub)
+                  for mix in mixes for policy in sched]
+        cells += [(f"|{f.policy}|{f.job_mix}|os{f.oversubscription:g}",
+                   {"fleet": f}) for f in fleets]
+    scenarios = [Scenario(name=system.design + suffix, system=system,
+                          **fields)
+                 for suffix, fields in cells for system in systems]
+    models = [resolve_fault_model(m) for m in _split(args.fault_models)]
+    if models:
+        scenarios = [dataclasses.replace(scenario, fault_model=model,
+                                         name=f"{scenario.name}|{model}")
+                     for model in models for scenario in scenarios]
+    # Aliases and repeated values can declare one cell twice.
+    return list(dict.fromkeys(scenarios))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -362,118 +457,16 @@ def main(argv: list[str] | None = None) -> int:
         args.arrival_rates = ""
         args.policies = ""
 
-    designs = _split(args.designs)
-    unknown = [d for d in designs if d not in DESIGN_ORDER]
-    if unknown:
-        print(f"unknown design(s): {', '.join(unknown)}; "
-              f"known: {', '.join(DESIGN_ORDER)}", file=sys.stderr)
-        return 2
-    networks = _split(args.networks)
-    bad = [n for n in networks if n not in WORKLOAD_NAMES]
-    if bad:
-        print(f"unknown network(s): {', '.join(bad)}; "
-              f"known: {', '.join(WORKLOAD_NAMES)}", file=sys.stderr)
-        return 2
-    resolved_schedules = []
-    bad_schedules = []
-    for raw in _split(args.pipeline_schedules):
-        try:
-            resolved_schedules.append(resolve_schedule(raw))
-        except KeyError:
-            bad_schedules.append(raw)
-    if bad_schedules:
-        print(f"unknown schedule(s): {', '.join(bad_schedules)}; "
-              f"known: {', '.join(SCHEDULE_ORDER)}", file=sys.stderr)
-        return 2
-    schedules = list(dict.fromkeys(resolved_schedules))
-    policies = _split(args.prefetch_policies)
-    bad_policies = [p for p in policies
-                    if p not in PREFETCH_POLICY_ORDER]
-    if bad_policies:
-        print(f"unknown prefetch policy(ies): "
-              f"{', '.join(bad_policies)}; known: "
-              f"{', '.join(PREFETCH_POLICY_ORDER)}", file=sys.stderr)
-        return 2
-    fault_models = _split(args.fault_models)
-    bad_faults = [f for f in fault_models if f not in FAULT_MODEL_ORDER]
-    if bad_faults:
-        print(f"unknown fault model(s): {', '.join(bad_faults)}; "
-              f"known: {', '.join(FAULT_MODEL_ORDER)}",
-              file=sys.stderr)
+    if args.jobs < 0:
+        print(f"--jobs must be >= 0 (0 uses every core), got "
+              f"{args.jobs}", file=sys.stderr)
         return 2
     try:
-        batches = [int(b) for b in _split(args.batches)]
-        strategies = [_STRATEGY_ALIASES[s.lower()]
-                      for s in _split(args.strategies)]
-        flat = [s for s in strategies
-                if s is not ParallelStrategy.PIPELINE]
-        if flat and policies:
-            points = prefetch_grid(designs, networks, policies,
-                                   batches, tuple(flat))
-        elif flat:
-            points = grid(designs, networks, batches, flat)
-        else:
-            points = ()
-        if ParallelStrategy.PIPELINE in strategies:
-            points += pipeline_grid(designs, networks, batches,
-                                    schedules=schedules,
-                                    microbatches=args.microbatches)
-        if args.arrival_rates.strip():
-            if args.batcher == "continuous":
-                flat_nets = [n for n in networks
-                             if n not in TRANSFORMER_NAMES]
-                if flat_nets:
-                    print(f"continuous batching needs transformer "
-                          f"workloads (decode phase); not: "
-                          f"{', '.join(flat_nets)}", file=sys.stderr)
-                    return 2
-            rates = [float(r) for r in _split(args.arrival_rates)]
-            slos = [float(s) for s in _split(args.slo_ms)]
-            policies = [_parse_policy(p)
-                        for p in _split(args.batch_policies)]
-            if args.batcher == "continuous":
-                # Iteration-level batching admits at step boundaries;
-                # there is no fill deadline, so wait variants collapse.
-                policies = list(dict.fromkeys(
-                    (max_batch, 0.0) for max_batch, _ in policies))
-            points += serving_grid(designs, networks, rates,
-                                   slo_ms=slos,
-                                   batch_policies=policies,
-                                   batcher=args.batcher,
-                                   arrival=args.arrival,
-                                   n_requests=args.requests,
-                                   seed=args.seed)
-        if args.policies.strip():
-            from repro.cluster.jobs import JOB_MIX_NAMES
-            from repro.cluster.policies import POLICY_NAMES
-            from repro.units import GB
-            sched = _split(args.policies)
-            bad_policies = [p for p in sched if p not in POLICY_NAMES]
-            if bad_policies:
-                print(f"unknown policy(ies): "
-                      f"{', '.join(bad_policies)}; known: "
-                      f"{', '.join(POLICY_NAMES)}", file=sys.stderr)
-                return 2
-            mixes = _split(args.job_mixes)
-            bad_mixes = [m for m in mixes if m not in JOB_MIX_NAMES]
-            if bad_mixes:
-                print(f"unknown job mix(es): {', '.join(bad_mixes)}; "
-                      f"known: {', '.join(JOB_MIX_NAMES)}",
-                      file=sys.stderr)
-                return 2
-            oversub = [float(v) for v in _split(args.pool_oversub)]
-            points += cluster_grid(
-                designs, policies=sched, job_mixes=mixes,
-                oversubscription=oversub, n_jobs=args.cluster_jobs,
-                seed=args.seed,
-                pool_capacity=(int(args.pool_gb * GB)
-                               if args.pool_gb is not None else None))
-        if fault_models:
-            points = fault_grid(points, fault_models)
+        scenarios = _scenarios(args)
     except (ValueError, KeyError) as exc:
-        print(f"bad axis value: {exc}", file=sys.stderr)
+        print(f"bad axis value: {exc.args[0]}", file=sys.stderr)
         return 2
-    if not points:
+    if not scenarios:
         print("empty campaign grid", file=sys.stderr)
         return 2
 
@@ -514,12 +507,14 @@ def main(argv: list[str] | None = None) -> int:
         tool="campaign",
         argv=list(argv) if argv is not None else sys.argv[1:],
         enabled=args.telemetry, output=args.output,
-        config={"points": [point.describe() for point in points]},
+        config={"points": [lower_scenario(scenario).describe()
+                           for scenario in scenarios]},
         seed=args.seed)
     with session:
         start = time.perf_counter()
-        report = run_campaign(points, jobs=jobs, cache=cache,
-                              progress=report_progress)
+        outcomes = run_scenarios(dict(enumerate(scenarios)), jobs=jobs,
+                                 cache=cache, progress=report_progress)
+        report = CampaignReport(tuple(outcomes.values()))
         elapsed = time.perf_counter() - start
 
         # One JSONL event per cell, in input order (no wall-clock:
@@ -535,13 +530,13 @@ def main(argv: list[str] | None = None) -> int:
                 "cached": outcome.cached,
             })
 
-        simulated = (len(points) - report.cached_count
+        simulated = (len(scenarios) - report.cached_count
                      - len(report.failures))
-        session.cells = {"total": len(points),
+        session.cells = {"total": len(scenarios),
                          "cached": report.cached_count,
                          "simulated": simulated,
                          "failed": len(report.failures)}
-        print(f"campaign: {len(points)} cells: {report.cached_count} "
+        print(f"campaign: {len(scenarios)} cells: {report.cached_count} "
               f"from cache, {simulated} simulated, "
               f"{len(report.failures)} failed "
               f"({elapsed:.2f}s, jobs={jobs})", file=sys.stderr)

@@ -141,180 +141,6 @@ def grid(designs, networks, batches=(512,),
     return tuple(points)
 
 
-def pipeline_grid(designs, networks, batches=(512,),
-                  schedules=("1f1b", "gpipe"),
-                  microbatches: int = 8,
-                  stages: int = 0) -> tuple[CampaignPoint, ...]:
-    """Pipeline-parallel cells: one point per (schedule, cell).
-
-    The schedule and microbatch knobs ride in ``replacements`` (they
-    are :class:`~repro.core.system.SystemConfig` fields), and each
-    schedule variant gets a ``design|schedule`` label so the two
-    variants of one design coexist in a single campaign.
-    """
-    points = []
-    for schedule in schedules:
-        for network in networks:
-            for batch in batches:
-                for design in designs:
-                    points.append(CampaignPoint(
-                        design=design, network=network, batch=batch,
-                        strategy=ParallelStrategy.PIPELINE,
-                        replacements=(
-                            ("pipeline_microbatches", microbatches),
-                            ("pipeline_schedule", schedule),
-                            ("pipeline_stages", stages)),
-                        label=f"{design}|{schedule}"))
-    return tuple(points)
-
-
-def serving_grid(designs, networks, arrival_rates,
-                 slo_ms=(50.0,), batch_policies=((8, 2.0),),
-                 batcher: str = "dynamic", arrival: str = "poisson",
-                 n_requests: int = 512,
-                 seed: int = 0) -> tuple[CampaignPoint, ...]:
-    """Serving cells: one point per (policy, slo, rate, cell).
-
-    ``batch_policies`` is a sequence of ``(max_batch, max_wait_ms)``
-    pairs.  Every point's knobs ride in ``serving`` (keyword arguments
-    of :func:`repro.serving.simulate_serving`), and the label encodes
-    the serving axes so variants of one design coexist in a campaign.
-
-    The continuous batcher has no fill deadline (admission happens at
-    step boundaries), so its wait axis is normalized to zero -- labels
-    and cache keys never suggest a knob the loop ignores.
-    """
-    if batcher == "continuous":
-        batch_policies = tuple(dict.fromkeys(
-            (max_batch, 0.0) for max_batch, _ in batch_policies))
-    points = []
-    for max_batch, wait_ms in batch_policies:
-        for slo in slo_ms:
-            for rate in arrival_rates:
-                for network in networks:
-                    for design in designs:
-                        points.append(CampaignPoint(
-                            design=design, network=network,
-                            batch=max_batch,
-                            strategy=ParallelStrategy.DATA,
-                            serving=(
-                                ("arrival", arrival),
-                                ("batcher", batcher),
-                                ("max_batch", max_batch),
-                                ("max_wait", wait_ms / 1e3),
-                                ("n_requests", n_requests),
-                                ("rate", float(rate)),
-                                ("seed", seed),
-                                ("slo", slo / 1e3)),
-                            label=(f"{design}|{arrival}@{rate:g}rps"
-                                   f"|slo{slo:g}ms"
-                                   f"|b{max_batch}w{wait_ms:g}ms")))
-    return tuple(points)
-
-
-def cluster_grid(designs, policies=("fifo",), job_mixes=("balanced",),
-                 oversubscription=(1.0,), n_jobs: int = 24,
-                 seed: int = 0, arrival_rate: float = 0.02,
-                 fleet_devices: int = 16,
-                 pool_capacity: int | None = None,
-                 preempt_after: float | None = None) \
-        -> tuple[CampaignPoint, ...]:
-    """Cluster-scheduler cells: one point per (oversub, mix, policy,
-    design).
-
-    Every point's knobs ride in ``cluster`` (keyword arguments of
-    :func:`repro.cluster.simulate_cluster`), and the label encodes the
-    scheduler axes so variants of one design coexist in a campaign.
-    ``pool_capacity`` is shared by every cell -- the equal-capacity
-    comparison the pooling argument needs.
-    """
-    points = []
-    for oversub in oversubscription:
-        for mix in job_mixes:
-            for policy in policies:
-                for design in designs:
-                    knobs = [
-                        ("arrival_rate", float(arrival_rate)),
-                        ("fleet_devices", fleet_devices),
-                        ("job_mix", mix),
-                        ("n_jobs", n_jobs),
-                        ("oversubscription", float(oversub)),
-                        ("policy", policy),
-                        ("seed", seed),
-                    ]
-                    if pool_capacity is not None:
-                        knobs.append(("pool_capacity", pool_capacity))
-                    if preempt_after is not None:
-                        knobs.append(("preempt_after",
-                                      float(preempt_after)))
-                    points.append(CampaignPoint(
-                        design=design, network=f"mix:{mix}",
-                        batch=n_jobs,
-                        strategy=ParallelStrategy.DATA,
-                        cluster=tuple(knobs),
-                        label=(f"{design}|{policy}|{mix}"
-                               f"|os{oversub:g}")))
-    return tuple(points)
-
-
-def prefetch_grid(designs, networks, policies, batches=(512,),
-                  strategies=(ParallelStrategy.DATA,)) \
-        -> tuple[CampaignPoint, ...]:
-    """Prefetch-policy cells: one point per (policy, cell).
-
-    The policy rides in ``replacements`` (it is a
-    :class:`~repro.core.system.SystemConfig` field), and every policy
-    variant gets a ``design|policy`` label so the variants of one
-    design coexist in a single campaign -- and key distinct cache
-    entries.
-    """
-    points = []
-    for policy in policies:
-        for strategy in strategies:
-            for network in networks:
-                for batch in batches:
-                    for design in designs:
-                        points.append(CampaignPoint(
-                            design=design, network=network,
-                            batch=batch, strategy=strategy,
-                            replacements=(
-                                ("prefetch_policy", policy),),
-                            label=f"{design}|{policy}"))
-    return tuple(points)
-
-
-def fault_grid(points, fault_models) -> tuple[CampaignPoint, ...]:
-    """Replicate campaign points across fault models, model-major.
-
-    Works on *any* base points -- training, pipeline, serving, or
-    cluster cells -- because the fault model is a
-    :class:`~repro.core.system.SystemConfig` field and rides in
-    ``replacements``.  Every variant gets a ``name|model`` label (the
-    ``"none"`` leg included, so one campaign can carry the healthy
-    baseline next to each degraded twin), and a pre-existing
-    ``fault_model`` replacement on a base point is overridden rather
-    than duplicated.
-    """
-    from repro.faults.model import FAULT_MODEL_ORDER
-    models = tuple(fault_models)
-    unknown = [m for m in models if m not in FAULT_MODEL_ORDER]
-    if unknown:
-        raise ValueError(
-            f"unknown fault model(s): {', '.join(unknown)}; "
-            f"known: {', '.join(FAULT_MODEL_ORDER)}")
-    expanded = []
-    for model in models:
-        for point in points:
-            replacements = tuple(
-                (key, value) for key, value in point.replacements
-                if key != "fault_model")
-            replacements += (("fault_model", model),)
-            expanded.append(dataclasses.replace(
-                point, replacements=replacements,
-                label=f"{point.name}|{model}"))
-    return tuple(expanded)
-
-
 def canonicalize(value: Any) -> Any:
     """Reduce a value to JSON-stable primitives for cache keying.
 

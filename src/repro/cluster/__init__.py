@@ -19,8 +19,9 @@ runs, pipeline gangs, and serving tenants -- arrives over time.
   folding into :class:`repro.core.metrics.ClusterStats`;
 * :mod:`repro.cluster.cli` -- ``python -m repro cluster``.
 
-Campaigns sweep cluster cells through
-:func:`repro.campaign.cluster_grid`, and
+Campaigns sweep cluster cells declared as
+:class:`repro.scenarios.dsl.FleetSpec` scenarios (``python -m repro
+campaign --policies ...``), and
 ``experiments/cluster_comparison.py`` compares policies across all six
 designs at equal pool capacity.
 """

@@ -15,8 +15,9 @@ north star actually names -- bursty multi-tenant request traffic:
   (p50/p95/p99, goodput under an SLO, tail amplification);
 * :mod:`repro.serving.cli` is ``python -m repro serve``.
 
-Campaigns sweep serving cells through
-:func:`repro.campaign.serving_grid`, and
+Campaigns sweep serving cells declared as
+:class:`repro.scenarios.dsl.TrafficSpec` scenarios (``python -m repro
+campaign --arrival-rates ...``), and
 ``experiments/serving_comparison.py`` replays the paper's six-design
 comparison under rising load until SLO collapse.
 """

@@ -274,6 +274,37 @@ class TestCli:
         assert campaign_cli(["--designs", "NOPE"]) == 2
         assert "unknown design" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, named", [
+        (["--strategies", "pipeline", "--microbatches", "0"],
+         "microbatches"),
+        (["--arrival-rates", "0"], "arrival rate"),
+        (["--policies", "fifo", "--pool-oversub", "0.5"],
+         "oversubscription"),
+        (["--policies", "fifo", "--cluster-jobs", "0"], "n_jobs"),
+        (["--strategies", "bogus"], "bogus"),
+        (["-j", "-1"], "--jobs must be >= 0"),
+    ], ids=["microbatches", "arrival-rate", "oversub", "cluster-jobs",
+            "strategy", "jobs"])
+    def test_bad_value_exits_2_before_any_cell(self, capsys, argv,
+                                               named):
+        code = campaign_cli(["--designs", "DC-DLA", "--networks",
+                             "GPT2", "--batches", "64", "--no-cache",
+                             *argv])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert named in err
+        assert "campaign:" not in err  # no cell ran
+
+    def test_aliases_resolve_to_one_row(self, capsys):
+        code = campaign_cli([
+            "--designs", "mc-hbm,MC-DLA(B)", "--networks", "alexnet",
+            "--strategies", "data", "--fault-models", "healthy",
+            "--no-cache", "--format", "json", "--quiet"])
+        assert code == 0
+        (row,) = json.loads(capsys.readouterr().out)
+        assert (row["design"], row["network"]) \
+            == ("MC-DLA(B)|none", "AlexNet")
+
 
 class TestMatrixIntegration:
     def test_matrix_via_cache_matches_uncached(self, tmp_path):

@@ -1,43 +1,67 @@
-"""Campaign integration of cluster cells: grids, dispatch, caching."""
+"""Campaign integration of cluster cells: CLI rows, dispatch,
+caching."""
 
 import json
 
 import pytest
 
-from repro.campaign import (CampaignPoint, ResultCache, cluster_grid,
-                            run_campaign)
+from repro.campaign import CampaignPoint, ResultCache
+from repro.campaign.cli import main as campaign_cli
+from repro.cluster.simulator import simulate_cluster
+from repro.core.design_points import design_point
 from repro.core.metrics import ExecutionMode
+from repro.scenarios.dsl import DesignSpec, FleetSpec, Scenario
+from repro.scenarios.lowering import lower_scenario
+from repro.scenarios.runner import run_scenarios
 from repro.units import TB
 
 QUICK = dict(n_jobs=6, pool_capacity=1 * TB)
 
 
-class TestClusterGrid:
-    def test_shape_and_labels(self):
-        points = cluster_grid(("DC-DLA", "MC-DLA(B)"),
-                              policies=("fifo", "sjf"),
-                              job_mixes=("balanced",),
-                              oversubscription=(1.0, 1.5), **QUICK)
-        assert len(points) == 8
-        labels = {p.label for p in points}
-        assert "DC-DLA|fifo|balanced|os1" in labels
-        assert "MC-DLA(B)|sjf|balanced|os1.5" in labels
-        assert all(p.is_cluster and not p.is_serving for p in points)
-        assert all(p.network == "mix:balanced" for p in points)
+def cli_rows(capsys, *argv):
+    """The JSON rows of one uncached, cluster-only 6-job campaign."""
+    assert campaign_cli([*argv, "--strategies", "", "--cluster-jobs",
+                         "6", "--pool-gb", "1024", "--no-cache",
+                         "--quiet", "--format", "json"]) == 0
+    return json.loads(capsys.readouterr().out)
 
-    def test_knobs_ride_in_cluster_tuple(self):
-        (point,) = cluster_grid(("DC-DLA",), policies=("gang",),
-                                seed=7, preempt_after=60.0, **QUICK)
-        knobs = dict(point.cluster)
+
+def fleet_scenarios(designs, **fleet):
+    return {design: Scenario(name=design, system=DesignSpec(design),
+                             fleet=FleetSpec(**fleet))
+            for design in designs}
+
+
+class TestClusterGrid:
+    def test_shape_and_labels(self, capsys):
+        rows = cli_rows(capsys, "--designs", "DC-DLA,MC-DLA(B)",
+                        "--policies", "fifo,sjf",
+                        "--job-mixes", "balanced",
+                        "--pool-oversub", "1,1.5")
+        assert [r["design"] for r in rows] == [
+            f"{design}|{policy}|balanced|os{oversub}"
+            for oversub in ("1", "1.5") for policy in ("fifo", "sjf")
+            for design in ("DC-DLA", "MC-DLA(B)")]
+        assert all(r["mode"] == "cluster" for r in rows)
+        assert all(r["network"] == "mix:balanced" for r in rows)
+
+    def test_knobs_ride_in_cluster_tuple(self, capsys):
+        (row,) = cli_rows(capsys, "--designs", "DC-DLA",
+                          "--policies", "gang", "--seed", "7")
+        direct = simulate_cluster(design_point("DC-DLA"), policy="gang",
+                                  seed=7, arrival_rate=0.02, **QUICK)
+        assert row["cluster"] == direct.cluster.to_dict()
+        assert row["cluster"]["policy"] == "gang"
+        assert row["cluster"]["pool_capacity"] == 1 * TB
+
+    def test_describe_includes_cluster(self):
+        scenarios = fleet_scenarios(("DC-DLA",), policy="gang", seed=7,
+                                    preempt_after=60.0, **QUICK)
+        description = lower_scenario(scenarios["DC-DLA"]).describe()
+        knobs = dict(description["cluster"])
         assert knobs["policy"] == "gang"
         assert knobs["seed"] == 7
         assert knobs["preempt_after"] == 60.0
-        assert knobs["pool_capacity"] == 1 * TB
-
-    def test_describe_includes_cluster(self):
-        (point,) = cluster_grid(("DC-DLA",), **QUICK)
-        description = point.describe()
-        assert description["cluster"]
         # The description must be JSON-stable (it feeds the cache key).
         json.dumps(description, sort_keys=True)
 
@@ -50,49 +74,48 @@ class TestClusterGrid:
 
 class TestClusterDispatch:
     @pytest.fixture(scope="class")
-    def points(self):
-        return cluster_grid(("MC-DLA(B)", "DC-DLA(O)"),
-                            policies=("fifo",), **QUICK)
+    def scenarios(self):
+        return fleet_scenarios(("MC-DLA(B)", "DC-DLA(O)"),
+                               policy="fifo", **QUICK)
 
-    def test_serial_run(self, points):
-        report = run_campaign(points).raise_failures()
-        for outcome in report.outcomes:
+    def test_serial_run(self, scenarios):
+        for outcome in run_scenarios(scenarios).values():
             assert outcome.result.mode is ExecutionMode.CLUSTER
             assert outcome.result.cluster is not None
             assert outcome.result.cluster.policy == "fifo"
 
-    def test_pooled_matches_serial(self, points):
-        serial = run_campaign(points).raise_failures()
-        pooled = run_campaign(points, jobs=2).raise_failures()
-        for a, b in zip(serial.outcomes, pooled.outcomes):
-            assert a.result == b.result
+    def test_pooled_matches_serial(self, scenarios):
+        serial = run_scenarios(scenarios)
+        pooled = run_scenarios(scenarios, jobs=2)
+        for key, outcome in serial.items():
+            assert outcome.ok
+            assert outcome.result == pooled[key].result
 
-    def test_cache_replay_byte_identical(self, points, tmp_path):
+    def test_cache_replay_byte_identical(self, scenarios, tmp_path):
         cache = ResultCache(tmp_path)
-        cold = run_campaign(points, cache=cache).raise_failures()
-        assert all(not o.cached for o in cold.outcomes)
-        warm = run_campaign(points, cache=cache).raise_failures()
-        assert all(o.cached for o in warm.outcomes)
-        for a, b in zip(cold.outcomes, warm.outcomes):
-            assert json.dumps(a.result.to_dict(), sort_keys=True) == \
-                json.dumps(b.result.to_dict(), sort_keys=True)
+        cold = run_scenarios(scenarios, cache=cache)
+        assert all(o.ok and not o.cached for o in cold.values())
+        warm = run_scenarios(scenarios, cache=cache)
+        assert all(o.cached for o in warm.values())
+        for key, outcome in cold.items():
+            assert json.dumps(outcome.result.to_dict(), sort_keys=True) \
+                == json.dumps(warm[key].result.to_dict(), sort_keys=True)
 
     def test_failures_reported_per_cell(self):
-        bad = cluster_grid(("MC-DLA(B)",), policies=("fifo",),
-                           n_jobs=6, pool_capacity=1)  # nothing fits
-        report = run_campaign(bad)
-        assert len(report.failures) == 1
-        assert "pool" in report.failures[0].error
+        bad = fleet_scenarios(("MC-DLA(B)",), policy="fifo", n_jobs=6,
+                              pool_capacity=1)  # nothing fits
+        (outcome,) = run_scenarios(bad).values()
+        assert not outcome.ok
+        assert "pool" in outcome.error
 
 
 class TestClusterCampaignCli:
     def test_cluster_cells_via_cli(self, tmp_path, capsys):
-        from repro.campaign.cli import main
         out = tmp_path / "cluster.json"
-        code = main(["--designs", "MC-DLA(B)", "--strategies", "",
-                     "--policies", "fifo", "--cluster-jobs", "6",
-                     "--pool-gb", "1024", "--no-cache", "--quiet",
-                     "--format", "json", "-o", str(out)])
+        code = campaign_cli(["--designs", "MC-DLA(B)", "--strategies", "",
+                             "--policies", "fifo", "--cluster-jobs", "6",
+                             "--pool-gb", "1024", "--no-cache", "--quiet",
+                             "--format", "json", "-o", str(out)])
         assert code == 0
         rows = json.loads(out.read_text())
         assert len(rows) == 1
@@ -102,12 +125,11 @@ class TestClusterCampaignCli:
         assert row["jct_p95"] >= row["jct_p50"] > 0
 
     def test_cluster_csv_columns(self, tmp_path):
-        from repro.campaign.cli import main
         out = tmp_path / "cluster.csv"
-        code = main(["--designs", "MC-DLA(B)", "--strategies", "",
-                     "--policies", "fifo", "--cluster-jobs", "6",
-                     "--pool-gb", "1024", "--no-cache", "--quiet",
-                     "--format", "csv", "-o", str(out)])
+        code = campaign_cli(["--designs", "MC-DLA(B)", "--strategies", "",
+                             "--policies", "fifo", "--cluster-jobs", "6",
+                             "--pool-gb", "1024", "--no-cache", "--quiet",
+                             "--format", "csv", "-o", str(out)])
         assert code == 0
         header, row = out.read_text().strip().splitlines()
         fields = dict(zip(header.split(","), row.split(",")))
@@ -117,21 +139,18 @@ class TestClusterCampaignCli:
         assert fields["preemptions"] == "0"
 
     def test_unknown_policy_rejected(self, capsys):
-        from repro.campaign.cli import main
-        assert main(["--policies", "wfq", "--quiet"]) == 2
+        assert campaign_cli(["--policies", "wfq", "--quiet"]) == 2
         assert "unknown policy" in capsys.readouterr().err
 
     def test_unknown_mix_rejected(self, capsys):
-        from repro.campaign.cli import main
-        assert main(["--policies", "fifo", "--job-mixes", "nope",
-                     "--quiet"]) == 2
+        assert campaign_cli(["--policies", "fifo", "--job-mixes", "nope",
+                             "--quiet"]) == 2
         assert "unknown job mix" in capsys.readouterr().err
 
     def test_table_renders_cluster_columns(self, capsys):
-        from repro.campaign.cli import main
-        code = main(["--designs", "MC-DLA(B)", "--strategies", "",
-                     "--policies", "fifo", "--cluster-jobs", "6",
-                     "--pool-gb", "1024", "--no-cache", "--quiet"])
+        code = campaign_cli(["--designs", "MC-DLA(B)", "--strategies", "",
+                             "--policies", "fifo", "--cluster-jobs", "6",
+                             "--pool-gb", "1024", "--no-cache", "--quiet"])
         assert code == 0
         out = capsys.readouterr().out
         assert "JCT p95" in out and "pool util" in out

@@ -1,4 +1,4 @@
-"""Prefetch cells in the campaign engine: grid, cache keys, CLI,
+"""Prefetch cells in the campaign engine: CLI rows, cache keys,
 cross-process byte identity, and the golden policy-study snapshot."""
 
 from __future__ import annotations
@@ -11,10 +11,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.campaign import (CampaignPoint, ResultCache, prefetch_grid,
-                            run_campaign)
+from repro.campaign import CampaignPoint, ResultCache, run_campaign
 from repro.campaign.cli import main as campaign_cli
 from repro.core.design_points import design_point
+from repro.scenarios.dsl import DesignSpec, Scenario, WorkloadSpec
+from repro.scenarios.lowering import lower_scenario, scenario_design_point
 from repro.vmem.prefetch import PREFETCH_POLICY_ORDER
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -30,22 +31,30 @@ def baked_factory(name, **kwargs):
                                prefetch_policy=_BAKED["policy"])
 
 
+def _prefetching(design, policy):
+    """The campaign CLI's prefetch cell, lowered."""
+    return lower_scenario(Scenario(
+        name=f"{design}|{policy}", system=DesignSpec(design),
+        workload=WorkloadSpec("AlexNet"), prefetch_policy=policy))
+
+
 class TestPrefetchGrid:
-    def test_shape_and_labels(self):
-        points = prefetch_grid(("DC-DLA", "MC-DLA(B)"), ("AlexNet",),
-                               ("on-demand", "clairvoyant"))
-        assert len(points) == 4
-        assert {p.label for p in points} == {
+    def test_shape_and_labels(self, capsys):
+        code = campaign_cli([
+            "--designs", "DC-DLA,MC-DLA(B)", "--networks", "AlexNet",
+            "--strategies", "data",
+            "--prefetch-policies", "on-demand,clairvoyant",
+            "--no-cache", "--quiet", "--format", "json"])
+        assert code == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert [r["design"] for r in rows] == [
             "DC-DLA|on-demand", "MC-DLA(B)|on-demand",
-            "DC-DLA|clairvoyant", "MC-DLA(B)|clairvoyant"}
-        for point in points:
-            assert dict(point.replacements)["prefetch_policy"] \
-                in ("on-demand", "clairvoyant")
+            "DC-DLA|clairvoyant", "MC-DLA(B)|clairvoyant"]
+        for row in rows:
+            assert row["design"].endswith(f"|{row['prefetch_policy']}")
 
     def test_policy_lands_in_describe(self):
-        point = prefetch_grid(("DC-DLA",), ("AlexNet",),
-                              ("stride",))[0]
-        description = point.describe()
+        description = _prefetching("DC-DLA", "stride").describe()
         assert ["prefetch_policy", "stride"] \
             in description["replacements"]
 
@@ -53,9 +62,9 @@ class TestPrefetchGrid:
                                                         tmp_path):
         cache = ResultCache(tmp_path, code_version="pinned")
         keys = {
-            cache.key(point.describe(design_point), "factory")
-            for point in prefetch_grid(
-                ("MC-DLA(B)",), ("AlexNet",), PREFETCH_POLICY_ORDER)}
+            cache.key(_prefetching("MC-DLA(B)", policy).describe(
+                scenario_design_point), "factory")
+            for policy in PREFETCH_POLICY_ORDER}
         assert len(keys) == len(PREFETCH_POLICY_ORDER)
 
 

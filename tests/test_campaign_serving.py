@@ -1,4 +1,5 @@
-"""Serving cells in the campaign engine: grid, cache, CLI, hash seeds."""
+"""Serving cells in the campaign engine: CLI rows, dispatch, cache,
+hash seeds."""
 
 from __future__ import annotations
 
@@ -10,29 +11,48 @@ from pathlib import Path
 
 import pytest
 
-from repro.campaign import (CampaignPoint, ResultCache, run_campaign,
-                            serving_grid)
+from repro.campaign import CampaignPoint, ResultCache
 from repro.campaign.cli import main as campaign_cli
 from repro.campaign.points import canonicalize
+from repro.scenarios.dsl import (DesignSpec, Scenario, TrafficSpec,
+                                 WorkloadSpec)
+from repro.scenarios.lowering import lower_scenario
+from repro.scenarios.runner import run_scenarios
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
-def small_serving_grid():
-    return serving_grid(("DC-DLA", "MC-DLA(B)"), ("GPT2",),
-                        (200.0, 800.0), n_requests=64)
+def small_serving_scenarios():
+    return {
+        (design, rate): Scenario(
+            name=f"{design}@{rate:g}", system=DesignSpec(design),
+            workload=WorkloadSpec("GPT2"),
+            traffic=TrafficSpec(rate=rate, n_requests=64))
+        for rate in (200.0, 800.0) for design in ("DC-DLA", "MC-DLA(B)")}
+
+
+def cli_rows(capsys, *argv):
+    """The JSON rows of one uncached serving-only campaign."""
+    assert campaign_cli([*argv, "--strategies", "", "--requests", "64",
+                         "--no-cache", "--quiet", "--format",
+                         "json"]) == 0
+    return json.loads(capsys.readouterr().out)
 
 
 class TestServingGrid:
-    def test_shape_and_labels_unique(self):
-        points = small_serving_grid()
-        assert len(points) == 2 * 2
-        labels = {p.label for p in points}
-        assert len(labels) == len(points)
-        assert all(p.is_serving for p in points)
+    def test_shape_and_labels_unique(self, capsys):
+        rows = cli_rows(capsys, "--designs", "DC-DLA,MC-DLA(B)",
+                        "--networks", "GPT2", "--arrival-rates", "200,800")
+        assert [r["design"] for r in rows] == [
+            "DC-DLA|poisson@200rps|slo50ms|b8w2ms",
+            "MC-DLA(B)|poisson@200rps|slo50ms|b8w2ms",
+            "DC-DLA|poisson@800rps|slo50ms|b8w2ms",
+            "MC-DLA(B)|poisson@800rps|slo50ms|b8w2ms"]
+        assert all(r["mode"] == "serving" for r in rows)
 
     def test_serving_knobs_in_describe(self):
-        point = small_serving_grid()[0]
+        scenario = small_serving_scenarios()[("DC-DLA", 200.0)]
+        point = lower_scenario(scenario)
         description = point.describe()
         served = dict(point.serving)
         assert description["serving"]
@@ -42,32 +62,36 @@ class TestServingGrid:
     def test_non_serving_point_not_serving(self):
         assert not CampaignPoint("DC-DLA", "AlexNet").is_serving
 
-    def test_batch_policies_axis(self):
-        points = serving_grid(("DC-DLA",), ("GPT2",), (100.0,),
-                              batch_policies=((4, 1.0), (16, 5.0)))
-        assert len(points) == 2
-        assert {dict(p.serving)["max_batch"] for p in points} == {4, 16}
+    def test_batch_policies_axis(self, capsys):
+        rows = cli_rows(capsys, "--designs", "DC-DLA", "--networks",
+                        "GPT2", "--arrival-rates", "100",
+                        "--batch-policies", "4x1,16x5")
+        assert [r["design"] for r in rows] == [
+            "DC-DLA|poisson@100rps|slo50ms|b4w1ms",
+            "DC-DLA|poisson@100rps|slo50ms|b16w5ms"]
+        assert [r["serving"]["max_batch"] for r in rows] == [4, 16]
 
 
 class TestServingCampaign:
     def test_serial_pool_and_replay_byte_identical(self, tmp_path):
-        points = small_serving_grid()
+        scenarios = small_serving_scenarios()
         cache = ResultCache(tmp_path / "cache")
-        serial = run_campaign(points).raise_failures()
-        pooled = run_campaign(points, jobs=2,
-                              cache=cache).raise_failures()
-        replayed = run_campaign(points, cache=cache).raise_failures()
-        assert replayed.cached_count == len(points)
-        for a, b, c in zip(serial.outcomes, pooled.outcomes,
-                           replayed.outcomes):
-            assert a.result == b.result == c.result
-            assert a.result.serving is not None
+        serial = run_scenarios(scenarios)
+        pooled = run_scenarios(scenarios, jobs=2, cache=cache)
+        replayed = run_scenarios(scenarios, cache=cache)
+        assert all(o.cached for o in replayed.values())
+        for key, outcome in serial.items():
+            assert outcome.result == pooled[key].result \
+                == replayed[key].result
+            assert outcome.result.serving is not None
 
     def test_mixed_training_and_serving_campaign(self):
-        from repro.campaign import grid
-        points = grid(("DC-DLA",), ("AlexNet",)) + small_serving_grid()
-        report = run_campaign(points).raise_failures()
-        modes = [o.result.mode.value for o in report.outcomes]
+        scenarios = {"train": Scenario(
+            name="train", system=DesignSpec("DC-DLA"),
+            workload=WorkloadSpec("AlexNet"))}
+        scenarios.update(small_serving_scenarios())
+        outcomes = run_scenarios(scenarios).values()
+        modes = [o.result.mode.value for o in outcomes]
         assert modes.count("training") == 1
         assert modes.count("serving") == 4
 
@@ -113,12 +137,14 @@ class TestServingCampaign:
         assert "p99 (ms)" in out and "SLO att." in out
         assert "req/s" in out
 
-    def test_continuous_wait_axis_collapses(self):
-        points = serving_grid(("MC-DLA(B)",), ("GPT2",), (100.0,),
-                              batch_policies=((8, 1.0), (8, 10.0)),
-                              batcher="continuous")
-        assert len(points) == 1
-        assert dict(points[0].serving)["max_wait"] == 0.0
+    def test_continuous_wait_axis_collapses(self, capsys):
+        rows = cli_rows(capsys, "--designs", "MC-DLA(B)", "--networks",
+                        "GPT2", "--arrival-rates", "100",
+                        "--batch-policies", "8x1,8x10",
+                        "--batcher", "continuous")
+        assert [r["design"] for r in rows] == [
+            "MC-DLA(B)|poisson@100rps|slo50ms|b8w0ms"]
+        assert rows[0]["serving"]["max_wait"] == 0.0
 
     def test_continuous_stats_report_zero_wait(self):
         from repro.core.design_points import design_point

@@ -1,8 +1,8 @@
 """Tests for the experiment harness modules (smoke + shape checks).
 
-The heavy numeric shape assertions live in benchmarks/ (the regeneration
-harness); these tests verify the harness logic itself: result wiring,
-normalization, formatting, and caching.
+The paper's key scalars are pinned by the golden snapshots
+(tests/test_golden_figures.py); these tests verify the harness logic
+itself: result wiring, normalization, formatting, and caching.
 """
 
 import pytest

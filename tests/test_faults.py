@@ -16,7 +16,6 @@ import json
 import pytest
 
 from repro.__main__ import main as repro_main
-from repro.campaign import fault_grid, grid
 from repro.campaign.cli import _CSV_FIELDS
 from repro.campaign.cli import main as campaign_cli
 from repro.cluster.jobs import JobKind, JobSpec
@@ -34,7 +33,6 @@ from repro.faults import (FAULT_MODEL_ORDER, FaultModel,
                           fault_model, healthy_config)
 from repro.serving import (BatchPolicy, ServingLedger, compute_stats,
                            simulate_serving)
-from repro.training.parallel import ParallelStrategy
 
 
 def faulted(design: str, model: str):
@@ -309,29 +307,26 @@ class TestClusterFaults:
 
 
 class TestCampaignAxis:
-    BASE = grid(("DC-DLA", "MC-DLA(B)"), ("AlexNet",), (256,),
-                (ParallelStrategy.DATA,))
+    def test_fault_grid_labels_and_replacements(self, capsys):
+        code = campaign_cli([
+            "--designs", "DC-DLA,MC-DLA(B)", "--networks", "AlexNet",
+            "--batches", "256", "--strategies", "data",
+            "--fault-models", "none,storm", "--no-cache", "--quiet",
+            "--format", "json"])
+        assert code == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert [r["design"] for r in rows] == [
+            "DC-DLA|none", "MC-DLA(B)|none",
+            "DC-DLA|storm", "MC-DLA(B)|storm"]
+        for row in rows:
+            model = row["design"].split("|")[-1]
+            # The null model attaches no FaultStats.
+            assert row["fault_model"] == (None if model == "none"
+                                          else model)
 
-    def test_fault_grid_labels_and_replacements(self):
-        points = fault_grid(self.BASE, ("none", "storm"))
-        assert len(points) == 2 * len(self.BASE)
-        labels = {p.label for p in points}
-        assert "DC-DLA|none" in labels and "MC-DLA(B)|storm" in labels
-        for point in points:
-            models = [v for k, v in point.replacements
-                      if k == "fault_model"]
-            assert len(models) == 1
-            assert point.label.endswith(f"|{models[0]}")
-
-    def test_fault_grid_overrides_existing_model(self):
-        seeded = dataclasses.replace(
-            self.BASE[0], replacements=(("fault_model", "storm"),))
-        (point,) = fault_grid((seeded,), ("flaky-link",))
-        assert dict(point.replacements)["fault_model"] == "flaky-link"
-
-    def test_fault_grid_rejects_unknown(self):
-        with pytest.raises(ValueError, match="unknown fault model"):
-            fault_grid(self.BASE, ("chaos",))
+    def test_fault_grid_rejects_unknown(self, capsys):
+        assert campaign_cli(["--fault-models", "chaos", "--quiet"]) == 2
+        assert "unknown fault model" in capsys.readouterr().err
 
     def test_csv_prefix_fields_stable(self):
         """CI cuts columns 1-15; fault columns must append later."""

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from repro.campaign import ResultCache, pipeline_grid, run_campaign
+from repro.campaign import ResultCache
 from repro.campaign.cli import main as campaign_cli
 from repro.core.design_points import DESIGN_ORDER, design_point
 from repro.core.metrics import PipelineStats, SimulationResult
@@ -19,6 +19,8 @@ from repro.pipeline import (ScheduleKind, build_pipeline_ops,
                             pipeline_stats, resolve_stage_count,
                             stage_of_layer, stageable_layer_count,
                             structural_bubble_time)
+from repro.scenarios.dsl import DesignSpec, Scenario, WorkloadSpec
+from repro.scenarios.runner import run_scenarios
 from repro.training.parallel import ParallelStrategy
 
 
@@ -328,23 +330,33 @@ class TestPipelineSerialization:
 class TestPipelineCampaign:
     def test_cells_cache_and_replay_byte_identically(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
-        points = pipeline_grid(("DC-DLA", "MC-DLA(B)"), ("GPT2",),
-                               batches=(64,))
-        first = run_campaign(points, cache=cache).raise_failures()
-        replay = run_campaign(points, cache=cache).raise_failures()
-        assert all(o.cached for o in replay.outcomes)
-        assert first.results == replay.results
-        for key, result in replay.results.items():
-            assert result.pipeline is not None, key
+        scenarios = {
+            (design, schedule): Scenario(
+                name=f"{design}|{schedule}", system=DesignSpec(design),
+                workload=WorkloadSpec("GPT2", batch=64,
+                                      strategy="pipeline",
+                                      schedule=schedule))
+            for schedule in ("1f1b", "gpipe")
+            for design in ("DC-DLA", "MC-DLA(B)")}
+        first = run_scenarios(scenarios, cache=cache)
+        replay = run_scenarios(scenarios, cache=cache)
+        assert all(o.cached for o in replay.values())
+        for key, outcome in replay.items():
+            assert outcome.result == first[key].result
+            assert outcome.result.pipeline is not None, key
 
-    def test_schedule_variants_coexist(self):
-        points = pipeline_grid(("DC-DLA",), ("GPT2",), batches=(64,))
-        labels = {p.name for p in points}
-        assert labels == {"DC-DLA|1f1b", "DC-DLA|gpipe"}
-        report = run_campaign(points).raise_failures()
-        schedules = {o.result.pipeline.schedule
-                     for o in report.outcomes}
-        assert schedules == {"1f1b", "gpipe"}
+    def test_schedule_variants_coexist(self, capsys):
+        code = campaign_cli([
+            "--designs", "DC-DLA", "--networks", "GPT2",
+            "--strategies", "pipeline", "--batches", "64",
+            "--pipeline-schedules", "1f1b,gpipe", "--no-cache",
+            "--format", "json", "--quiet"])
+        assert code == 0
+        rows = json.loads(capsys.readouterr().out)
+        schedules = {r["design"]: r["pipeline"]["schedule"]
+                     for r in rows}
+        assert schedules == {"DC-DLA|1f1b": "1f1b",
+                             "DC-DLA|gpipe": "gpipe"}
 
     def test_cli_pipeline_strategy(self, capsys):
         code = campaign_cli([

@@ -13,22 +13,18 @@ from pathlib import Path
 
 import pytest
 
-from repro.campaign import (CampaignError, ResultCache, cluster_grid,
-                            fault_grid, grid, pipeline_grid,
-                            prefetch_grid, run_campaign, serving_grid)
-from repro.core.design_points import DESIGN_ORDER
+from repro.campaign import CampaignError, ResultCache
+from repro.campaign import cli as campaign_cli
 from repro.experiments.faults_comparison import run_fault_comparison
 from repro.experiments.prefetch_comparison import run_prefetch_comparison
 from repro.scenarios.claims import at_least, ratio_at_least
 from repro.scenarios.cli import main as claims_cli
-from repro.scenarios.dsl import (DesignSpec, FleetSpec, Scenario,
-                                 TrafficSpec, WorkloadSpec)
+from repro.scenarios.dsl import DesignSpec, Scenario, WorkloadSpec
 from repro.scenarios.paper import paper_suite
-from repro.scenarios.runner import (ClaimSuite, run_scenarios, run_study,
-                                   run_suite)
+from repro.scenarios.runner import ClaimSuite, run_study, run_suite
 from repro.scenarios.verdict import (Status, render_csv, render_json,
                                      render_text)
-from repro.units import TB
+from test_result_digest import result_digest
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -219,75 +215,70 @@ class TestCrossProcessCache:
         assert payload["counts"]["ERROR"] == 0
 
 
-_ALEXNET = WorkloadSpec("AlexNet", batch=64)
-_PIPELINE_SCHEDULES = ("1f1b", "zb-h1")
-
-#: Small cells both ways: the campaign CLI's builder, and the Scenario
-#: fields of each builder variant (variant-major, then design, like
-#: the builders).
-_BUILDER_CASES = {
-    "training-prefetch": (
-        lambda: prefetch_grid(DESIGN_ORDER, ("AlexNet",),
-                              ("cost-model",), batches=(64,)),
-        [{"workload": _ALEXNET, "prefetch_policy": "cost-model"}]),
-    "training-faults": (
-        lambda: fault_grid(grid(DESIGN_ORDER, ("AlexNet",), (64,)),
-                           ("none", "storm")),
-        [{"workload": _ALEXNET, "fault_model": model}
-         for model in ("none", "storm")]),
-    "pipeline": (
-        lambda: pipeline_grid(DESIGN_ORDER, ("GPT2",), (16,),
-                              schedules=_PIPELINE_SCHEDULES,
-                              microbatches=4),
-        [{"workload": WorkloadSpec("GPT2", batch=16,
-                                   strategy="pipeline", microbatches=4,
-                                   schedule=schedule)}
-         for schedule in _PIPELINE_SCHEDULES]),
-    "serving": (
-        lambda: serving_grid(DESIGN_ORDER, ("GPT2",), (400.0,),
-                             n_requests=32),
-        [{"workload": WorkloadSpec("GPT2"),
-          "traffic": TrafficSpec(rate=400.0, n_requests=32)}]),
-    "cluster": (
-        lambda: cluster_grid(DESIGN_ORDER, policies=("sjf",), n_jobs=4,
-                             pool_capacity=TB),
-        [{"fleet": FleetSpec(policy="sjf", n_jobs=4, arrival_rate=0.02,
-                             pool_capacity=TB)}]),
-}
+#: One campaign over every CLI axis: training under a prefetch policy,
+#: pipeline, serving and cluster cells, each under two fault models.
+MULTI_AXIS_ARGV = [
+    "--designs", "DC-DLA,MC-DLA(B)", "--networks", "GPT2",
+    "--batches", "64", "--strategies", "data,pipeline",
+    "--pipeline-schedules", "1f1b", "--arrival-rates", "400",
+    "--requests", "32", "--policies", "fifo", "--cluster-jobs", "6",
+    "--pool-gb", "1024", "--prefetch-policies", "stride",
+    "--fault-models", "none,storm"]
 
 
-class TestBuildersMatchLowering:
-    """The campaign CLI's grid builders and ``lower_scenario`` encode
-    the same cells twice; both must give the same simulation."""
+class TestCampaignCliPin:
+    """The campaign CLI's rows, in order, with a digest of every result
+    field (``tests/golden/campaign_cli.json``)."""
 
-    @pytest.mark.parametrize("case", list(_BUILDER_CASES))
-    def test_same_results(self, case):
-        build, variants = _BUILDER_CASES[case]
-        scenarios = {
-            (index, design): Scenario(name=f"{design}/{index}",
-                                      system=DesignSpec(design),
-                                      **fields)
-            for index, fields in enumerate(variants)
-            for design in DESIGN_ORDER
-        }
-        built = run_campaign(build()).raise_failures().outcomes
-        lowered = run_scenarios(scenarios).values()
-        assert len(built) == len(lowered) \
-            == len(variants) * len(DESIGN_ORDER)
-        for point, scenario in zip(built, lowered):
-            assert scenario.ok, scenario.error
-            assert point.result.to_dict() == scenario.result.to_dict()
+    def test_multi_axis_campaign(self, golden, monkeypatch):
+        reports = []
+        render = campaign_cli._render
+
+        def capture(report, fmt):
+            reports.append(report)
+            return render(report, fmt)
+
+        monkeypatch.setattr(campaign_cli, "_render", capture)
+        assert campaign_cli.main(
+            [*MULTI_AXIS_ARGV, "--no-cache", "--quiet"]) == 0
+        (report,) = reports
+        golden.check("campaign_cli", {"cells": [
+            [o.point.name, result_digest(o.result)]
+            for o in report.outcomes]})
+
+
+@pytest.fixture(scope="module")
+def claims_cache(tmp_path_factory):
+    """A cache the quick claims suite filled."""
+    root = tmp_path_factory.mktemp("claims-cache")
+    run_suite(paper_suite(quick=True), cache=ResultCache(root))
+    return root
+
+
+class TestCampaignSharesClaimsCells:
+    """A campaign CLI cell keys the same cache entry as an identical
+    claims cell, so it replays from a cache the claims suite filled."""
+
+    @pytest.mark.parametrize("argv, hits", [
+        (["--networks", "AlexNet", "--strategies", "data"], 6),
+        (["--designs", "DC-DLA,MC-DLA(B)", "--networks", "GPT2",
+          "--strategies", "pipeline", "--batches", "64",
+          "--pipeline-schedules", "1f1b,gpipe"], 4),
+    ], ids=["alexnet-data", "gpt2-pipeline"])
+    def test_cli_cells_hit(self, claims_cache, tmp_path, capsys, argv,
+                           hits):
+        root = tmp_path / "cache"
+        shutil.copytree(claims_cache, root)
+        assert campaign_cli.main(
+            [*argv, "--cache-dir", str(root), "--quiet"]) == 0
+        err = capsys.readouterr().err
+        assert f"{hits} cells: {hits} from cache, 0 simulated" in err
+        assert f"cache: {hits} hits, 0 misses" in err
 
 
 class TestStudiesShareClaimsCells:
     """A study cell declared like a claims cell keys the same cache
     entry, so it replays from a cache the claims suite filled."""
-
-    @pytest.fixture(scope="class")
-    def claims_cache(self, tmp_path_factory):
-        root = tmp_path_factory.mktemp("claims-cache")
-        run_suite(paper_suite(quick=True), cache=ResultCache(root))
-        return root
 
     @pytest.mark.parametrize("run, hits, misses", [
         (run_prefetch_comparison, 4, 26),
