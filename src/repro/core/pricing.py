@@ -21,11 +21,14 @@ through:
   store, each carrying a private memo of the op-table structures
   emitted from it (one per device, offload window and prefetch gate
   plan), which every design point sharing the structure re-prices;
+* the pipeline plans of :func:`repro.pipeline.lowering.plan_pipeline`
+  and the levels below them (stage partitions per stage count,
+  per-layer stage times per device, microbatch and B/W split), in the
+  same store; each plan carries the op structures emitted from it
+  (one per prefetch gate plan), re-priced per design the same way;
 * :func:`layer_times` -- per-layer (forward, backward) seconds for a
   (device, batch, strategy, n_devices) cell, shared by every design
   point with the same device model;
-* :func:`layer_fwd_time` / :func:`layer_bwd_time` -- the pipeline
-  stage-timing equivalents, keyed per layer;
 * :func:`collective_time` -- ring-collective latency per
   (model, primitive, nbytes);
 * :class:`MemoPricer` -- wraps a per-transfer DMA pricer with a
@@ -58,7 +61,6 @@ if TYPE_CHECKING:  # pragma: no cover - annotations only
     from repro.core.metrics import SimulationResult
     from repro.core.system import CollectiveModel, SystemConfig
     from repro.dnn.graph import Network
-    from repro.dnn.layers import Layer
 
 #: Per-network memo store.  Weak keys: a network that dies releases
 #: its cached plans with it.
@@ -70,12 +72,6 @@ _NET_CACHES: "WeakKeyDictionary[Network, dict]" = WeakKeyDictionary()
 _COLLECTIVE_MEMO_ATTR = "_pricing_time_memo"
 _COLLECTIVE_MODELS: list = []
 
-#: (device, layer, batch) -> seconds, one dict per direction.
-_LAYER_FWD: dict = {}
-_LAYER_BWD: dict = {}
-#: (device, layer, batch) -> (activation-grad, weight-grad) seconds.
-_LAYER_BWD_SPLIT: dict = {}
-
 #: (SystemConfig, job-class key) -> SimulationResult, shared across
 #: cluster cost-oracle instances (one design is priced once, not once
 #: per scheduling policy).
@@ -84,9 +80,9 @@ _CLUSTER_CELLS: dict = {}
 #: Telemetry probes: one hit/miss counter pair per memo, rebound
 #: between real series and :data:`NOOP` by the registry activation
 #: hook so the lookup paths never test an enabled flag.
-_MEMO_NAMES = ("partition", "migration", "layer-times", "layer-fwd",
-               "layer-bwd", "layer-bwd-split", "collective", "dma",
-               "cluster-cell", "iteration-plan", "op-structure")
+_MEMO_NAMES = ("partition", "migration", "layer-times", "collective",
+               "dma", "cluster-cell", "iteration-plan", "op-structure",
+               "pipeline-plan", "pipeline-partition", "stage-times")
 _HITS: dict = dict.fromkeys(_MEMO_NAMES, NOOP)
 _MISSES: dict = dict.fromkeys(_MEMO_NAMES, NOOP)
 
@@ -113,9 +109,6 @@ def clear_caches() -> None:
     for model in _COLLECTIVE_MODELS:
         model.__dict__[_COLLECTIVE_MEMO_ATTR].clear()
     _COLLECTIVE_MODELS.clear()
-    _LAYER_FWD.clear()
-    _LAYER_BWD.clear()
-    _LAYER_BWD_SPLIT.clear()
     _CLUSTER_CELLS.clear()
     # The design-point registry memo lives with the factories; imported
     # lazily because design_points sits above this module in the layer
@@ -196,48 +189,6 @@ def layer_times(net: "Network", device: "DeviceSpec", batch: int,
         lambda: {p.name: (op_time(p.fwd_gemms, p.fwd_stream_bytes),
                           op_time(p.bwd_gemms, p.fwd_stream_bytes))
                  for p in parts})
-
-
-def layer_fwd_time(device: "DeviceSpec", layer: "Layer",
-                   batch: int) -> float:
-    """Memoized :meth:`DeviceSpec.layer_fwd_time` (pipeline staging)."""
-    key = (device, layer, batch)
-    if key not in _LAYER_FWD:
-        _MISSES["layer-fwd"].inc()
-        _LAYER_FWD[key] = device.layer_fwd_time(layer, batch)
-    else:
-        _HITS["layer-fwd"].inc()
-    return _LAYER_FWD[key]
-
-
-def layer_bwd_time(device: "DeviceSpec", layer: "Layer",
-                   batch: int) -> float:
-    """Memoized :meth:`DeviceSpec.layer_bwd_time` (pipeline staging)."""
-    key = (device, layer, batch)
-    if key not in _LAYER_BWD:
-        _MISSES["layer-bwd"].inc()
-        _LAYER_BWD[key] = device.layer_bwd_time(layer, batch)
-    else:
-        _HITS["layer-bwd"].inc()
-    return _LAYER_BWD[key]
-
-
-def layer_bwd_split_time(device: "DeviceSpec", layer: "Layer",
-                         batch: int) -> tuple[float, float]:
-    """Memoized :meth:`DeviceSpec.layer_bwd_split_time`.
-
-    The (activation-grad, weight-grad) pair feeding zero-bubble
-    stage timing; sums to :func:`layer_bwd_time` up to float
-    re-association.
-    """
-    key = (device, layer, batch)
-    if key not in _LAYER_BWD_SPLIT:
-        _MISSES["layer-bwd-split"].inc()
-        _LAYER_BWD_SPLIT[key] = device.layer_bwd_split_time(layer,
-                                                            batch)
-    else:
-        _HITS["layer-bwd-split"].inc()
-    return _LAYER_BWD_SPLIT[key]
 
 
 def _collective_memo(model: "CollectiveModel") -> dict:

@@ -11,7 +11,9 @@ Design points that differ only in their interconnect and memory pool
 emit the same training op DAG, so :func:`build_iteration_ops` emits
 each DAG once per iteration plan (an :class:`_OpStructure`) and gives
 every design its own copy with the collective and DMA durations priced
-on that design's models.
+on that design's models.  Pipeline op DAGs
+(:func:`repro.pipeline.lowering.build_pipeline_ops`) are re-priced
+through the same structure.
 """
 
 from __future__ import annotations
@@ -410,18 +412,22 @@ def build_inference_ops(plan: InferencePlan, config: SystemConfig,
 
 
 class _OpStructure:
-    """One emitted training op DAG and the keys that price it.
+    """One emitted op DAG (training or pipeline) and the keys that
+    price it.
 
     ``table`` holds every column.  Its compute durations are final;
     each collective and DMA op holds 0.0 until :meth:`priced` fills it
     from ``comm`` (``(uid, primitive, nbytes)``) or ``dma`` (``(uid,
-    nbytes)``), both in uid order.
+    nbytes)``), both in uid order.  The table's prefetch index is
+    built here, once: every table priced from the structure shares the
+    index :func:`~repro.vmem.prefetch.collect_prefetch_stats` reads.
     """
 
     __slots__ = ("table", "comm", "dma")
 
     def __init__(self, table: OpTable, comm: list[tuple[int, object, int]],
                  dma: list[tuple[int, int]]) -> None:
+        _index_prefetches(table)
         self.table = table
         self.comm = comm
         self.dma = dma
@@ -605,7 +611,4 @@ def _emit_structure(plan: IterationPlan, config: SystemConfig,
                                          f"sync-bwd:{name}")
         bwd_ready[name] = compute
 
-    # Indexed here, once: every table priced from this structure
-    # shares the index collect_prefetch_stats reads.
-    _index_prefetches(ops)
     return _OpStructure(ops, comm, dma)

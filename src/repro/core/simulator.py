@@ -91,7 +91,8 @@ def _drive(config: SystemConfig, net: Network, batch: int,
            strategy: ParallelStrategy, mode: ExecutionMode) \
         -> tuple[SimulationResult, ColumnarTimeline]:
     """The one simulator driver: plan, price, plan prefetches, emit,
-    schedule, and collect one iteration.
+    schedule, and collect one iteration, each under its own span, so
+    the five spans tile the driver.
 
     Returns the result and the timeline it was read from.  The
     per-mode steps are looked up by their module-global names on every
@@ -138,52 +139,54 @@ def _drive(config: SystemConfig, net: Network, batch: int,
     with span("schedule", mode=kind):
         timeline = schedule_ops(ops)
 
-    pipeline = None
-    if kind == "pipeline":
-        pipeline = pipeline_stats(plan, timeline)
-        offload = plan.offload_bytes_per_device
-        host_traffic = 2 * offload
-        footprint = plan.max_stage_footprint_bytes
-        evictions = sum(stage.evictions for stage in psched)
-    elif kind == "inference":
-        # One-way weight streaming: inference pushes nothing back.
-        offload = plan.weight_stream_bytes_per_device
-        host_traffic = offload
-        footprint = net.inference_footprint_bytes(batch)
-        evictions = psched.evictions
-    else:
-        offload = plan.offload_bytes_per_device
-        host_traffic = plan.round_trip_bytes_per_device
-        # Weak scaling: every worker trains a full `batch`
-        # (data-parallel) or materializes full gathered feature maps
-        # (model-parallel), so the per-device footprint is the
-        # full-batch footprint either way.
-        footprint = net.training_footprint_bytes(batch)
-        evictions = psched.evictions
+    with span("collect", mode=kind):
+        pipeline = None
+        if kind == "pipeline":
+            pipeline = pipeline_stats(plan, timeline)
+            offload = plan.offload_bytes_per_device
+            host_traffic = 2 * offload
+            footprint = plan.max_stage_footprint_bytes
+            evictions = sum(stage.evictions for stage in psched)
+        elif kind == "inference":
+            # One-way weight streaming: inference pushes nothing back.
+            offload = plan.weight_stream_bytes_per_device
+            host_traffic = offload
+            footprint = net.inference_footprint_bytes(batch)
+            evictions = psched.evictions
+        else:
+            offload = plan.offload_bytes_per_device
+            host_traffic = plan.round_trip_bytes_per_device
+            # Weak scaling: every worker trains a full `batch`
+            # (data-parallel) or materializes full gathered feature
+            # maps (model-parallel), so the per-device footprint is
+            # the full-batch footprint either way.
+            footprint = net.training_footprint_bytes(batch)
+            evictions = psched.evictions
 
-    breakdown = LatencyBreakdown(
-        compute=timeline.busy_time(EngineKind.COMPUTE),
-        sync=timeline.busy_time(EngineKind.COMM),
-        vmem=(timeline.busy_time(EngineKind.DMA_OUT)
-              + timeline.busy_time(EngineKind.DMA_IN)))
-    result = SimulationResult(
-        system=config.name,
-        network=net.name,
-        batch=batch,
-        strategy=strategy,
-        n_devices=config.n_devices,
-        iteration_time=timeline.makespan,
-        breakdown=breakdown,
-        offload_bytes_per_device=offload,
-        sync_bytes=plan.sync_bytes_per_iteration,
-        host_traffic_bytes_per_device=(host_traffic
-                                       if config.uses_host_memory else 0),
-        fits_in_device_memory=footprint <= config.device.memory_capacity,
-        pipeline=pipeline,
-        mode=mode,
-        prefetch=collect_prefetch_stats(timeline, config.prefetch_policy,
-                                        evictions=evictions),
-    )
+        breakdown = LatencyBreakdown(
+            compute=timeline.busy_time(EngineKind.COMPUTE),
+            sync=timeline.busy_time(EngineKind.COMM),
+            vmem=(timeline.busy_time(EngineKind.DMA_OUT)
+                  + timeline.busy_time(EngineKind.DMA_IN)))
+        result = SimulationResult(
+            system=config.name,
+            network=net.name,
+            batch=batch,
+            strategy=strategy,
+            n_devices=config.n_devices,
+            iteration_time=timeline.makespan,
+            breakdown=breakdown,
+            offload_bytes_per_device=offload,
+            sync_bytes=plan.sync_bytes_per_iteration,
+            host_traffic_bytes_per_device=(
+                host_traffic if config.uses_host_memory else 0),
+            fits_in_device_memory=(
+                footprint <= config.device.memory_capacity),
+            pipeline=pipeline,
+            mode=mode,
+            prefetch=collect_prefetch_stats(
+                timeline, config.prefetch_policy, evictions=evictions),
+        )
     return result, timeline
 
 

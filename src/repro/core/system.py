@@ -189,6 +189,11 @@ class SystemConfig:
             raise ValueError("windows must be >= 1")
         if self.pipeline_stages < 0:
             raise ValueError("pipeline_stages must be >= 0")
+        if self.pipeline_stages > self.n_devices:
+            raise ValueError(
+                f"pipeline_stages={self.pipeline_stages} exceeds "
+                f"n_devices={self.n_devices}: every stage needs a "
+                f"device of its own")
         if self.pipeline_microbatches < 1:
             raise ValueError("pipeline_microbatches must be >= 1")
         if self.prefetch_policy not in PREFETCH_POLICY_ORDER:

@@ -27,17 +27,25 @@ released at B, while the W op holds only the layer-input bytes the
 weight-gradient GEMMs re-read, bounded by the program's W backlog.
 The ``interleaved`` kind additionally hosts ``chunks`` virtual stages
 per device, mapping virtual stage *v* onto channel ``v % P``.
+
+Design points that differ only in their interconnect and memory pool
+share a pipeline's partition, stage times, schedule and op DAG, so
+:func:`plan_pipeline` is memoized per network and each plan keeps the
+op structures emitted from it; :func:`build_pipeline_ops` gives every
+design its own copy with the stash-DMA and ``sync-dw`` durations
+priced on that design's models.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
+from repro.accelerator.device import DeviceSpec
 from repro.collectives.ring_algorithm import Primitive
 from repro.core import pricing
 from repro.core.metrics import PipelineStats
 from repro.core.optable import ColumnarTimeline, OpTable
-from repro.core.schedule import vmem_pricer
+from repro.core.schedule import _OpStructure, vmem_pricer
 from repro.core.system import SystemConfig
 from repro.core.timeline import EngineKind
 from repro.dnn.graph import Network
@@ -48,7 +56,8 @@ from repro.pipeline.partition import (PipelineStage, crossing_sends,
 from repro.pipeline.schedules import (OpKind, PipelineSchedule,
                                       ScheduleCosts, ScheduleKind,
                                       build_schedule,
-                                      parse_schedule_kind)
+                                      parse_schedule_kind,
+                                      structural_bubble_time)
 from repro.vmem.prefetch import (FetchSite, PrefetchContext,
                                  PrefetchSchedule, prefetch_policy)
 
@@ -103,6 +112,11 @@ class PipelinePlan:
     replicas: int
     #: Virtual stages hosted per device (1 except ``interleaved``).
     chunks: int = 1
+    #: Derived from this plan only: its prefetch fetch sites and the
+    #: op structures emitted from it (see :func:`build_pipeline_ops`).
+    #: Never copied: ``dataclasses.replace`` starts an empty memo.
+    _memo: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
 
     @property
     def n_stages(self) -> int:
@@ -178,34 +192,60 @@ def _stage_weight_bytes(net: Network, stage: PipelineStage) -> int:
     return total
 
 
-def _stage_times(net: Network, stage: PipelineStage,
-                 config: SystemConfig, microbatch: int,
-                 split: bool = False) -> tuple[float, float, float]:
-    """(fwd, bwd, wgrad) compute time of one stage per microbatch.
+def _layer_times(net: Network, device: DeviceSpec, microbatch: int,
+                 split: bool) -> dict[str, tuple[float, float, float,
+                                                 bool]]:
+    """Per non-input layer: ``(fwd, bwd, wgrad, is_cheap)`` seconds
+    per microbatch.
 
     Without ``split`` the whole backward lands in ``bwd`` and
     ``wgrad`` is zero; with it, ``bwd`` is the activation-grad (B)
-    part -- plus any cheap-layer recompute, which must run before the
-    gradient can propagate -- and ``wgrad`` the deferrable dW part.
+    part and ``wgrad`` the deferrable dW part.  Memoized per network
+    version, device, microbatch and split: every design point sharing
+    the device times each layer once.
     """
-    device = config.device
+    def build() -> dict[str, tuple[float, float, float, bool]]:
+        times = {}
+        for layer in net.layers:
+            if layer.kind is LayerKind.INPUT:
+                continue
+            fwd = device.layer_fwd_time(layer, microbatch)
+            if split:
+                bwd, wgrad = device.layer_bwd_split_time(layer,
+                                                         microbatch)
+            else:
+                bwd = device.layer_bwd_time(layer, microbatch)
+                wgrad = 0.0
+            times[layer.name] = (fwd, bwd, wgrad, layer.is_cheap)
+        return times
+
+    return pricing._memoized(
+        pricing._net_cache(net),
+        ("stage-times", net.version, device, microbatch, split),
+        "stage-times", build)
+
+
+def _stage_times(times: dict[str, tuple[float, float, float, bool]],
+                 stage: PipelineStage,
+                 virtualizes: bool) -> tuple[float, float, float]:
+    """(fwd, bwd, wgrad) compute time of one stage per microbatch,
+    summed in layer order from :func:`_layer_times`.
+
+    Cheap layers are recomputed during backward instead of migrated
+    (footnote 4), so on a virtualizing design their forward time is
+    added to ``bwd``: it must run before the gradient can propagate.
+    """
     fwd = bwd = wgrad = 0.0
     for name in stage.layer_names:
-        layer = net.layer(name)
-        if layer.kind is LayerKind.INPUT:
-            continue
-        fwd += pricing.layer_fwd_time(device, layer, microbatch)
-        if split:
-            dx, dw = pricing.layer_bwd_split_time(device, layer,
-                                                  microbatch)
-            bwd += dx
-            wgrad += dw
-        else:
-            bwd += pricing.layer_bwd_time(device, layer, microbatch)
-        # Cheap layers are recomputed during backward instead of
-        # migrated (footnote 4), per microbatch.
-        if layer.is_cheap and config.virtualizes:
-            bwd += pricing.layer_fwd_time(device, layer, microbatch)
+        entry = times.get(name)
+        if entry is None:
+            continue  # an input pseudo-layer
+        layer_fwd, layer_bwd, layer_wgrad, cheap = entry
+        fwd += layer_fwd
+        bwd += layer_bwd
+        wgrad += layer_wgrad
+        if cheap and virtualizes:
+            bwd += layer_fwd
     return fwd, bwd, wgrad
 
 
@@ -240,12 +280,47 @@ def resolve_stage_count(net: Network, config: SystemConfig) -> int:
     return max(1, min(requested, stageable_layer_count(net)))
 
 
+def _partition(net: Network, n_stages: int) \
+        -> tuple[tuple[PipelineStage, ...],
+                 dict[int, tuple[tuple[str, int], ...]]]:
+    """The stages and crossing sends of one stage count, memoized per
+    network version."""
+    def build():
+        stages = partition_stages(net, n_stages)
+        return stages, crossing_sends(net, stages)
+
+    return pricing._memoized(
+        pricing._net_cache(net),
+        ("pipeline-partition", net.version, n_stages),
+        "pipeline-partition", build)
+
+
 def plan_pipeline(net: Network, config: SystemConfig,
                   batch: int) -> PipelinePlan:
-    """Partition, schedule, and time one pipeline-parallel iteration."""
+    """Partition, schedule, and time one pipeline-parallel iteration.
+
+    Memoized per network on exactly what a plan reads: the batch, the
+    canonical schedule kind (so aliases share a plan), the stage,
+    device and microbatch counts, the device, whether the design
+    virtualizes, and its offload window.  Design points that differ
+    only in their interconnect and memory pool share one plan, and
+    with it the op structures emitted from it.
+    """
     if batch <= 0:
         raise ValueError("batch must be positive")
     kind = parse_schedule_kind(config.pipeline_schedule)
+    return pricing._memoized(
+        pricing._net_cache(net),
+        ("pipeline-plan", net.version, batch, kind,
+         config.pipeline_stages, config.n_devices,
+         config.pipeline_microbatches, config.device,
+         config.virtualizes, config.offload_window),
+        "pipeline-plan", lambda: _plan(net, config, batch, kind))
+
+
+def _plan(net: Network, config: SystemConfig, batch: int,
+          kind: ScheduleKind) -> PipelinePlan:
+    """Build the plan :func:`plan_pipeline` memoizes."""
     n_channels = resolve_stage_count(net, config)
     chunks = kind.virtual_chunks
     if chunks > 1 and (n_channels < 2 or stageable_layer_count(net)
@@ -262,15 +337,14 @@ def plan_pipeline(net: Network, config: SystemConfig,
     microbatch = batch // n_microbatches
     split = kind.splits_wgrad
 
-    stages = partition_stages(net, n_stages)
-    sends = crossing_sends(net, stages)
+    stages, sends = _partition(net, n_stages)
+    times = _layer_times(net, config.device, microbatch, split)
 
     # Time every stage before building the schedule: the zb-auto
     # search ranks slot orderings against these very costs.
     timed = []
     for stage in stages:
-        fwd, bwd, wgrad = _stage_times(net, stage, config, microbatch,
-                                       split)
+        fwd, bwd, wgrad = _stage_times(times, stage, config.virtualizes)
         bytes_to: dict[int, int] = {}
         for producer, to in sends[stage.index]:
             bytes_to[to] = bytes_to.get(to, 0) \
@@ -363,6 +437,28 @@ def pipeline_pricer(plan: PipelinePlan, config: SystemConfig):
     return vmem_pricer(config, compute, comm)
 
 
+def _fetch_sites(plan: PipelinePlan) \
+        -> tuple[tuple[tuple[float, ...], tuple[FetchSite, ...]], ...]:
+    """Per stage: its backward-step estimates and the fetch sites of
+    its offloaded microbatches, in backward-slot order.
+
+    Depends on the plan alone, so it is kept on the plan and every
+    design point sharing the plan prices the same sites.
+    """
+    cached = plan._memo.get("fetch-sites")
+    if cached is None:
+        per_stage = []
+        for stage in plan.stages:
+            positions = _stage_bwd_position(plan, stage)
+            sites = tuple(
+                FetchSite(producer=f"s{stage.index}:m{m}",
+                          use_step=positions[m], nbytes=stage.stash_bytes)
+                for m in _stage_fetch_microbatches(plan, stage))
+            per_stage.append(((stage.bwd_time,) * len(positions), sites))
+        cached = plan._memo["fetch-sites"] = tuple(per_stage)
+    return cached
+
+
 def plan_pipeline_prefetch(plan: PipelinePlan, config: SystemConfig,
                            pricer=None) \
         -> tuple[PrefetchSchedule, ...]:
@@ -377,21 +473,13 @@ def plan_pipeline_prefetch(plan: PipelinePlan, config: SystemConfig,
         pricer = pipeline_pricer(plan, config)
     policy = prefetch_policy(config.prefetch_policy)
     schedules = []
-    for stage in plan.stages:
-        positions = _stage_bwd_position(plan, stage)
-        n_steps = len(positions)
-        sites = []
-        fetch_seconds = []
-        for m in _stage_fetch_microbatches(plan, stage):
-            sites.append(FetchSite(producer=f"s{stage.index}:m{m}",
-                                   use_step=positions[m],
-                                   nbytes=stage.stash_bytes))
-            fetch_seconds.append(pricer(stage.stash_bytes))
+    for stage, (step_seconds, sites) in zip(plan.stages,
+                                            _fetch_sites(plan)):
         ctx = PrefetchContext(
-            n_steps=n_steps, sites=tuple(sites),
-            step_seconds=tuple(stage.bwd_time
-                               for _ in range(n_steps)),
-            fetch_seconds=tuple(fetch_seconds),
+            n_steps=len(step_seconds), sites=sites,
+            step_seconds=step_seconds,
+            fetch_seconds=tuple(pricer(stage.stash_bytes)
+                                for _ in sites),
             window=config.prefetch_window,
             stash=config.prefetch_stash)
         schedules.append(policy.plan(ctx))
@@ -410,11 +498,33 @@ def build_pipeline_ops(plan: PipelinePlan, config: SystemConfig,
     plan (the legacy bounded lookahead under ``on-demand``).  On
     zero-bubble schedules the W slot depends only on its own B -- it
     is pure deferrable filler on the stage's compute channel.
+
+    The op structure (every column but the stash-DMA and ``sync-dw``
+    durations) is emitted once per plan for each device, offload
+    window and prefetch gate plan, and kept on the plan; every call
+    returns a new table priced through this config's collective model
+    and ``pricer``, exactly as training tables are.
     """
     if pricer is None:
         pricer = pipeline_pricer(plan, config)
     if prefetch is None:
         prefetch = plan_pipeline_prefetch(plan, config, pricer)
+    key = ("op-structure", config.device, config.offload_window,
+           tuple(tuple(issue.gate_step for issue in sched.issues)
+                 for sched in prefetch),
+           tuple(sched.waste for sched in prefetch))
+    structure = pricing._memoized(
+        plan._memo, key, "op-structure",
+        lambda: _emit_structure(plan, config, prefetch))
+    return structure.priced(pricing.collective_pricer(config.collectives),
+                            pricer)
+
+
+def _emit_structure(plan: PipelinePlan, config: SystemConfig,
+                    prefetch: tuple[PrefetchSchedule, ...]) \
+        -> _OpStructure:
+    """Emit one pipeline iteration's op structure (see
+    :class:`~repro.core.schedule._OpStructure`)."""
     # Per stage: microbatch -> (its fetch issue, the waste emitted
     # just before it).
     stage_issue: list[dict[int, object]] = []
@@ -427,9 +537,18 @@ def build_pipeline_ops(plan: PipelinePlan, config: SystemConfig,
         stage_waste.append({m: waste_before.get(i, ())
                             for i, m in enumerate(order)})
     ops = OpTable()
+    comm: list[tuple[int, object, int]] = []
+    dma: list[tuple[int, int]] = []
     schedule = plan.schedule
     n_stages = schedule.n_stages
     chan = plan.channel_of
+
+    def dma_op(engine: EngineKind, nbytes: int, deps: list[int],
+               tag: str, channel: int) -> int:
+        uid = ops.add(engine, 0.0, deps, tag=tag, nbytes=nbytes,
+                      channel=channel)
+        dma.append((uid, nbytes))
+        return uid
 
     targets = {s.index: tuple(to for to, _ in s.sends)
                for s in plan.stages}
@@ -463,11 +582,8 @@ def build_pipeline_ops(plan: PipelinePlan, config: SystemConfig,
                 tag=f"send-act:s{s}>s{to}:m{m}", nbytes=nbytes,
                 channel=chan(s))
         if stage.offloaded[m]:
-            uid_off = ops.add(
-                EngineKind.DMA_OUT,
-                pricer(stage.stash_bytes), [uid],
-                tag=f"offload:s{s}:m{m}", nbytes=stage.stash_bytes,
-                channel=chan(s))
+            uid_off = dma_op(EngineKind.DMA_OUT, stage.stash_bytes,
+                             [uid], f"offload:s{s}:m{m}", chan(s))
             offload_uid[(s, m)] = uid_off
             offload_order[s].append(uid_off)
 
@@ -485,17 +601,14 @@ def build_pipeline_ops(plan: PipelinePlan, config: SystemConfig,
             for waste in stage_waste[s][m]:
                 waste_gate = ([] if waste.gate_step is None
                               else [bwd_uids[s][waste.gate_step]])
-                ops.add(EngineKind.DMA_IN, pricer(waste.nbytes),
-                        waste_gate, tag=f"waste:{waste.label}",
-                        nbytes=waste.nbytes, channel=chan(s))
+                dma_op(EngineKind.DMA_IN, waste.nbytes, waste_gate,
+                       f"waste:{waste.label}", chan(s))
             gate = ([] if issue.gate_step is None
                     else [bwd_uids[s][issue.gate_step]])
-            deps.append(ops.add(
-                EngineKind.DMA_IN,
-                pricer(stage.stash_bytes),
-                gate + [offload_uid[(s, m)]],
-                tag=f"prefetch:s{s}:m{m}", nbytes=stage.stash_bytes,
-                channel=chan(s)))
+            deps.append(dma_op(
+                EngineKind.DMA_IN, stage.stash_bytes,
+                gate + [offload_uid[(s, m)]], f"prefetch:s{s}:m{m}",
+                chan(s)))
         uid = ops.add(EngineKind.COMPUTE, stage.bwd_time, deps,
                       tag=f"bwd:s{s}:m{m}", channel=chan(s))
         bwd_uids[s].append(uid)
@@ -561,15 +674,14 @@ def build_pipeline_ops(plan: PipelinePlan, config: SystemConfig,
     if plan.replicas > 1:
         for stage in plan.stages:
             if stage.weight_bytes:
-                ops.add(EngineKind.COMM,
-                        pricing.collective_time(config.collectives,
-                                                Primitive.ALL_REDUCE,
-                                                stage.weight_bytes),
-                        [last_grad_uid[stage.index]],
-                        tag=f"sync-dw:s{stage.index}",
-                        nbytes=stage.weight_bytes,
-                        channel=chan(stage.index))
-    return ops
+                uid = ops.add(EngineKind.COMM, 0.0,
+                              [last_grad_uid[stage.index]],
+                              tag=f"sync-dw:s{stage.index}",
+                              nbytes=stage.weight_bytes,
+                              channel=chan(stage.index))
+                comm.append((uid, Primitive.ALL_REDUCE,
+                             stage.weight_bytes))
+    return _OpStructure(ops, comm, dma)
 
 
 def pipeline_stats(plan: PipelinePlan,
@@ -578,9 +690,21 @@ def pipeline_stats(plan: PipelinePlan,
 
     Rows are physical devices (timeline channels); under the
     interleaved kind each row folds the device's virtual stages
-    together.  A stage busier than the makespan would mean the
-    timeline over-counted work, so that is an invariant violation,
-    not something to clamp away silently.
+    together.  Two invariants are checked, not clamped away:
+
+    * a device busier than the makespan means the timeline
+      over-counted work;
+    * the device running the last stage idles at least for the
+      structural fill/drain bound
+      (:func:`~repro.pipeline.schedules.structural_bubble_time` of the
+      device count, the least per-device F, the least per-device B+W
+      and the most per-device W, per microbatch): microbatch 0's
+      forwards must reach it before it starts, and the last
+      microbatch's backwards must leave it after it ends.  Less means
+      the timeline lost idle time no schedule can avoid.  Devices
+      upstream of a slower stage may idle less than the bound (their
+      warmup forwards cover microbatch 0's round trip), so only the
+      loss side is held to it.
     """
     makespan = timeline.makespan
     tolerance = 1e-9 * max(1.0, makespan)
@@ -598,12 +722,27 @@ def pipeline_stats(plan: PipelinePlan,
     offload = [0] * plan.n_channels
     in_flight = [0] * plan.n_channels
     wgrad = [0.0] * plan.n_channels
+    # Per device and microbatch: F, B+W and W, summed over its stages.
+    t_fwd = [0.0] * plan.n_channels
+    t_grad = [0.0] * plan.n_channels
+    t_wgrad = [0.0] * plan.n_channels
     for stage in plan.stages:
         channel = plan.channel_of(stage.index)
         offload[channel] += stage.offload_bytes
         in_flight[channel] += stage.max_in_flight
         wgrad[channel] += stage.wgrad_time \
             * plan.schedule.n_microbatches
+        t_fwd[channel] += stage.fwd_time
+        t_grad[channel] += stage.bwd_time + stage.wgrad_time
+        t_wgrad[channel] += stage.wgrad_time
+    bound = structural_bubble_time(plan.n_channels, min(t_fwd),
+                                   min(t_grad), max(t_wgrad))
+    last = plan.channel_of(plan.n_stages - 1)
+    if bubble[last] < bound * (1.0 - 1e-9):
+        raise RuntimeError(
+            f"loss-side stage {last} bubble {bubble[last]!r} is below "
+            f"the structural bound {bound!r}: timeline lost fill/drain "
+            f"idle")
     return PipelineStats(
         schedule=plan.schedule.kind.value,
         n_stages=plan.n_channels,

@@ -26,6 +26,7 @@ at the stage's 1F1B warmup to stay under the same memory bound.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
 
 
@@ -112,16 +113,29 @@ class Slot:
                 f"is_forward={self.is_forward}")
 
 
+# Slots are interned, one frozen instance per (microbatch, kind): the
+# schedules kept by the pipeline plan memos share them instead of each
+# holding its own copies.
+
+@functools.cache
 def _f(m: int) -> Slot:
     return Slot(m, True)
 
 
+@functools.cache
 def _b(m: int) -> Slot:
     return Slot(m, False)
 
 
+@functools.cache
 def _w(m: int) -> Slot:
     return Slot(m, False, OpKind.W)
+
+
+def _slot_key(microbatch: int, kind: OpKind) -> int:
+    """A program index key: one int per (microbatch, kind), so the
+    indexes of memoized plans hold no key objects of their own."""
+    return 3 * microbatch + _CODE_OF_KIND[kind]
 
 
 @dataclass(frozen=True)
@@ -130,8 +144,8 @@ class StageProgram:
 
     stage: int
     slots: tuple[Slot, ...]
-    #: ``(microbatch, kind) -> slot position``, built once so lowering
-    #: does O(1) lookups instead of an O(M) scan per query.
+    #: ``_slot_key(microbatch, kind) -> slot position``, built once so
+    #: lowering does O(1) lookups instead of an O(M) scan per query.
     _index: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
 
@@ -141,13 +155,14 @@ class StageProgram:
                              compare=False)
 
     def __post_init__(self) -> None:
-        index: dict[tuple[int, OpKind], int] = {}
+        index: dict[int, int] = {}
         w_before = [0]
         for position, slot in enumerate(self.slots):
-            key = (slot.microbatch, slot.kind)
+            key = _slot_key(slot.microbatch, slot.kind)
             if key in index:
                 raise ValueError(
-                    f"stage {self.stage} repeats slot {key}")
+                    f"stage {self.stage} repeats slot "
+                    f"{(slot.microbatch, slot.kind)}")
             index[key] = position
             w_before.append(w_before[-1]
                             + (slot.kind is OpKind.W))
@@ -157,14 +172,14 @@ class StageProgram:
     def slot_index(self, microbatch: int, is_forward: bool) -> int:
         kind = OpKind.F if is_forward else OpKind.B
         try:
-            return self._index[(microbatch, kind)]
+            return self._index[_slot_key(microbatch, kind)]
         except KeyError:
             raise KeyError((self.stage, microbatch, is_forward)) \
                 from None
 
     def kind_index(self, microbatch: int, kind: OpKind) -> int:
         try:
-            return self._index[(microbatch, kind)]
+            return self._index[_slot_key(microbatch, kind)]
         except KeyError:
             raise KeyError((self.stage, microbatch, kind)) from None
 

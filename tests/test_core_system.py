@@ -1,5 +1,7 @@
 """Tests for system composition and the design-point factories."""
 
+import dataclasses
+
 import pytest
 
 from repro.accelerator.generations import TPUV2
@@ -137,3 +139,14 @@ class TestSystemConfigValidation:
         with pytest.raises(ValueError):
             SystemConfig(name="x", collectives=base.collectives,
                          vmem=base.vmem, n_devices=0)
+
+    def test_rejects_more_pipeline_stages_than_devices(self):
+        config = design_point("MC-DLA(B)")
+        with pytest.raises(ValueError,
+                           match="pipeline_stages=16 exceeds n_devices=8"):
+            dataclasses.replace(config, pipeline_stages=16)
+        # One stage per device, and fewer stages than devices, stay legal.
+        assert dataclasses.replace(config,
+                                   pipeline_stages=8).pipeline_stages == 8
+        assert dataclasses.replace(config,
+                                   pipeline_stages=4).pipeline_stages == 4

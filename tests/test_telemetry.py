@@ -18,6 +18,7 @@ import pytest
 from repro import telemetry
 from repro.core import pricing
 from repro.core.design_points import design_point
+from repro.core.metrics import ExecutionMode
 from repro.core.simulator import simulate
 from repro.telemetry.manifest import (WALL_CLOCK_FIELDS, build_manifest,
                                       config_fingerprint, write_manifest)
@@ -290,6 +291,25 @@ class TestSpans:
                  ParallelStrategy.DATA)
         names = [s.name for s in telemetry.span_recorder().spans]
         assert {"plan", "price", "emit", "schedule"} <= set(names)
+
+    @pytest.mark.parametrize("kind,network,strategy,mode", (
+        ("training", "AlexNet", ParallelStrategy.DATA,
+         ExecutionMode.TRAINING),
+        ("pipeline", "GPT2", ParallelStrategy.PIPELINE,
+         ExecutionMode.TRAINING),
+        ("inference", "ResNet", ParallelStrategy.DATA,
+         ExecutionMode.INFERENCE),
+    ))
+    def test_phase_spans_tile_the_driver(self, enabled, kind, network,
+                                         strategy, mode):
+        simulate(design_point("MC-DLA(B)"), network, 64, strategy, mode)
+        spans = telemetry.span_recorder().spans
+        phases = ("plan", "price", "emit", "schedule", "collect")
+        assert [s.name for s in spans] == list(phases)
+        assert all(s.args == {"mode": kind} for s in spans)
+        # Back to back: each phase starts where the previous one ended.
+        for before, after in zip(spans, spans[1:]):
+            assert before.end <= after.start
 
 
 # -- exporters ------------------------------------------------------------

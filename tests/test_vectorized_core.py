@@ -7,9 +7,9 @@ serving, cluster, prefetch and fault subsystems:
 * memo purity -- a run from empty pricing memos and a rerun served
   from hot memos give *equal* results, every float compared with
   ``==`` (the memos of :mod:`repro.core.pricing` only ever skip work);
-* structure sharing -- a training op table priced from an op structure
-  another design point emitted equals, column by column and bit for
-  bit, the table emitted with the memos cleared;
+* structure sharing -- a training or pipeline op table priced from an
+  op structure another design point emitted equals, column by column
+  and bit for bit, the table emitted with the memos cleared;
 * trace equals simulate -- the timeline :func:`iteration_timeline`
   returns is the one :func:`simulate` priced: its makespan is the
   iteration time and its engine busy totals are the breakdown.
@@ -33,9 +33,15 @@ from repro.core.schedule import build_iteration_ops, plan_iteration
 from repro.core.simulator import iteration_timeline, simulate
 from repro.core.timeline import EngineKind
 from repro.dnn.layers import Layer, LayerKind
-from repro.dnn.registry import BENCHMARK_NAMES, benchmark_info
+from repro.dnn.registry import (BENCHMARK_NAMES, benchmark_info,
+                                build_network)
 from repro.dnn.shapes import fc_gemm
 from repro.experiments.ablations import _recompute_plan
+from repro.faults.lowering import degraded_config, healthy_config
+from repro.pipeline.lowering import plan_pipeline
+from repro.pipeline.schedules import SCHEDULE_ORDER, build_schedule
+from repro.scenarios.lowering import lower_scenario, scenario_design_point
+from repro.scenarios.paper import paper_suite
 from repro.serving.server import simulate_serving
 from repro.telemetry.registry import disable_metrics, enable_metrics
 from repro.training.parallel import ParallelStrategy
@@ -65,7 +71,7 @@ def assert_same_table(actual: OpTable, expected: OpTable) -> None:
 def check_cell(config, network: str, batch: int,
                strategy: ParallelStrategy, donors=()) -> None:
     """Memo purity, structure sharing and trace-equals-simulate for one
-    training cell.
+    training or pipeline cell.
 
     The cell's op table is emitted with the memos cleared, then again
     after every ``donors`` config ran the same workload, so it is
@@ -231,6 +237,120 @@ class TestStructureSharing:
                              memo)] == 32
             assert counters[("repro_pricing_memo_hits_total",
                              memo)] == 64
+
+
+def _suite_pipeline_cells():
+    """The claims suite's pipeline cells, as (config, network, batch)."""
+    for scenario in paper_suite().scenarios:
+        point = lower_scenario(scenario)
+        if point.strategy is ParallelStrategy.PIPELINE:
+            yield (point.build_config(scenario_design_point),
+                   point.network, point.batch)
+
+
+class TestPipelineSharing:
+    """Pipeline plans and op structures are shared across designs the
+    way training's are, and priced per design."""
+
+    @pytest.mark.parametrize("schedule", SCHEDULE_ORDER)
+    def test_schedules_share_across_designs(self, schedule):
+        config = dataclasses.replace(design_point("MC-DLA(B)"),
+                                     pipeline_schedule=schedule)
+        check_cell(config, "GPT2", 64, ParallelStrategy.PIPELINE,
+                   donors=other_designs("MC-DLA(B)",
+                                        pipeline_schedule=schedule))
+
+    @pytest.mark.parametrize("policy", ("stride", "cost-model"))
+    def test_prefetch_policies(self, policy):
+        # A two-deep stash makes stride evict and re-fetch (waste
+        # DMAs); cost-model gates depend on each design's DMA prices,
+        # so its structures split by design.
+        knobs = dict(pipeline_schedule="gpipe", prefetch_policy=policy,
+                     prefetch_stash=2)
+        config = dataclasses.replace(design_point("MC-DLA(L)"), **knobs)
+        check_cell(config, "GPT2", 64, ParallelStrategy.PIPELINE,
+                   donors=other_designs("MC-DLA(L)", **knobs))
+        table = iteration_timeline(config, "GPT2", 64,
+                                   ParallelStrategy.PIPELINE).table
+        wasted = sum(tag.startswith("waste:") for tag in table.tags)
+        assert (wasted > 0) == (policy == "stride")
+
+    @pytest.mark.parametrize("design", ("DC-DLA", "MC-DLA(B)"))
+    @pytest.mark.parametrize("fault", ("straggler", "degraded-link"))
+    def test_fault_models(self, design, fault):
+        config = dataclasses.replace(design_point(design),
+                                     fault_model=fault,
+                                     pipeline_schedule="zb-auto")
+        donors = [dataclasses.replace(design_point(design),
+                                      pipeline_schedule="zb-auto")]
+        donors += other_designs(design, fault_model=fault,
+                                pipeline_schedule="zb-auto")
+        check_cell(config, "GPT2", 64, ParallelStrategy.PIPELINE,
+                   donors=donors)
+        # A straggler slows the device, so it plans on its own; a
+        # degraded link re-prices transfers on the healthy plan.
+        net = build_network("GPT2")
+        degraded = plan_pipeline(net, degraded_config(config), 64)
+        healthy = plan_pipeline(net, healthy_config(config), 64)
+        assert (degraded is healthy) == (fault == "degraded-link")
+
+    def test_schedule_aliases_share_a_plan(self):
+        net = build_network("GPT2")
+        base = design_point("MC-DLA(B)")
+        pricing.clear_caches()
+        plan = plan_pipeline(
+            net, dataclasses.replace(base, pipeline_schedule="zb-h1"), 64)
+        for alias in ("zb", "zero-bubble"):
+            assert plan_pipeline(
+                net, dataclasses.replace(base, pipeline_schedule=alias),
+                64) is plan
+
+    def test_suite_emits_each_structure_once(self, monkeypatch):
+        adds = [0]
+        searches = [0]
+        add = OpTable.add
+        search = build_schedule
+
+        def counting_add(self, *args, **kwargs):
+            adds[0] += 1
+            return add(self, *args, **kwargs)
+
+        def counting_search(*args, **kwargs):
+            searches[0] += 1
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(OpTable, "add", counting_add)
+        monkeypatch.setattr("repro.pipeline.lowering.build_schedule",
+                            counting_search)
+        cells = list(_suite_pipeline_cells())
+        pricing.clear_caches()
+        registry = enable_metrics(fresh=True)
+        try:
+            for config, network, batch in cells:
+                simulate(config, network, batch,
+                         ParallelStrategy.PIPELINE)
+            counters = {
+                (entry["name"], entry["labels"].get("memo")):
+                    entry["value"]
+                for entry in registry.snapshot()["counters"]}
+        finally:
+            disable_metrics()
+            pricing.clear_caches()
+        # 52 cells, 17 plans: GPT2 and BERT-Large under four zero-bubble
+        # suite schedules, split by whether the design virtualizes, plus
+        # GPT2 fill-drain (its two designs both virtualize).  Emitting
+        # per cell added 24,028 ops and searched 52 schedules.
+        assert len(cells) == 52
+        assert adds[0] == 7252
+        assert searches[0] == 17
+        for memo, misses, hits in (("pipeline-plan", 17, 35),
+                                   ("op-structure", 17, 35),
+                                   ("pipeline-partition", 4, 13),
+                                   ("stage-times", 4, 13)):
+            assert counters[("repro_pricing_memo_misses_total",
+                             memo)] == misses
+            assert counters[("repro_pricing_memo_hits_total",
+                             memo)] == hits
 
 
 class TestStructureIsolation:

@@ -24,6 +24,7 @@ from repro.pipeline import (OpKind, ScheduleCosts, ScheduleKind, Slot,
                             evaluate_makespan,
                             parse_schedule_kind, pipeline_stats,
                             plan_pipeline, structural_bubble_time)
+from repro.pipeline.lowering import _layer_times
 from repro.scenarios.paper import zero_bubble_suite
 from repro.scenarios.runner import run_suite
 from repro.training.parallel import ParallelStrategy
@@ -334,7 +335,10 @@ class TestBubbleInvariant:
             pipeline_stats(plan, OverTimeline())
 
     def test_float_jitter_clamps_to_zero_bubble(self):
-        plan = self._plan()
+        # A zero bubble is legal only where the structural bound is
+        # zero: a one-stage pipeline has no fill or drain.
+        plan = plan_pipeline(build_network("GPT2"),
+                             _config(pipeline_stages=1), 64)
 
         class JitterTimeline:
             makespan = 1.0
@@ -344,6 +348,36 @@ class TestBubbleInvariant:
 
         stats = pipeline_stats(plan, JitterTimeline())
         assert all(b == 0.0 for b in stats.stage_bubble)
+
+    def test_bubble_below_structural_bound_raises(self):
+        plan = self._plan()
+        fwd = min(stage.fwd_time for stage in plan.stages)
+        grad = min(stage.bwd_time + stage.wgrad_time
+                   for stage in plan.stages)
+        wgrad = max(stage.wgrad_time for stage in plan.stages)
+        bound = structural_bubble_time(plan.n_channels, fwd, grad, wgrad)
+        assert bound > 0.0
+        last = plan.n_channels - 1
+
+        class LostFillTimeline:
+            """Every device idles exactly the bound, except the loss
+            side, which idles just under it."""
+
+            makespan = 1.0
+
+            def busy_time(self, engine, channel):
+                short = 2e-9 * bound if channel == last else 0.0
+                return 1.0 - bound + short
+
+        with pytest.raises(RuntimeError, match="structural bound"):
+            pipeline_stats(plan, LostFillTimeline())
+
+        class ExactFillTimeline(LostFillTimeline):
+            def busy_time(self, engine, channel):
+                return 1.0 - bound
+
+        stats = pipeline_stats(plan, ExactFillTimeline())
+        assert stats.stage_bubble[last] == pytest.approx(bound)
 
 
 class TestSplitTiming:
@@ -367,13 +401,18 @@ class TestSplitTiming:
         assert checked > 0
 
     def test_pricing_memo_matches_device(self):
+        # Stage timing reads one per-layer table per device,
+        # microbatch and split, memoized with the network's plans.
         net = build_network("GPT2")
         device = design_point("DC-DLA").device
-        layer = next(net.layer(n) for n in net.layer_names
-                     if net.layer(n).weight_elems)
-        first = pricing.layer_bwd_split_time(device, layer, 8)
-        second = pricing.layer_bwd_split_time(device, layer, 8)
-        assert first == second == device.layer_bwd_split_time(layer, 8)
+        pricing.clear_caches()
+        times = _layer_times(net, device, 8, True)
+        assert _layer_times(net, device, 8, True) is times
+        assert times
+        for name, (fwd, dx, dw, _) in times.items():
+            layer = net.layer(name)
+            assert fwd == device.layer_fwd_time(layer, 8)
+            assert (dx, dw) == device.layer_bwd_split_time(layer, 8)
 
 
 class TestZeroBubbleSimulation:
