@@ -253,9 +253,10 @@ class PrefetchStats:
     unblocking, and *early* otherwise.  ``wasted_bytes`` counts
     speculative traffic nothing consumed (mispredictions plus the first
     trip of every evicted tensor); ``contended_seconds`` is the
-    measured overlap of migration DMAs with collective traffic on the
-    shared links.  All counts are exact integers and every float
-    round-trips losslessly through JSON.
+    per-channel pairwise overlap of non-empty migration-DMA and
+    collective intervals, which share the device's links.  All counts
+    are exact integers and every float round-trips losslessly through
+    JSON.
     """
 
     policy: str

@@ -15,15 +15,10 @@ keeps the *data* in parallel columns instead:
   ``busy``, ``busy_per_channel``, ``busy_time``, ``finish_of``,
   ``ops_on``, ``channels``, and a lazily materialized ``scheduled``
   tuple of :class:`~repro.core.timeline.ScheduledOp` for trace
-  export), plus :meth:`ColumnarTimeline.as_arrays` exposing the
-  columns as numpy arrays for vectorized consumers
-  (:func:`repro.vmem.prefetch.collect_prefetch_stats` prices its
-  DMA/collective overlap on them).
+  export).
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from repro.core.timeline import EngineKind, Op, ScheduledOp
 from repro.telemetry.registry import NOOP, on_activation
@@ -71,11 +66,10 @@ CODE_ENGINE: tuple[EngineKind, ...] = tuple(
 class OpTable:
     """Struct-of-arrays op container.
 
-    Columns are plain Python lists while the table is being built
-    (appends are the hot path); :meth:`ColumnarTimeline.as_arrays`
-    freezes them to numpy arrays after scheduling.  :meth:`add`
-    validates before appending, so a rejected op leaves every column
-    untouched.
+    Columns are plain Python lists (appends are the hot path, and the
+    scheduler and the statistics collectors walk them op by op).
+    :meth:`add` validates before appending, so a rejected op leaves
+    every column untouched.
     """
 
     __slots__ = ("engines", "codes", "durations", "deps", "tags",
@@ -109,9 +103,12 @@ class OpTable:
         if channel < 0:
             raise ValueError(f"op {tag}: negative channel")
         dep_tuple = tuple(deps)
-        if dep_tuple and max(dep_tuple) >= uid:
-            raise ValueError(
-                f"op {tag}: dependency on a later op (cycle)")
+        for dep in dep_tuple:
+            if dep >= uid:
+                raise ValueError(
+                    f"op {tag}: dependency on a later op (cycle)")
+            if dep < 0:
+                raise ValueError(f"op {tag}: negative dependency uid")
         self.engines.append(engine)
         self.codes.append(ENGINE_CODE[engine])
         self.durations.append(duration)
@@ -163,13 +160,11 @@ class ColumnarTimeline:
     ``busy_per_channel`` keeps the per-stage split pipeline metrics
     need.  ``scheduled`` materializes per-op objects lazily, so
     consumers that never iterate ops (the ``simulate()`` path) never
-    pay for them; :meth:`as_arrays` serves vectorized consumers
-    instead.
+    pay for them.
     """
 
     __slots__ = ("table", "start", "finish", "prev_slot_finish",
-                 "makespan", "busy", "busy_per_channel", "_scheduled",
-                 "_arrays")
+                 "makespan", "busy", "busy_per_channel", "_scheduled")
 
     def __init__(self, table: OpTable, start: list[float],
                  finish: list[float], prev_slot_finish: list[float],
@@ -188,7 +183,6 @@ class ColumnarTimeline:
         self.busy = busy
         self.busy_per_channel = busy_per_channel
         self._scheduled: tuple[ScheduledOp, ...] | None = None
-        self._arrays: dict[str, np.ndarray] | None = None
 
     # -- Per-op surface ---------------------------------------------------
 
@@ -225,31 +219,6 @@ class ColumnarTimeline:
     def channels(self) -> tuple[int, ...]:
         """Channel indices present, ascending (SPMD timelines: (0,))."""
         return tuple(sorted(set(self.table.channels))) or (0,)
-
-    # -- Vectorized surface ----------------------------------------------
-
-    def as_arrays(self) -> dict[str, np.ndarray]:
-        """The schedule as numpy struct-of-arrays (cached).
-
-        Keys: ``engine`` (int8 :data:`ENGINE_CODE` codes), ``duration``
-        / ``start`` / ``finish`` / ``prev_slot_finish`` (float64
-        seconds), ``nbytes`` (int64), ``channel`` (int32).  float64
-        conversion is value-preserving, so vectorized consumers see the
-        exact scheduled times.
-        """
-        if self._arrays is None:
-            t = self.table
-            self._arrays = {
-                "engine": np.asarray(t.codes, dtype=np.int8),
-                "duration": np.asarray(t.durations, dtype=np.float64),
-                "nbytes": np.asarray(t.nbytes, dtype=np.int64),
-                "channel": np.asarray(t.channels, dtype=np.int32),
-                "start": np.asarray(self.start, dtype=np.float64),
-                "finish": np.asarray(self.finish, dtype=np.float64),
-                "prev_slot_finish": np.asarray(self.prev_slot_finish,
-                                               dtype=np.float64),
-            }
-        return self._arrays
 
 
 def schedule_ops(table: OpTable) -> ColumnarTimeline:

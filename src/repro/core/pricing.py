@@ -46,7 +46,7 @@ so cold timings measure simulation, not cache replay.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from typing import TYPE_CHECKING
 from weakref import WeakKeyDictionary
 
@@ -267,7 +267,7 @@ class MemoPricer:
             _HITS["dma"].inc()
         return cache[nbytes]
 
-    def many(self, sizes: list[int]) -> list[float]:
+    def many(self, sizes: Sequence[int]) -> list[float]:
         """Price a list of transfer sizes (vectorized when possible)."""
         if self.array_fn is not None and len(sizes) > 2:
             # The array variant recomputes every size regardless of

@@ -45,7 +45,8 @@ class IterationPlan:
     step: TrainingStep
     #: producer layer -> per-device shard bytes migrated (0 if resident).
     migrated_shards: dict[str, int]
-    #: Derived from this plan only: its compute/sync walk per device,
+    #: Derived from this plan only: its byte totals, its fetch sites,
+    #: its compute/sync walk and backward step estimates per device,
     #: and its emitted op structures (see :func:`build_iteration_ops`).
     #: Never copied: ``dataclasses.replace`` starts an empty memo.
     _memo: dict = field(default_factory=dict, init=False, repr=False,
@@ -67,6 +68,25 @@ class IterationPlan:
                 if sync is not None:
                     total += sync.nbytes
         return total
+
+
+def _plan_bytes(plan: IterationPlan) -> tuple[int, int, int]:
+    """Per-device offload bytes, training footprint and per-iteration
+    sync bytes of a plan.
+
+    Weak scaling: every worker trains a full ``batch`` (data-parallel)
+    or materializes full gathered feature maps (model-parallel), so the
+    per-device footprint is the full-batch footprint either way.  All
+    three are the same for every design point sharing the plan, so
+    they are summed once and kept on it.
+    """
+    cached = plan._memo.get("bytes")
+    if cached is None:
+        cached = plan._memo["bytes"] = (
+            plan.offload_bytes_per_device,
+            plan.net.training_footprint_bytes(plan.batch),
+            plan.sync_bytes_per_iteration)
+    return cached
 
 
 def plan_iteration(net: Network, config: SystemConfig, batch: int,
@@ -181,29 +201,49 @@ def iteration_pricer(plan: IterationPlan,
     return vmem_pricer(config, compute, comm)
 
 
+def _fetch_sites(plan: IterationPlan) \
+        -> tuple[tuple[FetchSite, ...], tuple[int, ...]]:
+    """The plan's fetch sites in backward order, and their shard bytes.
+
+    Depends on the plan alone, so it is kept on the plan and every
+    design point sharing the plan prices the same sites.
+    """
+    cached = plan._memo.get("fetch-sites")
+    if cached is None:
+        sites = []
+        for step_index, name in enumerate(plan.step.bwd_order):
+            for producer in plan.step.prefetch_sites.get(name, ()):
+                sites.append(FetchSite(
+                    producer=producer, use_step=step_index,
+                    nbytes=plan.migrated_shards[producer]))
+        cached = plan._memo["fetch-sites"] = (
+            tuple(sites), tuple(site.nbytes for site in sites))
+    return cached
+
+
 def plan_training_prefetch(plan: IterationPlan, config: SystemConfig,
                            pricer: pricing.MemoPricer | None
                            = None) -> PrefetchSchedule:
-    """Run the configured prefetch policy over a training iteration."""
+    """Run the configured prefetch policy over a training iteration.
+
+    The fetch sites come from the plan, and the backward step
+    estimates from the plan's memo for this device; only the fetch
+    prices and the policy's plan are made per design point.
+    """
     if pricer is None:
         pricer = iteration_pricer(plan, config)
-    times = pricing.layer_times(plan.net, config.device, plan.batch,
-                                plan.strategy, config.n_devices)
-    step_seconds = []
-    sites = []
-    shards = []
-    for step_index, name in enumerate(plan.step.bwd_order):
-        step_seconds.append(times[name][1])
-        for producer in plan.step.prefetch_sites.get(name, ()):
-            shard = plan.migrated_shards[producer]
-            sites.append(FetchSite(producer=producer,
-                                   use_step=step_index, nbytes=shard))
-            shards.append(shard)
-    fetch_seconds = pricer.many(shards)
+    sites, shards = _fetch_sites(plan)
+    key = ("bwd-step-seconds", config.device, config.n_devices)
+    step_seconds = plan._memo.get(key)
+    if step_seconds is None:
+        times = pricing.layer_times(plan.net, config.device, plan.batch,
+                                    plan.strategy, config.n_devices)
+        step_seconds = plan._memo[key] = tuple(
+            times[name][1] for name in plan.step.bwd_order)
     ctx = PrefetchContext(
-        n_steps=len(plan.step.bwd_order), sites=tuple(sites),
-        step_seconds=tuple(step_seconds),
-        fetch_seconds=tuple(fetch_seconds),
+        n_steps=len(step_seconds), sites=sites,
+        step_seconds=step_seconds,
+        fetch_seconds=tuple(pricer.many(shards)),
         window=config.prefetch_window, stash=config.prefetch_stash)
     return prefetch_policy(config.prefetch_policy).plan(ctx)
 

@@ -16,10 +16,11 @@ import dataclasses
 from repro.core.metrics import (ExecutionMode, LatencyBreakdown,
                                 SimulationResult)
 from repro.core.optable import ColumnarTimeline, schedule_ops
-from repro.core.schedule import (build_inference_ops, build_iteration_ops,
-                                 inference_pricer, iteration_pricer,
-                                 plan_inference, plan_inference_prefetch,
-                                 plan_iteration, plan_training_prefetch)
+from repro.core.schedule import (_plan_bytes, build_inference_ops,
+                                 build_iteration_ops, inference_pricer,
+                                 iteration_pricer, plan_inference,
+                                 plan_inference_prefetch, plan_iteration,
+                                 plan_training_prefetch)
 from repro.core.system import SystemConfig
 from repro.core.timeline import EngineKind
 from repro.dnn.graph import Network
@@ -146,21 +147,18 @@ def _drive(config: SystemConfig, net: Network, batch: int,
             offload = plan.offload_bytes_per_device
             host_traffic = 2 * offload
             footprint = plan.max_stage_footprint_bytes
+            sync_bytes = plan.sync_bytes_per_iteration
             evictions = sum(stage.evictions for stage in psched)
         elif kind == "inference":
             # One-way weight streaming: inference pushes nothing back.
             offload = plan.weight_stream_bytes_per_device
             host_traffic = offload
             footprint = net.inference_footprint_bytes(batch)
+            sync_bytes = plan.sync_bytes_per_iteration
             evictions = psched.evictions
         else:
-            offload = plan.offload_bytes_per_device
-            host_traffic = plan.round_trip_bytes_per_device
-            # Weak scaling: every worker trains a full `batch`
-            # (data-parallel) or materializes full gathered feature
-            # maps (model-parallel), so the per-device footprint is
-            # the full-batch footprint either way.
-            footprint = net.training_footprint_bytes(batch)
+            offload, footprint, sync_bytes = _plan_bytes(plan)
+            host_traffic = 2 * offload
             evictions = psched.evictions
 
         breakdown = LatencyBreakdown(
@@ -177,7 +175,7 @@ def _drive(config: SystemConfig, net: Network, batch: int,
             iteration_time=timeline.makespan,
             breakdown=breakdown,
             offload_bytes_per_device=offload,
-            sync_bytes=plan.sync_bytes_per_iteration,
+            sync_bytes=sync_bytes,
             host_traffic_bytes_per_device=(
                 host_traffic if config.uses_host_memory else 0),
             fits_in_device_memory=(

@@ -42,6 +42,7 @@ schedule builders in :mod:`repro.core.schedule` and
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 from collections.abc import Sequence
@@ -402,14 +403,18 @@ def prefetch_policy(name: str) -> PrefetchPolicy:
 class _PrefetchIndex:
     """The structural part of :func:`collect_prefetch_stats`.
 
-    Depends only on an op table's engines, deps, tags and byte counts,
-    never on its durations, so one index serves every table priced
-    from the same emitted structure.
+    Depends only on an op table's engines, deps, tags, byte counts and
+    channels, never on its durations, so one index serves every table
+    priced from the same emitted structure.
     """
 
     #: ``(compute uid, DMA-in dep uids, other dep uids)`` for each
     #: compute op with at least one DMA-in dependency, in uid order.
     waits: tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...]
+    #: ``(DMA uids, collective uids)``, both in uid order, for each
+    #: channel that carries both kinds of op, in the order of each
+    #: channel's first DMA op.
+    overlap: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
     n_prefetches: int
     prefetch_bytes: int
     wasted_bytes: int
@@ -426,23 +431,35 @@ def _index_prefetches(table) -> _PrefetchIndex:
 
     compute = ENGINE_CODE[EngineKind.COMPUTE]
     dma_in = ENGINE_CODE[EngineKind.DMA_IN]
+    dma_out = ENGINE_CODE[EngineKind.DMA_OUT]
     codes = table.codes
     nbytes = table.nbytes
+    channels = table.channels
     waits = []
+    dmas: dict[int, list[int]] = {}
+    comms: dict[int, list[int]] = {}
     prefetch_bytes = wasted = 0
     for uid, code in enumerate(codes):
-        if code == dma_in:
-            prefetch_bytes += nbytes[uid]
-            if table.tags[uid].startswith("waste:"):
-                wasted += nbytes[uid]
-        elif code == compute:
+        if code == compute:
             deps = table.deps[uid]
             fetches = tuple(d for d in deps if codes[d] == dma_in)
             if fetches:
                 waits.append((uid, fetches, tuple(
                     d for d in deps if codes[d] != dma_in)))
+        elif code == dma_out:
+            dmas.setdefault(channels[uid], []).append(uid)
+        elif code == dma_in:
+            dmas.setdefault(channels[uid], []).append(uid)
+            prefetch_bytes += nbytes[uid]
+            if table.tags[uid].startswith("waste:"):
+                wasted += nbytes[uid]
+        else:
+            comms.setdefault(channels[uid], []).append(uid)
     index = table._prefetch_index = _PrefetchIndex(
         waits=tuple(waits),
+        overlap=tuple((tuple(uids), tuple(comms[channel]))
+                      for channel, uids in dmas.items()
+                      if channel in comms),
         n_prefetches=sum(len(fetches) for _, fetches, _ in waits),
         prefetch_bytes=prefetch_bytes, wasted_bytes=wasted)
     return index
@@ -460,12 +477,17 @@ def collect_prefetch_stats(timeline: ColumnarTimeline, policy: str,
     ``waste:`` tag.
 
     Reads the timeline's columns directly: no per-op objects are
-    materialized, the scheduler's recorded per-slot previous-finish
-    column gives each op's engine-ready time, and the DMA/collective
-    overlap is priced on numpy interval arrays.  Which compute ops wait
-    on fetches comes from the table's structural index, which a
-    training table shares with every design point priced from the
-    same emitted structure.
+    materialized, and the scheduler's recorded per-slot previous-finish
+    column gives each op's engine-ready time.  Which compute ops wait
+    on fetches, and which DMAs share a channel with which collectives,
+    comes from the table's structural index, which a table shares with
+    every design point priced from the same emitted structure.
+
+    Raises ``RuntimeError`` naming the op when a compute op starts
+    more than 1e-9 relative before its slot and its non-DMA
+    dependencies released it: the scheduler starts every op at exactly
+    the later of the two, so an earlier start means the timeline broke
+    a dependency.
     """
     # Imported here, not at module scope: repro.training (and through
     # it repro.core.metrics) imports repro.vmem, so a top-level import
@@ -481,10 +503,20 @@ def collect_prefetch_stats(timeline: ColumnarTimeline, policy: str,
     late = jit = early = 0
     stall = 0.0
     for i, fetches, others in index.waits:
-        other = max((finishes[d] for d in others), default=0.0)
-        prev = prev_slot[i]
-        unblocked = prev if prev > other else other
-        stall += max(0.0, starts[i] - unblocked)
+        # Released once its slot is free and its non-DMA deps are done.
+        unblocked = prev_slot[i]
+        for d in others:
+            finish = finishes[d]
+            if finish > unblocked:
+                unblocked = finish
+        start = starts[i]
+        if start > unblocked:
+            stall += start - unblocked
+        elif start < unblocked * (1.0 - 1e-9):
+            raise RuntimeError(
+                f"op {timeline.table.tags[i]} starts at {start!r}, before "
+                f"its slot and non-DMA dependencies release it at "
+                f"{unblocked!r}: the timeline broke a dependency")
         for d in fetches:
             slack = unblocked - finishes[d]
             if slack < 0:
@@ -505,54 +537,52 @@ def collect_prefetch_stats(timeline: ColumnarTimeline, policy: str,
         stall_seconds=stall,
         late=late, jit=jit, early=early,
         hit_rate=hit_rate,
-        contended_seconds=_dma_comm_overlap(timeline.as_arrays()),
+        contended_seconds=_contended_seconds(index, starts, finishes),
     )
     _record_stats(stats)
     return stats
 
 
-def _dma_comm_overlap(arrays) -> float:
+def _contended_seconds(index: _PrefetchIndex, starts: list[float],
+                       finishes: list[float]) -> float:
     """Seconds of DMA x collective busy overlap, summed over op pairs.
 
-    Per channel (in the order DMA ops first appear on each), every
-    (DMA op, collective op) pair of non-empty intervals contributes
-    its clipped overlap.  The pairwise overlaps are laid out row-major
-    (DMA op major, both in uid order), concatenated across channels,
-    and reduced with one sequential ``cumsum``, so the total is summed
-    in a fixed order.
+    Per channel, every (DMA op, collective op) pair of non-empty
+    intervals contributes its clipped overlap ``min(ends) -
+    max(starts)``.  The terms are added in one fixed order: channels by
+    their first non-empty DMA uid, then DMA uid-major and collective
+    uid-minor.
+
+    Collectives on one channel share a (COMM, channel) slot, so they
+    run back to back in uid order and both their start and finish
+    lists are sorted.  The collectives a DMA interval overlaps are
+    therefore one contiguous run, found by bisection; every pair
+    outside it clips to 0.0, and skipping a 0.0 term leaves the sum
+    unchanged bit for bit.
     """
-    import numpy as np
-
-    from repro.core.optable import ENGINE_CODE
-    from repro.core.timeline import EngineKind
-
-    engine = arrays["engine"]
-    start = arrays["start"]
-    finish = arrays["finish"]
-    channel = arrays["channel"]
-    span = finish > start
-    dma = span & ((engine == ENGINE_CODE[EngineKind.DMA_IN])
-                  | (engine == ENGINE_CODE[EngineKind.DMA_OUT]))
-    comm = span & (engine == ENGINE_CODE[EngineKind.COMM])
-    if not dma.any() or not comm.any():
-        return 0.0
-    dma_ch = channel[dma]
-    comm_ch = channel[comm]
-    a0, a1 = start[dma], finish[dma]
-    b0, b1 = start[comm], finish[comm]
-    _, first = np.unique(dma_ch, return_index=True)
-    terms = []
-    for ch in dma_ch[np.sort(first)]:
-        mine = dma_ch == ch
-        theirs = comm_ch == ch
-        if not theirs.any():
-            continue
-        pair = (np.minimum.outer(a1[mine], b1[theirs])
-                - np.maximum.outer(a0[mine], b0[theirs]))
-        terms.append(np.maximum(0.0, pair).ravel())
-    if not terms:
-        return 0.0
-    return float(np.cumsum(np.concatenate(terms))[-1])
+    runs = []
+    for dmas, comms in index.overlap:
+        first = next((d for d in dmas if finishes[d] > starts[d]), None)
+        if first is not None:
+            runs.append((first, dmas, comms))
+    runs.sort()
+    total = 0.0
+    for _, dmas, comms in runs:
+        comm_starts = [starts[c] for c in comms]
+        comm_finishes = [finishes[c] for c in comms]
+        for d in dmas:
+            a0 = starts[d]
+            a1 = finishes[d]
+            if a1 <= a0:
+                continue
+            # Collectives finishing after a0 and starting before a1:
+            # each overlap is positive, or 0.0 for an empty collective.
+            lo = bisect_right(comm_finishes, a0)
+            for k in range(lo, bisect_left(comm_starts, a1, lo)):
+                b0 = comm_starts[k]
+                b1 = comm_finishes[k]
+                total += (a1 if a1 < b1 else b1) - (a0 if a0 > b0 else b0)
+    return total
 
 
 def _record_stats(stats) -> None:

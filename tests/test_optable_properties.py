@@ -19,10 +19,11 @@ uniquely, bit for bit.
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.optable import ENGINE_CODE, OpTable, schedule_ops
+from repro.core.optable import OpTable, schedule_ops
 from repro.core.timeline import EngineKind
 
 ENGINES = tuple(EngineKind)
@@ -147,22 +148,6 @@ class TestSchedulerEquivalence:
         assert col.busy_per_channel == busy_per_channel
         assert col.makespan == max(col.finish, default=0.0)
 
-    @given(op_programs())
-    @settings(max_examples=60, deadline=None)
-    def test_as_arrays_mirrors_columns(self, program):
-        table = build_table(program)
-        col = schedule_ops(table)
-        arrays = col.as_arrays()
-        n = len(program)
-        assert all(arrays[k].shape == (n,) for k in arrays)
-        for uid in range(n):
-            assert arrays["engine"][uid] == ENGINE_CODE[table.engines[uid]]
-            assert arrays["duration"][uid] == table.durations[uid]
-            assert arrays["start"][uid] == col.scheduled[uid].start
-            assert arrays["finish"][uid] == col.finish_of(uid)
-            assert arrays["nbytes"][uid] == table.nbytes[uid]
-            assert arrays["channel"][uid] == table.channels[uid]
-
 
 def column_lengths(table: OpTable) -> set[int]:
     return {len(column) for column in (
@@ -184,6 +169,21 @@ class TestContainerParity:
         else:  # pragma: no cover - failure path
             raise AssertionError("forward dep accepted")
         assert column_lengths(table) == {1}
+
+    def test_validation_parity_negative_dep(self):
+        """A negative dep uid would read ``finish[-1]``: the previous
+        op's finish, or an ``IndexError`` on a table's first op."""
+        table = OpTable()
+        with pytest.raises(ValueError, match="negative dependency uid"):
+            table.add(EngineKind.COMPUTE, 1.0, [-1], "first")
+        assert column_lengths(table) == {0}
+        table.add(EngineKind.COMPUTE, 2.0, [], "a")
+        with pytest.raises(ValueError,
+                           match="op b: negative dependency uid"):
+            table.add(EngineKind.COMM, 1.0, [0, -1], "b")
+        assert column_lengths(table) == {1}
+        table.add(EngineKind.COMM, 1.0, [0], "b")
+        assert schedule_ops(table).start == [0.0, 2.0]
 
     def test_validation_parity_negative_fields(self):
         for kwargs in ({"duration": -1.0}, {"nbytes": -1},

@@ -29,7 +29,8 @@ from repro.core import pricing
 from repro.core.design_points import DESIGN_ORDER, design_point
 from repro.core.metrics import ExecutionMode, SimulationResult
 from repro.core.optable import OpTable
-from repro.core.schedule import build_iteration_ops, plan_iteration
+from repro.core.schedule import (build_iteration_ops, plan_iteration,
+                                 plan_training_prefetch)
 from repro.core.simulator import iteration_timeline, simulate
 from repro.core.timeline import EngineKind
 from repro.dnn.layers import Layer, LayerKind
@@ -237,6 +238,36 @@ class TestStructureSharing:
                              memo)] == 32
             assert counters[("repro_pricing_memo_hits_total",
                              memo)] == 64
+
+    @pytest.mark.parametrize("strategy", (ParallelStrategy.DATA,
+                                          ParallelStrategy.MODEL),
+                             ids=["data", "model"])
+    def test_designs_share_fetch_sites(self, strategy):
+        """The five migrating designs of one grid cell plan their
+        prefetches over the very same fetch-site objects, kept on the
+        shared plan, and each schedule equals one planned from cleared
+        memos."""
+        net = build_network("GoogLeNet")
+        migrating = [config for config in map(design_point, DESIGN_ORDER)
+                     if config.virtualizes]
+        assert len(migrating) == 5
+        pricing.clear_caches()
+        schedules = [
+            plan_training_prefetch(
+                plan_iteration(net, config, 512, strategy), config)
+            for config in migrating]
+        sites = [tuple(issue.site for issue in schedule.issues)
+                 for schedule in schedules]
+        assert sites[0]
+        for other in sites[1:]:
+            assert len(other) == len(sites[0])
+            assert all(a is b for a, b in zip(other, sites[0]))
+        for config, schedule in zip(migrating, schedules):
+            pricing.clear_caches()
+            assert plan_training_prefetch(
+                plan_iteration(net, config, 512, strategy),
+                config) == schedule
+        pricing.clear_caches()
 
 
 def _suite_pipeline_cells():

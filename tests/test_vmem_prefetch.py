@@ -5,18 +5,25 @@ from __future__ import annotations
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
 
 from repro.core.design_points import design_point
-from repro.core.metrics import PrefetchStats
-from repro.core.optable import OpTable, schedule_ops
+from repro.core.metrics import ExecutionMode, PrefetchStats
+from repro.core.optable import ColumnarTimeline, OpTable, schedule_ops
+from repro.core.schedule import build_inference_ops, plan_inference
 from repro.core.simulator import iteration_timeline
 from repro.core.timeline import EngineKind
+from repro.dnn.registry import build_network
 from repro.training.parallel import ParallelStrategy
 from repro.vmem.prefetch import (ON_DEMAND, PREFETCH_POLICY_ORDER,
                                  FetchIssue, FetchSite, PrefetchContext,
                                  PrefetchSchedule, WasteFetch,
                                  choose_victim, collect_prefetch_stats,
                                  prefetch_policy)
+from test_optable_properties import build_table, op_programs
+
+TRAINING = ExecutionMode.TRAINING
+INFERENCE = ExecutionMode.INFERENCE
 
 
 def make_context(use_steps, n_steps=None, step_time=1.0,
@@ -315,21 +322,71 @@ class TestStats:
                           stall_seconds=0.0, late=1, jit=0, early=0,
                           hit_rate=0.5, contended_seconds=0.0)
 
-    @pytest.mark.parametrize("design,network,strategy,replacements", [
-        ("MC-DLA(L)", "GoogLeNet", ParallelStrategy.DATA,
+    @pytest.mark.parametrize("design,network,strategy,mode,replacements", [
+        ("MC-DLA(L)", "GoogLeNet", ParallelStrategy.DATA, TRAINING,
          {"prefetch_policy": "stride"}),
-        ("DC-DLA", "GoogLeNet", ParallelStrategy.MODEL,
+        ("DC-DLA", "GoogLeNet", ParallelStrategy.MODEL, TRAINING,
          {"prefetch_policy": "cost-model"}),
-        ("MC-DLA(B)", "GPT2", ParallelStrategy.PIPELINE,
+        ("MC-DLA(B)", "GPT2", ParallelStrategy.PIPELINE, TRAINING,
          {"pipeline_stages": 4, "pipeline_schedule": "zb-h1"}),
-    ], ids=["stride", "model-parallel", "pipeline"])
+        ("MC-DLA(B)", "GPT2", ParallelStrategy.PIPELINE, TRAINING,
+         {"pipeline_stages": 4, "pipeline_schedule": "interleaved"}),
+        ("MC-DLA(S)", "VGG-E", ParallelStrategy.MODEL, TRAINING,
+         {"prefetch_policy": "clairvoyant"}),
+        ("MC-DLA(B)", "GPT2", ParallelStrategy.MODEL, INFERENCE, {}),
+        ("DC-DLA(O)", "VGG-E", ParallelStrategy.MODEL, TRAINING, {}),
+    ], ids=["stride", "model-parallel", "pipeline", "interleaved",
+            "clairvoyant", "inference", "oracle"])
     def test_collector_matches_reference_loop(self, design, network,
-                                              strategy, replacements):
+                                              strategy, mode,
+                                              replacements):
         config = dataclasses.replace(design_point(design), **replacements)
-        timeline = iteration_timeline(config, network, 64, strategy)
+        if mode is INFERENCE:
+            plan = plan_inference(build_network(network), config, 64,
+                                  strategy)
+            timeline = schedule_ops(build_inference_ops(plan, config))
+        else:
+            timeline = iteration_timeline(config, network, 64, strategy)
         stats = collect_prefetch_stats(timeline, "p", evictions=3)
         assert stats == reference_stats(timeline, "p", evictions=3)
-        assert stats.n_prefetches > 0 and stats.contended_seconds > 0
+        if config.virtualizes:
+            assert stats.n_prefetches > 0 and stats.contended_seconds > 0
+        else:
+            assert stats.n_prefetches == 0
+            assert stats.contended_seconds == 0.0
+        if strategy is ParallelStrategy.PIPELINE:
+            assert len(timeline.channels) == 4
+
+    @given(op_programs())
+    @settings(max_examples=200, deadline=None)
+    def test_collector_matches_reference_on_random_programs(self,
+                                                            program):
+        """Three channels, zero durations, DMA channels without
+        collectives: the structural index and the bisected overlap
+        still equal the plain loop exactly."""
+        timeline = schedule_ops(build_table(program))
+        assert collect_prefetch_stats(timeline, "p", evictions=1) \
+            == reference_stats(timeline, "p", evictions=1)
+
+    def test_start_before_release_is_an_error(self):
+        """A compute op may not start before its non-DMA dependency
+        finishes; the collector raises instead of clamping the stall."""
+        ops = OpTable()
+        ops.add(EngineKind.COMM, 2.0, [], tag="sync-fwd:x", nbytes=8)
+        ops.add(EngineKind.DMA_IN, 1.0, [], tag="prefetch:a",
+                nbytes=100)
+        ops.add(EngineKind.COMPUTE, 1.0, [0, 1], tag="bwd:a")
+        timeline = ColumnarTimeline(
+            table=ops, start=[0.0, 0.0, 1.0], finish=[2.0, 1.0, 2.0],
+            prev_slot_finish=[0.0, 0.0, 0.0], makespan=2.0,
+            busy={EngineKind.COMPUTE: 1.0, EngineKind.COMM: 2.0,
+                  EngineKind.DMA_IN: 1.0, EngineKind.DMA_OUT: 0.0},
+            busy_per_channel={})
+        with pytest.raises(RuntimeError, match="op bwd:a starts at 1.0"):
+            collect_prefetch_stats(timeline, ON_DEMAND)
+        # The scheduler itself starts it once the collective is done.
+        stats = collect_prefetch_stats(schedule_ops(ops), ON_DEMAND)
+        assert stats.stall_seconds == 0.0 and stats.jit == 1
 
     def test_hit_rate_bounds_enforced(self):
         with pytest.raises(ValueError, match="hit rate"):
