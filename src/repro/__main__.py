@@ -226,16 +226,9 @@ EXPERIMENTS: dict[str, tuple[str, Callable[[], str]]] = {
 def _trace_main(argv: list[str]) -> int:
     """``python -m repro trace``: export one iteration's Chrome trace."""
     from repro.cluster.policies import POLICY_NAMES
-    from repro.core.design_points import DESIGN_ORDER, design_point
-    from repro.core.simulator import iteration_timeline
-    from repro.core.trace import engine_utilization, to_chrome_trace
+    from repro.core.design_points import DESIGN_ORDER
     from repro.dnn.registry import WORKLOAD_NAMES
-    from repro.naming import resolve_design, resolve_network
-    from repro.training.parallel import ParallelStrategy
 
-    strategies = {"data": ParallelStrategy.DATA,
-                  "model": ParallelStrategy.MODEL,
-                  "pipeline": ParallelStrategy.PIPELINE}
     parser = argparse.ArgumentParser(
         prog="python -m repro trace",
         description="Write the Chrome/Perfetto trace JSON of one "
@@ -249,7 +242,8 @@ def _trace_main(argv: list[str]) -> int:
                              f"(not used with --cluster)")
     parser.add_argument("--batch", type=int, default=512,
                         help="global batch size (default: 512)")
-    parser.add_argument("--strategy", choices=sorted(strategies),
+    parser.add_argument("--strategy",
+                        choices=("data", "model", "pipeline"),
                         default="data",
                         help="parallelization strategy (default: data)")
     parser.add_argument("--pipeline-schedule", default="1f1b",
@@ -286,17 +280,30 @@ def _trace_main(argv: list[str]) -> int:
                         help="output path (default: derived from the "
                              "design/network/strategy)")
     args = parser.parse_args(argv)
-
-    from repro.naming import resolve_schedule
-
     try:
-        design = resolve_design(args.design)
-        network = (resolve_network(args.network)
-                   if args.network is not None else None)
-        schedule = resolve_schedule(args.pipeline_schedule)
-    except KeyError as exc:
-        print(exc.args[0], file=sys.stderr)
+        return _write_trace(args)
+    except (KeyError, ValueError) as exc:
+        print(exc.args[0] if exc.args else str(exc), file=sys.stderr)
         return 2
+
+
+def _write_trace(args: argparse.Namespace) -> int:
+    """Resolve ``repro trace``'s arguments, simulate, write the trace.
+
+    Unknown names raise ``KeyError`` and out-of-range values
+    ``ValueError``; :func:`_trace_main` reports either as exit 2.
+    """
+    from repro.core.design_points import design_point
+    from repro.core.simulator import iteration_timeline
+    from repro.core.trace import engine_utilization, to_chrome_trace
+    from repro.naming import (resolve_design, resolve_network,
+                              resolve_schedule)
+    from repro.training.parallel import ParallelStrategy
+
+    design = resolve_design(args.design)
+    network = (resolve_network(args.network)
+               if args.network is not None else None)
+    schedule = resolve_schedule(args.pipeline_schedule)
 
     config = design_point(design)
     replacements = {}
@@ -337,7 +344,7 @@ def _trace_main(argv: list[str]) -> int:
               file=sys.stderr)
         return 2
 
-    strategy = strategies[args.strategy]
+    strategy = ParallelStrategy[args.strategy.upper()]
     host_spans = None
     if args.telemetry:
         # Record the simulator's own phase spans over the very run

@@ -56,7 +56,7 @@ def calibration_spin() -> float:
 
     Pure-Python arithmetic, no allocation churn: tracks the
     interpreter-bound inner loops the simulator spends its time in
-    better than a numpy kernel would.
+    better than a vectorized kernel would.
     """
     best = float("inf")
     for _ in range(9):

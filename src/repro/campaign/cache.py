@@ -173,7 +173,10 @@ class ResultCache:
         """The cached result for ``key``, or ``None`` on any miss."""
         try:
             text = self.path(key).read_text()
-            result = SimulationResult.from_dict(json.loads(text))
+            data = json.loads(text)
+            if not isinstance(data, dict):
+                raise ValueError("cache entry is not a JSON object")
+            result = SimulationResult.from_dict(data)
         except (OSError, ValueError, KeyError, TypeError):
             self.misses += 1
             _MISS.inc()

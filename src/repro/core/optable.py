@@ -9,8 +9,8 @@ keeps the *data* in parallel columns instead:
   every emitter fills;
 * :func:`schedule_ops` -- the deterministic list-scheduler recurrence,
   run as a tight loop over the columns (the recurrence is a sequential
-  dependency chain, so a numpy level-sweep would lose: the evaluated
-  graphs average under two ops per dependency level);
+  dependency chain, so a vectorized level-sweep would lose: the
+  evaluated graphs average under two ops per dependency level);
 * :class:`ColumnarTimeline` -- the scheduled result (``makespan``,
   ``busy``, ``busy_per_channel``, ``busy_time``, ``finish_of``,
   ``ops_on``, ``channels``, and a lazily materialized ``scheduled``

@@ -29,11 +29,10 @@ through:
 * :func:`layer_times` -- per-layer (forward, backward) seconds for a
   (device, batch, strategy, n_devices) cell, shared by every design
   point with the same device model;
-* :func:`collective_time` -- ring-collective latency per
+* :func:`collective_pricer` -- ring-collective latency per
   (model, primitive, nbytes);
 * :class:`MemoPricer` -- wraps a per-transfer DMA pricer with a
-  size-keyed memo and, when the model provides one, a vectorized
-  ``array`` variant for whole fetch lists;
+  size-keyed memo;
 * :func:`cached_cluster_cell` -- cross-instance memo for the cluster
   cost oracle, so four scheduling policies price one design's job
   classes with one set of ``simulate()`` calls.
@@ -46,7 +45,7 @@ so cold timings measure simulation, not cache replay.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from typing import TYPE_CHECKING
 from weakref import WeakKeyDictionary
 
@@ -204,19 +203,6 @@ def _collective_memo(model: "CollectiveModel") -> dict:
     return memo
 
 
-def collective_time(model: "CollectiveModel", primitive,
-                    nbytes: int) -> float:
-    """Memoized :meth:`CollectiveModel.time`."""
-    memo = _collective_memo(model)
-    key = (primitive, nbytes)
-    if key not in memo:
-        _MISSES["collective"].inc()
-        memo[key] = model.time(primitive, nbytes)
-    else:
-        _HITS["collective"].inc()
-    return memo[key]
-
-
 def collective_pricer(model: "CollectiveModel") \
         -> Callable[[object, int], float]:
     """Bind one model's memoized ``time``.
@@ -245,17 +231,12 @@ class MemoPricer:
 
     Wraps the scalar pricing callable the plan derived; repeated sizes
     (every offload/prefetch pair, every pipeline stash) price once.
-    ``array_fn``, when provided, prices a whole list of sizes through
-    the model's vectorized variant -- elementwise identical to the
-    scalar calls, just without the per-call Python overhead.
     """
 
-    __slots__ = ("fn", "array_fn", "cache")
+    __slots__ = ("fn", "cache")
 
-    def __init__(self, fn: Callable[[int], float],
-                 array_fn: Callable | None = None) -> None:
+    def __init__(self, fn: Callable[[int], float]) -> None:
         self.fn = fn
-        self.array_fn = array_fn
         self.cache: dict[int, float] = {}
 
     def __call__(self, nbytes: int) -> float:
@@ -266,18 +247,6 @@ class MemoPricer:
         else:
             _HITS["dma"].inc()
         return cache[nbytes]
-
-    def many(self, sizes: Sequence[int]) -> list[float]:
-        """Price a list of transfer sizes (vectorized when possible)."""
-        if self.array_fn is not None and len(sizes) > 2:
-            # The array variant recomputes every size regardless of
-            # what the memo holds, so the whole batch counts as misses.
-            _MISSES["dma"].inc(len(sizes))
-            priced = self.array_fn(sizes)
-            out = [float(x) for x in priced]
-            self.cache.update(zip(sizes, out))
-            return out
-        return [self(n) for n in sizes]
 
 
 def cached_cluster_cell(config: "SystemConfig", key: tuple,

@@ -146,15 +146,11 @@ def vmem_pricer(config: SystemConfig, compute_seconds: float,
     contention fraction instead.
     """
     if config.prefetch_policy == ON_DEMAND:
-        return pricing.MemoPricer(
-            config.vmem.transfer_time,
-            array_fn=config.vmem.transfer_time_array)
+        return pricing.MemoPricer(config.vmem.transfer_time)
     fraction = contention_fraction(compute_seconds, comm_seconds)
     return pricing.MemoPricer(
         lambda nbytes: config.vmem.contended_transfer_time(nbytes,
-                                                           fraction),
-        array_fn=lambda sizes: config.vmem.contended_transfer_time_array(
-            sizes, fraction))
+                                                           fraction))
 
 
 def _iteration_seconds(plan: IterationPlan,
@@ -243,7 +239,7 @@ def plan_training_prefetch(plan: IterationPlan, config: SystemConfig,
     ctx = PrefetchContext(
         n_steps=len(step_seconds), sites=sites,
         step_seconds=step_seconds,
-        fetch_seconds=tuple(pricer.many(shards)),
+        fetch_seconds=tuple(map(pricer, shards)),
         window=config.prefetch_window, stash=config.prefetch_stash)
     return prefetch_policy(config.prefetch_policy).plan(ctx)
 
@@ -354,7 +350,6 @@ def plan_inference_prefetch(plan: InferencePlan, config: SystemConfig,
                                 plan.strategy, config.n_devices)
     step_seconds = []
     sites = []
-    weights = []
     step_index = 0
     for name in plan.net.layer_names:
         layer = plan.net.layer(name)
@@ -362,16 +357,13 @@ def plan_inference_prefetch(plan: InferencePlan, config: SystemConfig,
             continue
         step_seconds.append(times[name][0])
         if name in plan.streamed_weights:
-            nbytes = plan.streamed_weights[name]
             sites.append(FetchSite(producer=name, use_step=step_index,
-                                   nbytes=nbytes))
-            weights.append(nbytes)
+                                   nbytes=plan.streamed_weights[name]))
         step_index += 1
-    fetch_seconds = pricer.many(weights)
     ctx = PrefetchContext(
         n_steps=step_index, sites=tuple(sites),
         step_seconds=tuple(step_seconds),
-        fetch_seconds=tuple(fetch_seconds),
+        fetch_seconds=tuple(pricer(site.nbytes) for site in sites),
         window=config.prefetch_window, stash=config.prefetch_stash)
     return prefetch_policy(config.prefetch_policy).plan(ctx)
 

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.accelerator.device import BASELINE_DEVICE, DeviceSpec
 from repro.collectives.multi_ring import (RingChannel,
                                           striped_collective_time)
@@ -103,36 +101,6 @@ class VmemModel:
         bw = (contended_fraction * self.channel.concurrent_bw
               + (1.0 - contended_fraction) * self.channel.peak_bw)
         return self.dma_setup + (nbytes / self.compression) / bw
-
-    def _transfer_time_array(self, sizes, bw: float) -> np.ndarray:
-        if not self.enabled:
-            raise RuntimeError("oracle design has no migration channel")
-        arr = np.asarray(sizes, dtype=np.float64)
-        if arr.size and float(arr.min()) < 0:
-            raise ValueError("negative transfer size")
-        priced = self.dma_setup + (arr / self.compression) / bw
-        return np.where(arr == 0.0, 0.0, priced)
-
-    def transfer_time_array(self, sizes,
-                            concurrent: bool = True) -> np.ndarray:
-        """Vectorized :meth:`transfer_time` over a column of sizes.
-
-        Elementwise bit-identical to per-size scalar calls (float64
-        throughout; zero sizes price to exactly 0.0).
-        """
-        bw = (self.channel.concurrent_bw if concurrent
-              else self.channel.peak_bw)
-        return self._transfer_time_array(sizes, bw)
-
-    def contended_transfer_time_array(self, sizes,
-                                      contended_fraction: float) \
-            -> np.ndarray:
-        """Vectorized :meth:`contended_transfer_time` over sizes."""
-        if not 0.0 <= contended_fraction <= 1.0:
-            raise ValueError("contended fraction must lie in [0, 1]")
-        bw = (contended_fraction * self.channel.concurrent_bw
-              + (1.0 - contended_fraction) * self.channel.peak_bw)
-        return self._transfer_time_array(sizes, bw)
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@
 Turns a scheduled iteration into inspectable artifacts:
 
 * :func:`to_records` -- plain dicts (op, engine, channel, start,
-  finish, bytes), convenient for numpy/pandas-style analysis;
+  finish, bytes), convenient for dataframe-style analysis;
 * :func:`to_chrome_trace` -- the Chrome/Perfetto ``trace_event`` JSON
   format (open in ``chrome://tracing`` or https://ui.perfetto.dev)
   with one row per engine -- per stage, for multi-channel pipeline

@@ -420,14 +420,13 @@ def _pipeline_seconds(plan: PipelinePlan,
     compute = sum(
         (stage.fwd_time + stage.bwd_time + stage.wgrad_time)
         * n_microbatches for stage in plan.stages)
+    collective = pricing.collective_pricer(config.collectives)
     comm = 0.0
     for stage in plan.stages:
         for _, nbytes in stage.sends:
             comm += 2 * n_microbatches * _p2p_time(config, nbytes)
         if plan.replicas > 1 and stage.weight_bytes:
-            comm += pricing.collective_time(config.collectives,
-                                            Primitive.ALL_REDUCE,
-                                            stage.weight_bytes)
+            comm += collective(Primitive.ALL_REDUCE, stage.weight_bytes)
     return compute, comm
 
 

@@ -140,14 +140,18 @@ def main(argv: list[str] | None = None) -> int:
                 "max_wait": args.max_wait_ms / 1e3,
                 "batcher": args.batcher,
                 "decode_steps": args.decode_steps})
-    with session:
-        result = simulate_serving(
-            config, network,
-            arrival=args.arrival, rate=args.arrival_rate,
-            n_requests=args.requests, seed=args.seed,
-            slo=args.slo_ms / 1e3, max_batch=args.max_batch,
-            max_wait=args.max_wait_ms / 1e3, batcher=args.batcher,
-            decode_steps=args.decode_steps)
+    try:
+        with session:
+            result = simulate_serving(
+                config, network,
+                arrival=args.arrival, rate=args.arrival_rate,
+                n_requests=args.requests, seed=args.seed,
+                slo=args.slo_ms / 1e3, max_batch=args.max_batch,
+                max_wait=args.max_wait_ms / 1e3, batcher=args.batcher,
+                decode_steps=args.decode_steps)
+    except (KeyError, ValueError) as exc:
+        print(exc.args[0] if exc.args else str(exc), file=sys.stderr)
+        return 2
 
     if args.format == "json":
         print(json.dumps(result.to_dict(), indent=2, sort_keys=True))

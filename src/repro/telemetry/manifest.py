@@ -3,8 +3,9 @@
 A manifest is the provenance record written next to campaign output:
 a canonicalized fingerprint of the resolved configuration (so two
 runs are comparable iff their fingerprints match), the code
-fingerprint the campaign cache keys on, seed, interpreter/numpy
-versions, and the per-phase host wall-clock aggregated from spans.
+fingerprint the campaign cache keys on, seed, interpreter and
+platform versions, and the per-phase host wall-clock aggregated from
+spans.
 
 Wall-clock fields (``wall_seconds``, ``phases``) are the only
 non-deterministic content; everything else is a pure function of the
@@ -49,12 +50,6 @@ def build_manifest(*, tool: str, argv, config: Any,
                    cells: dict[str, int] | None = None) -> dict:
     """Assemble the manifest dict (see the module docstring)."""
     from repro.campaign.cache import code_fingerprint
-    numpy_version: str | None
-    try:
-        import numpy
-        numpy_version = numpy.__version__
-    except ImportError:  # pragma: no cover - numpy is a hard dep
-        numpy_version = None
     manifest: dict[str, Any] = {
         "tool": tool,
         "argv": list(argv),
@@ -63,7 +58,6 @@ def build_manifest(*, tool: str, argv, config: Any,
         "seed": seed,
         "python": sys.version.split()[0],
         "implementation": platform.python_implementation(),
-        "numpy": numpy_version,
         "platform": platform.platform(),
         "wall_seconds": wall_seconds,
         "phases": phases or {},

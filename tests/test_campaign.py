@@ -159,6 +159,20 @@ class TestCache:
         assert not report.outcomes[0].cached
         assert report.outcomes[0].ok
 
+    @pytest.mark.parametrize("payload", ("[]", "null", '"s"', "3"))
+    def test_non_object_entry_is_a_miss(self, cache, payload):
+        # Valid JSON that is not an object reads as a miss, like a
+        # corrupt file, and the cell is simulated again.
+        run_campaign(SMALL_GRID[:1], cache=cache)
+        (entry,) = cache.generation_root.glob("*/*.json")
+        entry.write_text(payload)
+        misses = cache.misses
+        assert cache.get(entry.stem) is None
+        assert cache.misses == misses + 1
+        report = run_campaign(SMALL_GRID[:1], cache=cache)
+        assert report.outcomes[0].ok
+        assert not report.outcomes[0].cached
+
     def test_fingerprint_is_stable_within_process(self):
         assert code_fingerprint() == code_fingerprint()
         assert len(code_fingerprint()) == 64

@@ -162,6 +162,20 @@ class TestTraceCli:
         assert main(["trace", "DC-DLA", "NOPE"]) == 2
         assert "unknown network" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, named", [
+        (["dc", "VGG-E", "--batch", "0"], "batch"),
+        (["dc", "GPT2", "--strategy", "pipeline", "--microbatches", "0"],
+         "microbatches"),
+        (["dc", "--cluster", "--cluster-jobs", "0"], "job"),
+    ], ids=["batch", "microbatches", "cluster-jobs"])
+    def test_bad_value_exits_2(self, tmp_path, capsys, argv, named):
+        from repro.__main__ import main
+        out = tmp_path / "bad.trace.json"
+        assert main(["trace", *argv, "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and named in err
+        assert not out.exists()
+
 
 class TestTraceEqualsSimulate:
     """The exported timeline is the very one ``simulate()`` priced."""

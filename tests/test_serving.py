@@ -413,3 +413,17 @@ class TestServeCli:
                            "--batcher", "continuous"])
         assert code == 2
         assert "transformer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, named", [
+        (["--requests", "0"], "request"),
+        (["--arrival-rate", "0"], "arrival rate"),
+        (["--max-batch", "0"], "max_batch"),
+        (["--max-wait-ms", "-1"], "max_wait"),
+        (["--decode-steps", "0", "--batcher", "continuous"],
+         "decode_steps"),
+    ], ids=["requests", "arrival-rate", "max-batch", "max-wait-ms",
+            "decode-steps"])
+    def test_bad_value_exits_2(self, capsys, argv, named):
+        assert serve_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and named in err
