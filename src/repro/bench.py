@@ -229,6 +229,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     suites = [s.strip() for s in args.suites.split(",") if s.strip()]
+    if not suites:
+        print("bench: --suites needs at least one value", file=sys.stderr)
+        return 2
     unknown = [s for s in suites if s not in SUITES]
     if unknown:
         print(f"unknown suite(s): {', '.join(unknown)}; known: "

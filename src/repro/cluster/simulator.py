@@ -447,7 +447,12 @@ class ClusterSimulator:
 def fold_stats(ledger: _Ledger, makespan: float, *, policy: str,
                job_mix: str, fleet_devices: int,
                pool: MemoryPool) -> ClusterStats:
-    """Fold a finished run's ledger into :class:`ClusterStats`."""
+    """Fold a finished run's ledger into :class:`ClusterStats`.
+
+    The utilization and fragmentation fractions are not clamped:
+    :class:`ClusterStats` rejects one above 1, so an accounting slip
+    in the ledger raises instead of hiding under a fold.
+    """
     finished = ledger.finished
     if not finished:
         raise ValueError("no finished jobs")
@@ -467,12 +472,11 @@ def fold_stats(ledger: _Ledger, makespan: float, *, policy: str,
         jct_p50=percentile(jcts, 50),
         jct_p95=percentile(jcts, 95),
         queue_delay_mean=sum(delays) / n,
-        device_utilization=min(1.0, ledger.busy_device_seconds
-                               / (fleet_devices * makespan)),
-        pool_utilization=min(1.0,
-                             ledger.pool_util_seconds / makespan),
+        device_utilization=(ledger.busy_device_seconds
+                            / (fleet_devices * makespan)),
+        pool_utilization=ledger.pool_util_seconds / makespan,
         pool_pressure=ledger.pool_pressure_seconds / makespan,
-        fragmentation=min(1.0, ledger.frag_seconds / makespan),
+        fragmentation=ledger.frag_seconds / makespan,
         preemptions=ledger.preemptions,
         checkpoint_bytes=ledger.checkpoint_bytes,
     )

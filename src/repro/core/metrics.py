@@ -1,19 +1,19 @@
 """Result records of a simulated training iteration.
 
-Both records round-trip losslessly through plain dicts (``to_dict`` /
-``from_dict``) so the campaign layer can persist them as JSON: floats
-survive exactly because ``json`` serializes the shortest repr that
-parses back to the same IEEE-754 value.
+Every record round-trips losslessly through plain dicts (``to_dict`` /
+``from_dict``, derived by :func:`repro.records.record`) so the campaign
+layer can persist them as JSON.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from collections.abc import Sequence
 from typing import Any
 
+from repro.records import record
 from repro.training.parallel import ParallelStrategy
 
 
@@ -88,6 +88,7 @@ class ExecutionMode(enum.Enum):
     CLUSTER = "cluster"
 
 
+@record
 @dataclass(frozen=True)
 class LatencyBreakdown:
     """The three stacked latencies of the paper's Figure 11.
@@ -126,16 +127,8 @@ class LatencyBreakdown:
                                 self.sync / reference_total,
                                 self.vmem / reference_total)
 
-    def to_dict(self) -> dict[str, float]:
-        return {"compute": self.compute, "sync": self.sync,
-                "vmem": self.vmem}
 
-    @classmethod
-    def from_dict(cls, data: dict[str, float]) -> "LatencyBreakdown":
-        return cls(compute=data["compute"], sync=data["sync"],
-                   vmem=data["vmem"])
-
-
+@record
 @dataclass(frozen=True)
 class PipelineStats:
     """Per-stage accounting of one pipeline-parallel iteration.
@@ -161,8 +154,11 @@ class PipelineStats:
     stage_max_in_flight: tuple[int, ...]
     #: Deferred weight-grad (W) seconds per stage over the iteration;
     #: empty on schedules that keep the backward undifferentiated
-    #: (then W time is folded into ``stage_compute`` backwards).
-    stage_wgrad: tuple[float, ...] = ()
+    #: (then W time is folded into ``stage_compute`` backwards).  Left
+    #: out of the JSON image while empty, so results of those
+    #: schedules keep the bytes they had before B/W splitting existed.
+    stage_wgrad: tuple[float, ...] = field(
+        default=(), metadata={"omit_empty": True})
 
     def __post_init__(self) -> None:
         counts = {len(self.stage_compute), len(self.stage_bubble),
@@ -207,40 +203,8 @@ class PipelineStats:
         total = self.wgrad_time + self.bubble_time
         return self.wgrad_time / total if total > 0 else 0.0
 
-    def to_dict(self) -> dict[str, Any]:
-        data = {
-            "schedule": self.schedule,
-            "n_stages": self.n_stages,
-            "n_microbatches": self.n_microbatches,
-            "microbatch": self.microbatch,
-            "replicas": self.replicas,
-            "stage_compute": list(self.stage_compute),
-            "stage_bubble": list(self.stage_bubble),
-            "stage_offload_bytes": list(self.stage_offload_bytes),
-            "stage_max_in_flight": list(self.stage_max_in_flight),
-        }
-        # Emitted only by the B/W-splitting schedules so legacy
-        # snapshots stay byte-identical.
-        if self.stage_wgrad:
-            data["stage_wgrad"] = list(self.stage_wgrad)
-        return data
 
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "PipelineStats":
-        return cls(
-            schedule=data["schedule"],
-            n_stages=data["n_stages"],
-            n_microbatches=data["n_microbatches"],
-            microbatch=data["microbatch"],
-            replicas=data["replicas"],
-            stage_compute=tuple(data["stage_compute"]),
-            stage_bubble=tuple(data["stage_bubble"]),
-            stage_offload_bytes=tuple(data["stage_offload_bytes"]),
-            stage_max_in_flight=tuple(data["stage_max_in_flight"]),
-            stage_wgrad=tuple(data.get("stage_wgrad", ())),
-        )
-
-
+@record
 @dataclass(frozen=True)
 class PrefetchStats:
     """What the vmem prefetch/eviction policy did to one schedule.
@@ -293,29 +257,8 @@ class PrefetchStats:
         """The histogram as a plain mapping (rendering convenience)."""
         return {"late": self.late, "jit": self.jit, "early": self.early}
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "policy": self.policy,
-            "n_prefetches": self.n_prefetches,
-            "prefetch_bytes": self.prefetch_bytes,
-            "wasted_bytes": self.wasted_bytes,
-            "evictions": self.evictions,
-            "stall_seconds": self.stall_seconds,
-            "late": self.late,
-            "jit": self.jit,
-            "early": self.early,
-            "hit_rate": self.hit_rate,
-            "contended_seconds": self.contended_seconds,
-        }
 
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "PrefetchStats":
-        return cls(**{field: data[field] for field in (
-            "policy", "n_prefetches", "prefetch_bytes", "wasted_bytes",
-            "evictions", "stall_seconds", "late", "jit", "early",
-            "hit_rate", "contended_seconds")})
-
-
+@record
 @dataclass(frozen=True)
 class FaultStats:
     """What a fault model injected into one run, and what it cost.
@@ -361,27 +304,8 @@ class FaultStats:
         if not 0.0 <= self.availability <= 1.0 + 1e-9:
             raise ValueError("availability must lie in [0, 1]")
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "model": self.model,
-            "injected_events": self.injected_events,
-            "degraded_seconds": self.degraded_seconds,
-            "slowdown": self.slowdown,
-            "retries": self.retries,
-            "shed_requests": self.shed_requests,
-            "timed_out_requests": self.timed_out_requests,
-            "recovery_bytes": self.recovery_bytes,
-            "availability": self.availability,
-        }
 
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "FaultStats":
-        return cls(**{field: data[field] for field in (
-            "model", "injected_events", "degraded_seconds", "slowdown",
-            "retries", "shed_requests", "timed_out_requests",
-            "recovery_bytes", "availability")})
-
-
+@record
 @dataclass(frozen=True)
 class ServingStats:
     """Request-level outcome of one inference-serving simulation.
@@ -451,42 +375,8 @@ class ServingStats:
         return (self.latency_p99 / self.latency_p50
                 if self.latency_p50 > 0 else 0.0)
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "arrival": self.arrival,
-            "batcher": self.batcher,
-            "max_batch": self.max_batch,
-            "max_wait": self.max_wait,
-            "slo": self.slo,
-            "n_requests": self.n_requests,
-            "n_servers": self.n_servers,
-            "duration": self.duration,
-            "offered_rate": self.offered_rate,
-            "throughput": self.throughput,
-            "goodput": self.goodput,
-            "slo_attainment": self.slo_attainment,
-            "latency_mean": self.latency_mean,
-            "latency_p50": self.latency_p50,
-            "latency_p95": self.latency_p95,
-            "latency_p99": self.latency_p99,
-            "latency_max": self.latency_max,
-            "queue_delay_mean": self.queue_delay_mean,
-            "service_mean": self.service_mean,
-            "mean_batch_size": self.mean_batch_size,
-            "utilization": self.utilization,
-        }
 
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "ServingStats":
-        return cls(**{field: data[field] for field in (
-            "arrival", "batcher", "max_batch", "max_wait", "slo",
-            "n_requests", "n_servers", "duration", "offered_rate",
-            "throughput", "goodput", "slo_attainment", "latency_mean",
-            "latency_p50", "latency_p95", "latency_p99", "latency_max",
-            "queue_delay_mean", "service_mean", "mean_batch_size",
-            "utilization")})
-
-
+@record
 @dataclass(frozen=True)
 class ClusterStats:
     """Fleet-level outcome of one multi-job cluster simulation.
@@ -552,38 +442,8 @@ class ClusterStats:
         return (self.queue_delay_mean / self.jct_mean
                 if self.jct_mean > 0 else 0.0)
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "policy": self.policy,
-            "job_mix": self.job_mix,
-            "n_jobs": self.n_jobs,
-            "n_devices": self.n_devices,
-            "pool_capacity": self.pool_capacity,
-            "oversubscription": self.oversubscription,
-            "makespan": self.makespan,
-            "throughput": self.throughput,
-            "jct_mean": self.jct_mean,
-            "jct_p50": self.jct_p50,
-            "jct_p95": self.jct_p95,
-            "queue_delay_mean": self.queue_delay_mean,
-            "device_utilization": self.device_utilization,
-            "pool_utilization": self.pool_utilization,
-            "pool_pressure": self.pool_pressure,
-            "fragmentation": self.fragmentation,
-            "preemptions": self.preemptions,
-            "checkpoint_bytes": self.checkpoint_bytes,
-        }
 
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "ClusterStats":
-        return cls(**{field: data[field] for field in (
-            "policy", "job_mix", "n_jobs", "n_devices", "pool_capacity",
-            "oversubscription", "makespan", "throughput", "jct_mean",
-            "jct_p50", "jct_p95", "queue_delay_mean",
-            "device_utilization", "pool_utilization", "pool_pressure",
-            "fragmentation", "preemptions", "checkpoint_bytes")})
-
-
+@record
 @dataclass(frozen=True)
 class SimulationResult:
     """One (design point, network, batch, strategy) simulation.
@@ -655,65 +515,3 @@ class SimulationResult:
                 (oracle.network, oracle.batch, oracle.strategy):
             raise ValueError("normalization requires matching workloads")
         return oracle.iteration_time / self.iteration_time
-
-    def to_dict(self) -> dict[str, Any]:
-        """A JSON-serializable snapshot of this result."""
-        return {
-            "system": self.system,
-            "network": self.network,
-            "batch": self.batch,
-            "strategy": self.strategy.value,
-            "n_devices": self.n_devices,
-            "iteration_time": self.iteration_time,
-            "breakdown": self.breakdown.to_dict(),
-            "offload_bytes_per_device": self.offload_bytes_per_device,
-            "sync_bytes": self.sync_bytes,
-            "host_traffic_bytes_per_device":
-                self.host_traffic_bytes_per_device,
-            "fits_in_device_memory": self.fits_in_device_memory,
-            "pipeline": (self.pipeline.to_dict()
-                         if self.pipeline is not None else None),
-            "mode": self.mode.value,
-            "serving": (self.serving.to_dict()
-                        if self.serving is not None else None),
-            "cluster": (self.cluster.to_dict()
-                        if self.cluster is not None else None),
-            "prefetch": (self.prefetch.to_dict()
-                         if self.prefetch is not None else None),
-            "faults": (self.faults.to_dict()
-                       if self.faults is not None else None),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "SimulationResult":
-        """Rebuild a result from :meth:`to_dict` output (exact)."""
-        pipeline = data.get("pipeline")
-        serving = data.get("serving")
-        cluster = data.get("cluster")
-        prefetch = data.get("prefetch")
-        faults = data.get("faults")
-        return cls(
-            system=data["system"],
-            network=data["network"],
-            batch=data["batch"],
-            strategy=ParallelStrategy(data["strategy"]),
-            n_devices=data["n_devices"],
-            iteration_time=data["iteration_time"],
-            breakdown=LatencyBreakdown.from_dict(data["breakdown"]),
-            offload_bytes_per_device=data["offload_bytes_per_device"],
-            sync_bytes=data["sync_bytes"],
-            host_traffic_bytes_per_device=data[
-                "host_traffic_bytes_per_device"],
-            fits_in_device_memory=data["fits_in_device_memory"],
-            pipeline=(PipelineStats.from_dict(pipeline)
-                      if pipeline is not None else None),
-            mode=ExecutionMode(data.get("mode", "training")),
-            serving=(ServingStats.from_dict(serving)
-                     if serving is not None else None),
-            cluster=(ClusterStats.from_dict(cluster)
-                     if cluster is not None else None),
-            prefetch=(PrefetchStats.from_dict(prefetch)
-                      if prefetch is not None else None),
-            faults=(FaultStats.from_dict(faults)
-                    if faults is not None else None),
-        )

@@ -16,18 +16,20 @@ Every name routes through :mod:`repro.naming` at construction, so a
 scenario is canonical the moment it exists; its identity is the
 SHA-256 of its :func:`repro.campaign.points.canonicalize` image,
 stable across processes and ``PYTHONHASHSEED``.  ``to_dict`` /
-``from_dict`` round-trip exactly (all leaf values are JSON scalars).
+``from_dict`` (:func:`repro.records.record`) round-trip exactly (all
+leaf values are JSON scalars).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Any
 
 from repro.accelerator.generations import generation
 from repro.campaign.points import canonical_fingerprint, canonicalize
 from repro.naming import (resolve_design, resolve_fault_model,
                           resolve_network, resolve_schedule)
+from repro.records import record
 from repro.vmem.prefetch import PREFETCH_POLICY_ORDER
 
 #: Factory/replacement overrides as sorted (key, value) pairs.
@@ -53,6 +55,7 @@ def _check_pairs(label: str, pairs: Pairs) -> Pairs:
     return tuple(sorted(out))
 
 
+@record
 @dataclass(frozen=True)
 class DesignSpec:
     """The system under test: a design point plus DSL-only axes."""
@@ -91,6 +94,7 @@ class DesignSpec:
             raise ValueError("pim_fraction must lie in [0, 1)")
 
 
+@record
 @dataclass(frozen=True)
 class WorkloadSpec:
     """What trains (or answers requests): network, batch, strategy."""
@@ -114,6 +118,10 @@ class WorkloadSpec:
             raise ValueError("batch must be positive")
         if self.microbatches < 1:
             raise ValueError("microbatches must be >= 1")
+        if self.strategy == "pipeline" and self.batch % self.microbatches:
+            raise ValueError(
+                f"batch {self.batch} is not divisible by "
+                f"pipeline_microbatches={self.microbatches}")
         try:
             object.__setattr__(self, "schedule",
                                resolve_schedule(self.schedule))
@@ -123,6 +131,7 @@ class WorkloadSpec:
             raise ValueError("stages must be >= 0")
 
 
+@record
 @dataclass(frozen=True)
 class TrafficSpec:
     """Inference traffic: declaring one turns the scenario serving."""
@@ -152,6 +161,7 @@ class TrafficSpec:
                              "'continuous'")
 
 
+@record
 @dataclass(frozen=True)
 class FleetSpec:
     """A multi-job fleet: declaring one turns the scenario cluster."""
@@ -181,6 +191,7 @@ class FleetSpec:
             raise ValueError("preempt_after must be positive")
 
 
+@record
 @dataclass(frozen=True)
 class Scenario:
     """One named, fully-specified simulation cell."""
@@ -232,59 +243,6 @@ class Scenario:
     def fingerprint(self) -> str:
         """SHA-256 identity over :meth:`describe` (process-stable)."""
         return canonical_fingerprint(self)
-
-    def to_dict(self) -> dict[str, Any]:
-        """A JSON-serializable snapshot (exact round trip)."""
-        return {
-            "name": self.name,
-            "system": _spec_dict(self.system),
-            "workload": _spec_dict(self.workload),
-            "traffic": _spec_dict(self.traffic),
-            "fleet": _spec_dict(self.fleet),
-            "fault_model": self.fault_model,
-            "prefetch_policy": self.prefetch_policy,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "Scenario":
-        """Rebuild a scenario from :meth:`to_dict` output."""
-        system = data["system"]
-        return cls(
-            name=data["name"],
-            system=DesignSpec(
-                design=system["design"],
-                overrides=_pairs(system["overrides"]),
-                replacements=_pairs(system["replacements"]),
-                device_mix=_pairs(system["device_mix"]),
-                pim_fraction=system["pim_fraction"]),
-            workload=_from_spec(WorkloadSpec, data["workload"]),
-            traffic=_from_spec(TrafficSpec, data["traffic"]),
-            fleet=_from_spec(FleetSpec, data["fleet"]),
-            fault_model=data["fault_model"],
-            prefetch_policy=data["prefetch_policy"],
-        )
-
-
-def _spec_dict(spec) -> dict[str, Any] | None:
-    if spec is None:
-        return None
-    out = {}
-    for f in fields(spec):
-        value = getattr(spec, f.name)
-        if isinstance(value, tuple):
-            value = [list(pair) for pair in value]
-        out[f.name] = value
-    return out
-
-
-def _pairs(data) -> Pairs:
-    return tuple((key, value) for key, value in data)
-
-
-def _from_spec(cls, data):
-    if data is None:
-        return None
-    return cls(**data)
 
 
 __all__ = ["DesignSpec", "FleetSpec", "Pairs", "STRATEGY_NAMES",

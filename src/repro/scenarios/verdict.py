@@ -22,6 +22,7 @@ import json
 from dataclasses import dataclass
 
 from repro.experiments.report import format_table
+from repro.records import record
 
 
 class Status(enum.Enum):
@@ -30,6 +31,7 @@ class Status(enum.Enum):
     ERROR = "ERROR"
 
 
+@record
 @dataclass(frozen=True)
 class Verdict:
     """One claim's measured-vs-expected outcome."""
@@ -49,16 +51,6 @@ class Verdict:
     @property
     def ok(self) -> bool:
         return self.status is Status.PASS
-
-    def to_dict(self) -> dict:
-        return {
-            "claim": self.claim,
-            "status": self.status.value,
-            "measured": self.measured,
-            "expected": self.expected,
-            "margin": self.margin,
-            "detail": self.detail,
-        }
 
 
 @dataclass(frozen=True)

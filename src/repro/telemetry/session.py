@@ -151,15 +151,6 @@ class TelemetrySession:
         if self.enabled:
             self.events.append(event)
 
-    def merge_worker_snapshots(self, snapshots) -> None:
-        """Fold pool-worker metric snapshots into the live registry."""
-        registry = telemetry.metrics_registry()
-        if registry is None:
-            return
-        for snapshot in snapshots:
-            if snapshot:
-                registry.merge_snapshot(snapshot)
-
     def __enter__(self) -> TelemetrySession:
         if self.enabled:
             from repro.core import pricing

@@ -77,6 +77,11 @@ class TestMain:
         assert bench.main(["--suites", "nope"]) == 2
         assert "unknown suite" in capsys.readouterr().err
 
+    def test_empty_suite_list_is_rejected(self, capsys):
+        assert bench.main(["--suites", ","]) == 2
+        assert "--suites needs at least one value" \
+            in capsys.readouterr().err
+
     def test_update_writes_all_baselines(self, fake_suites, tmp_path):
         rc = bench.main(["--update", "--root", str(tmp_path)])
         assert rc == 0

@@ -173,6 +173,25 @@ class TestCache:
         assert report.outcomes[0].ok
         assert not report.outcomes[0].cached
 
+    @pytest.mark.parametrize("mutate", [
+        lambda data: {"system": data["system"]},
+        lambda data: {**data, "mode": "bogus"},
+        lambda data: {**data, "bogus": 1},
+    ], ids=["missing-fields", "unknown-enum", "unknown-key"])
+    def test_object_entry_that_does_not_decode_is_a_miss(self, cache,
+                                                          mutate):
+        # A JSON object that is not a result's image reads as a miss,
+        # and the cell is simulated again.
+        run_campaign(SMALL_GRID[:1], cache=cache)
+        (entry,) = cache.generation_root.glob("*/*.json")
+        entry.write_text(json.dumps(mutate(json.loads(entry.read_text()))))
+        misses = cache.misses
+        assert cache.get(entry.stem) is None
+        assert cache.misses == misses + 1
+        report = run_campaign(SMALL_GRID[:1], cache=cache)
+        assert report.outcomes[0].ok
+        assert not report.outcomes[0].cached
+
     def test_fingerprint_is_stable_within_process(self):
         assert code_fingerprint() == code_fingerprint()
         assert len(code_fingerprint()) == 64
@@ -297,8 +316,9 @@ class TestCli:
         (["--policies", "fifo", "--cluster-jobs", "0"], "n_jobs"),
         (["--strategies", "bogus"], "bogus"),
         (["-j", "-1"], "--jobs must be >= 0"),
+        (["--strategies", "pipeline", "--batches", "3"], "not divisible"),
     ], ids=["microbatches", "arrival-rate", "oversub", "cluster-jobs",
-            "strategy", "jobs"])
+            "strategy", "jobs", "pipeline-batch"])
     def test_bad_value_exits_2_before_any_cell(self, capsys, argv,
                                                named):
         code = campaign_cli(["--designs", "DC-DLA", "--networks",

@@ -12,7 +12,7 @@ from repro.cluster import (CostOracle, JobKind, JobSpec, MemoryPool,
                            spill_dilation, spill_penalty)
 from repro.cluster.jobs import JOB_MIX_NAMES
 from repro.cluster.oracle import JobProfile
-from repro.cluster.simulator import percentile
+from repro.cluster.simulator import _Ledger, fold_stats, percentile
 from repro.core.design_points import design_point
 from repro.core.metrics import ClusterStats, ExecutionMode, SimulationResult
 from repro.units import GB, TB
@@ -392,6 +392,23 @@ class TestClusterSimulator:
             simulate_cluster(mc_config, n_jobs=4, policy="wfq")
         with pytest.raises(ValueError):
             simulate_cluster(mc_config, jobs=())
+
+    @pytest.mark.parametrize("integral, name", [
+        ("busy_device_seconds", "device_utilization"),
+        ("pool_util_seconds", "pool_utilization"),
+        ("frag_seconds", "fragmentation"),
+    ])
+    def test_fraction_above_one_raises(self, integral, name):
+        # An integral past its bound (fleet x makespan device-seconds,
+        # makespan seconds for the pool and fragmentation) is an
+        # accounting slip: folding it must raise, not clamp to 1.
+        spec = JobSpec(jid=0, arrival=0.0, kind=JobKind.TRAINING,
+                       network="AlexNet", batch=512)
+        ledger = _Ledger(finished=[(spec, 0.0, 2.0)])
+        setattr(ledger, integral, 2.0 * 16 * 1.001)
+        with pytest.raises(ValueError, match=name):
+            fold_stats(ledger, 2.0, policy="fifo", job_mix="balanced",
+                       fleet_devices=16, pool=MemoryPool(capacity=1 * TB))
 
     def test_backfill_window_uses_dilated_wall_clock(self, mc_config):
         """A backfill candidate that fits the head gang's window only

@@ -83,6 +83,11 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match="needs a workload"):
             Scenario(name="s", system=DesignSpec("dc"))
 
+    def test_pipeline_batch_must_divide_into_microbatches(self):
+        with pytest.raises(ValueError, match="not divisible"):
+            WorkloadSpec(network="GPT2", batch=3, strategy="pipeline")
+        assert WorkloadSpec(network="GPT2", batch=3).batch == 3
+
     def test_unknown_prefetch_policy(self):
         with pytest.raises(ValueError, match="prefetch"):
             _training(prefetch_policy="psychic")
@@ -126,6 +131,12 @@ class TestRoundTrip:
         rebuilt = Scenario.from_dict(data)
         assert rebuilt == scenario
         assert rebuilt.to_dict() == data
+
+    def test_missing_keys_take_defaults(self):
+        data = {"name": "x", "system": {"design": "dc"},
+                "workload": {"network": "VGG-E"}}
+        assert Scenario.from_dict(data) == Scenario(
+            "x", DesignSpec("dc"), WorkloadSpec("VGG-E"))
 
     def test_fingerprint_distinguishes_every_field(self):
         base = _training()
