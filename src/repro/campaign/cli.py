@@ -68,6 +68,15 @@ def _split(raw: str) -> list[str]:
     return [item.strip() for item in raw.split(",") if item.strip()]
 
 
+def _required(raw: str, flag: str) -> list[str]:
+    """``flag``'s comma-separated values, of which an axis that is on
+    needs at least one: an empty list would drop its cells silently."""
+    values = _split(raw)
+    if not values:
+        raise ValueError(f"{flag} needs at least one value")
+    return values
+
+
 def _parse_policy(raw: str) -> tuple[int, float]:
     """Parse a ``MAXxWAITms`` batch policy, e.g. ``8x2`` or ``16x0.5``."""
     try:
@@ -112,9 +121,11 @@ def _scenarios(args: argparse.Namespace) -> list[Scenario]:
         cells += [(f"|{workload.schedule}", {"workload": workload})
                   for workload in piped]
     if args.arrival_rates.strip():
+        rates = _required(args.arrival_rates, "--arrival-rates")
+        slos = _required(args.slo_ms, "--slo-ms")
         served = [WorkloadSpec(network) for network in networks]
-        batch_policies = [_parse_policy(p)
-                          for p in _split(args.batch_policies)]
+        batch_policies = [_parse_policy(p) for p in
+                          _required(args.batch_policies, "--batch-policies")]
         if args.batcher == "continuous":
             flat_nets = [w.network for w in served
                          if w.network not in TRANSFORMER_NAMES]
@@ -131,8 +142,8 @@ def _scenarios(args: argparse.Namespace) -> list[Scenario]:
                                slo_ms=float(slo), max_batch=max_batch,
                                max_wait_ms=wait_ms, batcher=args.batcher)
                    for max_batch, wait_ms in batch_policies
-                   for slo in _split(args.slo_ms)
-                   for rate in _split(args.arrival_rates)]
+                   for slo in slos
+                   for rate in rates]
         cells += [(f"|{t.arrival}@{t.rate:g}rps|slo{t.slo_ms:g}ms"
                    f"|b{t.max_batch}w{t.max_wait_ms:g}ms",
                    {"workload": workload, "traffic": t})
@@ -141,18 +152,19 @@ def _scenarios(args: argparse.Namespace) -> list[Scenario]:
         from repro.cluster.jobs import JOB_MIX_NAMES
         from repro.cluster.policies import POLICY_NAMES
         from repro.units import GB
-        sched = _split(args.policies)
+        sched = _required(args.policies, "--policies")
         bad_policies = [p for p in sched if p not in POLICY_NAMES]
         if bad_policies:
             raise ValueError(f"unknown policy(ies): "
                              f"{', '.join(bad_policies)}; known: "
                              f"{', '.join(POLICY_NAMES)}")
-        mixes = _split(args.job_mixes)
+        mixes = _required(args.job_mixes, "--job-mixes")
         bad_mixes = [m for m in mixes if m not in JOB_MIX_NAMES]
         if bad_mixes:
             raise ValueError(f"unknown job mix(es): "
                              f"{', '.join(bad_mixes)}; known: "
                              f"{', '.join(JOB_MIX_NAMES)}")
+        oversubs = _required(args.pool_oversub, "--pool-oversub")
         pool = int(args.pool_gb * GB) if args.pool_gb is not None \
             else None
         fleets = [FleetSpec(policy=policy, job_mix=mix,
@@ -160,7 +172,7 @@ def _scenarios(args: argparse.Namespace) -> list[Scenario]:
                             arrival_rate=_CLUSTER_ARRIVAL_RATE,
                             pool_capacity=pool,
                             oversubscription=float(oversub))
-                  for oversub in _split(args.pool_oversub)
+                  for oversub in oversubs
                   for mix in mixes for policy in sched]
         cells += [(f"|{f.policy}|{f.job_mix}|os{f.oversubscription:g}",
                    {"fleet": f}) for f in fleets]

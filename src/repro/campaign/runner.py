@@ -15,7 +15,10 @@ point, in input order.  Three properties the experiment layers rely on:
   runner retries each survivor alone in a fresh single-worker pool and
   only the cell that kills its private worker again is failed;
 * **memoization** — with a :class:`ResultCache`, finished cells are
-  replayed from disk and only misses are simulated.
+  replayed from disk and only misses are simulated.  Within one run,
+  each distinct config is built once (:class:`BuiltConfigs`): its
+  digest keys every cell that uses it, and the serial path simulates
+  on that same object.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 from repro.campaign.cache import ResultCache
-from repro.campaign.points import CampaignPoint
+from repro.campaign.points import BuiltConfigs, CampaignPoint
 from repro.core.design_points import design_point
 from repro.core.metrics import SimulationResult
 from repro.core.simulator import simulate
@@ -102,10 +105,15 @@ class CampaignReport:
         return self
 
 
-def _simulate_cell(point: CampaignPoint, factory,
+def _simulate_cell(point: CampaignPoint, configs: BuiltConfigs,
                    with_telemetry: bool = False) \
         -> tuple[SimulationResult, float, dict | None]:
-    """Pool worker: build the config and run one cell (picklable).
+    """Run one cell on its config from ``configs`` (picklable).
+
+    The serial path passes the run's own :class:`BuiltConfigs`, so a
+    cell simulates on the config object its cache key digested; a pool
+    worker unpickles a fresh one holding only the factory and builds
+    the config itself.
 
     ``with_telemetry`` is the pool path's metric plumbing: the worker
     runs the cell under its own fresh registry and ships the snapshot
@@ -121,7 +129,7 @@ def _simulate_cell(point: CampaignPoint, factory,
     start = time.perf_counter()
     try:
         with span("cell", design=point.name, network=point.network):
-            config = point.build_config(factory)
+            config = configs.get(point)
             if point.is_serving:
                 # Imported lazily: repro.serving depends on repro.core.
                 from repro.serving.server import simulate_serving
@@ -176,18 +184,19 @@ def run_campaign(points: Iterable[CampaignPoint], *, jobs: int = 1,
         if progress is not None:
             progress(outcome, done, total)
 
+    configs = BuiltConfigs(factory)
     keys: dict[int, str] = {}
     misses: list[int] = []
     for index, point in enumerate(points):
         if cache is not None:
-            # The key embeds the *built* config (point.describe with
-            # the factory), so results can never be replayed across
-            # configs the point axes do not distinguish -- e.g. two
-            # factories baking different prefetch policies.  A point
-            # whose config cannot build is left uncached; the worker
-            # will surface the error as the cell's outcome.
+            # The key carries a digest of the *built* config, so
+            # results can never be replayed across configs the point
+            # axes do not distinguish -- e.g. two factories baking
+            # different prefetch policies.  A point whose config
+            # cannot build is left uncached; the worker will surface
+            # the error as the cell's outcome.
             try:
-                description = point.describe(factory)
+                description = point.describe(configs)
             except Exception:
                 misses.append(index)
                 continue
@@ -217,7 +226,7 @@ def run_campaign(points: Iterable[CampaignPoint], *, jobs: int = 1,
         snapshots: dict[int, dict] = {}
         broken: list[int] = []
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            pending = {pool.submit(_simulate_cell, points[i], factory,
+            pending = {pool.submit(_simulate_cell, points[i], configs,
                                    worker_telemetry): i
                        for i in misses}
             while pending:
@@ -246,7 +255,7 @@ def run_campaign(points: Iterable[CampaignPoint], *, jobs: int = 1,
             try:
                 with ProcessPoolExecutor(max_workers=1) as solo:
                     result, elapsed, snapshot = solo.submit(
-                        _simulate_cell, points[index], factory,
+                        _simulate_cell, points[index], configs,
                         worker_telemetry).result()
             except BrokenProcessPool:
                 fail(index, RuntimeError(
@@ -268,7 +277,7 @@ def run_campaign(points: Iterable[CampaignPoint], *, jobs: int = 1,
         for index in misses:
             try:
                 result, elapsed, _ = _simulate_cell(points[index],
-                                                    factory)
+                                                    configs)
             except Exception as exc:
                 fail(index, exc)
             else:

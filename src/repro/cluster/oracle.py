@@ -47,7 +47,9 @@ def policy_exposure(result: SimulationResult) -> float:
     blocked compute (``stall_seconds / vmem``).  The on-demand
     baseline -- and any result without prefetch accounting -- prices
     at the conservative 1.0, so legacy cluster numbers are unchanged
-    byte-for-byte.
+    byte-for-byte.  A stall longer than the migration it waited on is
+    an accounting error and raises; only float dust within 1e-9
+    relative is folded to 1.0.
     """
     stats = result.prefetch
     if stats is None or stats.policy == ON_DEMAND:
@@ -55,7 +57,12 @@ def policy_exposure(result: SimulationResult) -> float:
     vmem = result.breakdown.vmem
     if vmem <= 0.0:
         return 1.0
-    return min(1.0, stats.stall_seconds / vmem)
+    stall = stats.stall_seconds
+    if stall > vmem * (1.0 + 1e-9):
+        raise ValueError(
+            f"{result.system}: prefetch stall {stall!r} s exceeds its "
+            f"migration time {vmem!r} s")
+    return min(1.0, stall / vmem)
 
 
 @dataclass(frozen=True)

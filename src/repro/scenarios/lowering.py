@@ -21,9 +21,9 @@ realizes the two DSL-only axes:
   internal units become the critical path).
 
 Because the factory's kwargs carry the mix and PIM knobs, the campaign
-cache key (``point.describe(factory)``) embeds the *built* composite
-config -- scenarios that differ in any DSL axis can never replay each
-other's cached cells.
+cache key (``point.describe(factory)``: the point's axes plus a digest
+of the *built* composite config) differs for scenarios that differ in
+any DSL axis -- they can never replay each other's cached cells.
 """
 
 from __future__ import annotations

@@ -6,6 +6,7 @@ on-disk cache (frozen-dataclass equality compares every float exactly,
 so ``==`` is the byte-identity assertion).
 """
 
+import dataclasses
 import json
 import os
 import time
@@ -247,6 +248,55 @@ class TestRunner:
         assert {o.point.key: o.result
                 for o in survivors} == healthy.results
 
+    def test_each_distinct_config_is_built_once_per_run(self, cache):
+        calls = []
+
+        def counting_factory(design, **overrides):
+            calls.append(design)
+            return design_point(design, **overrides)
+
+        window = [CampaignPoint(point.design, point.network,
+                                replacements=(("offload_window", 4),),
+                                label=f"{point.design}|w4")
+                  for point in SMALL_GRID if point.design == "DC-DLA"]
+        points = SMALL_GRID + tuple(window)
+        # Three (design, overrides, replacements) triples over six cells;
+        # the serial path simulates on the configs the keys built.
+        run_campaign(points, cache=cache, factory=counting_factory)
+        assert len(calls) == 3
+        replay = run_campaign(points, cache=cache, factory=counting_factory)
+        assert all(o.cached for o in replay.outcomes)
+        assert len(calls) == 6  # a new run builds its configs afresh
+        run_campaign(points, factory=counting_factory)
+        assert len(calls) == 9
+
+    def test_unhashable_override_value_runs_and_replays(self, cache):
+        def tagged(design, tags=()):
+            return design_point(design)
+
+        point = CampaignPoint("DC-DLA", "AlexNet",
+                              overrides=(("tags", ["a", "b"]),))
+        first = run_campaign([point], cache=cache, factory=tagged)
+        assert first.outcomes[0].ok and not first.outcomes[0].cached
+        replay = run_campaign([point], cache=cache, factory=tagged)
+        assert replay.outcomes[0].cached
+        assert replay.results == first.results
+
+    def test_key_tracks_nested_config_fields(self, tmp_path):
+        def faster_hbm(design, **overrides):
+            config = design_point(design, **overrides)
+            hbm = dataclasses.replace(
+                config.device.hbm,
+                bandwidth=config.device.hbm.bandwidth * 2)
+            return dataclasses.replace(
+                config, device=dataclasses.replace(config.device, hbm=hbm))
+
+        cache = ResultCache(tmp_path, code_version="pinned")
+        point = CampaignPoint("MC-DLA(B)", "AlexNet")
+        assert point.describe(design_point) == point.describe(design_point)
+        assert cache.key(point.describe(design_point), "f") \
+            != cache.key(point.describe(faster_hbm), "f")
+
     def test_duplicate_keys_rejected(self):
         clash = CampaignPoint("DC-DLA", "AlexNet", label="x")
         other = CampaignPoint("MC-DLA(B)", "AlexNet", label="x")
@@ -317,8 +367,17 @@ class TestCli:
         (["--strategies", "bogus"], "bogus"),
         (["-j", "-1"], "--jobs must be >= 0"),
         (["--strategies", "pipeline", "--batches", "3"], "not divisible"),
+        (["--arrival-rates", ","], "--arrival-rates"),
+        (["--arrival-rates", "400", "--slo-ms", ","], "--slo-ms"),
+        (["--arrival-rates", "400", "--batch-policies", ","],
+         "--batch-policies"),
+        (["--policies", ","], "--policies"),
+        (["--policies", "fifo", "--job-mixes", ","], "--job-mixes"),
+        (["--policies", "fifo", "--pool-oversub", ","], "--pool-oversub"),
     ], ids=["microbatches", "arrival-rate", "oversub", "cluster-jobs",
-            "strategy", "jobs", "pipeline-batch"])
+            "strategy", "jobs", "pipeline-batch", "empty-rates",
+            "empty-slos", "empty-batch-policies", "empty-policies",
+            "empty-job-mixes", "empty-pool-oversub"])
     def test_bad_value_exits_2_before_any_cell(self, capsys, argv,
                                                named):
         code = campaign_cli(["--designs", "DC-DLA", "--networks",

@@ -185,12 +185,17 @@ class TestHashSeedDeterminism:
             "import json\n"
             "from repro.campaign import CampaignPoint, ResultCache\n"
             "from repro.campaign.cache import code_fingerprint\n"
+            "from repro.core.design_points import design_point\n"
             "point = CampaignPoint('MC-DLA(B)', 'GPT2',\n"
             "    overrides=(('tags', frozenset({'a', 'b', 'c'})),),\n"
+            "    serving=(('rate', 200.0), ('seed', 1)))\n"
+            "built = CampaignPoint('MC-DLA(B)', 'GPT2',\n"
+            "    replacements=(('prefetch_policy', 'stride'),),\n"
             "    serving=(('rate', 200.0), ('seed', 1)))\n"
             "cache = ResultCache('unused', code_version='pinned')\n"
             "print(json.dumps([\n"
             "    cache.key(point.describe(), 'factory'),\n"
+            "    cache.key(built.describe(design_point), 'factory'),\n"
             "    code_fingerprint()]))\n"
         )
         digests = []

@@ -1,5 +1,6 @@
 """Tests for repro.cluster: jobs, oracle, pool, policies, event loop."""
 
+import dataclasses
 import json
 
 import pytest
@@ -11,10 +12,12 @@ from repro.cluster import (CostOracle, JobKind, JobSpec, MemoryPool,
                            generate_jobs, select_next, simulate_cluster,
                            spill_dilation, spill_penalty)
 from repro.cluster.jobs import JOB_MIX_NAMES
-from repro.cluster.oracle import JobProfile
+from repro.cluster.oracle import JobProfile, policy_exposure
 from repro.cluster.simulator import _Ledger, fold_stats, percentile
 from repro.core.design_points import design_point
 from repro.core.metrics import ClusterStats, ExecutionMode, SimulationResult
+from repro.core.simulator import simulate
+from repro.training.parallel import ParallelStrategy
 from repro.units import GB, TB
 
 
@@ -122,6 +125,19 @@ class TestCostOracle:
         assert not profile.preemptible
         assert profile.devices == mc_config.n_devices
         assert profile.service > 0
+
+    def test_stall_beyond_migration_raises(self, dc_config):
+        config = dataclasses.replace(dc_config, prefetch_policy="stride")
+        result = simulate(config, "AlexNet", 512, ParallelStrategy.DATA)
+        vmem = result.breakdown.vmem
+        assert 0.0 <= policy_exposure(result) <= 1.0
+        stall = 2.0 * vmem
+        bad = dataclasses.replace(result, prefetch=dataclasses.replace(
+            result.prefetch, stall_seconds=stall))
+        with pytest.raises(ValueError, match="DC-DLA") as info:
+            policy_exposure(bad)
+        assert repr(stall) in str(info.value)
+        assert repr(vmem) in str(info.value)
 
     def test_memoizes_by_job_class(self, mc_config):
         oracle = CostOracle(mc_config)

@@ -10,6 +10,7 @@ from repro.scenarios.lowering import (PIM_INTERNAL_AMPLIFICATION,
                                       composite_device, lower_scenario,
                                       pim_bandwidth_scale,
                                       scenario_design_point, with_pim)
+from repro.scenarios.paper import paper_suite
 from repro.training.parallel import ParallelStrategy
 from repro.units import TB
 
@@ -151,6 +152,12 @@ class TestRoundTrip:
     def test_fingerprint_matches_canonical_image(self):
         s = _training()
         assert s.fingerprint() == canonical_fingerprint(s)
+
+    def test_paper_suite_fingerprints_are_pinned(self, golden):
+        # render_json publishes these; they must not move.
+        golden.check("scenario_fingerprints",
+                     {s.name: s.fingerprint()
+                      for s in paper_suite().scenarios})
 
 
 class TestLowering:
