@@ -225,9 +225,10 @@ EXPERIMENTS: dict[str, tuple[str, Callable[[], str]]] = {
 
 def _trace_main(argv: list[str]) -> int:
     """``python -m repro trace``: export one iteration's Chrome trace."""
-    from repro.cluster.policies import POLICY_NAMES
+    from repro.cluster import DEFAULT_JOBS, POLICY_NAMES
     from repro.core.design_points import DESIGN_ORDER
     from repro.dnn.registry import WORKLOAD_NAMES
+    from repro.scenarios.dsl import WorkloadSpec
 
     parser = argparse.ArgumentParser(
         prog="python -m repro trace",
@@ -251,9 +252,10 @@ def _trace_main(argv: list[str]) -> int:
                              "pipeline: gpipe, 1f1b, zb-h1, "
                              "interleaved, zb-auto; aliases accepted "
                              "(default: 1f1b)")
-    parser.add_argument("--microbatches", type=int, default=None,
-                        help="microbatches per pipeline iteration "
-                             "(default: the design point's)")
+    parser.add_argument("--microbatches", type=int,
+                        default=WorkloadSpec.microbatches,
+                        help=f"microbatches per pipeline iteration "
+                             f"(default: {WorkloadSpec.microbatches})")
     parser.add_argument("--cluster", action="store_true",
                         help="trace a cluster run instead: one row "
                              "per job with queued/running/preempted "
@@ -262,9 +264,9 @@ def _trace_main(argv: list[str]) -> int:
                         choices=POLICY_NAMES,
                         help="cluster scheduling policy "
                              "(default: fifo)")
-    parser.add_argument("--cluster-jobs", type=int, default=24,
-                        help="jobs in the cluster stream "
-                             "(default: 24)")
+    parser.add_argument("--cluster-jobs", type=int, default=DEFAULT_JOBS,
+                        help=f"jobs in the cluster stream "
+                             f"(default: {DEFAULT_JOBS})")
     parser.add_argument("--job-mix", default="balanced",
                         help="cluster job mix (default: balanced)")
     parser.add_argument("--seed", type=int, default=0,
@@ -288,101 +290,85 @@ def _trace_main(argv: list[str]) -> int:
 
 
 def _write_trace(args: argparse.Namespace) -> int:
-    """Resolve ``repro trace``'s arguments, simulate, write the trace.
+    """Declare ``repro trace``'s cell as a Scenario, simulate it, and
+    write its trace.
 
-    Unknown names raise ``KeyError`` and out-of-range values
-    ``ValueError``; :func:`_trace_main` reports either as exit 2.
+    The cell lowers and builds its config exactly as a campaign or
+    claims cell does.  Unknown names raise ``KeyError`` and
+    out-of-range values ``ValueError``; :func:`_trace_main` reports
+    either as exit 2.
     """
-    from repro.core.design_points import design_point
-    from repro.core.simulator import iteration_timeline
-    from repro.core.trace import engine_utilization, to_chrome_trace
-    from repro.naming import (resolve_design, resolve_network,
-                              resolve_schedule)
-    from repro.training.parallel import ParallelStrategy
+    from repro.scenarios.dsl import (DesignSpec, FleetSpec, Scenario,
+                                     WorkloadSpec)
+    from repro.scenarios.lowering import (lower_scenario,
+                                          scenario_design_point)
 
-    design = resolve_design(args.design)
-    network = (resolve_network(args.network)
-               if args.network is not None else None)
-    schedule = resolve_schedule(args.pipeline_schedule)
-
-    config = design_point(design)
-    replacements = {}
-    if schedule != config.pipeline_schedule:
-        replacements["pipeline_schedule"] = schedule
-    if args.microbatches is not None:
-        replacements["pipeline_microbatches"] = args.microbatches
-    if replacements:
-        import dataclasses
-        config = dataclasses.replace(config, **replacements)
-
+    system = DesignSpec(args.design)
     if args.cluster:
-        from repro.cluster.jobs import generate_jobs
-        from repro.cluster.simulator import ClusterSimulator
-        from repro.core.trace import cluster_chrome_trace
-        jobs = generate_jobs(args.job_mix, args.cluster_jobs,
-                             seed=args.seed,
-                             node_width=config.n_devices)
-        sim = ClusterSimulator(config, policy=args.policy,
-                               preempt_after=args.preempt_after)
-        ledger, makespan = sim.run(jobs)
-        text = cluster_chrome_trace(ledger.events)
-        path = args.output
-        if path is None:
-            slug = "".join(c if c.isalnum() else "-" for c in
-                           f"{design}-cluster-{args.policy}")
-            path = f"{slug.lower()}.trace.json"
-        with open(path, "w") as handle:
-            handle.write(text)
-        print(f"wrote {path}: {len(jobs)} jobs, "
-              f"{len(ledger.events)} lifecycle events, "
-              f"makespan {makespan:.1f} s, "
-              f"{ledger.preemptions} preemptions")
-        return 0
-
-    if network is None:
+        scenario = Scenario(
+            name=f"{system.design}/cluster/{args.policy}", system=system,
+            fleet=FleetSpec(policy=args.policy, job_mix=args.job_mix,
+                            n_jobs=args.cluster_jobs, seed=args.seed,
+                            preempt_after=args.preempt_after))
+    elif args.network is None:
         print("network is required unless --cluster is given",
               file=sys.stderr)
         return 2
-
-    strategy = ParallelStrategy[args.strategy.upper()]
-    host_spans = None
-    if args.telemetry:
-        # Record the simulator's own phase spans over the very run
-        # whose timeline is exported below.
-        from repro import telemetry
-        telemetry.enable(fresh=True)
-        try:
-            timeline = iteration_timeline(config, network, args.batch,
-                                          strategy)
-            recorder = telemetry.span_recorder()
-            host_spans = list(recorder.spans) if recorder else []
-        finally:
-            telemetry.disable()
     else:
-        timeline = iteration_timeline(config, network, args.batch,
-                                      strategy)
-    text = to_chrome_trace(
-        timeline, include_bubbles=strategy is ParallelStrategy.PIPELINE,
-        host_spans=host_spans)
+        workload = WorkloadSpec(args.network, args.batch, args.strategy,
+                                args.microbatches, args.pipeline_schedule)
+        scenario = Scenario(
+            name=f"{system.design}/{workload.network}/{args.strategy}",
+            system=system, workload=workload)
+    point = lower_scenario(scenario)
+    config = point.build_config(scenario_design_point)
+
+    if args.cluster:
+        from repro.cluster.simulator import cluster_lifecycle
+        from repro.core.trace import cluster_chrome_trace
+        result, events = cluster_lifecycle(config, **dict(point.cluster))
+        text = cluster_chrome_trace(events)
+        summary = (f"{result.cluster.n_jobs} jobs, {len(events)} "
+                   f"lifecycle events, makespan "
+                   f"{result.iteration_time:.1f} s, "
+                   f"{result.cluster.preemptions} preemptions")
+    else:
+        from repro.core.simulator import iteration_timeline
+        from repro.core.trace import engine_utilization, to_chrome_trace
+        cell = (config, point.network, point.batch, point.strategy)
+        host_spans = None
+        if args.telemetry:
+            # Record the simulator's own phase spans over the very run
+            # whose timeline is exported below.
+            from repro import telemetry
+            telemetry.enable(fresh=True)
+            try:
+                timeline = iteration_timeline(*cell)
+                recorder = telemetry.span_recorder()
+                host_spans = list(recorder.spans) if recorder else []
+            finally:
+                telemetry.disable()
+        else:
+            timeline = iteration_timeline(*cell)
+        text = to_chrome_trace(
+            timeline, include_bubbles=args.strategy == "pipeline",
+            host_spans=host_spans)
+        util = engine_utilization(timeline)
+        summary = (f"{len(timeline.scheduled)} ops, makespan "
+                   f"{timeline.makespan * 1e3:.3f} ms, utilization "
+                   + " ".join(f"{k}={v:.2f}" for k, v in util.items()))
+        if len(timeline.channels) > 1:
+            per_channel = engine_utilization(timeline, per_channel=True)
+            summary += "\nper-channel utilization: " + " ".join(
+                f"{k}={v:.2f}" for k, v in per_channel.items() if v > 0)
 
     path = args.output
     if path is None:
-        slug = "".join(c if c.isalnum() else "-" for c in
-                       f"{design}-{network}-{args.strategy}")
+        slug = "".join(c if c.isalnum() else "-" for c in scenario.name)
         path = f"{slug.lower()}.trace.json"
     with open(path, "w") as handle:
         handle.write(text)
-
-    util = engine_utilization(timeline)
-    summary = " ".join(f"{k}={v:.2f}" for k, v in util.items())
-    print(f"wrote {path}: {len(timeline.scheduled)} ops, "
-          f"makespan {timeline.makespan * 1e3:.3f} ms, "
-          f"utilization {summary}")
-    if len(timeline.channels) > 1:
-        per_channel = engine_utilization(timeline, per_channel=True)
-        busy = " ".join(f"{k}={v:.2f}"
-                        for k, v in per_channel.items() if v > 0)
-        print(f"per-channel utilization: {busy}")
+    print(f"wrote {path}: {summary}")
     return 0
 
 

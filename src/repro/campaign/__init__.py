@@ -16,8 +16,9 @@ Quickstart::
                         points[0].strategy).iteration_time)
 
 ``python -m repro campaign`` exposes the same engine on the command
-line; the paper's evaluation matrix, sensitivity studies, ablations,
-and scalability sweeps are all declarative grids over it.
+line; the paper's evaluation matrix is a declarative grid over it, and
+every study declares scenarios that lower onto it
+(:mod:`repro.scenarios.runner`).
 """
 
 from repro.campaign.cache import (CACHE_DIR_ENV, ResultCache,

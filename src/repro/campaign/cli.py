@@ -30,6 +30,7 @@ import time
 
 from repro.campaign.cache import ResultCache, default_cache_dir
 from repro.campaign.runner import CampaignReport, CellOutcome
+from repro.cluster.jobs import DEFAULT_JOBS
 from repro.core.design_points import DESIGN_ORDER
 from repro.dnn.registry import (BENCHMARK_NAMES, TRANSFORMER_NAMES,
                                 WORKLOAD_NAMES)
@@ -42,10 +43,6 @@ from repro.scenarios.runner import run_scenarios
 from repro.telemetry.session import (TelemetrySession,
                                      add_telemetry_argument, eta_seconds)
 from repro.vmem.prefetch import PREFETCH_POLICY_ORDER
-
-#: Job arrival rate of every cluster cell, in jobs/s (``FleetSpec``
-#: defaults to 0.05; campaign rows and cache keys use this rate).
-_CLUSTER_ARRIVAL_RATE = 0.02
 
 _CSV_FIELDS = (
     "design", "network", "batch", "strategy", "n_devices",
@@ -169,7 +166,6 @@ def _scenarios(args: argparse.Namespace) -> list[Scenario]:
             else None
         fleets = [FleetSpec(policy=policy, job_mix=mix,
                             n_jobs=args.cluster_jobs, seed=args.seed,
-                            arrival_rate=_CLUSTER_ARRIVAL_RATE,
                             pool_capacity=pool,
                             oversubscription=float(oversub))
                   for oversub in oversubs
@@ -266,8 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated pool oversubscription factors for "
              "cluster cells (default: 1)")
     parser.add_argument(
-        "--cluster-jobs", type=int, default=24,
-        help="jobs per cluster cell (default: 24)")
+        "--cluster-jobs", type=int, default=DEFAULT_JOBS,
+        help=f"jobs per cluster cell (default: {DEFAULT_JOBS})")
     parser.add_argument(
         "--pool-gb", type=float, default=None,
         help="shared pool capacity per cluster cell, in GiB "

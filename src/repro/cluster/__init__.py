@@ -26,23 +26,23 @@ campaign --policies ...``), and
 designs at equal pool capacity.
 """
 
-from repro.cluster.jobs import (JOB_MIX_NAMES, JobKind, JobSpec,
+from repro.cluster.jobs import (DEFAULT_ARRIVAL_RATE, DEFAULT_JOBS,
+                                JOB_MIX_NAMES, JobKind, JobSpec,
                                 generate_jobs)
 from repro.cluster.oracle import CostOracle, JobProfile
 from repro.cluster.policies import (POLICY_NAMES, QueueEntry, Release,
                                     earliest_start, fits, select_next)
 from repro.cluster.pool import MemoryPool, spill_dilation, spill_penalty
-from repro.cluster.simulator import (DEFAULT_ARRIVAL_RATE,
-                                     DEFAULT_FLEET_DEVICES,
-                                     DEFAULT_JOBS,
+from repro.cluster.simulator import (DEFAULT_FLEET_DEVICES,
                                      DEFAULT_POOL_PER_DEVICE,
-                                     ClusterSimulator, simulate_cluster)
+                                     ClusterSimulator, cluster_lifecycle,
+                                     simulate_cluster)
 
 __all__ = [
     "CostOracle", "ClusterSimulator", "DEFAULT_ARRIVAL_RATE",
     "DEFAULT_FLEET_DEVICES", "DEFAULT_JOBS", "DEFAULT_POOL_PER_DEVICE",
     "JOB_MIX_NAMES", "JobKind", "JobProfile", "JobSpec", "MemoryPool",
-    "POLICY_NAMES", "QueueEntry", "Release", "earliest_start", "fits",
-    "generate_jobs", "select_next", "simulate_cluster",
-    "spill_dilation", "spill_penalty",
+    "POLICY_NAMES", "QueueEntry", "Release", "cluster_lifecycle",
+    "earliest_start", "fits", "generate_jobs", "select_next",
+    "simulate_cluster", "spill_dilation", "spill_penalty",
 ]

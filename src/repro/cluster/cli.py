@@ -19,10 +19,10 @@ import argparse
 import json
 import sys
 
-from repro.cluster.jobs import JOB_MIX_NAMES
+from repro.cluster.jobs import (DEFAULT_ARRIVAL_RATE, DEFAULT_JOBS,
+                                JOB_MIX_NAMES)
 from repro.cluster.policies import POLICY_NAMES
-from repro.cluster.simulator import (DEFAULT_ARRIVAL_RATE, DEFAULT_JOBS,
-                                     simulate_cluster)
+from repro.cluster.simulator import DEFAULT_FLEET_DEVICES, simulate_cluster
 from repro.core.design_points import design_point
 from repro.naming import resolve_design
 from repro.telemetry.session import TelemetrySession, add_telemetry_argument
@@ -55,8 +55,10 @@ def build_parser() -> argparse.ArgumentParser:
                         default=DEFAULT_ARRIVAL_RATE,
                         help="job submissions per second (default: "
                              f"{DEFAULT_ARRIVAL_RATE:g})")
-    parser.add_argument("--fleet-devices", type=int, default=16,
-                        help="devices in the fleet (default: 16)")
+    parser.add_argument("--fleet-devices", type=int,
+                        default=DEFAULT_FLEET_DEVICES,
+                        help=f"devices in the fleet (default: "
+                             f"{DEFAULT_FLEET_DEVICES})")
     parser.add_argument("--pool-gb", type=float, default=None,
                         help="shared pool capacity in GiB (default: "
                              "128 GiB per device)")

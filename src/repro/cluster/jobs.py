@@ -27,6 +27,12 @@ JOB_MIX_NAMES = ("training", "transformer", "serving", "balanced")
 #: node for tens of seconds, not the whole makespan.
 SERVING_REQUESTS = 96
 
+#: The default job stream of a cluster cell: this many jobs, arriving
+#: at this rate (jobs/s).  ``simulate_cluster``, ``FleetSpec`` and the
+#: ``cluster``, ``campaign`` and ``trace`` commands all read them here.
+DEFAULT_JOBS = 24
+DEFAULT_ARRIVAL_RATE = 0.02
+
 
 class JobKind(enum.Enum):
     """What a queued job runs once placed."""
@@ -105,7 +111,7 @@ _SERVING_RATES = (100.0, 200.0, 400.0)
 
 
 def generate_jobs(mix: str, n_jobs: int, seed: int = 0,
-                  arrival_rate: float = 0.02,
+                  arrival_rate: float = DEFAULT_ARRIVAL_RATE,
                   node_width: int = 8) -> tuple[JobSpec, ...]:
     """A deterministic job stream for a named mix.
 

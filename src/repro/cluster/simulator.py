@@ -28,7 +28,8 @@ import math
 from dataclasses import dataclass, field
 from collections.abc import Sequence
 
-from repro.cluster.jobs import JobSpec, generate_jobs
+from repro.cluster.jobs import (DEFAULT_ARRIVAL_RATE, DEFAULT_JOBS,
+                                JobSpec, generate_jobs)
 from repro.cluster.oracle import CostOracle, JobProfile
 from repro.cluster.policies import (QueueEntry, Release, fits,
                                     select_next)
@@ -43,9 +44,9 @@ from repro.interconnect.link import PCIE_GEN3
 from repro.training.parallel import ParallelStrategy
 from repro.units import GB
 
+#: Devices in a cluster cell's fleet (the job-stream defaults live in
+#: :mod:`repro.cluster.jobs`).
 DEFAULT_FLEET_DEVICES = 16
-DEFAULT_JOBS = 24
-DEFAULT_ARRIVAL_RATE = 0.02  # jobs/sec
 #: Default shared-pool sizing when no explicit capacity is given.
 DEFAULT_POOL_PER_DEVICE = 128 * GB
 #: A job survives at most this many evictions, then becomes sticky.
@@ -111,16 +112,35 @@ def estimated_wall_seconds(remaining: float, profile: JobProfile,
     backfill candidate cannot sneak past the head gang's reservation
     by quoting its undilated runtime.
     """
-    # Repeated preemption/restart accounting can leave float dust a
-    # hair below zero in ``remaining``; clamp so duration-aware
-    # policies (SJF ordering, backfill windows) never see a negative
-    # estimate.
+    # The event loop never hands in a negative ``remaining`` (see
+    # :func:`_burn`); the floor keeps this function's own contract, so
+    # duration-aware policies (SJF ordering, backfill windows) never
+    # see a negative estimate whoever calls it.
     remaining = max(0.0, remaining)
     projected = pool.reserved + profile.pool_bytes
     if projected <= 0:
         return remaining
     overflow = max(0, projected - pool.capacity) / projected
     return remaining * spill_dilation(profile, overflow, penalty)
+
+
+def _burn(job: _Running, dt: float) -> None:
+    """Run ``job`` for ``dt`` wall seconds at its current dilation.
+
+    The loop never advances past a running job's completion, so the
+    remaining service can undershoot zero only by float dust, which
+    folds to zero.  An overshoot past ``_EPS`` of the job's service is
+    an accounting slip and raises.
+    """
+    remaining = job.remaining - dt / job.dilation
+    if remaining < 0.0:
+        if -remaining > _EPS * job.profile.service:
+            raise ValueError(
+                f"job {job.profile.spec.jid} ran past its end: "
+                f"remaining {remaining!r} s of a "
+                f"{job.profile.service!r} s service")
+        remaining = 0.0
+    job.remaining = remaining
 
 
 def _checkpoint_time(config: SystemConfig, nbytes: int) -> float:
@@ -238,11 +258,7 @@ class ClusterSimulator:
                              and fault.in_flap(0.5 * (t + until))):
                 ledger.degraded_seconds += dt
             for job in running:
-                # Clamp: preemption overheads and float dust must not
-                # drive remaining work negative (it skews
-                # estimated_wall_seconds and SJF ordering).
-                job.remaining = max(0.0,
-                                    job.remaining - dt / job.dilation)
+                _burn(job, dt)
             t = until
 
         def start(entry: _Pending) -> None:
@@ -523,6 +539,30 @@ def simulate_cluster(config: SystemConfig, *, policy: str = "fifo",
     ``compute`` aggregates busy device-seconds and ``vmem`` the
     preemption checkpoint/restore traffic time.
     """
+    return cluster_lifecycle(
+        config, policy=policy, job_mix=job_mix, n_jobs=n_jobs,
+        seed=seed, arrival_rate=arrival_rate,
+        fleet_devices=fleet_devices, pool_capacity=pool_capacity,
+        oversubscription=oversubscription, preempt_after=preempt_after,
+        jobs=jobs)[0]
+
+
+def cluster_lifecycle(config: SystemConfig, *, policy: str,
+                      job_mix: str, n_jobs: int, seed: int,
+                      arrival_rate: float, fleet_devices: int,
+                      oversubscription: float,
+                      pool_capacity: int | None = None,
+                      preempt_after: float | None = None,
+                      jobs: Sequence[JobSpec] | None = None) \
+        -> tuple[SimulationResult, list]:
+    """The one cluster driver: :func:`simulate_cluster`'s result and
+    the per-job lifecycle events of the run it was read from (trace
+    export, :func:`repro.core.trace.cluster_chrome_trace`).
+
+    The knobs :func:`simulate_cluster` defaults are required here; a
+    lowered :class:`~repro.scenarios.dsl.FleetSpec`
+    (``CampaignPoint.cluster``) carries every one.
+    """
     if jobs is None:
         jobs = generate_jobs(job_mix, n_jobs, seed=seed,
                              arrival_rate=arrival_rate,
@@ -578,7 +618,7 @@ def simulate_cluster(config: SystemConfig, *, policy: str = "fifo",
         )
         record_fault_stats(faults, "cluster")
 
-    return SimulationResult(
+    result = SimulationResult(
         system=config.name,
         network=f"mix:{mix_label}",
         batch=stats.n_jobs,
@@ -598,3 +638,4 @@ def simulate_cluster(config: SystemConfig, *, policy: str = "fifo",
         cluster=stats,
         faults=faults,
     )
+    return result, ledger.events

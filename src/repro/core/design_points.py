@@ -13,7 +13,9 @@ DC-DLA(O)  oracle: infinite device memory, no migration
 
 Sensitivity variants of Section V-B (PCIe gen4, TPUv2-class devices,
 DGX-2-class nodes, cDMA compression) are parameterized on the same
-factories.
+factories.  One more factory, ``MC-DLA(7a)``, builds the Figure 7(a)
+strawman the interconnect ablation compares against; it is not one of
+the six evaluated designs, so :data:`DESIGN_ORDER` leaves it out.
 """
 
 from __future__ import annotations
@@ -25,7 +27,9 @@ from repro.core.system import CollectiveModel, SystemConfig, VmemModel
 from repro.collectives.multi_ring import RingChannel
 from repro.host.cpu import HYPOTHETICAL_HC, XEON, CpuSocketSpec
 from repro.interconnect.builders import (NO_VMEM, VmemChannel, VmemTarget,
-                                         build_dc_dla, build_hc_dla,
+                                         build_dc_dla,
+                                         build_fig7a_derivative,
+                                         build_hc_dla,
                                          build_mc_dla_ring,
                                          build_mc_dla_star)
 from repro.interconnect.link import NVLINK, PCIE_GEN3, LinkSpec
@@ -81,6 +85,16 @@ def mc_dla_star(n_devices: int = 8, device: DeviceSpec = BASELINE_DEVICE,
         collectives=CollectiveModel.from_topology(topo),
         vmem=VmemModel(topo.vmem),
         memory_node=node)
+
+
+def mc_dla_fig7a() -> SystemConfig:
+    """MC-DLA(7a): the 8-device derivative interconnect of Figure 7(a)."""
+    topo = build_fig7a_derivative()
+    return SystemConfig(
+        name="MC-DLA(7a)", device=BASELINE_DEVICE, n_devices=8,
+        collectives=CollectiveModel.from_topology(topo),
+        vmem=VmemModel(topo.vmem),
+        memory_node=_mc_memory_node(NVLINK))
 
 
 def _mc_dla_ring(name: str, n_devices: int, device: DeviceSpec,
@@ -169,7 +183,12 @@ _FACTORIES: dict[str, Callable[..., SystemConfig]] = {
     "MC-DLA(L)": mc_dla_local,
     "MC-DLA(B)": mc_dla_bw,
     "DC-DLA(O)": dc_dla_oracle,
+    "MC-DLA(7a)": mc_dla_fig7a,
 }
+
+#: Every name :func:`design_point` builds: the six evaluated designs,
+#: then the strawmen only studies use.
+DESIGN_NAMES = tuple(_FACTORIES)
 
 
 #: name -> built default config.  SystemConfig is frozen (as is every
@@ -194,7 +213,7 @@ def design_point(name: str, **kwargs) -> SystemConfig:
         factory = _FACTORIES[name]
     except KeyError:
         raise KeyError(f"unknown design point {name!r}; "
-                       f"known: {', '.join(DESIGN_ORDER)}") from None
+                       f"known: {', '.join(DESIGN_NAMES)}") from None
     config = factory(**kwargs)
     if not kwargs:
         _DEFAULT_BUILDS[name] = config

@@ -145,12 +145,10 @@ def vmem_pricer(config: SystemConfig, compute_seconds: float,
     to the seed's); the policy engine prices with the plan's measured
     contention fraction instead.
     """
-    if config.prefetch_policy == ON_DEMAND:
-        return pricing.MemoPricer(config.vmem.transfer_time)
-    fraction = contention_fraction(compute_seconds, comm_seconds)
+    fraction = (1.0 if config.prefetch_policy == ON_DEMAND
+                else contention_fraction(compute_seconds, comm_seconds))
     return pricing.MemoPricer(
-        lambda nbytes: config.vmem.contended_transfer_time(nbytes,
-                                                           fraction))
+        lambda nbytes: config.vmem.transfer_time(nbytes, fraction))
 
 
 def _iteration_seconds(plan: IterationPlan,

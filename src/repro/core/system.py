@@ -68,27 +68,15 @@ class VmemModel:
     def enabled(self) -> bool:
         return self.channel.target is not VmemTarget.NONE
 
-    def transfer_time(self, nbytes: int, concurrent: bool = True) -> float:
-        """One offload or prefetch DMA of ``nbytes``."""
-        if not self.enabled:
-            raise RuntimeError("oracle design has no migration channel")
-        if nbytes < 0:
-            raise ValueError("negative transfer size")
-        if nbytes == 0:
-            return 0.0
-        bw = (self.channel.concurrent_bw if concurrent
-              else self.channel.peak_bw)
-        return self.dma_setup + (nbytes / self.compression) / bw
-
-    def contended_transfer_time(self, nbytes: int,
-                                contended_fraction: float) -> float:
-        """One DMA priced with overlap-aware link sharing.
+    def transfer_time(self, nbytes: int,
+                      contended_fraction: float = 1.0) -> float:
+        """One offload or prefetch DMA of ``nbytes``.
 
         The virtualization channel rides the same links as collectives
-        and weight streaming; during the fraction of the iteration
-        those are active the DMA runs at ``concurrent_bw``, and at
-        ``peak_bw`` otherwise.  ``contended_fraction = 1`` recovers the
-        legacy always-contended pricing of :meth:`transfer_time`.
+        and weight streaming; during the ``contended_fraction`` of the
+        iteration those are active the DMA runs at ``concurrent_bw``,
+        and at ``peak_bw`` otherwise.  The default of 1 is the paper's
+        always-contended pricing; 0 prices an idle channel.
         """
         if not 0.0 <= contended_fraction <= 1.0:
             raise ValueError("contended fraction must lie in [0, 1]")

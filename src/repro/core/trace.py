@@ -185,10 +185,6 @@ def to_chrome_trace(result: ColumnarTimeline, pid: int = 1,
                        "displayTimeUnit": "ms"})
 
 
-#: Job lifecycle slice names for cluster traces, in row order.
-_CLUSTER_PHASES = ("queued", "running", "preempted")
-
-
 def cluster_chrome_trace(events, pid: int = 1) -> str:
     """Chrome ``trace_event`` JSON for one cluster run.
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.dnn.layers import Layer, LayerKind
-from repro.units import FP32_BYTES
 
 
 class Network:
@@ -261,8 +260,3 @@ class NetworkSummary:
 def input_layer(name: str, elems: int) -> Layer:
     """Convenience constructor for the network input pseudo-layer."""
     return Layer(name=name, kind=LayerKind.INPUT, out_elems=elems)
-
-
-def fmap_edge_bytes(net: Network, src: str, batch: int) -> int:
-    """Bytes flowing along a producer edge at a batch size."""
-    return net.layer(src).out_elems * batch * FP32_BYTES

@@ -1,46 +1,7 @@
-"""Experiment harness: one module per paper table/figure."""
+"""Experiment harness: one module per paper table/figure.
 
-from repro.experiments.fig2_motivation import (Fig2Result, format_fig2,
-                                               run_fig2)
-from repro.experiments.fig9_collectives import (Fig9Result, format_fig9,
-                                                run_fig9)
-from repro.experiments.fig10_allocation import (Fig10Result, format_fig10,
-                                                run_fig10)
-from repro.experiments.fig11_breakdown import (Fig11Result, format_fig11,
-                                               run_fig11)
-from repro.experiments.fig12_cpu_bandwidth import (Fig12Result,
-                                                   format_fig12, run_fig12)
-from repro.experiments.fig13_performance import (Fig13Result, format_fig13,
-                                                 run_fig13)
-from repro.experiments.fig14_batch_sensitivity import (Fig14Result,
-                                                       format_fig14,
-                                                       run_fig14)
-from repro.experiments.ablations import (AblationResult, format_ablations,
-                                         run_ablations)
-from repro.experiments.matrix import EvaluationMatrix, evaluation_matrix
-from repro.experiments.scalability import (ScalabilityResult,
-                                           format_scalability,
-                                           run_scalability)
-from repro.experiments.scaleout import (ScaleOutResult, format_scaleout,
-                                        run_scaleout)
-from repro.experiments.sensitivity import (SensitivityResult,
-                                           format_sensitivity,
-                                           run_sensitivity)
-from repro.experiments.tab4_power import Tab4Result, format_tab4, run_tab4
-from repro.experiments.user_productivity import (
-    ProductivityResult, format_user_productivity, run_user_productivity)
-
-__all__ = [
-    "AblationResult", "EvaluationMatrix", "Fig10Result", "Fig11Result",
-    "Fig12Result", "Fig13Result", "Fig14Result", "Fig2Result",
-    "Fig9Result", "ProductivityResult", "ScalabilityResult",
-    "ScaleOutResult", "SensitivityResult", "Tab4Result",
-    "evaluation_matrix", "format_ablations", "format_fig10",
-    "format_fig11", "format_fig12", "format_fig13", "format_fig14",
-    "format_fig2", "format_fig9", "format_scalability",
-    "format_scaleout", "format_sensitivity", "format_tab4",
-    "format_user_productivity", "run_ablations", "run_fig10",
-    "run_fig11", "run_fig12", "run_fig13", "run_fig14", "run_fig2",
-    "run_fig9", "run_scalability", "run_scaleout", "run_sensitivity",
-    "run_tab4", "run_user_productivity",
-]
+Import each study from its own module (``repro.experiments.fig13_
+performance``, ``repro.experiments.sensitivity``, ...); the package
+itself imports none of them, so a module that only needs
+:mod:`repro.experiments.report` loads no study.
+"""

@@ -11,9 +11,10 @@ Four ablations, each isolating one modeling/design decision:
 * **interconnect shape** -- Figure 7(a) derivative vs 7(b) folded vs
   7(c) ring at identical hardware budgets.
 
-All but the recompute rule are declarative campaign grids (the window
-depth rides on ``CampaignPoint.replacements``, the 7(a) derivative on
-a custom design factory); the recompute ablation rebuilds iteration
+All but the recompute rule are declared scenarios run through
+:func:`repro.scenarios.runner.run_study` (the window depth rides on
+``DesignSpec.replacements``, the 7(a) derivative is the registered
+``MC-DLA(7a)`` design); the recompute ablation rebuilds iteration
 plans by hand because the knob lives on the migration-policy side,
 below ``simulate()``.
 """
@@ -23,22 +24,38 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.campaign import CampaignPoint, ResultCache, run_campaign
-from repro.campaign.runner import CampaignReport
-from repro.core.design_points import design_point, mc_dla_star
-from repro.core.system import CollectiveModel, SystemConfig, VmemModel
+from repro.campaign import ResultCache
 from repro.experiments.report import format_table
-from repro.interconnect.builders import build_fig7a_derivative
+from repro.scenarios.dsl import DesignSpec, Scenario, WorkloadSpec
+from repro.scenarios.runner import run_study
 from repro.training.parallel import ParallelStrategy
 from repro.units import harmonic_mean
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from repro.core.schedule import IterationPlan
+    from repro.core.system import SystemConfig
     from repro.dnn.graph import Network
 
 ABLATION_NETWORKS = ("VGG-E", "RNN-GRU")
 
 _WINDOWS = (1, 2, 4, 8)
+
+#: (study, variant) -> system, for every row but the recompute rule's.
+_SYSTEMS: dict[tuple[str, str], DesignSpec] = {
+    # 1. Offload window depth on the PCIe-bound baseline.
+    **{("offload-window", f"w={window}"): DesignSpec(
+        "DC-DLA", replacements=(("offload_window", window),
+                                ("prefetch_window", window)))
+       for window in _WINDOWS},
+    # 3. Shared vs dedicated PCIe uplinks on the baseline.
+    ("pcie-uplinks", "dedicated"): DesignSpec("DC-DLA"),
+    ("pcie-uplinks", "shared"): DesignSpec(
+        "DC-DLA", overrides=(("shared_uplinks", True),)),
+    # 4. Interconnect shape at equal budgets (Figure 7 a/b/c).
+    ("interconnect", "fig7a-derivative"): DesignSpec("MC-DLA(7a)"),
+    ("interconnect", "fig7b-folded"): DesignSpec("MC-DLA(S)"),
+    ("interconnect", "fig7c-ring"): DesignSpec("MC-DLA(B)"),
+}
 
 
 @dataclass(frozen=True)
@@ -63,55 +80,6 @@ class AblationResult:
 
     def variants(self, study: str) -> list[AblationRow]:
         return [r for r in self.rows if r.study == study]
-
-
-def _fig7a_config() -> SystemConfig:
-    topo = build_fig7a_derivative()
-    star = mc_dla_star()
-    return SystemConfig(
-        name="MC-DLA(7a)", device=star.device, n_devices=8,
-        collectives=CollectiveModel.from_topology(topo),
-        vmem=VmemModel(topo.vmem), memory_node=star.memory_node)
-
-
-def ablation_design(name: str, **kwargs) -> SystemConfig:
-    """Design factory extending the paper's six with the 7(a) shape."""
-    if name == "MC-DLA(7a)":
-        return _fig7a_config()
-    return design_point(name, **kwargs)
-
-
-def ablation_points(batch: int = 512) -> tuple[CampaignPoint, ...]:
-    """The campaign grid behind ablations 1, 3, and 4."""
-    points = []
-
-    def cells(label, design, overrides=(), replacements=()):
-        for network in ABLATION_NETWORKS:
-            points.append(CampaignPoint(
-                design=design, network=network, batch=batch,
-                strategy=ParallelStrategy.DATA, overrides=overrides,
-                replacements=replacements, label=label))
-
-    # 1. Offload window depth on the PCIe-bound baseline.
-    for window in _WINDOWS:
-        cells(f"dc/w={window}", "DC-DLA",
-              replacements=(("offload_window", window),
-                            ("prefetch_window", window)))
-    # 3. Shared vs dedicated PCIe uplinks on the baseline.
-    cells("dc/dedicated", "DC-DLA")
-    cells("dc/shared", "DC-DLA", overrides=(("shared_uplinks", True),))
-    # 4. Interconnect shape at equal budgets (Figure 7 a/b/c).
-    cells("fig7a", "MC-DLA(7a)")
-    cells("fig7b", "MC-DLA(S)")
-    cells("fig7c", "MC-DLA(B)")
-    return tuple(points)
-
-
-def _mean_time(report: CampaignReport, label: str, batch: int) -> float:
-    times = [report.result(label, network, batch,
-                           ParallelStrategy.DATA).iteration_time
-             for network in ABLATION_NETWORKS]
-    return harmonic_mean(times)
 
 
 def _recompute_plan(net: Network, batch: int, config: SystemConfig,
@@ -161,27 +129,21 @@ def _recompute_rows(batch: int) -> list[AblationRow]:
 
 def run_ablations(batch: int = 512, jobs: int = 1,
                   cache: ResultCache | None = None) -> AblationResult:
-    report = run_campaign(ablation_points(batch), jobs=jobs,
-                          cache=cache,
-                          factory=ablation_design).raise_failures()
-
-    rows: list[AblationRow] = []
-    for window in _WINDOWS:
-        rows.append(AblationRow(
-            "offload-window", f"w={window}",
-            _mean_time(report, f"dc/w={window}", batch)))
-    rows.extend(_recompute_rows(batch))
-    rows.append(AblationRow("pcie-uplinks", "dedicated",
-                            _mean_time(report, "dc/dedicated", batch)))
-    rows.append(AblationRow("pcie-uplinks", "shared",
-                            _mean_time(report, "dc/shared", batch)))
-    rows.append(AblationRow("interconnect", "fig7a-derivative",
-                            _mean_time(report, "fig7a", batch)))
-    rows.append(AblationRow("interconnect", "fig7b-folded",
-                            _mean_time(report, "fig7b", batch)))
-    rows.append(AblationRow("interconnect", "fig7c-ring",
-                            _mean_time(report, "fig7c", batch)))
-    return AblationResult(rows=tuple(rows))
+    results = run_study({
+        (study, variant, network): Scenario(
+            name=f"{study}/{variant}/{network}", system=system,
+            workload=WorkloadSpec(network, batch))
+        for (study, variant), system in _SYSTEMS.items()
+        for network in ABLATION_NETWORKS
+    }, jobs=jobs, cache=cache)
+    rows = [AblationRow(study, variant, harmonic_mean(
+                [results[(study, variant, network)].iteration_time
+                 for network in ABLATION_NETWORKS]))
+            for study, variant in _SYSTEMS]
+    # Ablation 2 follows the offload-window rows.
+    split = len(_WINDOWS)
+    return AblationResult(rows=tuple(
+        rows[:split] + _recompute_rows(batch) + rows[split:]))
 
 
 def format_ablations(result: AblationResult) -> str:

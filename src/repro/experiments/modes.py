@@ -8,8 +8,8 @@ execution modes, each one fixed cell shape:
 * **pipeline**: a GPT2 1F1B pipeline at batch 64;
 * **serving**: a GPT2 dynamic-batching tenant at 800 req/s over 128
   requests;
-* **cluster**: 12 balanced-mix jobs at 1.5x oversubscription of a
-  1 TiB pool.
+* **cluster**: 12 balanced-mix jobs arriving at 0.05 jobs/s, at 1.5x
+  oversubscription of a 1 TiB pool.
 
 Every other field takes its spec default.  The cells run through
 :func:`repro.scenarios.runner.run_study`, the same lowering the claims
@@ -37,6 +37,7 @@ DEFAULT_SERVING_NETWORK = "GPT2"
 DEFAULT_SERVING_RATE = 800.0
 DEFAULT_SERVING_REQUESTS = 128
 DEFAULT_CLUSTER_JOBS = 12
+DEFAULT_CLUSTER_ARRIVAL_RATE = 0.05
 DEFAULT_CLUSTER_POOL = 1 * TB
 
 
@@ -58,9 +59,10 @@ def _mode_fields(mode: str, cluster_jobs: int,
     if mode == "cluster":
         # Oversubscribed so jobs spill: the prefetch policy's exposure
         # prices, and a pool-node loss has reservations to squeeze.
-        return {"fleet": FleetSpec(n_jobs=cluster_jobs,
-                                   oversubscription=1.5,
-                                   pool_capacity=DEFAULT_CLUSTER_POOL)}
+        return {"fleet": FleetSpec(
+            n_jobs=cluster_jobs,
+            arrival_rate=DEFAULT_CLUSTER_ARRIVAL_RATE,
+            oversubscription=1.5, pool_capacity=DEFAULT_CLUSTER_POOL)}
     raise ValueError(f"unknown mode {mode!r}; "
                      f"known: {', '.join(MODES)}")
 

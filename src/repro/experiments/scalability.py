@@ -10,19 +10,20 @@ Data-parallel CNN training on 1/4/8 devices, three configurations:
 * MC-DLA(B) -- scaling regained because migration rides the device-side
   interconnect.
 
-The sweep is one declarative campaign grid; each (configuration,
-device-count) variant is a labelled point over the stock factories.
+The sweep is one set of declared scenarios, run through
+:func:`repro.scenarios.runner.run_study`; each (configuration,
+device-count) variant overrides the stock factories.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.campaign import CampaignPoint, ResultCache, run_campaign
-from repro.campaign.points import Overrides
+from repro.campaign import ResultCache
 from repro.dnn.registry import CNN_NAMES
 from repro.experiments.report import format_table
-from repro.training.parallel import ParallelStrategy
+from repro.scenarios.dsl import DesignSpec, Scenario, WorkloadSpec
+from repro.scenarios.runner import run_study
 from repro.units import harmonic_mean
 
 DEVICE_COUNTS = (1, 4, 8)
@@ -63,49 +64,34 @@ class ScalabilityResult:
         return harmonic_mean(factors)
 
 
-def _variant(configuration: str, n: int) -> tuple[str, Overrides]:
-    """(design factory, overrides) for one configuration at ``n``."""
+def _system(configuration: str, n: int) -> DesignSpec:
+    """The system of one configuration at ``n`` devices."""
     if configuration == "DC-DLA (no virtualization)":
-        return "DC-DLA(O)", (("n_devices", n),)
+        return DesignSpec("DC-DLA(O)", overrides=(("n_devices", n),))
     if configuration == "DC-DLA (virtualized)":
-        return "DC-DLA", (("n_devices", n), ("shared_uplinks", True))
+        return DesignSpec("DC-DLA", overrides=(("n_devices", n),
+                                               ("shared_uplinks", True)))
     # MC-DLA needs two devices to form a ring; the single-"device" case
     # reuses a 2-node build but counts one device's share.
-    return "MC-DLA(B)", (("n_devices", max(2, n)),)
-
-
-def scalability_points(batch: int = 512) -> tuple[CampaignPoint, ...]:
-    points = []
-    for n in DEVICE_COUNTS:
-        for configuration in _CONFIGURATIONS:
-            design, overrides = _variant(configuration, n)
-            for network in CNN_NAMES:
-                points.append(CampaignPoint(
-                    design=design, network=network, batch=batch,
-                    strategy=ParallelStrategy.DATA,
-                    overrides=overrides,
-                    label=f"{configuration}/n={n}"))
-    return tuple(points)
+    return DesignSpec("MC-DLA(B)", overrides=(("n_devices", max(2, n)),))
 
 
 def run_scalability(batch: int = 512, jobs: int = 1,
                     cache: ResultCache | None = None) \
         -> ScalabilityResult:
-    report = run_campaign(scalability_points(batch), jobs=jobs,
-                          cache=cache).raise_failures()
-    points = []
-    for n in DEVICE_COUNTS:
-        for configuration in _CONFIGURATIONS:
-            for network in CNN_NAMES:
-                result = report.result(f"{configuration}/n={n}",
-                                       network, batch,
-                                       ParallelStrategy.DATA)
-                # Weak scaling: node throughput is devices x per-device
-                # throughput.
-                per_device = result.batch / result.iteration_time
-                points.append(ScalingPoint(
-                    configuration, network, n, per_device * n))
-    return ScalabilityResult(points=tuple(points))
+    results = run_study({
+        (configuration, network, n): Scenario(
+            name=f"{configuration}/n={n}/{network}",
+            system=_system(configuration, n),
+            workload=WorkloadSpec(network, batch))
+        for n in DEVICE_COUNTS for configuration in _CONFIGURATIONS
+        for network in CNN_NAMES
+    }, jobs=jobs, cache=cache)
+    # Weak scaling: node throughput is devices x per-device throughput.
+    return ScalabilityResult(points=tuple(
+        ScalingPoint(configuration, network, n,
+                     result.batch / result.iteration_time * n)
+        for (configuration, network, n), result in results.items()))
 
 
 def format_scalability(result: ScalabilityResult) -> str:

@@ -11,44 +11,47 @@ Four variations on the baseline comparison:
 * **cDMA compression** shrinks DC-DLA's CNN migration traffic by 2.6x
   (paper: the CNN gap narrows to 2.3x).
 
-The whole section is one declarative campaign: every (variant,
-workload, strategy) cell becomes a :class:`CampaignPoint` and shared
-cells (e.g. the unmodified MC-DLA(B) grid) are simulated once instead
-of once per study.
+The whole section is one set of declared scenarios: every (variant,
+workload, strategy) cell is a :class:`~repro.scenarios.dsl.Scenario`
+run through :func:`repro.scenarios.runner.run_study`.  Cells several
+studies share (the unmodified MC-DLA(B) grid) are declared once, and a
+cell the claims suite declares identically keys the same cache entry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.accelerator.generations import TPUV2
-from repro.campaign import CampaignPoint, ResultCache, run_campaign
-from repro.campaign.points import Overrides
-from repro.campaign.runner import CampaignReport
+from repro.campaign import ResultCache
+from repro.core.metrics import SimulationResult
 from repro.dnn.registry import BENCHMARK_NAMES, CNN_NAMES
 from repro.experiments.report import format_table
-from repro.interconnect.link import NVLINK2, PCIE_GEN4
-from repro.training.parallel import ParallelStrategy
+from repro.scenarios.dsl import DesignSpec, Pairs, Scenario, WorkloadSpec
+from repro.scenarios.runner import run_study
 from repro.units import harmonic_mean
 
 CDMA_COMPRESSION = 2.6
 
-_STRATEGIES = (ParallelStrategy.DATA, ParallelStrategy.MODEL)
+_STRATEGIES = ("data", "model")
 
-#: label -> (design factory, factory overrides, networks to sweep).
-_VARIANTS: dict[str, tuple[str, Overrides, tuple[str, ...]]] = {
+#: label -> (design, factory overrides, networks to sweep).  Spec-valued
+#: overrides name their spec (see :mod:`repro.naming`).
+_VARIANTS: dict[str, tuple[str, Pairs, tuple[str, ...]]] = {
     "dc": ("DC-DLA", (), BENCHMARK_NAMES),
-    "dc/gen4": ("DC-DLA", (("pcie", PCIE_GEN4),), BENCHMARK_NAMES),
-    "dc/tpuv2": ("DC-DLA", (("device", TPUV2),), BENCHMARK_NAMES),
-    "dc/dgx2": ("DC-DLA", (("n_devices", 16), ("link", NVLINK2)),
+    "dc/gen4": ("DC-DLA", (("pcie", "pcie-gen4-x16"),), BENCHMARK_NAMES),
+    "dc/tpuv2": ("DC-DLA", (("device", "TPUv2"),), BENCHMARK_NAMES),
+    "dc/dgx2": ("DC-DLA", (("n_devices", 16), ("link", "nvlink2")),
                 BENCHMARK_NAMES),
     "dc/cdma": ("DC-DLA", (("compression", CDMA_COMPRESSION),),
                 CNN_NAMES),
     "mc": ("MC-DLA(B)", (), BENCHMARK_NAMES),
-    "mc/tpuv2": ("MC-DLA(B)", (("device", TPUV2),), BENCHMARK_NAMES),
-    "mc/dgx2": ("MC-DLA(B)", (("n_devices", 16), ("link", NVLINK2)),
+    "mc/tpuv2": ("MC-DLA(B)", (("device", "TPUv2"),), BENCHMARK_NAMES),
+    "mc/dgx2": ("MC-DLA(B)", (("n_devices", 16), ("link", "nvlink2")),
                 BENCHMARK_NAMES),
 }
+
+#: (label, network, strategy) -> the cell's result.
+_Results = dict[tuple[str, str, str], SimulationResult]
 
 
 @dataclass(frozen=True)
@@ -72,26 +75,14 @@ class SensitivityResult:
         raise KeyError(name)
 
 
-def sensitivity_points(batch: int = 512) -> tuple[CampaignPoint, ...]:
-    """Every cell Section V-B needs, as one deduplicated grid."""
-    points = []
-    for label, (design, overrides, networks) in _VARIANTS.items():
-        for strategy in _STRATEGIES:
-            for network in networks:
-                points.append(CampaignPoint(
-                    design=design, network=network, batch=batch,
-                    strategy=strategy, overrides=overrides,
-                    label=label))
-    return tuple(points)
-
-
-def _gap(report: CampaignReport, dc_label: str, mc_label: str,
-         networks: tuple[str, ...], batch: int) -> float:
+def _gap(results: _Results, base_label: str, label: str,
+         networks: tuple[str, ...]) -> float:
+    """Harmonic-mean speedup of ``label``'s cells over ``base_label``'s."""
     speedups = []
     for strategy in _STRATEGIES:
         for network in networks:
-            base = report.result(dc_label, network, batch, strategy)
-            ours = report.result(mc_label, network, batch, strategy)
+            base = results[(base_label, network, strategy)]
+            ours = results[(label, network, strategy)]
             speedups.append(ours.speedup_over(base))
     return harmonic_mean(speedups)
 
@@ -99,25 +90,22 @@ def _gap(report: CampaignReport, dc_label: str, mc_label: str,
 def run_sensitivity(batch: int = 512, jobs: int = 1,
                     cache: ResultCache | None = None) \
         -> SensitivityResult:
-    report = run_campaign(sensitivity_points(batch), jobs=jobs,
-                          cache=cache).raise_failures()
+    results = run_study({
+        (label, network, strategy): Scenario(
+            name=f"{label}/{network}/{strategy}",
+            system=DesignSpec(design, overrides=overrides),
+            workload=WorkloadSpec(network, batch, strategy))
+        for label, (design, overrides, networks) in _VARIANTS.items()
+        for strategy in _STRATEGIES for network in networks
+    }, jobs=jobs, cache=cache)
 
-    baseline_gap = _gap(report, "dc", "mc", BENCHMARK_NAMES, batch)
-    gen4_gap = _gap(report, "dc/gen4", "mc", BENCHMARK_NAMES, batch)
-    tpu_gap = _gap(report, "dc/tpuv2", "mc/tpuv2", BENCHMARK_NAMES,
-                   batch)
-    dgx2_gap = _gap(report, "dc/dgx2", "mc/dgx2", BENCHMARK_NAMES,
-                    batch)
-    cdma_gap = _gap(report, "dc/cdma", "mc", CNN_NAMES, batch)
-
+    baseline_gap = _gap(results, "dc", "mc", BENCHMARK_NAMES)
+    gen4_gap = _gap(results, "dc/gen4", "mc", BENCHMARK_NAMES)
+    tpu_gap = _gap(results, "dc/tpuv2", "mc/tpuv2", BENCHMARK_NAMES)
+    dgx2_gap = _gap(results, "dc/dgx2", "mc/dgx2", BENCHMARK_NAMES)
+    cdma_gap = _gap(results, "dc/cdma", "mc", CNN_NAMES)
     # DC-DLA's own improvement from gen4 (averaged across the grid).
-    improvements = []
-    for strategy in _STRATEGIES:
-        for network in BENCHMARK_NAMES:
-            gen3 = report.result("dc", network, batch, strategy)
-            gen4 = report.result("dc/gen4", network, batch, strategy)
-            improvements.append(gen4.speedup_over(gen3))
-    dc_gen4 = harmonic_mean(improvements) - 1.0
+    dc_gen4 = _gap(results, "dc", "dc/gen4", BENCHMARK_NAMES) - 1.0
 
     studies = (
         SensitivityStudy("baseline", 2.8, baseline_gap, BENCHMARK_NAMES),

@@ -5,13 +5,21 @@ repro cluster``, and the ``trace`` subcommand all accept the exact
 Figure 11/13 design names plus the short aliases below, and the same
 for workloads.  Keeping the mapping here (instead of copy-pasting it
 per CLI) means a new design point or alias lands everywhere at once.
+
+The scenario DSL resolves through the same table, including the spec
+objects a design factory takes (``link``, ``pcie``, ``device``), which
+a scenario names by the name each spec carries.
 """
 
 from __future__ import annotations
 
-from repro.core.design_points import DESIGN_ORDER
+from typing import Any
+
+from repro.accelerator.generations import GENERATIONS
+from repro.core.design_points import DESIGN_NAMES
 from repro.dnn.registry import WORKLOAD_NAMES
 from repro.faults.model import FAULT_MODEL_ORDER
+from repro.interconnect.link import NVLINK, NVLINK2, PCIE_GEN3, PCIE_GEN4
 from repro.pipeline.schedules import SCHEDULE_ALIASES, SCHEDULE_ORDER
 
 #: Friendly aliases on top of the exact design-point names.
@@ -49,17 +57,46 @@ FAULT_ALIASES = {
 }
 
 
+#: Spec-valued design-factory keywords -> the specs a scenario may
+#: name, keyed by the name each carries.
+_LINKS = {spec.name: spec for spec in (NVLINK, NVLINK2, PCIE_GEN3,
+                                       PCIE_GEN4)}
+_SPEC_OVERRIDES: dict[str, dict[str, Any]] = {
+    "link": _LINKS,
+    "pcie": _LINKS,
+    "device": {spec.name: spec for spec in GENERATIONS},
+}
+
+
 def resolve_design(raw: str) -> str:
     """Map a design name or alias to its canonical form."""
     lowered = raw.strip().lower()
     if lowered in DESIGN_ALIASES:
         return DESIGN_ALIASES[lowered]
-    for name in DESIGN_ORDER:
+    for name in DESIGN_NAMES:
         if lowered == name.lower():
             return name
     raise KeyError(
-        f"unknown design {raw!r}; known: {', '.join(DESIGN_ORDER)} "
+        f"unknown design {raw!r}; known: {', '.join(DESIGN_NAMES)} "
         f"(aliases: {', '.join(sorted(DESIGN_ALIASES))})")
+
+
+def resolve_spec(key: str, value: Any) -> Any:
+    """The spec object a named design-factory override stands for.
+
+    For a ``link``, ``pcie`` or ``device`` key and a string value, the
+    spec whose name matches (case-insensitively); any other value as
+    it is.
+    """
+    specs = _SPEC_OVERRIDES.get(key)
+    if specs is None or not isinstance(value, str):
+        return value
+    lowered = value.strip().lower()
+    for name, spec in specs.items():
+        if lowered == name.lower():
+            return spec
+    raise KeyError(f"unknown {key} {value!r} in overrides; "
+                   f"known: {', '.join(specs)}")
 
 
 def resolve_network(raw: str) -> str:

@@ -27,8 +27,10 @@ from typing import Any
 
 from repro.accelerator.generations import generation
 from repro.campaign.points import canonical_fingerprint, canonicalize
+from repro.cluster import (DEFAULT_ARRIVAL_RATE, DEFAULT_FLEET_DEVICES,
+                           DEFAULT_JOBS)
 from repro.naming import (resolve_design, resolve_fault_model,
-                          resolve_network, resolve_schedule)
+                          resolve_network, resolve_schedule, resolve_spec)
 from repro.records import record
 from repro.vmem.prefetch import PREFETCH_POLICY_ORDER
 
@@ -55,13 +57,21 @@ def _check_pairs(label: str, pairs: Pairs) -> Pairs:
     return tuple(sorted(out))
 
 
+def _spec_name(key: str, value: Any) -> Any:
+    """A spec-valued override's canonical name (other values as is)."""
+    spec = resolve_spec(key, value)
+    return value if spec is value else spec.name
+
+
 @record
 @dataclass(frozen=True)
 class DesignSpec:
     """The system under test: a design point plus DSL-only axes."""
 
     design: str
-    #: Keyword arguments for the design-point factory.
+    #: Keyword arguments for the design-point factory.  A spec-valued
+    #: one (``link``, ``pcie``, ``device``) names its spec, e.g.
+    #: ``("pcie", "pcie-gen4-x16")`` or ``("device", "TPUv2")``.
     overrides: Pairs = ()
     #: ``dataclasses.replace`` fields on the built ``SystemConfig``.
     replacements: Pairs = ()
@@ -74,8 +84,9 @@ class DesignSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "design", resolve_design(self.design))
-        object.__setattr__(self, "overrides",
-                           _check_pairs("overrides", self.overrides))
+        object.__setattr__(self, "overrides", tuple(
+            (key, _spec_name(key, value))
+            for key, value in _check_pairs("overrides", self.overrides)))
         object.__setattr__(self, "replacements",
                            _check_pairs("replacements",
                                         self.replacements))
@@ -164,14 +175,17 @@ class TrafficSpec:
 @record
 @dataclass(frozen=True)
 class FleetSpec:
-    """A multi-job fleet: declaring one turns the scenario cluster."""
+    """A multi-job fleet: declaring one turns the scenario cluster.
+
+    Its defaults are :func:`repro.cluster.simulate_cluster`'s.
+    """
 
     policy: str = "fifo"
     job_mix: str = "balanced"
-    n_jobs: int = 20
+    n_jobs: int = DEFAULT_JOBS
     seed: int = 0
-    arrival_rate: float = 0.05
-    fleet_devices: int = 16
+    arrival_rate: float = DEFAULT_ARRIVAL_RATE
+    fleet_devices: int = DEFAULT_FLEET_DEVICES
     pool_capacity: int | None = None
     oversubscription: float = 1.0
     preempt_after: float | None = None

@@ -35,6 +35,7 @@ from repro.accelerator.generations import generation
 from repro.campaign.points import CampaignPoint
 from repro.core.design_points import design_point
 from repro.core.system import SystemConfig
+from repro.naming import resolve_spec
 from repro.scenarios.dsl import Scenario
 from repro.training.parallel import ParallelStrategy
 
@@ -110,9 +111,13 @@ def scenario_design_point(name: str, *, device_mix=(),
                           **kwargs) -> SystemConfig:
     """The scenario factory: ``design_point`` plus the DSL-only axes.
 
+    A spec-valued keyword given by name (``pcie="pcie-gen4-x16"``,
+    ``device="TPUv2"``) is resolved through :mod:`repro.naming`.
     Module-level and picklable, so scenario campaigns fan out across
     pool workers exactly like CLI campaigns do.
     """
+    kwargs = {key: resolve_spec(key, value)
+              for key, value in kwargs.items()}
     device_mix = tuple((str(gen), int(count))
                        for gen, count in device_mix)
     if device_mix:

@@ -474,6 +474,21 @@ class TestClusterSimulator:
         else:
             assert wall >= remaining
 
+    def test_overrun_past_float_dust_raises(self):
+        """The loop folds float dust below zero into zero, but a job
+        run past its end by more than dust is an accounting slip."""
+        from repro.cluster.simulator import _burn, _Running
+        job = _Running(profile=profile_of(1, 10.0, 0, jid=7),
+                       remaining=1.0, started=0.0)
+        _burn(job, 1.0 + 1e-12)
+        assert job.remaining == 0.0
+        job.remaining = 1.0
+        with pytest.raises(ValueError) as info:
+            _burn(job, 1.5)
+        message = str(info.value)
+        assert "job 7" in message
+        assert "-0.5" in message and "10.0" in message
+
     def test_percentile_nearest_rank(self):
         values = [1.0, 2.0, 3.0, 4.0]
         assert percentile(values, 50) == 2.0

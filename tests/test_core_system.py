@@ -23,7 +23,7 @@ class TestVmemModel:
                                       8 * GBPS))
         t = model.transfer_time(16 * GBPS)
         assert t == pytest.approx(2.0 + model.dma_setup)
-        assert model.transfer_time(16 * GBPS, concurrent=False) \
+        assert model.transfer_time(16 * GBPS, contended_fraction=0.0) \
             == pytest.approx(1.0 + model.dma_setup)
 
     def test_compression_scales_traffic(self):
@@ -64,6 +64,14 @@ class TestDesignPoints:
     def test_unknown_design_rejected(self):
         with pytest.raises(KeyError):
             design_point("XC-DLA")
+
+    def test_fig7a_is_registered_outside_the_six(self):
+        from repro.naming import resolve_design
+        config = design_point("MC-DLA(7a)")
+        assert (config.name, config.n_devices) == ("MC-DLA(7a)", 8)
+        assert config.memory_node is not None
+        assert "MC-DLA(7a)" not in DESIGN_ORDER
+        assert resolve_design("mc-dla(7a)") == "MC-DLA(7a)"
 
     def test_dc_dla_defaults(self):
         config = dc_dla()

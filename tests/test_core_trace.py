@@ -213,6 +213,43 @@ class TestTraceEqualsSimulate:
         assert len(calls) == 1
 
 
+class TestClusterTraceEqualsSimulateCluster:
+    """``repro trace --cluster`` writes the lifecycle of the very run
+    ``simulate_cluster`` prices for the same fleet."""
+
+    @pytest.mark.parametrize("flags, fleet", [
+        ([], {}),
+        (["--policy", "sjf", "--cluster-jobs", "12", "--preempt-after",
+          "5"], {"policy": "sjf", "n_jobs": 12, "preempt_after": 5.0}),
+    ], ids=["defaults", "sjf-preempt"])
+    def test_trace_is_the_priced_run(self, tmp_path, monkeypatch, capsys,
+                                     flags, fleet):
+        from repro.__main__ import main
+        from repro.cluster.simulator import (ClusterSimulator,
+                                             simulate_cluster)
+        from repro.core.trace import cluster_chrome_trace
+        runs = []
+        real = ClusterSimulator.run
+
+        def recording(self, jobs):
+            ledger, makespan = real(self, jobs)
+            runs.append((list(ledger.events), makespan))
+            return ledger, makespan
+
+        monkeypatch.setattr(ClusterSimulator, "run", recording)
+        out = tmp_path / "jobs.trace.json"
+        assert main(["trace", "mc-hbm", "--cluster", *flags,
+                     "-o", str(out)]) == 0
+        printed = capsys.readouterr().out
+        result = simulate_cluster(design_point("MC-DLA(B)"), **fleet)
+        (traced, traced_makespan), (priced, priced_makespan) = runs
+        assert traced_makespan == priced_makespan == result.iteration_time
+        assert len(traced) == len(priced)
+        assert out.read_text() == cluster_chrome_trace(priced)
+        assert (f"{len(priced)} lifecycle events, makespan "
+                f"{result.iteration_time:.1f} s") in printed
+
+
 class TestUtilization:
     def test_fractions_bounded(self, alexnet_timeline):
         util = engine_utilization(alexnet_timeline)

@@ -1,13 +1,12 @@
-"""Tests for the extension modules: scale-out plane, memory-node ASICs,
-the video workload, and the CLI."""
+"""Tests for the extension modules: scale-out plane, the video
+workload, and the CLI."""
 
 import pytest
 
 from repro.dnn.models.video import VideoSpec, build_video_net
 from repro.interconnect.switch import (ScaleOutPlane, SwitchSpec,
                                        datacenter_plane)
-from repro.memnode.engines import CompressionUnit, EncryptionUnit
-from repro.units import GB, GBPS, MB
+from repro.units import GB, GBPS
 
 
 class TestSwitchSpec:
@@ -75,60 +74,6 @@ class TestScaleOutPlane:
             ScaleOutPlane(n_devices=8, n_memory_nodes=-1)
         with pytest.raises(ValueError):
             datacenter_plane(0)
-
-
-class TestCompressionUnit:
-    def test_wire_bytes(self):
-        unit = CompressionUnit(ratio=2.6)
-        assert unit.wire_bytes(260 * MB) == pytest.approx(100 * MB)
-
-    def test_transfer_time_link_bound(self):
-        unit = CompressionUnit(ratio=2.0, throughput=1000 * GBPS)
-        t = unit.transfer_time(32 * GBPS, 16 * GBPS)
-        assert t == pytest.approx(1.0)  # 16 GB on the wire at 16 GB/s
-
-    def test_transfer_time_engine_bound(self):
-        unit = CompressionUnit(ratio=100.0, throughput=10 * GBPS)
-        t = unit.transfer_time(10 * GBPS, 16 * GBPS)
-        assert t == pytest.approx(1.0)  # engine caps at 10 GB/s input
-
-    def test_effective_bandwidth(self):
-        unit = CompressionUnit(ratio=2.6, throughput=200 * GBPS)
-        assert unit.effective_bandwidth(16 * GBPS) \
-            == pytest.approx(41.6 * GBPS)
-        assert unit.effective_bandwidth(100 * GBPS) == 200 * GBPS
-
-    def test_zero_and_validation(self):
-        unit = CompressionUnit()
-        assert unit.transfer_time(0, GBPS) == 0.0
-        with pytest.raises(ValueError):
-            CompressionUnit(ratio=0.9)
-        with pytest.raises(ValueError):
-            unit.transfer_time(-1, GBPS)
-        with pytest.raises(ValueError):
-            unit.effective_bandwidth(0)
-
-
-class TestEncryptionUnit:
-    def test_transfer_time_cipher_bound(self):
-        unit = EncryptionUnit(throughput=50 * GBPS, latency=0.0)
-        assert unit.transfer_time(100 * GBPS, 150 * GBPS) \
-            == pytest.approx(2.0)
-
-    def test_transfer_time_wire_bound(self):
-        unit = EncryptionUnit(throughput=500 * GBPS, latency=0.0)
-        assert unit.transfer_time(100 * GBPS, 100 * GBPS) \
-            == pytest.approx(1.0)
-
-    def test_effective_bandwidth(self):
-        unit = EncryptionUnit(throughput=100 * GBPS)
-        assert unit.effective_bandwidth(150 * GBPS) == 100 * GBPS
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            EncryptionUnit(throughput=0)
-        with pytest.raises(ValueError):
-            EncryptionUnit(latency=-1)
 
 
 class TestVideoWorkload:

@@ -1,9 +1,14 @@
 """Unit tests: the scenario DSL and its lowering onto campaign points."""
 
+import inspect
+
 import pytest
 
+from repro.accelerator.generations import TPUV2
 from repro.campaign.points import canonical_fingerprint
+from repro.cluster.simulator import simulate_cluster
 from repro.core.design_points import design_point
+from repro.interconnect.link import PCIE_GEN4
 from repro.scenarios.dsl import (DesignSpec, FleetSpec, Scenario,
                                  TrafficSpec, WorkloadSpec)
 from repro.scenarios.lowering import (PIM_INTERNAL_AMPLIFICATION,
@@ -36,6 +41,27 @@ class TestDesignSpec:
                                   ("n_devices", 4))
         with pytest.raises(ValueError, match="JSON scalar"):
             DesignSpec("dc", overrides=(("device", object()),))
+
+    def test_spec_overrides_name_their_spec(self):
+        spec = DesignSpec("dc", overrides=(("pcie", "PCIe-Gen4-x16"),
+                                           ("device", "tpuv2")))
+        assert spec.overrides == (("device", "TPUv2"),
+                                  ("pcie", "pcie-gen4-x16"))
+        built = scenario_design_point(spec.design, **dict(spec.overrides))
+        assert built == design_point("DC-DLA", pcie=PCIE_GEN4,
+                                     device=TPUV2)
+
+    @pytest.mark.parametrize("key, name, known", [
+        ("pcie", "pcie-gen5-x16", "pcie-gen4-x16"),
+        ("link", "nvlink9", "nvlink2"),
+        ("device", "H100", "TPUv2"),
+    ])
+    def test_unknown_spec_name_raises(self, key, name, known):
+        with pytest.raises(KeyError) as info:
+            DesignSpec("dc", overrides=((key, name),))
+        message = info.value.args[0]
+        assert f"unknown {key} {name!r}" in message
+        assert "known: " in message and known in message
 
     def test_device_mix_canonicalized(self):
         spec = DesignSpec("mc-hbm",
@@ -209,6 +235,20 @@ class TestLowering:
         assert knobs["n_jobs"] == 8
         assert knobs["pool_capacity"] == 1 * TB
         assert point.network == "mix:balanced"
+
+    def test_default_fleet_is_simulate_clusters(self):
+        """``FleetSpec()`` lowers to ``simulate_cluster``'s defaults."""
+        point = lower_scenario(Scenario(name="f", system=DesignSpec("dc"),
+                                        fleet=FleetSpec()))
+        knobs = dict(point.cluster)
+        for name, param in inspect.signature(
+                simulate_cluster).parameters.items():
+            if param.kind is not param.KEYWORD_ONLY or name == "jobs":
+                continue
+            if param.default is None:
+                assert name not in knobs
+            else:
+                assert knobs[name] == param.default, name
 
     def test_cache_keys_distinguish_dsl_axes(self):
         plain = lower_scenario(_training(name="x"))

@@ -15,11 +15,14 @@ import pytest
 
 from repro.campaign import CampaignError, ResultCache
 from repro.campaign import cli as campaign_cli
+from repro.campaign.points import BuiltConfigs
+from repro.experiments import ablations, scalability, sensitivity
 from repro.experiments.faults_comparison import run_fault_comparison
 from repro.experiments.prefetch_comparison import run_prefetch_comparison
 from repro.scenarios.claims import at_least, ratio_at_least
 from repro.scenarios.cli import main as claims_cli
 from repro.scenarios.dsl import DesignSpec, Scenario, WorkloadSpec
+from repro.scenarios.lowering import lower_scenario, scenario_design_point
 from repro.scenarios.paper import paper_suite
 from repro.scenarios.runner import ClaimSuite, run_study, run_suite
 from repro.scenarios.verdict import (Status, render_csv, render_json,
@@ -291,3 +294,54 @@ class TestStudiesShareClaimsCells:
         cache = ResultCache(root)
         run(modes=("training",), cache=cache)
         assert (cache.hits, cache.misses) == (hits, misses)
+
+
+class TestPaperStudiesDeclareScenarios:
+    """Sensitivity, scalability and the ablations declare Scenarios, so
+    a study cell declared like a claims cell keys the same cache
+    entry as that claims cell."""
+
+    @pytest.fixture(scope="class")
+    def keys(self):
+        configs = BuiltConfigs(scenario_design_point)
+        return lambda scenario: json.dumps(
+            lower_scenario(scenario).describe(configs), sort_keys=True)
+
+    @staticmethod
+    def declared(monkeypatch, module, run):
+        """The ``{key: Scenario}`` a study hands ``run_study``, caught
+        before any cell runs."""
+        cells = {}
+
+        class Declared(Exception):
+            pass
+
+        def capture(scenarios, **kwargs):
+            cells.update(scenarios)
+            raise Declared
+
+        monkeypatch.setattr(module, "run_study", capture)
+        with pytest.raises(Declared):
+            run()
+        return cells
+
+    def test_study_cell_is_the_claims_cell(self, monkeypatch, keys):
+        cells = self.declared(monkeypatch, sensitivity,
+                              sensitivity.run_sensitivity)
+        claims = paper_suite()
+        assert keys(cells[("dc", "VGG-E", "data")]) \
+            == keys(claims.scenario("DC-DLA/VGG-E/dp"))
+        assert keys(cells[("dc/gen4", "VGG-E", "data")]) \
+            != keys(claims.scenario("DC-DLA/VGG-E/dp"))
+
+    def test_shared_cells(self, monkeypatch, keys):
+        claims = {keys(s) for s in paper_suite().scenarios}
+        studies = [self.declared(monkeypatch, module, run) for module, run
+                   in ((sensitivity, sensitivity.run_sensitivity),
+                       (scalability, scalability.run_scalability),
+                       (ablations, ablations.run_ablations))]
+        assert [len(cells) for cells in studies] == [120, 36, 18]
+        shared = [sum(keys(s) in claims for s in cells.values())
+                  for cells in studies]
+        assert shared == [32, 0, 6]
+
