@@ -276,8 +276,9 @@ def _trace_main(argv: list[str]) -> int:
                              "(default: off)")
     parser.add_argument("--telemetry", action="store_true",
                         help="merge host wall-clock spans (plan/emit/"
-                             "schedule/price) into the trace as a "
-                             "second process row")
+                             "schedule/price) into an iteration trace "
+                             "as a second process row (iteration "
+                             "traces only: an error with --cluster)")
     parser.add_argument("-o", "--output", default=None,
                         help="output path (default: derived from the "
                              "design/network/strategy)")
@@ -303,6 +304,10 @@ def _write_trace(args: argparse.Namespace) -> int:
     from repro.scenarios.lowering import (lower_scenario,
                                           scenario_design_point)
 
+    if args.cluster and args.telemetry:
+        print("--telemetry records an iteration trace's host spans; "
+              "it does not apply with --cluster", file=sys.stderr)
+        return 2
     system = DesignSpec(args.design)
     if args.cluster:
         scenario = Scenario(

@@ -5,7 +5,8 @@ JSON baseline each into the repository root:
 
 ========================  ============================================
 ``BENCH_core.json``       single ``simulate()`` calls, cold and warm
-``BENCH_campaign.json``   the full 6x8x2 evaluation grid
+``BENCH_campaign.json``   the 6x8x2 evaluation grid; the claims suite
+                          into an empty and a filled result cache
 ``BENCH_cluster.json``    one multi-job cluster simulation
 ``BENCH_prefetch.json``   the prefetch-policy training sweep
 ========================  ============================================
@@ -27,8 +28,11 @@ never memo replay.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
+import os
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -131,10 +135,36 @@ def _suite_campaign(quick: bool) -> dict[str, float]:
                       batches=(256,))
         run = lambda: run_campaign(points).raise_failures()  # noqa: E731
         return {"mini-grid-cold": _time(run, cold=True),
-                "mini-grid-warm": _time(run, cold=False)}
+                "mini-grid-warm": _time(run, cold=False),
+                **_claims_entries("claims-quick", quick=True)}
     run = lambda: compute_evaluation_matrix(512)  # noqa: E731
     return {"grid-512-cold": _time(run, cold=True),
-            "grid-512-warm": _time(run, cold=False)}
+            "grid-512-warm": _time(run, cold=False),
+            **_claims_entries("claims", quick=False)}
+
+
+def _claims_entries(label: str, *, quick: bool) -> dict[str, float]:
+    """The claims suite through the result cache: ``-cold`` runs each
+    round into a fresh empty directory, ``-warm`` replays, through a
+    new cache, a directory filled once before timing."""
+    from repro.campaign.cache import ResultCache
+    from repro.scenarios.paper import paper_suite
+    from repro.scenarios.runner import run_suite
+
+    suite = paper_suite(quick=quick)
+
+    def run(root: str) -> None:
+        if not run_suite(suite, cache=ResultCache(root)).ok:
+            raise RuntimeError(f"{suite.name}: a claim did not pass")
+
+    with tempfile.TemporaryDirectory() as scratch:
+        fresh = (os.path.join(scratch, f"cold-{n}")
+                 for n in itertools.count())
+        warm = os.path.join(scratch, "warm")
+        run(warm)
+        return {f"{label}-cold": _time(lambda: run(next(fresh)),
+                                       cold=True),
+                f"{label}-warm": _time(lambda: run(warm), cold=False)}
 
 
 def _suite_cluster(quick: bool) -> dict[str, float]:

@@ -1,7 +1,7 @@
 """Content-addressed on-disk cache for simulation results.
 
-Each cell of a campaign is stored as one JSON file whose name is the
-SHA-256 of everything that determines the result:
+Each cell of a campaign is stored as one log line keyed by the SHA-256
+of everything that determines the result:
 
 * the point's axes (design, workload, overrides, ...), canonicalized;
 * a SHA-256 digest of the point's *built* config (its canonical
@@ -13,17 +13,30 @@ SHA-256 of everything that determines the result:
   change invalidates every cached cell at once — stale physics can
   never leak into a fresh figure.
 
-Layout: ``<root>/<generation>/<key[:2]>/<key>.json``, where the
-generation directory is the code fingerprint (the fan-out keeps
-directories small on big sweeps).  A cache stamps its generation
-directory's modification time on its first write and on its first hit,
-and its first write prunes every other generation not stamped for
-:data:`STALE_GENERATION_SECONDS` (a week).  Two checkouts sharing one
-cache directory therefore keep each other's entries, while a
-generation no checkout uses any more is removed and edits never
-accumulate orphaned entries for long.  Writes are atomic (tmp +
-rename) so concurrent campaigns sharing a cache directory never read
-torn files.  Corrupt or unreadable entries read as misses.
+Layout: ``<root>/<generation>/<name>.log``, where the generation
+directory is the code fingerprint and each :class:`ResultCache` that
+writes appends to its own log, created under a unique name on its
+first write.  A log holds one ``<key> <result JSON>`` line per write.
+An instance reads every complete line of its generation's logs into
+memory on its first lookup and adds its own writes to that index; a
+cold run therefore creates one directory and one file, and a warm run
+opens one file per writer that filled the cache.
+
+A cache stamps its generation directory's modification time on its
+first write and on its first hit, and its first write prunes every
+other generation not stamped for :data:`STALE_GENERATION_SECONDS` (a
+week).  Two checkouts sharing one cache directory therefore keep each
+other's entries, while a generation no checkout uses any more is
+removed and edits never accumulate orphaned entries for long.
+
+An entry is all or nothing: it is written with one ``os.write`` of
+the whole line to an append-only descriptor (a short write raises),
+and a reader keeps only lines that end in a newline, so a writer cut
+off mid-entry leaves a torn tail that reads as a miss.  Writers never
+share a file, so concurrent campaigns may share a cache directory.
+A line whose JSON does not decode to a result reads as a miss, and
+every candidate line of a key is kept, so a cell re-simulated after a
+corrupt entry replays from its new line.
 """
 
 from __future__ import annotations
@@ -32,7 +45,6 @@ import hashlib
 import json
 import os
 import shutil
-import tempfile
 import time
 from pathlib import Path
 
@@ -44,6 +56,9 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 
 #: A generation last stamped longer ago than this is pruned.
 STALE_GENERATION_SECONDS = 7 * 24 * 3600
+
+#: File name suffix of a writer's log in a generation directory.
+LOG_SUFFIX = ".log"
 
 #: Encodes a cell's key payload; built once, as ``json.dumps`` with
 #: these arguments would build one per cell.
@@ -114,13 +129,15 @@ class ResultCache:
         self.root = Path(root)
         self.code_version = (code_version if code_version is not None
                              else code_fingerprint())
-        #: This generation's directory, joined once: every cell looks
-        #: its entry up, and building a pathlib path per lookup cost
-        #: about a third of a warm ``get``.
         self._generation_dir = os.path.join(self.root,
                                              self.code_version[:16])
         self._stamped = False
         self._pruned = False
+        #: Key -> every candidate JSON text of it, in log order; read
+        #: from the generation's logs on the first lookup.
+        self._index: dict[str, list[bytes]] | None = None
+        #: This instance's own log, created by its first write.
+        self._log: str | None = None
         #: Lifetime lookup tallies (always on; see module docstring).
         self.hits = 0
         self.misses = 0
@@ -145,9 +162,6 @@ class ResultCache:
     def generation_root(self) -> Path:
         """Where this code generation's entries live."""
         return Path(self._generation_dir)
-
-    def path(self, key: str) -> str:
-        return os.path.join(self._generation_dir, key[:2], f"{key}.json")
 
     def _stamp_generation(self) -> None:
         """Mark this generation as in use now (once per instance, best
@@ -181,49 +195,89 @@ class ResultCache:
             if stale:
                 shutil.rmtree(directory, ignore_errors=True)
 
+    def _read_generation(self) -> dict[str, list[bytes]]:
+        """Every complete line of this generation's logs, by key.
+
+        A line counts only once its newline is on disk: a writer cut
+        off mid-entry leaves a torn last line, which is dropped.
+        """
+        index: dict[str, list[bytes]] = {}
+        try:
+            names = sorted(os.listdir(self._generation_dir))
+        except OSError:
+            return index
+        for name in names:
+            if not name.endswith(LOG_SUFFIX):
+                continue
+            try:
+                with open(os.path.join(self._generation_dir, name),
+                          "rb") as handle:
+                    lines = handle.read().split(b"\n")
+            except OSError:
+                continue
+            for line in lines[:-1]:
+                key, sep, payload = line.partition(b" ")
+                if sep:
+                    index.setdefault(key.decode("ascii", "replace"),
+                                     []).append(payload)
+        return index
+
     def get(self, key: str) -> SimulationResult | None:
         """The cached result for ``key``, or ``None`` on any miss."""
-        try:
-            with open(self.path(key)) as handle:
-                text = handle.read()
-            data = json.loads(text)
-            if not isinstance(data, dict):
-                raise ValueError("cache entry is not a JSON object")
-            result = SimulationResult.from_dict(data)
-        except (OSError, ValueError, KeyError, TypeError):
-            self.misses += 1
-            _MISS.inc()
-            return None
-        self.hits += 1
-        self.bytes_read += len(text)
-        _HIT.inc()
-        _READ.inc(len(text))
-        self._stamp_generation()
-        return result
+        if self._index is None:
+            self._index = self._read_generation()
+        for payload in self._index.get(key, ()):
+            try:
+                data = json.loads(payload)
+                if not isinstance(data, dict):
+                    raise ValueError("cache entry is not a JSON object")
+                result = SimulationResult.from_dict(data)
+            except (ValueError, KeyError, TypeError):
+                continue
+            self.hits += 1
+            self.bytes_read += len(payload)
+            _HIT.inc()
+            _READ.inc(len(payload))
+            self._stamp_generation()
+            return result
+        self.misses += 1
+        _MISS.inc()
+        return None
 
     def put(self, key: str, result: SimulationResult) -> None:
-        """Atomically persist ``result`` under ``key``."""
+        """Append ``result`` under ``key`` to this instance's log."""
         self._prune_stale_generations()
-        path = self.path(key)
-        directory = os.path.dirname(path)
-        os.makedirs(directory, exist_ok=True)
-        self._stamp_generation()
-        payload = json.dumps(result.to_dict(), sort_keys=True)
+        payload = json.dumps(result.to_dict(), sort_keys=True).encode()
+        self._append(b"%s %s\n" % (key.encode(), payload))
         self.bytes_written += len(payload)
         _WRITTEN.inc(len(payload))
-        fd, tmp_name = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        if self._index is not None:
+            self._index.setdefault(key, []).append(payload)
+
+    def _append(self, line: bytes) -> None:
+        """Write one whole entry with a single ``os.write`` to this
+        instance's log, creating the log (``O_EXCL``, a fresh random
+        name) on the first call."""
+        log = self._log
+        flags = os.O_WRONLY | os.O_APPEND
+        if log is None:
+            os.makedirs(self._generation_dir, exist_ok=True)
+            log = os.path.join(self._generation_dir,
+                               os.urandom(8).hex() + LOG_SUFFIX)
+            flags |= os.O_CREAT | os.O_EXCL
+        fd = os.open(log, flags, 0o666)
+        self._log = log
+        self._stamp_generation()
         try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(payload)
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+            written = os.write(fd, line)
+        finally:
+            os.close(fd)
+        if written != len(line):
+            # The log now ends in a torn entry; never append after it.
+            self._log = None
+            raise OSError(f"short write to cache log {log}: {written} "
+                          f"of {len(line)} bytes")
 
     def __len__(self) -> int:
-        if not self.generation_root.is_dir():
-            return 0
-        return sum(1 for _ in self.generation_root.glob("*/*.json"))
+        """Distinct keys on disk in this generation."""
+        return len(self._read_generation())

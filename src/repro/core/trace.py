@@ -197,7 +197,9 @@ def cluster_chrome_trace(events, pid: int = 1) -> str:
     preemption or completion, ``preempted`` marking the
     checkpoint-and-requeue interval.  Fleet-wide ``fault`` events
     (``jid = -1``, e.g. a pool-node loss) render as global instants.
-    Times are simulated seconds, exported as microseconds.
+    Times are simulated seconds, exported as microseconds.  A slice
+    that ends before it starts raises ``ValueError`` naming the job,
+    the slice and both times.
     """
     per_job: dict[int, list[tuple[str, float]]] = {}
     fault_instants: list[float] = []
@@ -221,10 +223,13 @@ def cluster_chrome_trace(events, pid: int = 1) -> str:
 
     def slice_event(name: str, jid: int, start: float,
                     end: float) -> dict:
+        if end < start:
+            raise ValueError(
+                f"job {jid}'s {name} slice ends at {end!r} s, before "
+                f"it starts at {start!r} s")
         return {
             "name": name, "cat": name, "ph": "X", "pid": pid,
-            "tid": jid, "ts": start * 1e6,
-            "dur": max(0.0, end - start) * 1e6,
+            "tid": jid, "ts": start * 1e6, "dur": (end - start) * 1e6,
             "args": {"jid": jid},
         }
 

@@ -8,28 +8,3 @@ PASS/FAIL/ERROR verdict tables (:mod:`~repro.scenarios.verdict`).
 The shipped suite (:mod:`~repro.scenarios.paper`) is runnable as
 ``python -m repro claims``.
 """
-
-from repro.scenarios.claims import (Claim, at_least, at_most, dominates,
-                                    evaluate_claims, monotone_in,
-                                    ratio_at_least, ratio_dominates,
-                                    within_pct)
-from repro.scenarios.dsl import (DesignSpec, FleetSpec, Scenario,
-                                 TrafficSpec, WorkloadSpec)
-from repro.scenarios.lowering import (lower_scenario,
-                                      scenario_design_point)
-from repro.scenarios.paper import paper_suite, paper_training_suite
-from repro.scenarios.runner import (ClaimSuite, ScenarioExecutionError,
-                                    run_suite)
-from repro.scenarios.verdict import (Status, SuiteReport, Verdict,
-                                     render_csv, render_json,
-                                     render_text)
-
-__all__ = [
-    "Claim", "ClaimSuite", "DesignSpec", "FleetSpec", "Scenario",
-    "ScenarioExecutionError", "Status", "SuiteReport", "TrafficSpec",
-    "Verdict", "WorkloadSpec", "at_least", "at_most", "dominates",
-    "evaluate_claims", "lower_scenario", "monotone_in", "paper_suite",
-    "paper_training_suite", "ratio_at_least", "ratio_dominates",
-    "render_csv", "render_json", "render_text", "run_suite",
-    "scenario_design_point", "within_pct",
-]

@@ -114,3 +114,29 @@ class TestMain:
             path.write_text(json.dumps(doc))
         assert bench.main(["--quick", "--root", str(tmp_path)]) == 1
         assert "FAILED" in capsys.readouterr().err
+
+
+class TestClaimsEntries:
+    def test_cold_rounds_start_empty_and_warm_rounds_replay(
+            self, monkeypatch):
+        from repro.campaign import cache as cache_module
+
+        caches = []
+
+        class Recording(cache_module.ResultCache):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                caches.append(self)
+
+        monkeypatch.setattr(cache_module, "ResultCache", Recording)
+        monkeypatch.setattr(bench, "_time",
+                            lambda fn, *, cold: fn() or float(cold))
+        entries = bench._claims_entries("claims-quick", quick=True)
+        assert entries == {"claims-quick-cold": 1.0,
+                           "claims-quick-warm": 0.0}
+        fill, cold, warm = caches
+        # The fill and every cold round simulate all 32 cells into an
+        # empty directory of their own; the warm round replays the fill.
+        assert (fill.hits, cold.hits, warm.misses) == (0, 0, 0)
+        assert fill.misses == cold.misses == warm.hits == 32
+        assert cold.root != fill.root == warm.root

@@ -9,7 +9,10 @@ so ``==`` is the byte-identity assertion).
 import dataclasses
 import json
 import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +30,26 @@ from repro.training.parallel import ParallelStrategy
 
 SMALL_GRID = grid(("DC-DLA", "MC-DLA(B)"), ("AlexNet", "RNN-GEMV"),
                   (512,), (ParallelStrategy.DATA,))
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+#: One writer process: appends one result under ``count`` keys of its
+#: own plus one key every writer shares.
+CACHE_WRITER = """
+import json
+import sys
+
+from repro.campaign.cache import ResultCache
+from repro.core.metrics import SimulationResult
+
+root, name, count, payload = sys.argv[1:]
+with open(payload) as handle:
+    result = SimulationResult.from_dict(json.load(handle))
+cache = ResultCache(root, code_version="pinned")
+for index in range(int(count)):
+    cache.put(f"{name}-{index}", result)
+cache.put("shared", result)
+"""
 
 
 def _lethal_factory(design, **overrides):
@@ -101,6 +124,15 @@ def _age(directory, seconds: float) -> None:
     os.utime(directory, (stamp, stamp))
 
 
+def _rewrite_entry(cache, rewrite) -> str:
+    """Replace the JSON of the one line in ``cache``'s one log with
+    ``rewrite(json_text)``; return the line's key."""
+    (log,) = cache.generation_root.glob("*.log")
+    key, _, payload = log.read_text().rstrip("\n").partition(" ")
+    log.write_text(f"{key} {rewrite(payload)}\n")
+    return key
+
+
 class TestCache:
     def test_miss_then_hit(self, cache):
         first = run_campaign(SMALL_GRID, cache=cache)
@@ -154,23 +186,23 @@ class TestCache:
 
     def test_corrupt_entry_is_a_miss(self, cache):
         run_campaign(SMALL_GRID[:1], cache=cache)
-        (entry,) = cache.generation_root.glob("*/*.json")
-        entry.write_text("{not json")
-        report = run_campaign(SMALL_GRID[:1], cache=cache)
+        _rewrite_entry(cache, lambda payload: "{not json")
+        report = run_campaign(SMALL_GRID[:1],
+                              cache=ResultCache(cache.root))
         assert not report.outcomes[0].cached
         assert report.outcomes[0].ok
 
     @pytest.mark.parametrize("payload", ("[]", "null", '"s"', "3"))
     def test_non_object_entry_is_a_miss(self, cache, payload):
         # Valid JSON that is not an object reads as a miss, like a
-        # corrupt file, and the cell is simulated again.
+        # corrupt line, and the cell is simulated again.
         run_campaign(SMALL_GRID[:1], cache=cache)
-        (entry,) = cache.generation_root.glob("*/*.json")
-        entry.write_text(payload)
-        misses = cache.misses
-        assert cache.get(entry.stem) is None
-        assert cache.misses == misses + 1
-        report = run_campaign(SMALL_GRID[:1], cache=cache)
+        key = _rewrite_entry(cache, lambda _: payload)
+        fresh = ResultCache(cache.root)
+        misses = fresh.misses
+        assert fresh.get(key) is None
+        assert fresh.misses == misses + 1
+        report = run_campaign(SMALL_GRID[:1], cache=fresh)
         assert report.outcomes[0].ok
         assert not report.outcomes[0].cached
 
@@ -184,14 +216,92 @@ class TestCache:
         # A JSON object that is not a result's image reads as a miss,
         # and the cell is simulated again.
         run_campaign(SMALL_GRID[:1], cache=cache)
-        (entry,) = cache.generation_root.glob("*/*.json")
-        entry.write_text(json.dumps(mutate(json.loads(entry.read_text()))))
-        misses = cache.misses
-        assert cache.get(entry.stem) is None
-        assert cache.misses == misses + 1
-        report = run_campaign(SMALL_GRID[:1], cache=cache)
+        key = _rewrite_entry(
+            cache, lambda text: json.dumps(mutate(json.loads(text))))
+        fresh = ResultCache(cache.root)
+        misses = fresh.misses
+        assert fresh.get(key) is None
+        assert fresh.misses == misses + 1
+        report = run_campaign(SMALL_GRID[:1], cache=fresh)
         assert report.outcomes[0].ok
         assert not report.outcomes[0].cached
+
+    def test_two_writers_share_a_root(self, tmp_path):
+        """Two instances on one root each append to their own log, and
+        a third replays every cell either wrote."""
+        results = [o.result for o in run_campaign(SMALL_GRID[:3]).outcomes]
+        keys = [f"{i:064x}" for i in range(3)]
+        first, second = ResultCache(tmp_path), ResultCache(tmp_path)
+        # Neither has looked a key up, so both write the shared cell.
+        for key, result in zip(keys[:2], results[:2]):
+            first.put(key, result)
+        for key, result in zip(keys[1:], results[1:]):
+            second.put(key, result)
+        reader = ResultCache(tmp_path)
+        assert [reader.get(key) for key in keys] == results
+        assert (reader.hits, reader.misses) == (3, 0)
+        assert len(reader) == 3
+        entries = list(reader.generation_root.iterdir())
+        assert sorted(entry.suffix for entry in entries) == [".log",
+                                                             ".log"]
+        assert not any(entry.is_dir() for entry in entries)
+
+    def test_concurrent_writer_processes_keep_every_entry(self, tmp_path):
+        """Three writer processes (more than this suite's two cores)
+        append to one root at once; no entry is lost or torn."""
+        (result,) = [o.result for o in run_campaign(SMALL_GRID[:1]).outcomes]
+        payload = tmp_path / "result.json"
+        payload.write_text(json.dumps(result.to_dict()))
+        root = tmp_path / "cache"
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        names, count = ("a", "b", "c"), 400
+        writers = [subprocess.Popen(
+            [sys.executable, "-c", CACHE_WRITER, str(root), name,
+             str(count), str(payload)], env=env) for name in names]
+        try:
+            codes = [writer.wait(timeout=120) for writer in writers]
+        finally:
+            for writer in writers:
+                writer.kill()
+                writer.wait()
+        assert codes == [0, 0, 0]
+        reader = ResultCache(root, code_version="pinned")
+        keys = [f"{name}-{index}" for name in names
+                for index in range(count)] + ["shared"]
+        assert len(reader) == len(keys)
+        assert all(reader.get(key) == result for key in keys)
+        assert (reader.hits, reader.misses) == (len(keys), 0)
+        assert len(list(reader.generation_root.glob("*.log"))) == 3
+
+    def test_torn_final_line_is_a_miss(self, cache):
+        """A writer cut off mid-entry leaves a last line without its
+        newline: it is ignored, and the lines before it replay."""
+        run_campaign(SMALL_GRID[:2], cache=cache)
+        (log,) = cache.generation_root.glob("*.log")
+        text = log.read_bytes()
+        assert text.count(b"\n") == 2
+        log.write_bytes(text[:-10])
+        fresh = ResultCache(cache.root)
+        assert len(fresh) == 1
+        report = run_campaign(SMALL_GRID[:2], cache=fresh)
+        assert [o.cached for o in report.outcomes] == [True, False]
+        assert all(o.ok for o in report.outcomes)
+
+    def test_resimulated_corrupt_cell_replays(self, cache):
+        """A bad line never hides a good one: once the cell is
+        simulated again, a fresh instance replays it."""
+        first = run_campaign(SMALL_GRID[:1], cache=cache)
+        _rewrite_entry(cache, lambda payload: payload[:-1])
+        again = run_campaign(SMALL_GRID[:1],
+                             cache=ResultCache(cache.root))
+        assert not again.outcomes[0].cached
+        replay = run_campaign(SMALL_GRID[:1],
+                              cache=ResultCache(cache.root))
+        assert replay.outcomes[0].cached
+        assert replay.results == first.results
+        # The key is on disk twice, the corrupt line and the new one.
+        assert len(list(cache.generation_root.glob("*.log"))) == 2
+        assert len(ResultCache(cache.root)) == 1
 
     def test_fingerprint_is_stable_within_process(self):
         assert code_fingerprint() == code_fingerprint()

@@ -212,6 +212,25 @@ class TestTraceEqualsSimulate:
         capsys.readouterr()
         assert len(calls) == 1
 
+    def test_cluster_telemetry_is_rejected(self, tmp_path, monkeypatch,
+                                           capsys):
+        # --telemetry records an iteration's host spans; a cluster trace
+        # has none, so the pair is refused before anything runs.
+        from repro.__main__ import main
+        from repro.cluster import simulator as cluster_simulator
+
+        def never(*args, **kwargs):
+            raise AssertionError("simulated a rejected trace")
+
+        monkeypatch.setattr(cluster_simulator, "cluster_lifecycle", never)
+        out = tmp_path / "cluster.trace.json"
+        assert main(["trace", "mc-hbm", "--cluster", "--telemetry",
+                     "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "--telemetry" in err and "--cluster" in err
+        assert not out.exists()
+
 
 class TestClusterTraceEqualsSimulateCluster:
     """``repro trace --cluster`` writes the lifecycle of the very run

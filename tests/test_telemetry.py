@@ -702,6 +702,13 @@ class TestClusterTrace:
             cluster_chrome_trace([("arrive", 1, 0.0),
                                   ("warp", 1, 1.0)])
 
+    def test_slice_that_ends_before_it_starts_rejected(self):
+        from repro.core.trace import cluster_chrome_trace
+        with pytest.raises(ValueError,
+                           match=r"job 3's queued slice ends at 4\.0 s, "
+                                 r"before it starts at 5\.0 s"):
+            cluster_chrome_trace([("arrive", 3, 5.0), ("start", 3, 4.0)])
+
     def test_trace_cli_cluster_mode(self, tmp_path, capsys):
         from repro.__main__ import main
         out = tmp_path / "cluster.trace.json"
