@@ -16,7 +16,7 @@ Run:  python examples/design_space_sweep.py [batch] [--jobs N]
 import argparse
 
 from repro import BENCHMARK_NAMES, DESIGN_ORDER, harmonic_mean
-from repro.campaign import ResultCache, default_cache_dir
+from repro.campaign.cache import ResultCache, default_cache_dir
 from repro.experiments.fig13_performance import run_fig13
 from repro.experiments.matrix import compute_evaluation_matrix
 from repro.training.parallel import ParallelStrategy

@@ -125,8 +125,8 @@ def _suite_core(quick: bool) -> dict[str, float]:
 
 
 def _suite_campaign(quick: bool) -> dict[str, float]:
-    from repro.campaign import run_campaign
     from repro.campaign.points import grid
+    from repro.campaign.runner import run_campaign
     from repro.experiments.matrix import compute_evaluation_matrix
 
     if quick:

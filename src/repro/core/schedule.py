@@ -1,4 +1,5 @@
-"""Build one training iteration's op list for the timeline scheduler.
+"""Build the op lists the timeline scheduler runs: one training
+iteration, or one forward-only (inference) batch.
 
 This is where the paper's three latency components meet: forward and
 backward computation on the PE array, offload/prefetch DMAs on the
@@ -7,13 +8,14 @@ bounded prefetch lookahead), and collective synchronization on the ring
 networks.  The resulting :class:`~repro.core.optable.OpTable` encodes
 every overlap opportunity and every stall the design point implies.
 
-Design points that differ only in their interconnect and memory pool
-emit the same training op DAG, so :func:`build_iteration_ops` emits
-each DAG once per iteration plan (an :class:`_OpStructure`) and gives
-every design its own copy with the collective and DMA durations priced
-on that design's models.  Pipeline op DAGs
-(:func:`repro.pipeline.lowering.build_pipeline_ops`) are re-priced
-through the same structure.
+Every emitter fills an :class:`_OpStructure`, which prices its
+collective and DMA durations per design point; training and inference
+share one forward emitter.  Design points that differ only in their
+interconnect and memory pool emit the same training op DAG, so
+:func:`build_iteration_ops` emits each DAG once per iteration plan and
+gives every design its own priced copy, as
+:func:`repro.pipeline.lowering.build_pipeline_ops` does for pipelines;
+inference structures are emitted per call.
 """
 
 from __future__ import annotations
@@ -29,8 +31,9 @@ from repro.dnn.layers import LayerKind
 from repro.training.backprop import TrainingStep
 from repro.training.parallel import ParallelStrategy, PartitionedLayer
 from repro.vmem.policy import MigrationAction
-from repro.vmem.prefetch import (ON_DEMAND, FetchSite, PrefetchContext,
-                                 PrefetchSchedule, _index_prefetches,
+from repro.vmem.prefetch import (ON_DEMAND, FetchIssue, FetchSite,
+                                 PrefetchContext, PrefetchSchedule,
+                                 WasteFetch, _index_prefetches,
                                  prefetch_policy)
 
 
@@ -370,7 +373,8 @@ def build_inference_ops(plan: InferencePlan, config: SystemConfig,
                         prefetch: PrefetchSchedule | None = None,
                         pricer: pricing.MemoPricer | None = None) \
         -> OpTable:
-    """Emit one forward-only batch's ops in issue order.
+    """Emit one forward-only batch's ops in issue order: the training
+    forward pass with each streamed weight fetched before its layer.
 
     Weight fetches ride the prefetch DMA engine, gated per the active
     prefetch policy (the legacy bounded lookahead under ``on-demand``),
@@ -381,90 +385,78 @@ def build_inference_ops(plan: InferencePlan, config: SystemConfig,
         pricer = inference_pricer(plan, config)
     if prefetch is None:
         prefetch = plan_inference_prefetch(plan, config, pricer)
+    # Site k is the k-th streamed layer in layer order.
     waste_before = prefetch.waste_before()
-    ops = OpTable()
-    collective = pricing.collective_pricer(config.collectives)
+    fetched = {name: (prefetch.issues[site], waste_before.get(site, ()),
+                      nbytes)
+               for site, (name, nbytes)
+               in enumerate(plan.streamed_weights.items())}
+    structure = _OpStructure()
     times = pricing.layer_times(plan.net, config.device, plan.batch,
                                 plan.strategy, config.n_devices)
-    net = plan.net
-    parts = plan.parts
-
-    ready: dict[str, int | None] = {}
-    sync_uid: dict[str, int] = {}
-    computes: list[int] = []
-    site_index = 0
-
-    def fetch_gate(gate_step: int | None) -> list[int]:
-        return [] if gate_step is None else [computes[gate_step]]
-
-    for name in net.layer_names:
-        layer = net.layer(name)
-        if layer.kind is LayerKind.INPUT:
-            ready[name] = None
-            continue
-        part = parts[name]
-
-        preds = net.predecessors(name)
-        deps = [ready[p] for p in preds if ready.get(p) is not None]
-        # Chunk-pipelined layer-boundary collectives, exactly as in the
-        # training forward pass: wait on grandparents' all-gathers.
-        for p in preds:
-            for gp in net.predecessors(p):
-                if gp in sync_uid:
-                    deps.append(sync_uid[gp])
-
-        if name in plan.streamed_weights:
-            issue = prefetch.issues[site_index]
-            for waste in waste_before.get(site_index, ()):
-                ops.add(EngineKind.DMA_IN, pricer(waste.nbytes),
-                        fetch_gate(waste.gate_step),
-                        tag=f"waste:{waste.label}", nbytes=waste.nbytes)
-            site_index += 1
-            nbytes = plan.streamed_weights[name]
-            fetch = ops.add(EngineKind.DMA_IN, pricer(nbytes),
-                            fetch_gate(issue.gate_step),
-                            tag=f"wfetch:{name}", nbytes=nbytes)
-            deps.append(fetch)
-
-        compute = ops.add(EngineKind.COMPUTE, times[name][0],
-                          deps, tag=f"fwd:{name}")
-        computes.append(compute)
-        if part.fwd_sync is not None:
-            sync_uid[name] = ops.add(
-                EngineKind.COMM,
-                collective(part.fwd_sync.primitive,
-                           part.fwd_sync.nbytes),
-                [compute], tag=f"sync-fwd:{name}",
-                nbytes=part.fwd_sync.nbytes)
-        ready[name] = compute
-
-    return ops
+    _emit_forward(structure, plan.net, plan.parts, times,
+                  config.offload_window, fetched, {}, {})
+    return structure.priced(pricing.collective_pricer(config.collectives),
+                            pricer)
 
 
 class _OpStructure:
-    """One emitted op DAG (training or pipeline) and the keys that
-    price it.
+    """One emitted op DAG (training, inference or pipeline) and the
+    keys that price it.
 
-    ``table`` holds every column.  Its compute durations are final;
-    each collective and DMA op holds 0.0 until :meth:`priced` fills it
-    from ``comm`` (``(uid, primitive, nbytes)``) or ``dma`` (``(uid,
-    nbytes)``), both in uid order.  The table's prefetch index is
-    built here, once: every table priced from the structure shares the
-    index :func:`~repro.vmem.prefetch.collect_prefetch_stats` reads.
+    Compute ops go straight into ``table`` with final durations; ops
+    added through :meth:`sync`, :meth:`transfer` and :meth:`fetch`
+    hold 0.0 until :meth:`priced` fills them per design point from
+    ``comm`` (``(uid, primitive, nbytes)``) or ``dma`` (``(uid,
+    nbytes)``), both in uid order.  Every priced table shares the
+    prefetch index :func:`~repro.vmem.prefetch.collect_prefetch_stats`
+    reads, built once before the first priced copy.
     """
 
     __slots__ = ("table", "comm", "dma")
 
-    def __init__(self, table: OpTable, comm: list[tuple[int, object, int]],
-                 dma: list[tuple[int, int]]) -> None:
-        _index_prefetches(table)
-        self.table = table
-        self.comm = comm
-        self.dma = dma
+    def __init__(self) -> None:
+        self.table = OpTable()
+        self.comm: list[tuple[int, object, int]] = []
+        self.dma: list[tuple[int, int]] = []
+
+    def sync(self, primitive, nbytes: int, deps: list[int], tag: str,
+             channel: int = 0) -> int:
+        """Add a collective, priced per design point."""
+        uid = self.table.add(EngineKind.COMM, 0.0, deps, tag=tag,
+                             nbytes=nbytes, channel=channel)
+        self.comm.append((uid, primitive, nbytes))
+        return uid
+
+    def transfer(self, engine: EngineKind, nbytes: int, deps: list[int],
+                 tag: str, channel: int = 0) -> int:
+        """Add a DMA on ``engine``, priced per design point."""
+        uid = self.table.add(engine, 0.0, deps, tag=tag, nbytes=nbytes,
+                             channel=channel)
+        self.dma.append((uid, nbytes))
+        return uid
+
+    def fetch(self, issue: FetchIssue, waste: tuple[WasteFetch, ...],
+              steps: list[int], nbytes: int, deps: list[int], tag: str,
+              channel: int = 0) -> int:
+        """Add one fetch site's DMA-in, after the ``waste`` DMAs its
+        policy issued before it.
+
+        Each DMA waits on the compute op in ``steps`` its gate step
+        names (on none when ungated); the fetch also waits on ``deps``.
+        """
+        for item in waste:
+            gate = [] if item.gate_step is None else [steps[item.gate_step]]
+            self.transfer(EngineKind.DMA_IN, item.nbytes, gate,
+                          f"waste:{item.label}", channel)
+        gate = [] if issue.gate_step is None else [steps[issue.gate_step]]
+        return self.transfer(EngineKind.DMA_IN, nbytes, gate + deps, tag,
+                             channel)
 
     def priced(self, collective, pricer: pricing.MemoPricer) -> OpTable:
         """A fresh table with one design point's collective and DMA
         prices; the structure itself is never modified."""
+        _index_prefetches(self.table)
         tags = self.table.tags
         durations = self.table.durations.copy()
         for uid, primitive, nbytes in self.comm:
@@ -478,6 +470,71 @@ class _OpStructure:
                 raise ValueError(f"op {tags[uid]}: negative duration")
             durations[uid] = seconds
         return self.table._repriced(durations)
+
+
+def _emit_forward(structure: _OpStructure, net: Network,
+                  parts: dict[str, PartitionedLayer], times: dict,
+                  offload_window: int, fetched: dict[str, tuple],
+                  offloaded: dict[str, tuple[str, ...]],
+                  offload_bytes: dict[str, int]) \
+        -> tuple[dict[str, int | None], dict[str, int]]:
+    """Emit one forward pass into ``structure``.
+
+    ``fetched`` maps a layer to the fetch issued before it (its policy
+    issue, the waste before that, its bytes); ``offloaded`` maps a
+    layer to the tensors offloaded after it, ``offload_bytes`` each.
+    Returns each layer's compute op (``None`` for inputs) and each
+    offloaded tensor's offload op.
+    """
+    ops = structure.table
+    fwd_ready: dict[str, int | None] = {}
+    fwd_sync_uid: dict[str, int] = {}
+    offload_uid: dict[str, int] = {}     # producer -> its offload op
+    offload_order: list[int] = []
+    computes: list[int] = []             # the fetches' gate steps
+    for name in net.layer_names:
+        if net.layer(name).kind is LayerKind.INPUT:
+            fwd_ready[name] = None
+            continue
+        part = parts[name]
+
+        preds = net.predecessors(name)
+        deps = [fwd_ready[p] for p in preds
+                if fwd_ready.get(p) is not None]
+        # Layer-boundary collectives are chunk-pipelined with the
+        # consumer's compute (NCCL-style): a layer may run one step
+        # ahead of communication, so it waits on its *grandparents'*
+        # all-gathers, not its parents'.
+        for p in preds:
+            for gp in net.predecessors(p):
+                if gp in fwd_sync_uid:
+                    deps.append(fwd_sync_uid[gp])
+        # vDNN pinned-buffer back-pressure: at most `offload_window`
+        # offloads may be outstanding before compute stalls.
+        if len(offload_order) >= offload_window:
+            deps.append(offload_order[-offload_window])
+        if name in fetched:
+            issue, waste, nbytes = fetched[name]
+            deps.append(structure.fetch(issue, waste, computes, nbytes, [],
+                                        f"wfetch:{name}"))
+        compute = ops.add(EngineKind.COMPUTE, times[name][0],
+                          deps, tag=f"fwd:{name}")
+        computes.append(compute)
+        fwd_ready[name] = ready = compute
+        if part.fwd_sync is not None:
+            ready = fwd_sync_uid[name] = structure.sync(
+                part.fwd_sync.primitive, part.fwd_sync.nbytes, [compute],
+                f"sync-fwd:{name}")
+
+        # Offload every tensor whose last forward reuse is this layer;
+        # a gathered tensor only becomes complete after its collective.
+        for producer in offloaded.get(name, ()):
+            uid = structure.transfer(EngineKind.DMA_OUT,
+                                     offload_bytes[producer], [ready],
+                                     f"offload:{producer}")
+            offload_uid[producer] = uid
+            offload_order.append(uid)
+    return fwd_ready, offload_uid
 
 
 def build_iteration_ops(plan: IterationPlan, config: SystemConfig,
@@ -516,79 +573,23 @@ def build_iteration_ops(plan: IterationPlan, config: SystemConfig,
 def _emit_structure(plan: IterationPlan, config: SystemConfig,
                     prefetch: PrefetchSchedule) -> _OpStructure:
     """Emit one iteration's op structure (see :class:`_OpStructure`)."""
-    waste_before = prefetch.waste_before()
-    ops = OpTable()
-    comm: list[tuple[int, object, int]] = []
-    dma: list[tuple[int, int]] = []
+    structure = _OpStructure()
+    ops = structure.table
     times = pricing.layer_times(plan.net, config.device, plan.batch,
                                 plan.strategy, config.n_devices)
     net = plan.net
-    parts = plan.parts
-    site_index = 0
-
-    def sync_op(sync, compute: int, tag: str) -> int:
-        uid = ops.add(EngineKind.COMM, 0.0, [compute], tag=tag,
-                      nbytes=sync.nbytes)
-        comm.append((uid, sync.primitive, sync.nbytes))
-        return uid
-
-    def dma_op(engine: EngineKind, nbytes: int, deps: list[int],
-               tag: str) -> int:
-        uid = ops.add(engine, 0.0, deps, tag=tag, nbytes=nbytes)
-        dma.append((uid, nbytes))
-        return uid
-
-    fwd_ready: dict[str, int | None] = {}
-    fwd_sync_uid: dict[str, int] = {}
-    offload_uid: dict[str, int] = {}     # producer -> its offload op
-    offload_order: list[int] = []
-
-    # ---- Forward propagation -------------------------------------------
-    for name in plan.step.fwd_order:
-        layer = net.layer(name)
-        part = parts[name]
-        if layer.kind is LayerKind.INPUT:
-            fwd_ready[name] = None
-            continue
-
-        preds = net.predecessors(name)
-        deps = [fwd_ready[p] for p in preds
-                if fwd_ready.get(p) is not None]
-        # Layer-boundary collectives are chunk-pipelined with the
-        # consumer's compute (NCCL-style): a layer may run one step
-        # ahead of communication, so it waits on its *grandparents'*
-        # all-gathers, not its parents'.
-        for p in preds:
-            for gp in net.predecessors(p):
-                if gp in fwd_sync_uid:
-                    deps.append(fwd_sync_uid[gp])
-        # vDNN pinned-buffer back-pressure: at most `offload_window`
-        # offloads may be outstanding before compute stalls.
-        if len(offload_order) >= config.offload_window:
-            deps.append(offload_order[-config.offload_window])
-        compute = ops.add(EngineKind.COMPUTE, times[name][0],
-                          deps, tag=f"fwd:{name}")
-        ready = compute
-        if part.fwd_sync is not None:
-            sync = sync_op(part.fwd_sync, compute, f"sync-fwd:{name}")
-            fwd_sync_uid[name] = sync
-            ready = sync
-        fwd_ready[name] = compute if part.fwd_sync is not None else ready
-
-        # Offload every tensor whose last forward reuse is this layer;
-        # a gathered tensor only becomes complete after its collective.
-        for producer in plan.step.prefetch_sites.get(name, ()):
-            uid = dma_op(EngineKind.DMA_OUT, plan.migrated_shards[producer],
-                         [ready], f"offload:{producer}")
-            offload_uid[producer] = uid
-            offload_order.append(uid)
+    fwd_ready, offload_uid = _emit_forward(
+        structure, net, plan.parts, times, config.offload_window, {},
+        plan.step.prefetch_sites, plan.migrated_shards)
 
     # ---- Backward propagation ------------------------------------------
+    waste_before = prefetch.waste_before()
+    site_index = 0
     bwd_ready: dict[str, int] = {}
     bwd_sync_uid: dict[str, int] = {}
     bwd_computes: list[int] = []
     for step_index, name in enumerate(plan.step.bwd_order):
-        part = parts[name]
+        part = plan.parts[name]
 
         succs = net.successors(name)
         deps = [bwd_ready[s] for s in succs if s in bwd_ready]
@@ -608,18 +609,12 @@ def _emit_structure(plan: IterationPlan, config: SystemConfig,
         # on-demand; earlier or later elsewhere on the axis).
         prefetch_ids = []
         for producer in plan.step.prefetch_sites.get(name, ()):
-            issue = prefetch.issues[site_index]
-            for waste in waste_before.get(site_index, ()):
-                waste_gate = ([] if waste.gate_step is None
-                              else [bwd_computes[waste.gate_step]])
-                dma_op(EngineKind.DMA_IN, waste.nbytes, waste_gate,
-                       f"waste:{waste.label}")
+            prefetch_ids.append(structure.fetch(
+                prefetch.issues[site_index],
+                waste_before.get(site_index, ()), bwd_computes,
+                plan.migrated_shards[producer], [offload_uid[producer]],
+                f"prefetch:{producer}"))
             site_index += 1
-            gate = ([] if issue.gate_step is None
-                    else [bwd_computes[issue.gate_step]])
-            prefetch_ids.append(dma_op(
-                EngineKind.DMA_IN, plan.migrated_shards[producer],
-                gate + [offload_uid[producer]], f"prefetch:{producer}"))
 
         # Cheap tensors regenerated instead of migrated (footnote 4).
         recompute_ids = []
@@ -637,8 +632,9 @@ def _emit_structure(plan: IterationPlan, config: SystemConfig,
             # Model-parallel dX reductions gate the grand-producers'
             # backward pass (pipelined, above); data-parallel dW
             # all-reduces only gate iteration end.
-            bwd_sync_uid[name] = sync_op(part.bwd_sync, compute,
-                                         f"sync-bwd:{name}")
+            bwd_sync_uid[name] = structure.sync(
+                part.bwd_sync.primitive, part.bwd_sync.nbytes, [compute],
+                f"sync-bwd:{name}")
         bwd_ready[name] = compute
 
-    return _OpStructure(ops, comm, dma)
+    return structure

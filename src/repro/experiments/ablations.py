@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.campaign import ResultCache
+from repro.campaign.cache import ResultCache
 from repro.experiments.report import format_table
 from repro.scenarios.dsl import DesignSpec, Scenario, WorkloadSpec
 from repro.scenarios.runner import run_study

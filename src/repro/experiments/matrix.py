@@ -13,7 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from repro.campaign import CampaignPoint, ResultCache, grid, run_campaign
+from repro.campaign.cache import ResultCache
+from repro.campaign.points import CampaignPoint, grid
+from repro.campaign.runner import run_campaign
 from repro.core.design_points import DESIGN_ORDER
 from repro.core.metrics import SimulationResult
 from repro.dnn.registry import BENCHMARK_NAMES

@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from repro.campaign import ResultCache
+from repro.campaign.cache import ResultCache
 from repro.core.design_points import DESIGN_ORDER
 from repro.core.metrics import SimulationResult
 from repro.experiments.modes import (DEFAULT_CLUSTER_JOBS,

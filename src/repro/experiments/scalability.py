@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.campaign import ResultCache
+from repro.campaign.cache import ResultCache
 from repro.dnn.registry import CNN_NAMES
 from repro.experiments.report import format_table
 from repro.scenarios.dsl import DesignSpec, Scenario, WorkloadSpec

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.campaign import ResultCache
+from repro.campaign.cache import ResultCache
 from repro.core.metrics import SimulationResult
 from repro.dnn.registry import BENCHMARK_NAMES, CNN_NAMES
 from repro.experiments.report import format_table

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.campaign import ResultCache
+from repro.campaign.cache import ResultCache
 from repro.core.design_points import DESIGN_ORDER
 from repro.core.metrics import ServingStats
 from repro.experiments.report import format_table, percent

@@ -526,28 +526,17 @@ def _emit_structure(plan: PipelinePlan, config: SystemConfig,
     :class:`~repro.core.schedule._OpStructure`)."""
     # Per stage: microbatch -> (its fetch issue, the waste emitted
     # just before it).
-    stage_issue: list[dict[int, object]] = []
-    stage_waste: list[dict[int, tuple]] = []
+    stage_fetch: list[dict[int, tuple]] = []
     for stage, sched in zip(plan.stages, prefetch):
-        order = _stage_fetch_microbatches(plan, stage)
         waste_before = sched.waste_before()
-        stage_issue.append({m: sched.issues[i]
-                            for i, m in enumerate(order)})
-        stage_waste.append({m: waste_before.get(i, ())
-                            for i, m in enumerate(order)})
-    ops = OpTable()
-    comm: list[tuple[int, object, int]] = []
-    dma: list[tuple[int, int]] = []
+        stage_fetch.append({
+            m: (sched.issues[i], waste_before.get(i, ()))
+            for i, m in enumerate(_stage_fetch_microbatches(plan, stage))})
+    structure = _OpStructure()
+    ops = structure.table
     schedule = plan.schedule
     n_stages = schedule.n_stages
     chan = plan.channel_of
-
-    def dma_op(engine: EngineKind, nbytes: int, deps: list[int],
-               tag: str, channel: int) -> int:
-        uid = ops.add(engine, 0.0, deps, tag=tag, nbytes=nbytes,
-                      channel=channel)
-        dma.append((uid, nbytes))
-        return uid
 
     targets = {s.index: tuple(to for to, _ in s.sends)
                for s in plan.stages}
@@ -581,8 +570,9 @@ def _emit_structure(plan: PipelinePlan, config: SystemConfig,
                 tag=f"send-act:s{s}>s{to}:m{m}", nbytes=nbytes,
                 channel=chan(s))
         if stage.offloaded[m]:
-            uid_off = dma_op(EngineKind.DMA_OUT, stage.stash_bytes,
-                             [uid], f"offload:s{s}:m{m}", chan(s))
+            uid_off = structure.transfer(EngineKind.DMA_OUT,
+                                         stage.stash_bytes, [uid],
+                                         f"offload:s{s}:m{m}", chan(s))
             offload_uid[(s, m)] = uid_off
             offload_order[s].append(uid_off)
 
@@ -596,18 +586,10 @@ def _emit_structure(plan: PipelinePlan, config: SystemConfig,
         if stage.offloaded[m]:
             # Prefetch gated per the policy's issue plan for this
             # stage (legacy bounded lookahead under on-demand).
-            issue = stage_issue[s][m]
-            for waste in stage_waste[s][m]:
-                waste_gate = ([] if waste.gate_step is None
-                              else [bwd_uids[s][waste.gate_step]])
-                dma_op(EngineKind.DMA_IN, waste.nbytes, waste_gate,
-                       f"waste:{waste.label}", chan(s))
-            gate = ([] if issue.gate_step is None
-                    else [bwd_uids[s][issue.gate_step]])
-            deps.append(dma_op(
-                EngineKind.DMA_IN, stage.stash_bytes,
-                gate + [offload_uid[(s, m)]], f"prefetch:s{s}:m{m}",
-                chan(s)))
+            issue, waste = stage_fetch[s][m]
+            deps.append(structure.fetch(
+                issue, waste, bwd_uids[s], stage.stash_bytes,
+                [offload_uid[(s, m)]], f"prefetch:s{s}:m{m}", chan(s)))
         uid = ops.add(EngineKind.COMPUTE, stage.bwd_time, deps,
                       tag=f"bwd:s{s}:m{m}", channel=chan(s))
         bwd_uids[s].append(uid)
@@ -673,14 +655,11 @@ def _emit_structure(plan: PipelinePlan, config: SystemConfig,
     if plan.replicas > 1:
         for stage in plan.stages:
             if stage.weight_bytes:
-                uid = ops.add(EngineKind.COMM, 0.0,
-                              [last_grad_uid[stage.index]],
-                              tag=f"sync-dw:s{stage.index}",
-                              nbytes=stage.weight_bytes,
-                              channel=chan(stage.index))
-                comm.append((uid, Primitive.ALL_REDUCE,
-                             stage.weight_bytes))
-    return _OpStructure(ops, comm, dma)
+                structure.sync(Primitive.ALL_REDUCE, stage.weight_bytes,
+                               [last_grad_uid[stage.index]],
+                               f"sync-dw:s{stage.index}",
+                               chan(stage.index))
+    return structure
 
 
 def pipeline_stats(plan: PipelinePlan,

@@ -23,11 +23,7 @@ import sys
 
 from repro.core.design_points import design_point
 from repro.dnn.registry import TRANSFORMER_NAMES
-# Re-exported for backward compatibility: the alias tables and
-# resolvers now live in repro.naming, shared with the cluster and
-# trace CLIs.
-from repro.naming import (DESIGN_ALIASES, NETWORK_ALIASES,  # noqa: F401
-                          resolve_design, resolve_network)
+from repro.naming import resolve_design, resolve_network
 from repro.serving.server import (DEFAULT_DECODE_STEPS, DEFAULT_REQUESTS,
                                   DEFAULT_SLO, simulate_serving)
 from repro.telemetry.session import TelemetrySession, add_telemetry_argument

@@ -24,10 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections.abc import Callable, Sequence
 
-# Re-exported: percentile's home is the shared metrics layer now, but
-# callers historically import it from here.
-from repro.core.metrics import (ExecutionMode, FaultStats,
-                                LatencyBreakdown, ServingStats,
+from repro.core.metrics import (ExecutionMode, FaultStats, ServingStats,
                                 SimulationResult, percentile)
 from repro.core.simulator import simulate
 from repro.core.system import SystemConfig
@@ -96,19 +93,17 @@ class BatchLatencyModel:
     trace prices in a few simulator invocations.
     """
 
-    def __init__(self, config: SystemConfig, network: Network | str,
-                 strategy: ParallelStrategy = ParallelStrategy.DATA) \
-            -> None:
+    def __init__(self, config: SystemConfig,
+                 network: Network | str) -> None:
         self.config = config
         self.network = (build_network(network)
                         if isinstance(network, str) else network)
-        self.strategy = strategy
         self._memo: dict[int, SimulationResult] = {}
 
     def result(self, batch: int) -> SimulationResult:
         if batch not in self._memo:
             self._memo[batch] = simulate(
-                self.config, self.network, batch, self.strategy,
+                self.config, self.network, batch,
                 mode=ExecutionMode.INFERENCE)
         return self._memo[batch]
 

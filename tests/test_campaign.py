@@ -16,11 +16,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.campaign import (CampaignError, CampaignPoint, ResultCache,
-                            grid, run_campaign)
-from repro.campaign.cache import STALE_GENERATION_SECONDS, code_fingerprint
+from repro.campaign.cache import (STALE_GENERATION_SECONDS, ResultCache,
+                                  code_fingerprint)
 from repro.campaign.cli import main as campaign_cli
-from repro.campaign.points import canonicalize
+from repro.campaign.points import CampaignPoint, canonicalize, grid
+from repro.campaign.runner import CampaignError, run_campaign
 from repro.core.design_points import design_point
 from repro.core.metrics import SimulationResult
 from repro.core.simulator import simulate

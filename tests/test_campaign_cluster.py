@@ -5,7 +5,8 @@ import json
 
 import pytest
 
-from repro.campaign import CampaignPoint, ResultCache
+from repro.campaign.cache import ResultCache
+from repro.campaign.points import CampaignPoint
 from repro.campaign.cli import main as campaign_cli
 from repro.cluster.simulator import simulate_cluster
 from repro.core.design_points import design_point

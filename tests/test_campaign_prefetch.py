@@ -11,7 +11,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.campaign import CampaignPoint, ResultCache, run_campaign
+from repro.campaign.cache import ResultCache
+from repro.campaign.points import CampaignPoint
+from repro.campaign.runner import run_campaign
 from repro.campaign.cli import main as campaign_cli
 from repro.core.design_points import design_point
 from repro.scenarios.dsl import DesignSpec, Scenario, WorkloadSpec

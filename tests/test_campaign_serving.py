@@ -11,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.campaign import CampaignPoint, ResultCache
+from repro.campaign.cache import ResultCache
+from repro.campaign.points import CampaignPoint
 from repro.campaign.cli import main as campaign_cli
 from repro.campaign.points import canonicalize
 from repro.scenarios.dsl import (DesignSpec, Scenario, TrafficSpec,
@@ -183,8 +184,8 @@ class TestHashSeedDeterminism:
         ``PYTHONHASHSEED`` values and demand identical digests."""
         script = (
             "import json\n"
-            "from repro.campaign import CampaignPoint, ResultCache\n"
-            "from repro.campaign.cache import code_fingerprint\n"
+            "from repro.campaign.cache import ResultCache, code_fingerprint\n"
+            "from repro.campaign.points import CampaignPoint\n"
             "from repro.core.design_points import design_point\n"
             "point = CampaignPoint('MC-DLA(B)', 'GPT2',\n"
             "    overrides=(('tags', frozenset({'a', 'b', 'c'})),),\n"

@@ -4,8 +4,10 @@
 package imports -- at start-up, over a claims run covering
 data-parallel, pipeline, serving and fleet cells, or while writing a
 run manifest -- may load a module from outside the standard library.
-The check runs in a fresh interpreter, so modules the test runner has
-already imported cannot hide an import.
+The checks run in a fresh interpreter, so modules the test runner has
+already imported cannot hide an import.  The same way, lowering one
+scenario in process (what ``repro trace`` does) must not load the
+campaign runner's process pool.
 """
 
 from __future__ import annotations
@@ -59,3 +61,25 @@ def test_loads_only_the_standard_library():
     probe = json.loads(done.stdout.splitlines()[-1])
     assert probe["cells"] == 32 and probe["ok"]
     assert probe["foreign"] == []
+
+
+#: Imports what ``repro trace`` needs to lower one scenario and prints
+#: which process-pool modules came with it.
+TRACE_PROBE = """
+import json
+import sys
+
+import repro.campaign.points
+import repro.scenarios.lowering
+
+print(json.dumps([name for name in ("multiprocessing",
+                                    "concurrent.futures.process")
+                  if name in sys.modules]))
+"""
+
+
+def test_lowering_a_scenario_loads_no_process_pool():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, "-c", TRACE_PROBE], env=env,
+                          capture_output=True, text=True, check=True)
+    assert json.loads(done.stdout.splitlines()[-1]) == []

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from repro.campaign import ResultCache
+from repro.campaign.cache import ResultCache
 from repro.campaign.cli import main as campaign_cli
 from repro.core.design_points import DESIGN_ORDER, design_point
 from repro.core.metrics import PipelineStats, SimulationResult

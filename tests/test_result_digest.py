@@ -1,11 +1,12 @@
 """Full-result digest golden: one sha256 per simulated cell.
 
 The figure goldens pin a handful of scalars per experiment; this one
-pins *every* field of ``SimulationResult.to_dict()`` for 126 cells
-spanning each mode the simulator runs: the paper's 6x8x2 grid, plus
-inference, five pipeline schedules, four prefetch policies, three
-fault models, serving, and cluster cells on a device-centric and a
-memory-centric design.  Any change to any reported number changes a
+pins *every* field of ``SimulationResult.to_dict()`` for 140 cells
+spanning each mode the simulator runs: the paper's 6x8x2 grid and a
+model-parallel inference cell per design, plus inference under every
+prefetch policy, five pipeline schedules, four prefetch policies,
+three fault models, serving, and cluster cells on a device-centric
+and a memory-centric design.  Any change to any reported number changes a
 hash, so refactors of the simulator's internals must leave this file
 untouched.
 
@@ -60,11 +61,19 @@ def digest_cells():
                 cells[f"grid/{design}/{network}/{strategy.value}"] = (
                     lambda c=config, n=network, s=strategy:
                     simulate(c, n, 512, s))
+        cells[f"inference/{design}/VGG-E/model"] = (
+            lambda c=config: simulate(c, "VGG-E", 8, ParallelStrategy.MODEL,
+                                      mode=ExecutionMode.INFERENCE))
     for design in MODE_DESIGNS:
         config = design_point(design)
         cells[f"inference/{design}/ResNet"] = (
             lambda c=config: simulate(c, "ResNet", 64,
                                       mode=ExecutionMode.INFERENCE))
+        for policy in PREFETCH_POLICIES:
+            prefetching = dataclasses.replace(config, prefetch_policy=policy)
+            cells[f"inference/{design}/GPT2/{policy}"] = (
+                lambda c=prefetching: simulate(
+                    c, "GPT2", 8, mode=ExecutionMode.INFERENCE))
         for kind in PIPELINE_KINDS:
             staged = dataclasses.replace(config, pipeline_stages=4,
                                          pipeline_schedule=kind)

@@ -13,7 +13,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.campaign import CampaignError, ResultCache
+from repro.campaign.cache import ResultCache
+from repro.campaign.runner import CampaignError
 from repro.campaign import cli as campaign_cli
 from repro.campaign.points import BuiltConfigs
 from repro.experiments import ablations, scalability, sensitivity
