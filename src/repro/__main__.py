@@ -225,7 +225,7 @@ EXPERIMENTS: dict[str, tuple[str, Callable[[], str]]] = {
 
 def _trace_main(argv: list[str]) -> int:
     """``python -m repro trace``: export one iteration's Chrome trace."""
-    from repro.cluster import DEFAULT_JOBS, POLICY_NAMES
+    from repro.cluster.jobs import DEFAULT_JOBS, POLICY_NAMES
     from repro.core.design_points import DESIGN_ORDER
     from repro.dnn.registry import WORKLOAD_NAMES
     from repro.scenarios.dsl import WorkloadSpec

@@ -147,7 +147,7 @@ def _scenarios(args: argparse.Namespace) -> list[Scenario]:
                   for t in traffic for workload in served]
     if args.policies.strip():
         from repro.cluster.jobs import JOB_MIX_NAMES
-        from repro.cluster.policies import POLICY_NAMES
+        from repro.cluster.jobs import POLICY_NAMES
         from repro.units import GB
         sched = _required(args.policies, "--policies")
         bad_policies = [p for p in sched if p not in POLICY_NAMES]

@@ -54,7 +54,7 @@ class CampaignPoint:
     #: (as sorted pairs).  Non-empty turns this cell into a serving
     #: simulation instead of a training iteration.
     serving: Overrides = ()
-    #: Keyword arguments for :func:`repro.cluster.simulate_cluster`
+    #: Keyword arguments for :func:`repro.cluster.simulator.simulate_cluster`
     #: (as sorted pairs).  Non-empty turns this cell into a cluster
     #: simulation instead of a training iteration.
     cluster: Overrides = ()

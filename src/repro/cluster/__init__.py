@@ -7,7 +7,8 @@ seeded discrete-event cluster simulator: a fleet of devices shares one
 MC-DLA memory pool while a queue of heterogeneous jobs -- training
 runs, pipeline gangs, and serving tenants -- arrives over time.
 
-* :mod:`repro.cluster.jobs` -- job specs and seeded job-mix streams;
+* :mod:`repro.cluster.jobs` -- job specs, seeded job-mix streams, and
+  a cluster cell's defaults and policy names;
 * :mod:`repro.cluster.oracle` -- prices each job's gang width, service
   time, and pool reservation with one ``simulate()`` call;
 * :mod:`repro.cluster.pool` -- pool admission control,
@@ -23,26 +24,7 @@ Campaigns sweep cluster cells declared as
 :class:`repro.scenarios.dsl.FleetSpec` scenarios (``python -m repro
 campaign --policies ...``), and
 ``experiments/cluster_comparison.py`` compares policies across all six
-designs at equal pool capacity.
+designs at equal pool capacity.  The package imports none of its
+submodules, so a caller that needs only the defaults
+(:mod:`repro.cluster.jobs`) does not load the scheduler.
 """
-
-from repro.cluster.jobs import (DEFAULT_ARRIVAL_RATE, DEFAULT_JOBS,
-                                JOB_MIX_NAMES, JobKind, JobSpec,
-                                generate_jobs)
-from repro.cluster.oracle import CostOracle, JobProfile
-from repro.cluster.policies import (POLICY_NAMES, QueueEntry, Release,
-                                    earliest_start, fits, select_next)
-from repro.cluster.pool import MemoryPool, spill_dilation, spill_penalty
-from repro.cluster.simulator import (DEFAULT_FLEET_DEVICES,
-                                     DEFAULT_POOL_PER_DEVICE,
-                                     ClusterSimulator, cluster_lifecycle,
-                                     simulate_cluster)
-
-__all__ = [
-    "CostOracle", "ClusterSimulator", "DEFAULT_ARRIVAL_RATE",
-    "DEFAULT_FLEET_DEVICES", "DEFAULT_JOBS", "DEFAULT_POOL_PER_DEVICE",
-    "JOB_MIX_NAMES", "JobKind", "JobProfile", "JobSpec", "MemoryPool",
-    "POLICY_NAMES", "QueueEntry", "Release", "cluster_lifecycle",
-    "earliest_start", "fits", "generate_jobs", "select_next",
-    "simulate_cluster", "spill_dilation", "spill_penalty",
-]

@@ -19,10 +19,10 @@ import argparse
 import json
 import sys
 
-from repro.cluster.jobs import (DEFAULT_ARRIVAL_RATE, DEFAULT_JOBS,
-                                JOB_MIX_NAMES)
-from repro.cluster.policies import POLICY_NAMES
-from repro.cluster.simulator import DEFAULT_FLEET_DEVICES, simulate_cluster
+from repro.cluster.jobs import (DEFAULT_ARRIVAL_RATE,
+                                DEFAULT_FLEET_DEVICES, DEFAULT_JOBS,
+                                JOB_MIX_NAMES, POLICY_NAMES)
+from repro.cluster.simulator import simulate_cluster
 from repro.core.design_points import design_point
 from repro.naming import resolve_design
 from repro.telemetry.session import TelemetrySession, add_telemetry_argument

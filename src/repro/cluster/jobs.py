@@ -27,11 +27,17 @@ JOB_MIX_NAMES = ("training", "transformer", "serving", "balanced")
 #: node for tens of seconds, not the whole makespan.
 SERVING_REQUESTS = 96
 
-#: The default job stream of a cluster cell: this many jobs, arriving
-#: at this rate (jobs/s).  ``simulate_cluster``, ``FleetSpec`` and the
-#: ``cluster``, ``campaign`` and ``trace`` commands all read them here.
+#: The defaults of a cluster cell: this many jobs, arriving at this
+#: rate (jobs/s), on a fleet of this many devices.
+#: ``simulate_cluster``, ``FleetSpec`` and the ``cluster``,
+#: ``campaign`` and ``trace`` commands all read them here.
 DEFAULT_JOBS = 24
 DEFAULT_ARRIVAL_RATE = 0.02
+DEFAULT_FLEET_DEVICES = 16
+
+#: The scheduling policies :func:`repro.cluster.policies.select_next`
+#: knows.
+POLICY_NAMES = ("fifo", "sjf", "pool-fit", "gang")
 
 
 class JobKind(enum.Enum):

@@ -27,10 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections.abc import Sequence
 
+from repro.cluster.jobs import POLICY_NAMES
 from repro.cluster.oracle import JobProfile
 from repro.cluster.pool import MemoryPool
-
-POLICY_NAMES = ("fifo", "sjf", "pool-fit", "gang")
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,8 @@ import math
 from dataclasses import dataclass, field
 from collections.abc import Sequence
 
-from repro.cluster.jobs import (DEFAULT_ARRIVAL_RATE, DEFAULT_JOBS,
+from repro.cluster.jobs import (DEFAULT_ARRIVAL_RATE,
+                                DEFAULT_FLEET_DEVICES, DEFAULT_JOBS,
                                 JobSpec, generate_jobs)
 from repro.cluster.oracle import CostOracle, JobProfile
 from repro.cluster.policies import (QueueEntry, Release, fits,
@@ -44,9 +45,6 @@ from repro.interconnect.link import PCIE_GEN3
 from repro.training.parallel import ParallelStrategy
 from repro.units import GB
 
-#: Devices in a cluster cell's fleet (the job-stream defaults live in
-#: :mod:`repro.cluster.jobs`).
-DEFAULT_FLEET_DEVICES = 16
 #: Default shared-pool sizing when no explicit capacity is given.
 DEFAULT_POOL_PER_DEVICE = 128 * GB
 #: A job survives at most this many evictions, then becomes sticky.

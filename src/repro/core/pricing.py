@@ -18,17 +18,22 @@ through:
   graphs do not pin memory);
 * the training iteration plans of
   :func:`repro.core.schedule.plan_iteration`, in the same per-network
-  store, each carrying a private memo of the op-table structures
-  emitted from it (one per device, offload window and prefetch gate
-  plan), which every design point sharing the structure re-prices;
+  store, each carrying a private memo of the prefetch gate plans of
+  the policies that read no prices (one per policy, window and
+  stash) and of the op-table structures emitted from it (one per
+  device, offload window and prefetch gate plan), which every design
+  point sharing the structure re-prices, one price per distinct
+  collective or DMA key;
 * the pipeline plans of :func:`repro.pipeline.lowering.plan_pipeline`
   and the levels below them (stage partitions per stage count,
   per-layer stage times per device, microbatch and B/W split), in the
-  same store; each plan carries the op structures emitted from it
-  (one per prefetch gate plan), re-priced per design the same way;
+  same store; each plan carries its price-blind gate plans and the op
+  structures emitted from it (one per prefetch gate plan), re-priced
+  per design the same way;
 * :func:`layer_times` -- per-layer (forward, backward) seconds for a
   (device, batch, strategy, n_devices) cell, shared by every design
-  point with the same device model;
+  point with the same device model; each build times a distinct
+  kernel shape once;
 * :func:`collective_pricer` -- ring-collective latency per
   (model, primitive, nbytes);
 * :class:`MemoPricer` -- wraps a per-transfer DMA pricer with a
@@ -81,7 +86,8 @@ _CLUSTER_CELLS: dict = {}
 #: hook so the lookup paths never test an enabled flag.
 _MEMO_NAMES = ("partition", "migration", "layer-times", "collective",
                "dma", "cluster-cell", "iteration-plan", "op-structure",
-               "pipeline-plan", "pipeline-partition", "stage-times")
+               "gate-plan", "pipeline-plan", "pipeline-partition",
+               "stage-times")
 _HITS: dict = dict.fromkeys(_MEMO_NAMES, NOOP)
 _MISSES: dict = dict.fromkeys(_MEMO_NAMES, NOOP)
 
@@ -175,19 +181,30 @@ def layer_times(net: "Network", device: "DeviceSpec", batch: int,
         -> dict[str, tuple[float, float]]:
     """Per-layer ``name -> (fwd_seconds, bwd_seconds)`` for one cell.
 
-    Times every partitioned layer's forward and backward kernels once;
-    the schedule builder, the plan-seconds walk, and the prefetch
-    context all read from the same dict.  Keyed on the device spec, so
-    design points sharing the baseline device share the entry.
+    Times each distinct (GEMMs, stream bytes) kernel of the partition
+    once, so layers of one shape share their timing; the schedule
+    builder, the plan-seconds walk, and the prefetch context all read
+    from the same dict.  Keyed on the device spec, so design points
+    sharing the baseline device share the entry.
     """
-    parts = cached_partition(net, batch, strategy, n_devices)
-    op_time = device.op_time
+    def build() -> dict[str, tuple[float, float]]:
+        timed: dict[tuple, float] = {}
+
+        def op_time(gemms, stream_bytes: int) -> float:
+            key = (gemms, stream_bytes)
+            seconds = timed.get(key)
+            if seconds is None:
+                seconds = timed[key] = device.op_time(gemms, stream_bytes)
+            return seconds
+
+        return {p.name: (op_time(p.fwd_gemms, p.fwd_stream_bytes),
+                         op_time(p.bwd_gemms, p.fwd_stream_bytes))
+                for p in cached_partition(net, batch, strategy,
+                                          n_devices)}
+
     return _memoized(
         _net_cache(net), ("layer-times", net.version, device, batch,
-                          strategy, n_devices), "layer-times",
-        lambda: {p.name: (op_time(p.fwd_gemms, p.fwd_stream_bytes),
-                          op_time(p.bwd_gemms, p.fwd_stream_bytes))
-                 for p in parts})
+                          strategy, n_devices), "layer-times", build)
 
 
 def _collective_memo(model: "CollectiveModel") -> dict:

@@ -20,7 +20,9 @@ inference structures are emitted per call.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import TypeVar
 
 from repro.core import pricing
 from repro.core.optable import OpTable
@@ -32,9 +34,11 @@ from repro.training.backprop import TrainingStep
 from repro.training.parallel import ParallelStrategy, PartitionedLayer
 from repro.vmem.policy import MigrationAction
 from repro.vmem.prefetch import (ON_DEMAND, FetchIssue, FetchSite,
-                                 PrefetchContext, PrefetchSchedule,
-                                 WasteFetch, _index_prefetches,
-                                 prefetch_policy)
+                                 PrefetchContext, PrefetchPolicy,
+                                 PrefetchSchedule, WasteFetch,
+                                 _index_prefetches, prefetch_policy)
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -50,7 +54,9 @@ class IterationPlan:
     migrated_shards: dict[str, int]
     #: Derived from this plan only: its byte totals, its fetch sites,
     #: its compute/sync walk and backward step estimates per device,
-    #: and its emitted op structures (see :func:`build_iteration_ops`).
+    #: the gate plans of policies that read no prices (see
+    #: :func:`_gate_plan`), and its emitted op structures (see
+    #: :func:`build_iteration_ops`).
     #: Never copied: ``dataclasses.replace`` starts an empty memo.
     _memo: dict = field(default_factory=dict, init=False, repr=False,
                         compare=False)
@@ -158,15 +164,18 @@ def _iteration_seconds(plan: IterationPlan,
                        config: SystemConfig) -> tuple[float, float]:
     """(compute, collective) seconds of one training iteration plan.
 
-    The compute sum and the list of collectives depend on the plan and
-    device only, so they are kept on the plan; each design point sums
-    its own collective prices in the same order.
+    The compute sum, the distinct ``(primitive, nbytes)`` keys of its
+    collectives and each collective's index into them depend on the
+    plan and device only, so they are kept on the plan; each design
+    point prices every key once and sums the prices in the collectives'
+    order.
     """
-    def walk() -> tuple[float, tuple]:
+    def walk() -> tuple[float, tuple, tuple[int, ...]]:
         times = pricing.layer_times(plan.net, config.device, plan.batch,
                                     plan.strategy, config.n_devices)
         compute = 0.0
-        syncs = []
+        keys: dict[tuple, int] = {}
+        order = []
         for name in plan.step.fwd_order:
             if plan.net.layer(name).kind is LayerKind.INPUT:
                 continue
@@ -176,18 +185,20 @@ def _iteration_seconds(plan: IterationPlan,
             compute += bwd_s
             for sync in (part.fwd_sync, part.bwd_sync):
                 if sync is not None:
-                    syncs.append((sync.primitive, sync.nbytes))
-        return compute, tuple(syncs)
+                    order.append(keys.setdefault(
+                        (sync.primitive, sync.nbytes), len(keys)))
+        return compute, tuple(keys), tuple(order)
 
     key = ("iteration-seconds", config.device, config.n_devices)
     cached = plan._memo.get(key)
     if cached is None:
         cached = plan._memo[key] = walk()
-    compute, syncs = cached
+    compute, keys, order = cached
     collective = pricing.collective_pricer(config.collectives)
+    prices = [collective(primitive, nbytes) for primitive, nbytes in keys]
     comm = 0.0
-    for primitive, nbytes in syncs:
-        comm += collective(primitive, nbytes)
+    for index in order:
+        comm += prices[index]
     return compute, comm
 
 
@@ -218,31 +229,54 @@ def _fetch_sites(plan: IterationPlan) \
     return cached
 
 
+def _gate_plan(memo: dict, config: SystemConfig,
+               build: Callable[[PrefetchPolicy], T]) -> T:
+    """``build(policy)`` for the configured prefetch policy.
+
+    A policy that reads no prices (every one but ``cost-model``) plans
+    the same schedule for every design point sharing a plan's fetch
+    sites, so its schedule is built once and kept in the plan's
+    ``memo`` under the policy, window and stash; ``cost-model`` is
+    built on every call, from its own design point's prices.
+    """
+    policy = prefetch_policy(config.prefetch_policy)
+    if policy.reads_costs:
+        return build(policy)
+    return pricing._memoized(
+        memo, ("gate-plan", policy.name, config.prefetch_window,
+               config.prefetch_stash), "gate-plan", lambda: build(policy))
+
+
 def plan_training_prefetch(plan: IterationPlan, config: SystemConfig,
                            pricer: pricing.MemoPricer | None
                            = None) -> PrefetchSchedule:
     """Run the configured prefetch policy over a training iteration.
 
     The fetch sites come from the plan, and the backward step
-    estimates from the plan's memo for this device; only the fetch
-    prices and the policy's plan are made per design point.
+    estimates from the plan's memo for this device.  Only
+    ``cost-model`` prices its fetches and plans per design point; every
+    other policy plans once per plan (see :func:`_gate_plan`).
     """
-    if pricer is None:
-        pricer = iteration_pricer(plan, config)
-    sites, shards = _fetch_sites(plan)
-    key = ("bwd-step-seconds", config.device, config.n_devices)
-    step_seconds = plan._memo.get(key)
-    if step_seconds is None:
-        times = pricing.layer_times(plan.net, config.device, plan.batch,
-                                    plan.strategy, config.n_devices)
-        step_seconds = plan._memo[key] = tuple(
-            times[name][1] for name in plan.step.bwd_order)
-    ctx = PrefetchContext(
-        n_steps=len(step_seconds), sites=sites,
-        step_seconds=step_seconds,
-        fetch_seconds=tuple(map(pricer, shards)),
-        window=config.prefetch_window, stash=config.prefetch_stash)
-    return prefetch_policy(config.prefetch_policy).plan(ctx)
+    def build(policy: PrefetchPolicy) -> PrefetchSchedule:
+        fetch_pricer = (pricer if pricer is not None
+                        else iteration_pricer(plan, config))
+        sites, shards = _fetch_sites(plan)
+        key = ("bwd-step-seconds", config.device, config.n_devices)
+        step_seconds = plan._memo.get(key)
+        if step_seconds is None:
+            times = pricing.layer_times(plan.net, config.device,
+                                        plan.batch, plan.strategy,
+                                        config.n_devices)
+            step_seconds = plan._memo[key] = tuple(
+                times[name][1] for name in plan.step.bwd_order)
+        ctx = PrefetchContext(
+            n_steps=len(step_seconds), sites=sites,
+            step_seconds=step_seconds,
+            fetch_seconds=tuple(map(fetch_pricer, shards)),
+            window=config.prefetch_window, stash=config.prefetch_stash)
+        return policy.plan(ctx)
+
+    return _gate_plan(plan._memo, config, build)
 
 
 @dataclass(frozen=True)
@@ -406,26 +440,28 @@ class _OpStructure:
 
     Compute ops go straight into ``table`` with final durations; ops
     added through :meth:`sync`, :meth:`transfer` and :meth:`fetch`
-    hold 0.0 until :meth:`priced` fills them per design point from
-    ``comm`` (``(uid, primitive, nbytes)``) or ``dma`` (``(uid,
-    nbytes)``), both in uid order.  Every priced table shares the
-    prefetch index :func:`~repro.vmem.prefetch.collect_prefetch_stats`
-    reads, built once before the first priced copy.
+    hold 0.0 until :meth:`priced` fills them per design point.  They
+    are grouped as they are added: ``comm`` maps each distinct
+    ``(primitive, nbytes)`` to its collectives' uids and ``dma`` each
+    distinct byte count to its DMAs' uids, both in uid order.  Every
+    priced table shares the prefetch index
+    :func:`~repro.vmem.prefetch.collect_prefetch_stats` reads, built
+    once before the first priced copy.
     """
 
     __slots__ = ("table", "comm", "dma")
 
     def __init__(self) -> None:
         self.table = OpTable()
-        self.comm: list[tuple[int, object, int]] = []
-        self.dma: list[tuple[int, int]] = []
+        self.comm: dict[tuple[object, int], list[int]] = {}
+        self.dma: dict[int, list[int]] = {}
 
     def sync(self, primitive, nbytes: int, deps: list[int], tag: str,
              channel: int = 0) -> int:
         """Add a collective, priced per design point."""
         uid = self.table.add(EngineKind.COMM, 0.0, deps, tag=tag,
                              nbytes=nbytes, channel=channel)
-        self.comm.append((uid, primitive, nbytes))
+        self.comm.setdefault((primitive, nbytes), []).append(uid)
         return uid
 
     def transfer(self, engine: EngineKind, nbytes: int, deps: list[int],
@@ -433,7 +469,7 @@ class _OpStructure:
         """Add a DMA on ``engine``, priced per design point."""
         uid = self.table.add(engine, 0.0, deps, tag=tag, nbytes=nbytes,
                              channel=channel)
-        self.dma.append((uid, nbytes))
+        self.dma.setdefault(nbytes, []).append(uid)
         return uid
 
     def fetch(self, issue: FetchIssue, waste: tuple[WasteFetch, ...],
@@ -455,21 +491,25 @@ class _OpStructure:
 
     def priced(self, collective, pricer: pricing.MemoPricer) -> OpTable:
         """A fresh table with one design point's collective and DMA
-        prices; the structure itself is never modified."""
+        prices, each distinct key priced once for all of its ops; the
+        structure itself is never modified."""
         _index_prefetches(self.table)
         tags = self.table.tags
         durations = self.table.durations.copy()
-        for uid, primitive, nbytes in self.comm:
-            seconds = collective(primitive, nbytes)
-            if seconds < 0:
-                raise ValueError(f"op {tags[uid]}: negative duration")
-            durations[uid] = seconds
-        for uid, nbytes in self.dma:
-            seconds = pricer(nbytes)
-            if seconds < 0:
-                raise ValueError(f"op {tags[uid]}: negative duration")
-            durations[uid] = seconds
+        for (primitive, nbytes), uids in self.comm.items():
+            _fill(durations, uids, collective(primitive, nbytes), tags)
+        for nbytes, uids in self.dma.items():
+            _fill(durations, uids, pricer(nbytes), tags)
         return self.table._repriced(durations)
+
+
+def _fill(durations: list[float], uids: list[int], seconds: float,
+          tags: list[str]) -> None:
+    """Give every op in ``uids`` the price ``seconds``."""
+    if seconds < 0:
+        raise ValueError(f"op {tags[uids[0]]}: negative duration")
+    for uid in uids:
+        durations[uid] = seconds
 
 
 def _emit_forward(structure: _OpStructure, net: Network,

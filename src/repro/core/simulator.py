@@ -63,7 +63,7 @@ def simulate(config: SystemConfig, network: Network | str,
         mode: ``TRAINING`` (default) or ``INFERENCE``.  Request-level
             serving and multi-job cluster runs have their own entry
             points (:func:`repro.serving.simulate_serving`,
-            :func:`repro.cluster.simulate_cluster`).
+            :func:`repro.cluster.simulator.simulate_cluster`).
 
     Returns:
         A :class:`SimulationResult`.  ``iteration_time`` and every

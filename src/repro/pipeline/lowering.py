@@ -45,7 +45,7 @@ from repro.collectives.ring_algorithm import Primitive
 from repro.core import pricing
 from repro.core.metrics import PipelineStats
 from repro.core.optable import ColumnarTimeline, OpTable
-from repro.core.schedule import _OpStructure, vmem_pricer
+from repro.core.schedule import _gate_plan, _OpStructure, vmem_pricer
 from repro.core.system import SystemConfig
 from repro.core.timeline import EngineKind
 from repro.dnn.graph import Network
@@ -59,7 +59,7 @@ from repro.pipeline.schedules import (OpKind, PipelineSchedule,
                                       parse_schedule_kind,
                                       structural_bubble_time)
 from repro.vmem.prefetch import (FetchSite, PrefetchContext,
-                                 PrefetchSchedule, prefetch_policy)
+                                 PrefetchPolicy, PrefetchSchedule)
 
 
 @dataclass(frozen=True)
@@ -112,8 +112,9 @@ class PipelinePlan:
     replicas: int
     #: Virtual stages hosted per device (1 except ``interleaved``).
     chunks: int = 1
-    #: Derived from this plan only: its prefetch fetch sites and the
-    #: op structures emitted from it (see :func:`build_pipeline_ops`).
+    #: Derived from this plan only: its prefetch fetch sites, the gate
+    #: plans of policies that read no prices, and the op structures
+    #: emitted from it (see :func:`build_pipeline_ops`).
     #: Never copied: ``dataclasses.replace`` starts an empty memo.
     _memo: dict = field(default_factory=dict, init=False, repr=False,
                         compare=False)
@@ -202,21 +203,27 @@ def _layer_times(net: Network, device: DeviceSpec, microbatch: int,
     ``wgrad`` is zero; with it, ``bwd`` is the activation-grad (B)
     part and ``wgrad`` the deferrable dW part.  Memoized per network
     version, device, microbatch and split: every design point sharing
-    the device times each layer once.
+    the device times each layer once, and each distinct (GEMMs, stream
+    elements) layer shape is timed once per build.
     """
     def build() -> dict[str, tuple[float, float, float, bool]]:
+        timed: dict[tuple, tuple[float, float, float]] = {}
         times = {}
         for layer in net.layers:
             if layer.kind is LayerKind.INPUT:
                 continue
-            fwd = device.layer_fwd_time(layer, microbatch)
-            if split:
-                bwd, wgrad = device.layer_bwd_split_time(layer,
-                                                         microbatch)
-            else:
-                bwd = device.layer_bwd_time(layer, microbatch)
-                wgrad = 0.0
-            times[layer.name] = (fwd, bwd, wgrad, layer.is_cheap)
+            key = (layer.gemms, layer.stream_elems)
+            seconds = timed.get(key)
+            if seconds is None:
+                fwd = device.layer_fwd_time(layer, microbatch)
+                if split:
+                    bwd, wgrad = device.layer_bwd_split_time(layer,
+                                                             microbatch)
+                else:
+                    bwd = device.layer_bwd_time(layer, microbatch)
+                    wgrad = 0.0
+                seconds = timed[key] = (fwd, bwd, wgrad)
+            times[layer.name] = (*seconds, layer.is_cheap)
         return times
 
     return pricing._memoized(
@@ -466,23 +473,28 @@ def plan_pipeline_prefetch(plan: PipelinePlan, config: SystemConfig,
     Each stage owns a private DMA channel, so the policy plans each
     stage independently: the fetch sites are the stage's offloaded
     microbatches in backward-slot order, and the step estimates are the
-    stage's per-microbatch backward (B) time.
+    stage's per-microbatch backward (B) time.  Only ``cost-model``
+    prices the stash fetches and plans per design point; every other
+    policy plans once per plan (see
+    :func:`~repro.core.schedule._gate_plan`).
     """
-    if pricer is None:
-        pricer = pipeline_pricer(plan, config)
-    policy = prefetch_policy(config.prefetch_policy)
-    schedules = []
-    for stage, (step_seconds, sites) in zip(plan.stages,
-                                            _fetch_sites(plan)):
-        ctx = PrefetchContext(
-            n_steps=len(step_seconds), sites=sites,
-            step_seconds=step_seconds,
-            fetch_seconds=tuple(pricer(stage.stash_bytes)
-                                for _ in sites),
-            window=config.prefetch_window,
-            stash=config.prefetch_stash)
-        schedules.append(policy.plan(ctx))
-    return tuple(schedules)
+    def build(policy: PrefetchPolicy) -> tuple[PrefetchSchedule, ...]:
+        fetch_pricer = (pricer if pricer is not None
+                        else pipeline_pricer(plan, config))
+        schedules = []
+        for stage, (step_seconds, sites) in zip(plan.stages,
+                                                _fetch_sites(plan)):
+            ctx = PrefetchContext(
+                n_steps=len(step_seconds), sites=sites,
+                step_seconds=step_seconds,
+                fetch_seconds=tuple(fetch_pricer(stage.stash_bytes)
+                                    for _ in sites),
+                window=config.prefetch_window,
+                stash=config.prefetch_stash)
+            schedules.append(policy.plan(ctx))
+        return tuple(schedules)
+
+    return _gate_plan(plan._memo, config, build)
 
 
 def build_pipeline_ops(plan: PipelinePlan, config: SystemConfig,

@@ -27,8 +27,8 @@ from typing import Any
 
 from repro.accelerator.generations import generation
 from repro.campaign.points import canonical_fingerprint, canonicalize
-from repro.cluster import (DEFAULT_ARRIVAL_RATE, DEFAULT_FLEET_DEVICES,
-                           DEFAULT_JOBS)
+from repro.cluster.jobs import (DEFAULT_ARRIVAL_RATE,
+                                DEFAULT_FLEET_DEVICES, DEFAULT_JOBS)
 from repro.naming import (resolve_design, resolve_fault_model,
                           resolve_network, resolve_schedule, resolve_spec)
 from repro.records import record
@@ -177,7 +177,7 @@ class TrafficSpec:
 class FleetSpec:
     """A multi-job fleet: declaring one turns the scenario cluster.
 
-    Its defaults are :func:`repro.cluster.simulate_cluster`'s.
+    Its defaults are :func:`repro.cluster.simulator.simulate_cluster`'s.
     """
 
     policy: str = "fifo"

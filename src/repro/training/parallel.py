@@ -67,7 +67,7 @@ class PartitionedLayer:
         return sum(g.macs for g in self.fwd_gemms)
 
 
-def _shard_gemms(gemms: list[Gemm], shards: int) -> tuple[Gemm, ...]:
+def _shard_gemms(gemms: tuple[Gemm, ...], shards: int) -> tuple[Gemm, ...]:
     """Split each GEMM's output-feature dimension N across devices."""
     return tuple(Gemm(g.m, max(1, math.ceil(g.n / shards)), g.k,
                       a_reuse=g.a_reuse, c_reuse=g.c_reuse)
@@ -80,6 +80,29 @@ def _grad_gemms(fwd: tuple[Gemm, ...]) -> tuple[Gemm, ...]:
         grads.append(Gemm(g.m, g.k, g.n, c_reuse=g.a_reuse))   # dX
         grads.append(Gemm(g.k, g.n, g.m, a_reuse=g.a_reuse))   # dW
     return tuple(grads)
+
+
+def _resolve_gemms(net: Network, batch: int, shards: int | None) \
+        -> list[tuple[tuple[Gemm, ...], tuple[Gemm, ...]]]:
+    """Per layer, in layer order: its forward GEMMs at ``batch`` (split
+    N-wise over ``shards`` devices when given) and their gradient
+    GEMMs.
+
+    Each distinct ``layer.gemms`` tuple is resolved once, so layers
+    with equal tuples (a recurrent network's timesteps) share one pair
+    of tuples.
+    """
+    resolved: dict[tuple[Gemm, ...], tuple] = {}
+    out = []
+    for layer in net.layers:
+        pair = resolved.get(layer.gemms)
+        if pair is None:
+            fwd = tuple(layer.fwd_gemms(batch))
+            if shards is not None:
+                fwd = _shard_gemms(fwd, shards)
+            pair = resolved[layer.gemms] = (fwd, _grad_gemms(fwd))
+        out.append(pair)
+    return out
 
 
 def _input_bytes(net: Network, name: str, batch: int) -> int:
@@ -113,8 +136,8 @@ def _partition_data(net: Network, batch: int,
     local_batch = batch
     group_sync = _recurrent_sync_layers(net) if n_devices > 1 else {}
     parts = []
-    for layer in net.layers:
-        fwd = tuple(layer.fwd_gemms(local_batch))
+    for layer, (fwd, bwd) in zip(net.layers,
+                                 _resolve_gemms(net, local_batch, None)):
         bwd_sync = None
         if n_devices > 1 and layer.weight_elems:
             if layer.weight_group:
@@ -125,7 +148,7 @@ def _partition_data(net: Network, batch: int,
                 bwd_sync = SyncOp(Primitive.ALL_REDUCE, layer.weight_bytes)
         parts.append(PartitionedLayer(
             name=layer.name, kind=layer.kind,
-            fwd_gemms=fwd, bwd_gemms=_grad_gemms(fwd),
+            fwd_gemms=fwd, bwd_gemms=bwd,
             fwd_stream_bytes=layer.fwd_stream_bytes(local_batch),
             out_shard_bytes=layer.out_bytes(local_batch),
             fwd_sync=None, bwd_sync=bwd_sync,
@@ -136,9 +159,8 @@ def _partition_data(net: Network, batch: int,
 def _partition_model(net: Network, batch: int,
                      n_devices: int) -> list[PartitionedLayer]:
     parts = []
-    for layer in net.layers:
-        full = tuple(layer.fwd_gemms(batch))
-        fwd = _shard_gemms(list(full), n_devices)
+    for layer, (fwd, bwd) in zip(net.layers,
+                                 _resolve_gemms(net, batch, n_devices)):
         fwd_sync = None
         bwd_sync = None
         if n_devices > 1 and fwd and layer.kind is not LayerKind.INPUT:
@@ -157,7 +179,7 @@ def _partition_model(net: Network, batch: int,
         # is why it stresses DC-DLA even harder (Figure 11(b)).
         parts.append(PartitionedLayer(
             name=layer.name, kind=layer.kind,
-            fwd_gemms=fwd, bwd_gemms=_grad_gemms(fwd),
+            fwd_gemms=fwd, bwd_gemms=bwd,
             fwd_stream_bytes=max(
                 1, layer.fwd_stream_bytes(batch) // n_devices)
             if layer.fwd_stream_bytes else 0,

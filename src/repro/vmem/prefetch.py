@@ -33,8 +33,12 @@ steps).  This module makes the choice a policy:
 
 Policies turn a :class:`PrefetchContext` (the fetch sites of one
 schedule plus the cost estimates) into a :class:`PrefetchSchedule`
-(per-fetch gate steps, speculative waste fetches, evictions).  The
-schedule builders in :mod:`repro.core.schedule` and
+(per-fetch gate steps, speculative waste fetches, evictions).  Only
+``cost-model`` reads the context's cost estimates
+(:attr:`PrefetchPolicy.reads_costs`); the other schedules depend on
+the fetch sites, window and stash alone, so every design point
+sharing a plan shares them.  The schedule builders in
+:mod:`repro.core.schedule` and
 :mod:`repro.pipeline.lowering` emit ops from that schedule, and
 :func:`collect_prefetch_stats` distils the scheduled timeline into the
 :class:`~repro.core.metrics.PrefetchStats` block campaigns persist.
@@ -207,9 +211,17 @@ def choose_victim(residents: Sequence[FetchSite], frontier: int,
 
 
 class PrefetchPolicy:
-    """Interface: turn a context into an issue schedule."""
+    """Interface: turn a context into an issue schedule.
+
+    ``reads_costs`` says whether :meth:`plan` reads the context's
+    ``step_seconds`` or ``fetch_seconds``.  A policy that reads neither
+    plans one schedule for every design point sharing the fetch sites,
+    so the schedule builders plan it once per plan; a policy that does
+    (the default) is planned per design point.
+    """
 
     name: str = "abstract"
+    reads_costs: bool = True
 
     def plan(self, ctx: PrefetchContext) -> PrefetchSchedule:
         raise NotImplementedError
@@ -219,6 +231,7 @@ class OnDemandPolicy(PrefetchPolicy):
     """The seed's bounded lookahead, reproduced gate-for-gate."""
 
     name = ON_DEMAND
+    reads_costs = False
 
     def plan(self, ctx: PrefetchContext) -> PrefetchSchedule:
         issues = []
@@ -232,6 +245,7 @@ class NextOpPolicy(PrefetchPolicy):
     """One step of lookahead: fetch while the previous op runs."""
 
     name = "next-op"
+    reads_costs = False
 
     def plan(self, ctx: PrefetchContext) -> PrefetchSchedule:
         issues = []
@@ -250,6 +264,7 @@ class ClairvoyantPolicy(PrefetchPolicy):
     """
 
     name = "clairvoyant"
+    reads_costs = False
 
     def plan(self, ctx: PrefetchContext) -> PrefetchSchedule:
         issues = tuple(FetchIssue(site, None) for site in ctx.sites)
@@ -306,6 +321,7 @@ class StridePolicy(PrefetchPolicy):
     """
 
     name = "stride"
+    reads_costs = False
 
     def plan(self, ctx: PrefetchContext) -> PrefetchSchedule:
         base_depth = STRIDE_DEPTH_FACTOR * ctx.window

@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.cluster import (CostOracle, JobKind, JobSpec, MemoryPool,
-                           QueueEntry, Release, earliest_start,
-                           generate_jobs, select_next, simulate_cluster,
-                           spill_dilation, spill_penalty)
-from repro.cluster.jobs import JOB_MIX_NAMES
-from repro.cluster.oracle import JobProfile, policy_exposure
-from repro.cluster.simulator import _Ledger, fold_stats, percentile
+from repro.cluster.jobs import (JOB_MIX_NAMES, JobKind, JobSpec,
+                                generate_jobs)
+from repro.cluster.oracle import CostOracle, JobProfile, policy_exposure
+from repro.cluster.policies import (QueueEntry, Release, earliest_start,
+                                    select_next)
+from repro.cluster.pool import MemoryPool, spill_dilation, spill_penalty
+from repro.cluster.simulator import (_Ledger, fold_stats, percentile,
+                                     simulate_cluster)
 from repro.core.design_points import design_point
 from repro.core.metrics import ClusterStats, ExecutionMode, SimulationResult
 from repro.core.simulator import simulate

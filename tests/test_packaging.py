@@ -7,7 +7,7 @@ run manifest -- may load a module from outside the standard library.
 The checks run in a fresh interpreter, so modules the test runner has
 already imported cannot hide an import.  The same way, lowering one
 scenario in process (what ``repro trace`` does) must not load the
-campaign runner's process pool.
+campaign runner's process pool or the cluster scheduler.
 """
 
 from __future__ import annotations
@@ -81,5 +81,28 @@ print(json.dumps([name for name in ("multiprocessing",
 def test_lowering_a_scenario_loads_no_process_pool():
     env = dict(os.environ, PYTHONPATH=str(SRC))
     done = subprocess.run([sys.executable, "-c", TRACE_PROBE], env=env,
+                          capture_output=True, text=True, check=True)
+    assert json.loads(done.stdout.splitlines()[-1]) == []
+
+
+#: Imports what ``repro trace`` needs to lower one scenario and prints
+#: which cluster scheduler modules came with it.
+CLUSTER_PROBE = """
+import json
+import sys
+
+import repro.scenarios.lowering
+
+print(json.dumps([name for name in ("repro.cluster.simulator",
+                                    "repro.cluster.policies",
+                                    "repro.cluster.oracle",
+                                    "repro.cluster.pool")
+                  if name in sys.modules]))
+"""
+
+
+def test_lowering_a_scenario_loads_no_cluster_scheduler():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, "-c", CLUSTER_PROBE], env=env,
                           capture_output=True, text=True, check=True)
     assert json.loads(done.stdout.splitlines()[-1]) == []

@@ -24,6 +24,8 @@ import dataclasses
 
 import pytest
 
+from repro.accelerator.device import DeviceSpec
+from repro.accelerator.pe_array import PeArraySpec
 from repro.cluster.simulator import simulate_cluster
 from repro.core import pricing
 from repro.core.design_points import DESIGN_ORDER, design_point
@@ -36,7 +38,7 @@ from repro.core.timeline import EngineKind
 from repro.dnn.layers import Layer, LayerKind
 from repro.dnn.registry import (BENCHMARK_NAMES, benchmark_info,
                                 build_network)
-from repro.dnn.shapes import fc_gemm
+from repro.dnn.shapes import Gemm, fc_gemm
 from repro.experiments.ablations import _recompute_plan
 from repro.faults.lowering import degraded_config, healthy_config
 from repro.pipeline.lowering import plan_pipeline
@@ -46,6 +48,7 @@ from repro.scenarios.paper import paper_suite
 from repro.serving.server import simulate_serving
 from repro.telemetry.registry import disable_metrics, enable_metrics
 from repro.training.parallel import ParallelStrategy
+from repro.vmem.prefetch import PREFETCH_POLICY_ORDER, prefetch_policy
 
 
 def cold_and_warm(thunk) -> SimulationResult:
@@ -268,6 +271,101 @@ class TestStructureSharing:
                 plan_iteration(net, config, 512, strategy),
                 config) == schedule
         pricing.clear_caches()
+
+    @pytest.mark.parametrize("policy", ("on-demand", "cost-model"))
+    def test_only_cost_model_plans_per_design(self, monkeypatch, policy):
+        """On one shared plan, a price-blind policy's schedule is
+        planned once and shared by all five migrating designs;
+        ``cost-model`` plans each design from its own prices, and its
+        gates differ between designs on this grid cell."""
+        calls = [0]
+        policy_type = type(prefetch_policy(policy))
+        original = policy_type.plan
+
+        def counting_plan(self, ctx):
+            calls[0] += 1
+            return original(self, ctx)
+
+        net = build_network("GoogLeNet")
+        migrating = [
+            dataclasses.replace(config, prefetch_policy=policy)
+            for config in map(design_point, DESIGN_ORDER)
+            if config.virtualizes]
+        pricing.clear_caches()
+        monkeypatch.setattr(policy_type, "plan", counting_plan)
+        schedules = [
+            plan_training_prefetch(
+                plan_iteration(net, config, 512, ParallelStrategy.DATA),
+                config)
+            for config in migrating]
+        gates = {tuple(issue.gate_step for issue in schedule.issues)
+                 for schedule in schedules}
+        if policy == "cost-model":
+            assert calls[0] == 5 and len(gates) == 4
+        else:
+            assert calls[0] == 1
+            assert all(s is schedules[0] for s in schedules)
+        for config, schedule in zip(migrating, schedules):
+            pricing.clear_caches()
+            assert plan_training_prefetch(
+                plan_iteration(net, config, 512, ParallelStrategy.DATA),
+                config) == schedule
+        pricing.clear_caches()
+
+    def test_grid_prices_each_distinct_thing_once(self, monkeypatch):
+        """One grid pass plans each plan's gates once, prices each
+        distinct collective and DMA key once per design and op
+        structure, and resolves and times each distinct GEMM shape
+        once per partition and timing build."""
+        calls = dict.fromkeys(("plan", "gemm", "gemm_time", "op_time"), 0)
+
+        def count(owner, name, key):
+            original = getattr(owner, name)
+
+            def counting(*args, **kwargs):
+                calls[key] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counting)
+
+        for network in BENCHMARK_NAMES:
+            build_network(network)   # built (and cached) uncounted
+        for name in PREFETCH_POLICY_ORDER:
+            count(type(prefetch_policy(name)), "plan", "plan")
+        count(Gemm, "__post_init__", "gemm")
+        count(PeArraySpec, "gemm_time", "gemm_time")
+        count(DeviceSpec, "op_time", "op_time")
+        pricing.clear_caches()
+        registry = enable_metrics(fresh=True)
+        try:
+            for config, network, strategy in _grid_cells():
+                simulate(config, network, 512, strategy)
+            counters = {
+                (entry["name"], entry["labels"].get("memo")):
+                    entry["value"]
+                for entry in registry.snapshot()["counters"]}
+        finally:
+            disable_metrics()
+            pricing.clear_caches()
+
+        def lookups(memo):
+            return (counters[("repro_pricing_memo_hits_total", memo)]
+                    + counters[("repro_pricing_memo_misses_total", memo)])
+
+        # Planning and pricing per design point, and resolving and
+        # timing per layer, would make 96 gate plans, 11,616 collective
+        # and 12,180 DMA prices, 4,872 GEMMs, and time 4,176 GEMMs and
+        # 3,640 kernels.
+        assert calls == {"plan": 32, "gemm": 630, "gemm_time": 540,
+                         "op_time": 486}
+        assert counters[("repro_pricing_memo_misses_total",
+                         "gate-plan")] == 32
+        assert counters[("repro_pricing_memo_hits_total",
+                         "gate-plan")] == 64
+        # 500 DMA prices fill the priced tables and 812 are the fetch
+        # prices of the 32 gate plans.
+        assert lookups("dma") == 1312
+        assert lookups("collective") == 2160
 
 
 def _suite_pipeline_cells():

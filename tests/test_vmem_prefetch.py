@@ -6,6 +6,7 @@ import dataclasses
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.design_points import design_point
 from repro.core.metrics import ExecutionMode, PrefetchStats
@@ -157,6 +158,53 @@ class TestCostModel:
         ctx = make_context([0])
         sched = prefetch_policy("cost-model").plan(ctx)
         assert sched.issues[0].gate_step is None
+
+
+costs = st.floats(min_value=0.0, max_value=1e3, allow_nan=False)
+
+
+@st.composite
+def repriced_contexts(draw):
+    """One set of fetch sites under two arbitrary sets of step and
+    fetch estimates."""
+    n_steps = draw(st.integers(1, 12))
+    uses = sorted(draw(st.lists(st.integers(0, n_steps - 1), max_size=10)))
+    sites = tuple(FetchSite(f"t{i}", use, draw(st.integers(0, 1000)))
+                  for i, use in enumerate(uses))
+    window = draw(st.integers(1, 4))
+    stash = draw(st.integers(1, 4))
+    return tuple(PrefetchContext(
+        n_steps=n_steps, sites=sites,
+        step_seconds=tuple(draw(st.lists(costs, min_size=n_steps,
+                                         max_size=n_steps))),
+        fetch_seconds=tuple(draw(st.lists(costs, min_size=len(sites),
+                                          max_size=len(sites)))),
+        window=window, stash=stash) for _ in range(2))
+
+
+class TestReadsCosts:
+    """Gate plans are shared across design points only for policies
+    that declare they read no cost estimates."""
+
+    def test_only_cost_model_reads_costs(self):
+        assert [name for name in PREFETCH_POLICY_ORDER
+                if prefetch_policy(name).reads_costs] == ["cost-model"]
+
+    @given(repriced_contexts())
+    @settings(max_examples=200, deadline=None)
+    def test_price_blind_policies_ignore_costs(self, contexts):
+        first, second = contexts
+        for name in PREFETCH_POLICY_ORDER:
+            policy = prefetch_policy(name)
+            if not policy.reads_costs:
+                assert policy.plan(first) == policy.plan(second)
+
+    def test_cost_model_gate_moves_with_fetch_price(self):
+        cheap = make_context([6], step_time=1.0, fetch_time=0.5)
+        dear = dataclasses.replace(cheap, fetch_seconds=(1.5,))
+        policy = prefetch_policy("cost-model")
+        assert policy.plan(cheap).issues[0].gate_step == 4
+        assert policy.plan(dear).issues[0].gate_step == 3
 
 
 class TestStride:
