@@ -19,10 +19,12 @@ suite fails when any entry runs more than ``TOLERANCE`` (20%) over its
 committed baseline.
 
 ``--quick`` runs the reduced CI sections only (the bench-regression CI
-step's budget is a few seconds); ``--update`` rewrites the committed
-baselines from this run.  ``repro.core.pricing.clear_caches()`` is
-called before every cold timing so cold numbers measure simulation,
-never memo replay.
+step's budget is a few seconds).  ``--update`` re-records the sections
+the same command would check, measured in the same order: the full
+sections, or with ``--quick`` the quick ones; each file keeps the
+committed entries of the section the run did not measure.
+``repro.core.pricing.clear_caches()`` is called before every cold
+timing so cold numbers measure simulation, never memo replay.
 """
 
 from __future__ import annotations
@@ -249,8 +251,9 @@ def main(argv: list[str] | None = None) -> int:
                         help="CI mode: run only the reduced sections "
                              "(a few seconds total)")
     parser.add_argument("--update", action="store_true",
-                        help="rewrite the committed baselines from "
-                             "this run (runs full AND quick sections)")
+                        help="re-record the sections this command "
+                             "checks (the full ones, or the quick ones "
+                             "with --quick) and keep the other's")
     parser.add_argument("--root", default=str(REPO_ROOT),
                         help=argparse.SUPPRESS)
     from repro.telemetry.session import (TelemetrySession,
@@ -281,64 +284,58 @@ def main(argv: list[str] | None = None) -> int:
         spin = calibration_spin()
         print(f"calibration spin: {spin * 1e3:.2f} ms")
         problems: list[str] = []
-        retry: list[tuple[str, str]] = []
+        retry: list[str] = []
+        section = "quick" if args.quick else "full"
         for suite in suites:
-            sections = (("full", "quick") if args.update
-                        else (("quick",) if args.quick else ("full",)))
-            measured = {}
-            for section in sections:
-                t0 = time.perf_counter()
-                measured[section] = run_suite(suite,
-                                              quick=section == "quick",
-                                              spin=spin)
-                took = time.perf_counter() - t0
-                n = len(measured[section]["entries"])
-                print(f"{suite}/{section}: {n} timings in {took:.2f}s")
-                for label, cell in measured[section]["entries"].items():
-                    print(f"  {label:<28} "
-                          f"{cell['seconds'] * 1e3:9.2f} ms "
-                          f"(x{cell['normalized']:.1f} spin)")
+            t0 = time.perf_counter()
+            current = run_suite(suite, quick=args.quick, spin=spin)
+            took = time.perf_counter() - t0
+            n = len(current["entries"])
+            print(f"{suite}/{section}: {n} timings in {took:.2f}s")
+            for label, cell in current["entries"].items():
+                print(f"  {label:<28} "
+                      f"{cell['seconds'] * 1e3:9.2f} ms "
+                      f"(x{cell['normalized']:.1f} spin)")
 
             path = bench_path(suite, root)
             if args.update:
-                doc = {"suite": suite,
-                       "calibration_seconds": round(spin, 6),
-                       "tolerance": TOLERANCE, **measured}
+                doc = (json.loads(path.read_text()) if path.exists()
+                       else {"suite": suite})
+                doc.update({"calibration_seconds": round(spin, 6),
+                            "tolerance": TOLERANCE, section: current})
                 path.write_text(json.dumps(doc, indent=2,
                                            sort_keys=True) + "\n")
-                print(f"wrote {path}")
+                print(f"wrote {path} ({section} section)")
                 continue
             if not path.exists():
                 problems.append(f"{suite}: no baseline at {path} "
                                 f"(run with --update to create it)")
                 continue
             baseline = json.loads(path.read_text())
-            for section, current in measured.items():
-                found = check_section(suite, section, current,
-                                      baseline.get(section, {}))
-                if found:
-                    retry.append((suite, section))
-                problems.extend(found)
+            found = check_section(suite, section, current,
+                                  baseline.get(section, {}))
+            if found:
+                retry.append(suite)
+            problems.extend(found)
 
         # Confirm-on-retry: a real regression is deterministic, a
         # noisy neighbor on a shared runner is not.  Re-measure each
         # suspect section once (fresh spin) and keep only regressions
         # that reproduce.
-        if retry and not args.update:
+        if retry:
             confirmed: list[str] = []
             spin = calibration_spin()
             print(f"\nre-checking {len(retry)} suspect section(s) "
                   f"(spin {spin * 1e3:.2f} ms)")
-            for suite, section in retry:
-                again = run_suite(suite, quick=section == "quick",
-                                  spin=spin)
+            for suite in retry:
+                again = run_suite(suite, quick=args.quick, spin=spin)
                 baseline = json.loads(
                     bench_path(suite, root).read_text())
                 confirmed.extend(check_section(
                     suite, section, again, baseline.get(section, {})))
             problems = [p for p in problems
                         if not p.startswith(tuple(
-                            f"{s}/{sec}/" for s, sec in retry))]
+                            f"{s}/{section}/" for s in retry))]
             problems.extend(confirmed)
 
     if problems:

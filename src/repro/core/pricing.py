@@ -30,6 +30,14 @@ through:
   same store; each plan carries its price-blind gate plans and the op
   structures emitted from it (one per prefetch gate plan), re-priced
   per design the same way;
+* one memo per inference network shape of
+  :func:`repro.core.schedule.plan_inference` (network, strategy,
+  device count, virtualization, and the batch under model
+  parallelism), in the same store, holding the shape's streamed
+  weights, price-blind gate plans and op structures, which every
+  batch and design point of the shape prices, compute included;
+* :func:`batch_latencies` -- the forward-only results of one design
+  and network per batch size, shared by every serving latency model;
 * :func:`layer_times` -- per-layer (forward, backward) seconds for a
   (device, batch, strategy, n_devices) cell, shared by every design
   point with the same device model; each build times a distinct
@@ -87,7 +95,7 @@ _CLUSTER_CELLS: dict = {}
 _MEMO_NAMES = ("partition", "migration", "layer-times", "collective",
                "dma", "cluster-cell", "iteration-plan", "op-structure",
                "gate-plan", "pipeline-plan", "pipeline-partition",
-               "stage-times")
+               "stage-times", "inference-shape", "batch-latency")
 _HITS: dict = dict.fromkeys(_MEMO_NAMES, NOOP)
 _MISSES: dict = dict.fromkeys(_MEMO_NAMES, NOOP)
 
@@ -282,3 +290,16 @@ def cached_cluster_cell(config: "SystemConfig", key: tuple,
     else:
         _HITS["cluster-cell"].inc()
     return _CLUSTER_CELLS[full_key]
+
+
+def batch_latencies(net: "Network", config: "SystemConfig") \
+        -> "dict[int, SimulationResult]":
+    """The batch -> forward-only result memo of one design and network.
+
+    Shared by every serving latency model of the pair
+    (:class:`repro.serving.server.BatchLatencyModel`), so a batch size
+    is simulated once per design and network, not once per model.
+    """
+    return _memoized(_net_cache(net),
+                     ("batch-latency", net.version, config),
+                     "batch-latency", dict)

@@ -14,8 +14,10 @@ share one forward emitter.  Design points that differ only in their
 interconnect and memory pool emit the same training op DAG, so
 :func:`build_iteration_ops` emits each DAG once per iteration plan and
 gives every design its own priced copy, as
-:func:`repro.pipeline.lowering.build_pipeline_ops` does for pipelines;
-inference structures are emitted per call.
+:func:`repro.pipeline.lowering.build_pipeline_ops` does for pipelines.
+:func:`build_inference_ops` emits each forward-only DAG once per
+network shape, and also prices its compute durations per cell, so
+every batch of a data-parallel shape shares it.
 """
 
 from __future__ import annotations
@@ -145,17 +147,19 @@ def contention_fraction(compute_seconds: float,
     return min(1.0, comm_seconds / compute_seconds)
 
 
-def vmem_pricer(config: SystemConfig, compute_seconds: float,
-                comm_seconds: float) -> pricing.MemoPricer:
+def vmem_pricer(config: SystemConfig,
+                seconds: Callable[[], tuple[float, float]]) \
+        -> pricing.MemoPricer:
     """The DMA pricing the active prefetch policy implies.
 
     The legacy ``on-demand`` baseline keeps the paper's conservative
     always-contended pricing (its schedules must stay byte-identical
-    to the seed's); the policy engine prices with the plan's measured
-    contention fraction instead.
+    to the seed's), so it never calls ``seconds``; the policy engine
+    prices with the plan's measured contention fraction instead, from
+    the ``(compute, collective)`` seconds that ``seconds()`` walks.
     """
     fraction = (1.0 if config.prefetch_policy == ON_DEMAND
-                else contention_fraction(compute_seconds, comm_seconds))
+                else contention_fraction(*seconds()))
     return pricing.MemoPricer(
         lambda nbytes: config.vmem.transfer_time(nbytes, fraction))
 
@@ -205,8 +209,7 @@ def _iteration_seconds(plan: IterationPlan,
 def iteration_pricer(plan: IterationPlan,
                      config: SystemConfig) -> pricing.MemoPricer:
     """The migration-DMA pricer of one training iteration."""
-    compute, comm = _iteration_seconds(plan, config)
-    return vmem_pricer(config, compute, comm)
+    return vmem_pricer(config, lambda: _iteration_seconds(plan, config))
 
 
 def _fetch_sites(plan: IterationPlan) \
@@ -302,6 +305,13 @@ class InferencePlan:
     #: (tied ``weight_group`` buffers are fetched once, at the first
     #: member).
     streamed_weights: dict[str, int]
+    #: Shared by every plan of one network shape (see
+    #: :func:`plan_inference`): the streamed weights, the gate plans of
+    #: policies that read no prices, and the op structures emitted
+    #: from it (see :func:`build_inference_ops`).
+    #: Never copied: ``dataclasses.replace`` starts an empty memo.
+    _memo: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
 
     @property
     def weight_stream_bytes_per_device(self) -> int:
@@ -318,30 +328,53 @@ class InferencePlan:
 
 def plan_inference(net: Network, config: SystemConfig, batch: int,
                    strategy: ParallelStrategy) -> InferencePlan:
-    """Partition the network and derive the weight-streaming plan."""
+    """Partition the network and derive the weight-streaming plan.
+
+    Apart from its compute times, a forward-only batch depends only on
+    its network shape: the network, strategy, device count and
+    virtualization setting, plus the batch under model parallelism,
+    whose all-gathers carry batch-sized bytes.  Every plan of one
+    shape carries the same memo, kept in the network's pricing cache,
+    so the streamed weights, gate plans and op structures are derived
+    once per shape and shared by every batch and design point.
+    """
     if strategy is ParallelStrategy.PIPELINE:
         raise ValueError(
             "inference serving replicates the model per device; "
             "pipeline-parallel inference is not modeled")
-    parts = {p.name: p for p in pricing.cached_partition(
-        net, batch, strategy, config.n_devices)}
-    streamed: dict[str, int] = {}
-    if config.virtualizes:
-        seen_groups: set[str] = set()
-        for layer in net.layers:
-            if not layer.weight_elems:
-                continue
-            if layer.weight_group:
-                if layer.weight_group in seen_groups:
+    n_devices = config.n_devices
+    virtualizes = config.virtualizes
+
+    def shape() -> dict:
+        streamed: dict[str, int] = {}
+        if virtualizes:
+            seen_groups: set[str] = set()
+            for layer in net.layers:
+                if not layer.weight_elems:
                     continue
-                seen_groups.add(layer.weight_group)
-            nbytes = layer.weight_bytes
-            if strategy is ParallelStrategy.MODEL:
-                # Model-parallel shards each weight matrix N-wise.
-                nbytes = max(1, nbytes // config.n_devices)
-            streamed[layer.name] = nbytes
-    return InferencePlan(net=net, batch=batch, strategy=strategy,
-                         parts=parts, streamed_weights=streamed)
+                if layer.weight_group:
+                    if layer.weight_group in seen_groups:
+                        continue
+                    seen_groups.add(layer.weight_group)
+                nbytes = layer.weight_bytes
+                if strategy is ParallelStrategy.MODEL:
+                    # Model-parallel shards each weight matrix N-wise.
+                    nbytes = max(1, nbytes // n_devices)
+                streamed[layer.name] = nbytes
+        return {"streamed": streamed}
+
+    memo = pricing._memoized(
+        pricing._net_cache(net),
+        ("inference-shape", net.version, strategy, n_devices, virtualizes,
+         batch if strategy is ParallelStrategy.MODEL else None),
+        "inference-shape", shape)
+    plan = InferencePlan(
+        net=net, batch=batch, strategy=strategy,
+        parts={p.name: p for p in pricing.cached_partition(
+            net, batch, strategy, n_devices)},
+        streamed_weights=memo["streamed"])
+    object.__setattr__(plan, "_memo", memo)
+    return plan
 
 
 def _inference_seconds(plan: InferencePlan,
@@ -366,8 +399,7 @@ def _inference_seconds(plan: InferencePlan,
 def inference_pricer(plan: InferencePlan,
                      config: SystemConfig) -> pricing.MemoPricer:
     """The weight-streaming DMA pricer of one inference batch."""
-    compute, comm = _inference_seconds(plan, config)
-    return vmem_pricer(config, compute, comm)
+    return vmem_pricer(config, lambda: _inference_seconds(plan, config))
 
 
 def plan_inference_prefetch(plan: InferencePlan, config: SystemConfig,
@@ -377,30 +409,37 @@ def plan_inference_prefetch(plan: InferencePlan, config: SystemConfig,
 
     Streamed weights are fetch sites exactly like training stashes:
     the consuming step of layer *k*'s weights is its forward compute,
-    indexed by position among the non-input layers.
+    indexed by position among the non-input layers.  Only
+    ``cost-model`` prices its fetches and plans per call; every other
+    policy plans once per network shape (see :func:`_gate_plan`).
     """
-    if pricer is None:
-        pricer = inference_pricer(plan, config)
-    times = pricing.layer_times(plan.net, config.device, plan.batch,
-                                plan.strategy, config.n_devices)
-    step_seconds = []
-    sites = []
-    step_index = 0
-    for name in plan.net.layer_names:
-        layer = plan.net.layer(name)
-        if layer.kind is LayerKind.INPUT:
-            continue
-        step_seconds.append(times[name][0])
-        if name in plan.streamed_weights:
-            sites.append(FetchSite(producer=name, use_step=step_index,
-                                   nbytes=plan.streamed_weights[name]))
-        step_index += 1
-    ctx = PrefetchContext(
-        n_steps=step_index, sites=tuple(sites),
-        step_seconds=tuple(step_seconds),
-        fetch_seconds=tuple(pricer(site.nbytes) for site in sites),
-        window=config.prefetch_window, stash=config.prefetch_stash)
-    return prefetch_policy(config.prefetch_policy).plan(ctx)
+    def build(policy: PrefetchPolicy) -> PrefetchSchedule:
+        fetch_pricer = (pricer if pricer is not None
+                        else inference_pricer(plan, config))
+        times = pricing.layer_times(plan.net, config.device, plan.batch,
+                                    plan.strategy, config.n_devices)
+        step_seconds = []
+        sites = []
+        step_index = 0
+        for name in plan.net.layer_names:
+            layer = plan.net.layer(name)
+            if layer.kind is LayerKind.INPUT:
+                continue
+            step_seconds.append(times[name][0])
+            if name in plan.streamed_weights:
+                sites.append(FetchSite(
+                    producer=name, use_step=step_index,
+                    nbytes=plan.streamed_weights[name]))
+            step_index += 1
+        ctx = PrefetchContext(
+            n_steps=step_index, sites=tuple(sites),
+            step_seconds=tuple(step_seconds),
+            fetch_seconds=tuple(fetch_pricer(site.nbytes)
+                                for site in sites),
+            window=config.prefetch_window, stash=config.prefetch_stash)
+        return policy.plan(ctx)
+
+    return _gate_plan(plan._memo, config, build)
 
 
 def build_inference_ops(plan: InferencePlan, config: SystemConfig,
@@ -414,11 +453,34 @@ def build_inference_ops(plan: InferencePlan, config: SystemConfig,
     prefetch policy (the legacy bounded lookahead under ``on-demand``),
     so a fast backing store hides them behind compute and a slow one
     exposes them -- the serving-time memory wall.
+
+    The op structure is emitted once per network shape and prefetch
+    gate plan, and kept in the plan's shape memo (inference offloads
+    nothing, so the offload window plays no part); every call returns
+    a new table with this cell's compute times and its collective and
+    DMA prices.
     """
     if pricer is None:
         pricer = inference_pricer(plan, config)
     if prefetch is None:
         prefetch = plan_inference_prefetch(plan, config, pricer)
+    times = pricing.layer_times(plan.net, config.device, plan.batch,
+                                plan.strategy, config.n_devices)
+    key = ("op-structure",
+           tuple(issue.gate_step for issue in prefetch.issues),
+           prefetch.waste)
+    structure = pricing._memoized(
+        plan._memo, key, "op-structure",
+        lambda: _emit_inference(plan, config, prefetch, times))
+    return structure.priced(pricing.collective_pricer(config.collectives),
+                            pricer, times)
+
+
+def _emit_inference(plan: InferencePlan, config: SystemConfig,
+                    prefetch: PrefetchSchedule, times: dict) \
+        -> _OpStructure:
+    """Emit one forward-only batch's op structure, its forward compute
+    ops priced per cell (see :class:`_OpStructure`)."""
     # Site k is the k-th streamed layer in layer order.
     waste_before = prefetch.waste_before()
     fetched = {name: (prefetch.issues[site], waste_before.get(site, ()),
@@ -426,35 +488,38 @@ def build_inference_ops(plan: InferencePlan, config: SystemConfig,
                for site, (name, nbytes)
                in enumerate(plan.streamed_weights.items())}
     structure = _OpStructure()
-    times = pricing.layer_times(plan.net, config.device, plan.batch,
-                                plan.strategy, config.n_devices)
-    _emit_forward(structure, plan.net, plan.parts, times,
-                  config.offload_window, fetched, {}, {})
-    return structure.priced(pricing.collective_pricer(config.collectives),
-                            pricer)
+    fwd_ready, _ = _emit_forward(structure, plan.net, plan.parts, times,
+                                 config.offload_window, fetched, {}, {})
+    structure.compute = {name: uid for name, uid in fwd_ready.items()
+                         if uid is not None}
+    return structure
 
 
 class _OpStructure:
     """One emitted op DAG (training, inference or pipeline) and the
     keys that price it.
 
-    Compute ops go straight into ``table`` with final durations; ops
-    added through :meth:`sync`, :meth:`transfer` and :meth:`fetch`
-    hold 0.0 until :meth:`priced` fills them per design point.  They
-    are grouped as they are added: ``comm`` maps each distinct
-    ``(primitive, nbytes)`` to its collectives' uids and ``dma`` each
-    distinct byte count to its DMAs' uids, both in uid order.  Every
-    priced table shares the prefetch index
+    Ops added through :meth:`sync`, :meth:`transfer` and
+    :meth:`fetch` hold 0.0 until :meth:`priced` fills them per design
+    point.  They are grouped as they are added: ``comm`` maps each
+    distinct ``(primitive, nbytes)`` to its collectives' uids and
+    ``dma`` each distinct byte count to its DMAs' uids, both in uid
+    order.  Compute ops go straight into ``table`` with final
+    durations, except those ``compute`` maps a layer to (each layer's
+    forward compute op in an inference structure, shared by every
+    batch of a network shape): :meth:`priced` gives them the cell's
+    forward times.  Every priced table shares the prefetch index
     :func:`~repro.vmem.prefetch.collect_prefetch_stats` reads, built
     once before the first priced copy.
     """
 
-    __slots__ = ("table", "comm", "dma")
+    __slots__ = ("table", "comm", "dma", "compute")
 
     def __init__(self) -> None:
         self.table = OpTable()
         self.comm: dict[tuple[object, int], list[int]] = {}
         self.dma: dict[int, list[int]] = {}
+        self.compute: dict[str, int] = {}
 
     def sync(self, primitive, nbytes: int, deps: list[int], tag: str,
              channel: int = 0) -> int:
@@ -489,13 +554,20 @@ class _OpStructure:
         return self.transfer(EngineKind.DMA_IN, nbytes, gate + deps, tag,
                              channel)
 
-    def priced(self, collective, pricer: pricing.MemoPricer) -> OpTable:
+    def priced(self, collective, pricer: pricing.MemoPricer,
+               times: dict | None = None) -> OpTable:
         """A fresh table with one design point's collective and DMA
-        prices, each distinct key priced once for all of its ops; the
+        prices, each distinct key priced once for all of its ops, and
+        the forward times ``times`` gives each op in ``compute``; the
         structure itself is never modified."""
         _index_prefetches(self.table)
         tags = self.table.tags
         durations = self.table.durations.copy()
+        for name, uid in self.compute.items():
+            seconds = times[name][0]
+            if seconds < 0:
+                raise ValueError(f"op {tags[uid]}: negative duration")
+            durations[uid] = seconds
         for (primitive, nbytes), uids in self.comm.items():
             _fill(durations, uids, collective(primitive, nbytes), tags)
         for nbytes, uids in self.dma.items():

@@ -439,8 +439,7 @@ def _pipeline_seconds(plan: PipelinePlan,
 
 def pipeline_pricer(plan: PipelinePlan, config: SystemConfig):
     """The stash-DMA pricer of one pipeline iteration."""
-    compute, comm = _pipeline_seconds(plan, config)
-    return vmem_pricer(config, compute, comm)
+    return vmem_pricer(config, lambda: _pipeline_seconds(plan, config))
 
 
 def _fetch_sites(plan: PipelinePlan) \

@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections.abc import Callable, Sequence
 
+from repro.core import pricing
 from repro.core.metrics import (ExecutionMode, FaultStats, ServingStats,
                                 SimulationResult, percentile)
 from repro.core.simulator import simulate
@@ -87,10 +88,12 @@ class ServingLedger:
 class BatchLatencyModel:
     """Memoized forward-only batch latency of (design, network).
 
-    Each distinct batch size triggers exactly one
-    ``simulate(mode=INFERENCE)`` call; a serving run touches only a
-    handful of sizes (``max_batch`` and the drain tail), so the whole
-    trace prices in a few simulator invocations.
+    Every model of one design and network shares one memo
+    (:func:`repro.core.pricing.batch_latencies`), so each distinct
+    batch size triggers one ``simulate(mode=INFERENCE)`` call per
+    design and network until the pricing memos are cleared, however
+    many serving runs ask for it; a run touches only a handful of
+    sizes (``max_batch`` and the drain tail).
     """
 
     def __init__(self, config: SystemConfig,
@@ -98,7 +101,7 @@ class BatchLatencyModel:
         self.config = config
         self.network = (build_network(network)
                         if isinstance(network, str) else network)
-        self._memo: dict[int, SimulationResult] = {}
+        self._memo = pricing.batch_latencies(self.network, config)
 
     def result(self, batch: int) -> SimulationResult:
         if batch not in self._memo:

@@ -83,8 +83,9 @@ class TestMain:
             in capsys.readouterr().err
 
     def test_update_writes_all_baselines(self, fake_suites, tmp_path):
-        rc = bench.main(["--update", "--root", str(tmp_path)])
-        assert rc == 0
+        assert bench.main(["--update", "--root", str(tmp_path)]) == 0
+        assert bench.main(["--update", "--quick", "--root",
+                           str(tmp_path)]) == 0
         for suite in bench.SUITES:
             doc = json.loads(bench.bench_path(suite, tmp_path).read_text())
             assert set(doc) >= {"suite", "calibration_seconds",
@@ -104,6 +105,7 @@ class TestMain:
     def test_doctored_baseline_fails(self, fake_suites, tmp_path,
                                      capsys):
         bench.main(["--update", "--root", str(tmp_path)])
+        bench.main(["--update", "--quick", "--root", str(tmp_path)])
         for suite in bench.SUITES:
             path = bench.bench_path(suite, tmp_path)
             doc = json.loads(path.read_text())
@@ -114,6 +116,48 @@ class TestMain:
             path.write_text(json.dumps(doc))
         assert bench.main(["--quick", "--root", str(tmp_path)]) == 1
         assert "FAILED" in capsys.readouterr().err
+
+
+class TestUpdate:
+    """``--update`` re-records exactly the section its command checks."""
+
+    COMMITTED = {"suite": "core", "calibration_seconds": 0.5,
+                 "tolerance": 0.2,
+                 "full": {"entries": {
+                     "big-cold": {"seconds": 0.7, "normalized": 1.4}}},
+                 "quick": {"entries": {
+                     "tiny-quick": {"seconds": 0.3, "normalized": 0.6}}}}
+
+    @pytest.mark.parametrize("flags, section, other",
+                             ((["--quick"], "quick", "full"),
+                              ([], "full", "quick")),
+                             ids=("quick", "full"))
+    def test_other_section_keeps_its_entries(self, fake_suites, tmp_path,
+                                             flags, section, other):
+        for suite in bench.SUITES:
+            bench.bench_path(suite, tmp_path).write_text(
+                json.dumps(dict(self.COMMITTED, suite=suite), indent=2,
+                           sort_keys=True) + "\n")
+        assert bench.main(["--update", *flags, "--root",
+                           str(tmp_path)]) == 0
+        for suite in bench.SUITES:
+            doc = json.loads(bench.bench_path(suite, tmp_path).read_text())
+            assert doc[other] == self.COMMITTED[other]
+            assert doc[section] != self.COMMITTED[section]
+            assert doc["suite"] == suite
+
+    @pytest.mark.parametrize("flags", (["--quick"], []),
+                             ids=("quick", "full"))
+    def test_update_measures_what_the_check_measures(self, fake_suites,
+                                                     tmp_path, flags):
+        root = ["--root", str(tmp_path)]
+        assert bench.main(["--update", *flags, *root]) == 0
+        fake_suites.clear()
+        assert bench.main([*flags, *root]) == 0
+        checked = list(fake_suites)
+        fake_suites.clear()
+        assert bench.main(["--update", *flags, *root]) == 0
+        assert fake_suites == checked == [bool(flags)] * len(bench.SUITES)
 
 
 class TestClaimsEntries:

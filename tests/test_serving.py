@@ -2,20 +2,23 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
 
+from repro.core import pricing
 from repro.core.design_points import design_point
 from repro.core.metrics import (ExecutionMode, ServingStats,
                                 SimulationResult)
 from repro.core.schedule import plan_inference
 from repro.core.simulator import simulate
 from repro.dnn.registry import build_network, decode_network
-from repro.serving import (BatchPolicy, Request, compute_stats,
-                           form_batches, mmpp_trace, next_batch,
-                           percentile, poisson_trace, replayed_trace,
-                           run_continuous, run_dynamic, simulate_serving)
+from repro.serving import (BatchLatencyModel, BatchPolicy, Request,
+                           compute_stats, form_batches, mmpp_trace,
+                           next_batch, percentile, poisson_trace,
+                           replayed_trace, run_continuous, run_dynamic,
+                           simulate_serving)
 from repro.serving.cli import main as serve_main
 from repro.serving.cli import resolve_design, resolve_network
 from repro.training.parallel import ParallelStrategy
@@ -331,6 +334,66 @@ class TestDecodeNetworks:
     def test_non_transformer_has_no_decode(self):
         with pytest.raises(KeyError):
             decode_network("AlexNet")
+
+
+class TestBatchLatencySharing:
+    """Every latency model of one design and network shares one memo."""
+
+    def test_models_share_one_memo(self, monkeypatch):
+        drives = []
+
+        def counting_simulate(config, network, batch, *args, **kwargs):
+            drives.append((config.name, network.name, batch))
+            return simulate(config, network, batch, *args, **kwargs)
+
+        monkeypatch.setattr("repro.serving.server.simulate",
+                            counting_simulate)
+        config = design_point("MC-DLA(B)")
+        pricing.clear_caches()
+        try:
+            first = BatchLatencyModel(config, "GPT2")
+            # An equal config object and the built network share it.
+            second = BatchLatencyModel(dataclasses.replace(config),
+                                       build_network("GPT2"))
+            assert second.config is not config
+            assert first(8) == second(8)
+            assert second.result(16) is first.result(16)
+            assert drives == [("MC-DLA(B)", "GPT2", 8),
+                              ("MC-DLA(B)", "GPT2", 16)]
+            # Another design or network prices on its own.
+            BatchLatencyModel(design_point("DC-DLA"), "GPT2")(8)
+            BatchLatencyModel(config, decode_network("GPT2"))(8)
+            assert len(drives) == 4
+            # Serving runs share it too: a repeated run simulates
+            # nothing.
+            run = simulate_serving(config, "GPT2", rate=200.0,
+                                   n_requests=32)
+            before = len(drives)
+            assert simulate_serving(config, "GPT2", rate=200.0,
+                                    n_requests=32) == run
+            assert len(drives) == before
+        finally:
+            pricing.clear_caches()
+
+    def test_clear_caches_drops_the_memo(self, monkeypatch):
+        drives = []
+
+        def counting_simulate(*args, **kwargs):
+            drives.append(args[2])
+            return simulate(*args, **kwargs)
+
+        monkeypatch.setattr("repro.serving.server.simulate",
+                            counting_simulate)
+        config = design_point("MC-DLA(B)")
+        pricing.clear_caches()
+        try:
+            model = BatchLatencyModel(config, "GPT2")
+            latency = model(8)
+            pricing.clear_caches()
+            assert BatchLatencyModel(config, "GPT2")(8) == latency
+            assert drives == [8, 8]
+        finally:
+            pricing.clear_caches()
 
 
 class TestSimulateServing:

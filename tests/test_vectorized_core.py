@@ -8,8 +8,9 @@ serving, cluster, prefetch and fault subsystems:
   from hot memos give *equal* results, every float compared with
   ``==`` (the memos of :mod:`repro.core.pricing` only ever skip work);
 * structure sharing -- a training or pipeline op table priced from an
-  op structure another design point emitted equals, column by column
-  and bit for bit, the table emitted with the memos cleared;
+  op structure another design point emitted (an inference table: one
+  another batch emitted) equals, column by column and bit for bit, the
+  table emitted with the memos cleared;
 * trace equals simulate -- the timeline :func:`iteration_timeline`
   returns is the one :func:`simulate` priced: its makespan is the
   iteration time and its engine busy totals are the breakdown.
@@ -31,8 +32,13 @@ from repro.core import pricing
 from repro.core.design_points import DESIGN_ORDER, design_point
 from repro.core.metrics import ExecutionMode, SimulationResult
 from repro.core.optable import OpTable
-from repro.core.schedule import (build_iteration_ops, plan_iteration,
-                                 plan_training_prefetch)
+from repro.core.schedule import (_emit_inference, _inference_seconds,
+                                 _iteration_seconds, build_inference_ops,
+                                 build_iteration_ops, contention_fraction,
+                                 inference_pricer, iteration_pricer,
+                                 plan_inference, plan_inference_prefetch,
+                                 plan_iteration, plan_training_prefetch,
+                                 vmem_pricer)
 from repro.core.simulator import iteration_timeline, simulate
 from repro.core.timeline import EngineKind
 from repro.dnn.layers import Layer, LayerKind
@@ -41,10 +47,12 @@ from repro.dnn.registry import (BENCHMARK_NAMES, benchmark_info,
 from repro.dnn.shapes import Gemm, fc_gemm
 from repro.experiments.ablations import _recompute_plan
 from repro.faults.lowering import degraded_config, healthy_config
-from repro.pipeline.lowering import plan_pipeline
+from repro.pipeline.lowering import (_pipeline_seconds, pipeline_pricer,
+                                    plan_pipeline)
 from repro.pipeline.schedules import SCHEDULE_ORDER, build_schedule
 from repro.scenarios.lowering import lower_scenario, scenario_design_point
 from repro.scenarios.paper import paper_suite
+from repro.scenarios.runner import run_suite
 from repro.serving.server import simulate_serving
 from repro.telemetry.registry import disable_metrics, enable_metrics
 from repro.training.parallel import ParallelStrategy
@@ -363,9 +371,11 @@ class TestStructureSharing:
         assert counters[("repro_pricing_memo_hits_total",
                          "gate-plan")] == 64
         # 500 DMA prices fill the priced tables and 812 are the fetch
-        # prices of the 32 gate plans.
+        # prices of the 32 gate plans.  Every collective price fills a
+        # priced table: under on-demand no plan-seconds walk prices
+        # the collectives again (2,160 when one did).
         assert lookups("dma") == 1312
-        assert lookups("collective") == 2160
+        assert lookups("collective") == 1080
 
 
 def _suite_pipeline_cells():
@@ -480,6 +490,210 @@ class TestPipelineSharing:
                              memo)] == misses
             assert counters[("repro_pricing_memo_hits_total",
                              memo)] == hits
+
+
+#: The three plan-seconds walks and the pricers that hand them to
+#: ``vmem_pricer``, as (patch target, pricer, walk, plan builder).
+_PLAN_SECONDS = (
+    ("repro.core.schedule._iteration_seconds", iteration_pricer,
+     _iteration_seconds,
+     lambda net, config: plan_iteration(net, config, 64,
+                                        ParallelStrategy.DATA)),
+    ("repro.core.schedule._inference_seconds", inference_pricer,
+     _inference_seconds,
+     lambda net, config: plan_inference(net, config, 64,
+                                        ParallelStrategy.MODEL)),
+    ("repro.pipeline.lowering._pipeline_seconds", pipeline_pricer,
+     _pipeline_seconds,
+     lambda net, config: plan_pipeline(
+         net, dataclasses.replace(config, pipeline_stages=4), 64)),
+)
+
+
+class TestInferenceSharing:
+    """Every batch and design point of one network shape prices its
+    forward-only cells from one op structure, and only policies that
+    price contention walk a plan's seconds."""
+
+    def test_suite_simulates_each_inference_cell_once(self, monkeypatch):
+        drives = []
+        walks = []
+        emitted = [0]
+        gate_plans = [0]
+        planning = [False]
+
+        def counting_plan(net, config, batch, strategy):
+            drives.append((net, config, batch, strategy))
+            return plan_inference(net, config, batch, strategy)
+
+        def counting_prefetch(*args, **kwargs):
+            planning[0] = True
+            try:
+                return plan_inference_prefetch(*args, **kwargs)
+            finally:
+                planning[0] = False
+
+        def counting_emit(*args, **kwargs):
+            emitted[0] += 1
+            return _emit_inference(*args, **kwargs)
+
+        def count_walks(target, walk):
+            def counting(plan, config):
+                walks.append(config.prefetch_policy)
+                return walk(plan, config)
+            monkeypatch.setattr(target, counting)
+
+        for name in PREFETCH_POLICY_ORDER:
+            policy_type = type(prefetch_policy(name))
+
+            def counting_policy(self, ctx, original=policy_type.plan):
+                gate_plans[0] += planning[0]
+                return original(self, ctx)
+
+            monkeypatch.setattr(policy_type, "plan", counting_policy)
+        monkeypatch.setattr("repro.core.simulator.plan_inference",
+                            counting_plan)
+        monkeypatch.setattr("repro.core.simulator.plan_inference_prefetch",
+                            counting_prefetch)
+        monkeypatch.setattr("repro.core.schedule._emit_inference",
+                            counting_emit)
+        for target, _, walk, _ in _PLAN_SECONDS:
+            count_walks(target, walk)
+        pricing.clear_caches()
+        try:
+            assert run_suite(paper_suite()).ok
+        finally:
+            pricing.clear_caches()
+        # Planning, gate-planning and emitting per drive made 51 drives,
+        # 51 gate plans and 51 structures, and every drive walked its
+        # plan's seconds (253 walks, 250 of them under on-demand, which
+        # reads none).
+        assert len(drives) == len(set(drives)) == 43
+        assert emitted[0] == 2
+        assert gate_plans[0] == 2
+        assert sorted(walks) == ["clairvoyant", "cost-model", "stride"]
+
+    @pytest.mark.parametrize("policy", PREFETCH_POLICY_ORDER)
+    @pytest.mark.parametrize("strategy", (ParallelStrategy.DATA,
+                                          ParallelStrategy.MODEL),
+                             ids=["data", "model"])
+    @pytest.mark.parametrize("batches", ((64, 1, 8), (1, 8, 64)),
+                             ids=["b64-first", "b64-last"])
+    def test_batches_share_a_structure(self, monkeypatch, policy,
+                                       strategy, batches):
+        """A cell priced from a structure another batch emitted equals
+        one emitted from cleared memos, table and result."""
+        # Stride on DC-DLA issues waste fetches for GPT2.
+        config = dataclasses.replace(design_point("DC-DLA"),
+                                     prefetch_policy=policy)
+        net = build_network("GPT2")
+
+        def cell(batch):
+            plan = plan_inference(net, config, batch, strategy)
+            return (build_inference_ops(plan, config),
+                    simulate(config, net, batch, strategy,
+                             ExecutionMode.INFERENCE).to_dict())
+
+        fresh = {}
+        for batch in batches:
+            pricing.clear_caches()
+            fresh[batch] = cell(batch)
+        emitted = [0]
+
+        def counting_emit(*args, **kwargs):
+            emitted[0] += 1
+            return _emit_inference(*args, **kwargs)
+
+        monkeypatch.setattr("repro.core.schedule._emit_inference",
+                            counting_emit)
+        pricing.clear_caches()
+        try:
+            for batch in batches:
+                table, result = cell(batch)
+                assert_same_table(table, fresh[batch][0])
+                assert table.engines == fresh[batch][0].engines
+                assert result == fresh[batch][1]
+        finally:
+            pricing.clear_caches()
+        assert any(tag.startswith("waste:") for tag in table.tags) \
+            == (policy == "stride")
+        # The model-parallel all-gathers carry batch-sized bytes, so
+        # only data-parallel batches share a structure.
+        if strategy is ParallelStrategy.DATA \
+                and not prefetch_policy(policy).reads_costs:
+            assert emitted[0] == 1
+        elif strategy is ParallelStrategy.MODEL:
+            assert emitted[0] == 3
+
+    def test_shape_memo_is_kept_per_shape(self):
+        net = build_network("GPT2")
+        config = design_point("MC-DLA(B)")
+        pricing.clear_caches()
+        data = plan_inference(net, config, 8, ParallelStrategy.DATA)
+        build_inference_ops(data, config)
+        assert any(key[0] == "op-structure" for key in data._memo)
+        # Another batch and another design point with the same device
+        # count and virtualization setting share the memo.
+        other = dataclasses.replace(design_point("DC-DLA"),
+                                    prefetch_policy="next-op")
+        assert plan_inference(net, other, 64,
+                              ParallelStrategy.DATA)._memo is data._memo
+        assert plan_inference(net, config, 64, ParallelStrategy.DATA) \
+            .streamed_weights is data.streamed_weights
+        # Model-parallel batches, the oracle (which streams nothing) and
+        # another device count each get their own.
+        model = plan_inference(net, config, 8, ParallelStrategy.MODEL)
+        for plan in (
+                model,
+                plan_inference(net, config, 64, ParallelStrategy.MODEL),
+                plan_inference(net, design_point("DC-DLA(O)"), 8,
+                               ParallelStrategy.DATA),
+                plan_inference(net, dataclasses.replace(config,
+                                                        n_devices=4),
+                               8, ParallelStrategy.DATA)):
+            assert plan._memo is not data._memo
+        assert plan_inference(net, config, 8, ParallelStrategy.MODEL) \
+            ._memo is model._memo
+        # A replaced plan starts an empty memo; clear_caches drops the
+        # shared one.
+        assert dataclasses.replace(data, batch=16)._memo == {}
+        pricing.clear_caches()
+        assert plan_inference(net, config, 8,
+                              ParallelStrategy.DATA)._memo is not data._memo
+        pricing.clear_caches()
+
+    def test_on_demand_never_walks_plan_seconds(self, monkeypatch):
+        config = design_point("MC-DLA(B)")
+        assert config.prefetch_policy == "on-demand"
+
+        def unread():
+            raise AssertionError("on-demand read the plan seconds")
+
+        pricer = vmem_pricer(config, unread)
+        for target, make_pricer, _, build_plan in _PLAN_SECONDS:
+            monkeypatch.setattr(target, lambda plan, config: unread())
+            for nbytes in (1, 4096, 1 << 30):
+                assert pricer(nbytes) \
+                    == make_pricer(build_plan(build_network("GPT2"),
+                                              config), config)(nbytes) \
+                    == config.vmem.transfer_time(nbytes, 1.0)
+
+    @pytest.mark.parametrize("policy", [p for p in PREFETCH_POLICY_ORDER
+                                        if p != "on-demand"])
+    def test_other_policies_price_the_plan_fraction(self, policy):
+        config = dataclasses.replace(design_point("MC-DLA(B)"),
+                                     prefetch_policy=policy)
+        fractions = []
+        for _, make_pricer, walk, build_plan in _PLAN_SECONDS:
+            plan = build_plan(build_network("VGG-E"), config)
+            fraction = contention_fraction(*walk(plan, config))
+            fractions.append(fraction)
+            pricer = make_pricer(plan, config)
+            for nbytes in (1, 4096, 1 << 30):
+                assert pricer(nbytes) \
+                    == config.vmem.transfer_time(nbytes, fraction)
+        # The data-parallel training fraction is strictly partial.
+        assert 0.0 < fractions[0] < 1.0
 
 
 class TestStructureIsolation:
