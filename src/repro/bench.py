@@ -286,6 +286,8 @@ def main(argv: list[str] | None = None) -> int:
         problems: list[str] = []
         retry: list[str] = []
         section = "quick" if args.quick else "full"
+        update = "--update --quick" if args.quick else "--update"
+        create = f"(run with {update} to create it)"
         for suite in suites:
             t0 = time.perf_counter()
             current = run_suite(suite, quick=args.quick, spin=spin)
@@ -308,12 +310,15 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"wrote {path} ({section} section)")
                 continue
             if not path.exists():
-                problems.append(f"{suite}: no baseline at {path} "
-                                f"(run with --update to create it)")
+                problems.append(f"{suite}: no baseline at {path} {create}")
                 continue
             baseline = json.loads(path.read_text())
+            if section not in baseline:
+                problems.append(f"{suite}: no {section} section in "
+                                f"{path} {create}")
+                continue
             found = check_section(suite, section, current,
-                                  baseline.get(section, {}))
+                                  baseline[section])
             if found:
                 retry.append(suite)
             problems.extend(found)
@@ -332,7 +337,7 @@ def main(argv: list[str] | None = None) -> int:
                 baseline = json.loads(
                     bench_path(suite, root).read_text())
                 confirmed.extend(check_section(
-                    suite, section, again, baseline.get(section, {})))
+                    suite, section, again, baseline[section]))
             problems = [p for p in problems
                         if not p.startswith(tuple(
                             f"{s}/{section}/" for s in retry))]

@@ -72,14 +72,13 @@ class OpTable:
     every column untouched.
     """
 
-    __slots__ = ("engines", "codes", "durations", "deps", "tags",
-                 "nbytes", "channels", "_ops", "_prefetch_index")
+    __slots__ = ("codes", "durations", "deps", "tags", "nbytes",
+                 "channels", "_ops", "_prefetch_index")
 
     def __init__(self) -> None:
-        self.engines: list[EngineKind] = []
-        #: Parallel :data:`ENGINE_CODE` ints -- the scheduler keys its
-        #: slot dicts on these (int hashing beats enum hashing by an
-        #: order of magnitude over a campaign's worth of ops).
+        #: Each op's :data:`ENGINE_CODE` -- the scheduler keys its slot
+        #: dicts on these (int hashing beats enum hashing by an order
+        #: of magnitude over a campaign's worth of ops).
         self.codes: list[int] = []
         self.durations: list[float] = []
         self.deps: list[tuple[int, ...]] = []
@@ -109,7 +108,6 @@ class OpTable:
                     f"op {tag}: dependency on a later op (cycle)")
             if dep < 0:
                 raise ValueError(f"op {tag}: negative dependency uid")
-        self.engines.append(engine)
         self.codes.append(ENGINE_CODE[engine])
         self.durations.append(duration)
         self.deps.append(dep_tuple)
@@ -128,7 +126,6 @@ class OpTable:
         so appending to the copy never changes this table; the
         structural prefetch index is shared."""
         table = OpTable()
-        table.engines = self.engines.copy()
         table.codes = self.codes.copy()
         table.durations = durations
         table.deps = self.deps.copy()
@@ -145,7 +142,7 @@ class OpTable:
         the append-only table grows)."""
         if self._ops is None or len(self._ops) != len(self.durations):
             self._ops = [
-                Op(uid=i, engine=self.engines[i],
+                Op(uid=i, engine=CODE_ENGINE[self.codes[i]],
                    duration=self.durations[i], deps=self.deps[i],
                    tag=self.tags[i], nbytes=self.nbytes[i],
                    channel=self.channels[i])

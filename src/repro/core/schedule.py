@@ -22,9 +22,8 @@ every batch of a data-parallel shape shares it.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
-from typing import TypeVar
 
 from repro.core import pricing
 from repro.core.optable import OpTable
@@ -36,11 +35,9 @@ from repro.training.backprop import TrainingStep
 from repro.training.parallel import ParallelStrategy, PartitionedLayer
 from repro.vmem.policy import MigrationAction
 from repro.vmem.prefetch import (ON_DEMAND, FetchIssue, FetchSite,
-                                 PrefetchContext, PrefetchPolicy,
-                                 PrefetchSchedule, WasteFetch,
-                                 _index_prefetches, prefetch_policy)
-
-T = TypeVar("T")
+                                 PrefetchContext, PrefetchSchedule,
+                                 WasteFetch, _index_prefetches,
+                                 prefetch_policy)
 
 
 @dataclass(frozen=True)
@@ -54,11 +51,9 @@ class IterationPlan:
     step: TrainingStep
     #: producer layer -> per-device shard bytes migrated (0 if resident).
     migrated_shards: dict[str, int]
-    #: Derived from this plan only: its byte totals, its fetch sites,
-    #: its compute/sync walk and backward step estimates per device,
-    #: the gate plans of policies that read no prices (see
-    #: :func:`_gate_plan`), and its emitted op structures (see
-    #: :func:`build_iteration_ops`).
+    #: Derived from this plan only: its byte totals, the gate plans
+    #: of policies that read no prices (see :func:`_plan_fetches`),
+    #: and its emitted op structures (see :func:`build_iteration_ops`).
     #: Never copied: ``dataclasses.replace`` starts an empty memo.
     _memo: dict = field(default_factory=dict, init=False, repr=False,
                         compare=False)
@@ -166,43 +161,22 @@ def vmem_pricer(config: SystemConfig,
 
 def _iteration_seconds(plan: IterationPlan,
                        config: SystemConfig) -> tuple[float, float]:
-    """(compute, collective) seconds of one training iteration plan.
-
-    The compute sum, the distinct ``(primitive, nbytes)`` keys of its
-    collectives and each collective's index into them depend on the
-    plan and device only, so they are kept on the plan; each design
-    point prices every key once and sums the prices in the collectives'
-    order.
-    """
-    def walk() -> tuple[float, tuple, tuple[int, ...]]:
-        times = pricing.layer_times(plan.net, config.device, plan.batch,
-                                    plan.strategy, config.n_devices)
-        compute = 0.0
-        keys: dict[tuple, int] = {}
-        order = []
-        for name in plan.step.fwd_order:
-            if plan.net.layer(name).kind is LayerKind.INPUT:
-                continue
-            part = plan.parts[name]
-            fwd_s, bwd_s = times[name]
-            compute += fwd_s
-            compute += bwd_s
-            for sync in (part.fwd_sync, part.bwd_sync):
-                if sync is not None:
-                    order.append(keys.setdefault(
-                        (sync.primitive, sync.nbytes), len(keys)))
-        return compute, tuple(keys), tuple(order)
-
-    key = ("iteration-seconds", config.device, config.n_devices)
-    cached = plan._memo.get(key)
-    if cached is None:
-        cached = plan._memo[key] = walk()
-    compute, keys, order = cached
+    """(compute, collective) seconds of one training iteration plan."""
+    times = pricing.layer_times(plan.net, config.device, plan.batch,
+                                plan.strategy, config.n_devices)
     collective = pricing.collective_pricer(config.collectives)
-    prices = [collective(primitive, nbytes) for primitive, nbytes in keys]
+    compute = 0.0
     comm = 0.0
-    for index in order:
-        comm += prices[index]
+    for name in plan.step.fwd_order:
+        if plan.net.layer(name).kind is LayerKind.INPUT:
+            continue
+        part = plan.parts[name]
+        fwd_s, bwd_s = times[name]
+        compute += fwd_s
+        compute += bwd_s
+        for sync in (part.fwd_sync, part.bwd_sync):
+            if sync is not None:
+                comm += collective(sync.primitive, sync.nbytes)
     return compute, comm
 
 
@@ -212,74 +186,70 @@ def iteration_pricer(plan: IterationPlan,
     return vmem_pricer(config, lambda: _iteration_seconds(plan, config))
 
 
-def _fetch_sites(plan: IterationPlan) \
-        -> tuple[tuple[FetchSite, ...], tuple[int, ...]]:
-    """The plan's fetch sites in backward order, and their shard bytes.
-
-    Depends on the plan alone, so it is kept on the plan and every
-    design point sharing the plan prices the same sites.
-    """
-    cached = plan._memo.get("fetch-sites")
-    if cached is None:
-        sites = []
-        for step_index, name in enumerate(plan.step.bwd_order):
-            for producer in plan.step.prefetch_sites.get(name, ()):
-                sites.append(FetchSite(
-                    producer=producer, use_step=step_index,
-                    nbytes=plan.migrated_shards[producer]))
-        cached = plan._memo["fetch-sites"] = (
-            tuple(sites), tuple(site.nbytes for site in sites))
-    return cached
+#: One DMA channel's fetch problem: the step-second estimates of its
+#: consuming schedule, and its fetch sites in use order.
+FetchChannel = tuple[tuple[float, ...], tuple[FetchSite, ...]]
 
 
-def _gate_plan(memo: dict, config: SystemConfig,
-               build: Callable[[PrefetchPolicy], T]) -> T:
-    """``build(policy)`` for the configured prefetch policy.
+def _plan_fetches(memo: dict, config: SystemConfig,
+                  pricer: Callable[[], pricing.MemoPricer],
+                  channels: Callable[[], Iterable[FetchChannel]]) \
+        -> tuple[PrefetchSchedule, ...]:
+    """Run the configured prefetch policy over a plan's fetch sites:
+    one schedule per channel ``channels()`` lists, each channel with a
+    DMA engine of its own, its sites' transfers priced by ``pricer()``.
 
     A policy that reads no prices (every one but ``cost-model``) plans
-    the same schedule for every design point sharing a plan's fetch
-    sites, so its schedule is built once and kept in the plan's
-    ``memo`` under the policy, window and stash; ``cost-model`` is
-    built on every call, from its own design point's prices.
+    the same schedules for every design point sharing the plan, so
+    they are planned once and kept in the plan's ``memo`` under the
+    policy, window and stash; ``cost-model`` plans on every call, from
+    its own design point's prices.  ``channels`` and ``pricer`` run
+    only when planning, so a memo hit walks and prices nothing.
     """
     policy = prefetch_policy(config.prefetch_policy)
+
+    def build() -> tuple[PrefetchSchedule, ...]:
+        fetch_pricer = pricer()
+        schedules = []
+        for step_seconds, sites in channels():
+            schedules.append(policy.plan(PrefetchContext(
+                n_steps=len(step_seconds), sites=sites,
+                step_seconds=step_seconds,
+                fetch_seconds=tuple(fetch_pricer(site.nbytes)
+                                    for site in sites),
+                window=config.prefetch_window,
+                stash=config.prefetch_stash)))
+        return tuple(schedules)
+
     if policy.reads_costs:
-        return build(policy)
+        return build()
     return pricing._memoized(
         memo, ("gate-plan", policy.name, config.prefetch_window,
-               config.prefetch_stash), "gate-plan", lambda: build(policy))
+               config.prefetch_stash), "gate-plan", build)
 
 
 def plan_training_prefetch(plan: IterationPlan, config: SystemConfig,
                            pricer: pricing.MemoPricer | None
                            = None) -> PrefetchSchedule:
-    """Run the configured prefetch policy over a training iteration.
+    """Run the configured prefetch policy over a training iteration
+    (see :func:`_plan_fetches`): one channel, whose steps are the
+    backward steps and whose sites are the plan's prefetch sites in
+    backward order."""
+    def channels() -> tuple[FetchChannel]:
+        times = pricing.layer_times(plan.net, config.device, plan.batch,
+                                    plan.strategy, config.n_devices)
+        steps = plan.step.bwd_order
+        sites = tuple(
+            FetchSite(producer=producer, use_step=step,
+                      nbytes=plan.migrated_shards[producer])
+            for step, name in enumerate(steps)
+            for producer in plan.step.prefetch_sites.get(name, ()))
+        return ((tuple(times[name][1] for name in steps), sites),)
 
-    The fetch sites come from the plan, and the backward step
-    estimates from the plan's memo for this device.  Only
-    ``cost-model`` prices its fetches and plans per design point; every
-    other policy plans once per plan (see :func:`_gate_plan`).
-    """
-    def build(policy: PrefetchPolicy) -> PrefetchSchedule:
-        fetch_pricer = (pricer if pricer is not None
-                        else iteration_pricer(plan, config))
-        sites, shards = _fetch_sites(plan)
-        key = ("bwd-step-seconds", config.device, config.n_devices)
-        step_seconds = plan._memo.get(key)
-        if step_seconds is None:
-            times = pricing.layer_times(plan.net, config.device,
-                                        plan.batch, plan.strategy,
-                                        config.n_devices)
-            step_seconds = plan._memo[key] = tuple(
-                times[name][1] for name in plan.step.bwd_order)
-        ctx = PrefetchContext(
-            n_steps=len(step_seconds), sites=sites,
-            step_seconds=step_seconds,
-            fetch_seconds=tuple(map(fetch_pricer, shards)),
-            window=config.prefetch_window, stash=config.prefetch_stash)
-        return policy.plan(ctx)
-
-    return _gate_plan(plan._memo, config, build)
+    return _plan_fetches(
+        plan._memo, config,
+        lambda: iteration_pricer(plan, config) if pricer is None
+        else pricer, channels)[0]
 
 
 @dataclass(frozen=True)
@@ -307,8 +277,9 @@ class InferencePlan:
     streamed_weights: dict[str, int]
     #: Shared by every plan of one network shape (see
     #: :func:`plan_inference`): the streamed weights, the gate plans of
-    #: policies that read no prices, and the op structures emitted
-    #: from it (see :func:`build_inference_ops`).
+    #: policies that read no prices (see :func:`_plan_fetches`), and
+    #: the op structures emitted from it (see
+    #: :func:`build_inference_ops`).
     #: Never copied: ``dataclasses.replace`` starts an empty memo.
     _memo: dict = field(default_factory=dict, init=False, repr=False,
                         compare=False)
@@ -405,41 +376,30 @@ def inference_pricer(plan: InferencePlan,
 def plan_inference_prefetch(plan: InferencePlan, config: SystemConfig,
                             pricer: pricing.MemoPricer | None
                             = None) -> PrefetchSchedule:
-    """Run the configured prefetch policy over the weight stream.
-
-    Streamed weights are fetch sites exactly like training stashes:
-    the consuming step of layer *k*'s weights is its forward compute,
-    indexed by position among the non-input layers.  Only
-    ``cost-model`` prices its fetches and plans per call; every other
-    policy plans once per network shape (see :func:`_gate_plan`).
-    """
-    def build(policy: PrefetchPolicy) -> PrefetchSchedule:
-        fetch_pricer = (pricer if pricer is not None
-                        else inference_pricer(plan, config))
+    """Run the configured prefetch policy over the weight stream (see
+    :func:`_plan_fetches`): one channel, whose steps are the forward
+    computes of the non-input layers and whose sites are the streamed
+    weights, each used by its own layer's step.  Price-blind policies
+    plan once per network shape."""
+    def channels() -> tuple[FetchChannel]:
         times = pricing.layer_times(plan.net, config.device, plan.batch,
                                     plan.strategy, config.n_devices)
         step_seconds = []
         sites = []
-        step_index = 0
         for name in plan.net.layer_names:
-            layer = plan.net.layer(name)
-            if layer.kind is LayerKind.INPUT:
+            if plan.net.layer(name).kind is LayerKind.INPUT:
                 continue
-            step_seconds.append(times[name][0])
             if name in plan.streamed_weights:
                 sites.append(FetchSite(
-                    producer=name, use_step=step_index,
+                    producer=name, use_step=len(step_seconds),
                     nbytes=plan.streamed_weights[name]))
-            step_index += 1
-        ctx = PrefetchContext(
-            n_steps=step_index, sites=tuple(sites),
-            step_seconds=tuple(step_seconds),
-            fetch_seconds=tuple(fetch_pricer(site.nbytes)
-                                for site in sites),
-            window=config.prefetch_window, stash=config.prefetch_stash)
-        return policy.plan(ctx)
+            step_seconds.append(times[name][0])
+        return ((tuple(step_seconds), tuple(sites)),)
 
-    return _gate_plan(plan._memo, config, build)
+    return _plan_fetches(
+        plan._memo, config,
+        lambda: inference_pricer(plan, config) if pricer is None
+        else pricer, channels)[0]
 
 
 def build_inference_ops(plan: InferencePlan, config: SystemConfig,

@@ -20,7 +20,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from repro.dnn.shapes import Gemm
+from repro.dnn.shapes import Gemm, grad_gemms
 from repro.units import FP32_BYTES
 
 
@@ -158,21 +158,10 @@ class Layer:
         _check_batch(batch)
         return [g.at_batch(batch) for g in self.gemms]
 
-    def bwd_gemms(self, batch: int) -> list[Gemm]:
-        """Concrete backward GEMMs (input-gradient and weight-gradient).
-
-        For a forward GEMM ``[M,K]x[K,N]`` the backward pass computes
-        ``dX = dY.Wt`` (``[M,N]x[N,K]``) and ``dW = Xt.dY``
-        (``[K,M]x[M,N]``); both match the forward MAC count.  The
-        im2col duplication moves with the activation operand: dX's
-        *output* and dW's *input* are the duplicated matrices.
-        """
-        resolved = self.fwd_gemms(batch)
-        grads: list[Gemm] = []
-        for g in resolved:
-            grads.append(Gemm(g.m, g.k, g.n, c_reuse=g.a_reuse))   # dX
-            grads.append(Gemm(g.k, g.n, g.m, a_reuse=g.a_reuse))   # dW
-        return grads
+    def bwd_gemms(self, batch: int) -> tuple[Gemm, ...]:
+        """Concrete backward GEMMs: the (dX, dW) pair of each forward
+        GEMM (see :func:`~repro.dnn.shapes.grad_gemms`)."""
+        return grad_gemms(self.fwd_gemms(batch))
 
     def fwd_stream_bytes(self, batch: int) -> int:
         """Bytes streamed by an element-wise forward pass."""

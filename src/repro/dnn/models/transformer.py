@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 from repro.dnn.graph import Network, input_layer
 from repro.dnn.layers import Layer, LayerKind
-from repro.dnn.shapes import (attention_gemms, decode_attention_gemms,
-                              token_fc_gemm)
+from repro.dnn.shapes import (Gemm, attention_gemms,
+                              decode_attention_gemms, token_fc_gemm)
 
 
 @dataclass(frozen=True)
@@ -49,11 +49,6 @@ class TransformerSpec:
     @property
     def head_dim(self) -> int:
         return self.hidden // self.heads
-
-    @property
-    def token_elems(self) -> int:
-        """Elements of one sequence's hidden states (per sample)."""
-        return self.seq * self.hidden
 
     @property
     def embedding_elems(self) -> int:
@@ -82,78 +77,88 @@ def _cheap(net: Network, name: str, kind: LayerKind, elems: int,
     return name
 
 
-def _projection(net: Network, name: str, spec: TransformerSpec,
-                out_features: int, in_features: int, src: str,
-                weight_group: str = "") -> str:
+def _projection(net: Network, name: str, rows: int, out_features: int,
+                in_features: int, src: str) -> str:
     net.add_layer(
         Layer(name=name, kind=LayerKind.FC,
-              out_elems=spec.seq * out_features,
+              out_elems=rows * out_features,
               weight_elems=in_features * out_features,
-              gemms=(token_fc_gemm(spec.seq, out_features, in_features),),
-              weight_group=weight_group),
+              gemms=(token_fc_gemm(rows, out_features, in_features),)),
         inputs=[src])
     return name
 
 
-def _block(net: Network, spec: TransformerSpec, index: int,
-           src: str) -> str:
-    """One pre-norm encoder/decoder block; returns its output layer."""
-    h, sh = spec.hidden, spec.token_elems
+def _block(net: Network, spec: TransformerSpec, index: int, src: str,
+           rows: int, attention: tuple[Gemm, ...]) -> str:
+    """One pre-norm encoder/decoder block over ``rows`` token rows per
+    sample, attending through ``attention``; returns its output
+    layer."""
+    h = spec.hidden
+    sh = rows * h
     p = f"b{index}_"
 
     ln1 = _cheap(net, p + "ln1", LayerKind.LAYERNORM, sh, [src],
                  weight_elems=2 * h)
-    qkv = _projection(net, p + "qkv", spec, 3 * h, h, ln1)
+    qkv = _projection(net, p + "qkv", rows, 3 * h, h, ln1)
     attn = net.add_layer(
         Layer(name=p + "attn", kind=LayerKind.ATTENTION, out_elems=sh,
-              gemms=attention_gemms(spec.seq, spec.heads, spec.head_dim)),
+              gemms=attention),
         inputs=[qkv]).name
-    proj = _projection(net, p + "proj", spec, h, h, attn)
+    proj = _projection(net, p + "proj", rows, h, h, attn)
     res1 = _cheap(net, p + "res1", LayerKind.ELTWISE, sh,
                   [src, proj], stream_mult=3)
 
     ln2 = _cheap(net, p + "ln2", LayerKind.LAYERNORM, sh, [res1],
                  weight_elems=2 * h)
-    ffn1 = _projection(net, p + "ffn1", spec, spec.ffn_mult * h, h, ln2)
+    ffn1 = _projection(net, p + "ffn1", rows, spec.ffn_mult * h, h, ln2)
     gelu = _cheap(net, p + "gelu", LayerKind.GELU,
                   spec.ffn_mult * sh, [ffn1])
-    ffn2 = _projection(net, p + "ffn2", spec, h, spec.ffn_mult * h, gelu)
+    ffn2 = _projection(net, p + "ffn2", rows, h, spec.ffn_mult * h, gelu)
     return _cheap(net, p + "res2", LayerKind.ELTWISE, sh,
                   [res1, ffn2], stream_mult=3)
 
 
-def build_transformer(spec: TransformerSpec) -> Network:
-    """Build ``spec`` as a DAG: embedding, blocks, tied LM head."""
-    net = Network(spec.name)
-    tie_group = f"{spec.name}_embed"
-
-    net.add_layer(input_layer("tokens", spec.seq))
+def _stack(net: Network, spec: TransformerSpec, rows: int,
+           attention: tuple[Gemm, ...], source: str,
+           tie_group: str) -> Network:
+    """Fill ``net`` with ``spec``'s embedding, blocks and tied LM head
+    over ``rows`` token rows per sample, fed by the input layer
+    ``source``."""
+    h = spec.hidden
+    net.add_layer(input_layer(source, rows))
     net.add_layer(
         Layer(name="embed", kind=LayerKind.EMBEDDING,
-              out_elems=spec.token_elems,
+              out_elems=rows * h,
               weight_elems=spec.embedding_elems,
-              stream_elems=2 * spec.token_elems,
+              stream_elems=2 * rows * h,
               weight_group=tie_group),
-        inputs=["tokens"])
+        inputs=[source])
 
     out = "embed"
     for index in range(spec.blocks):
-        out = _block(net, spec, index, out)
+        out = _block(net, spec, index, out, rows, attention)
 
-    final = _cheap(net, "ln_f", LayerKind.LAYERNORM, spec.token_elems,
-                   [out], weight_elems=2 * spec.hidden)
+    final = _cheap(net, "ln_f", LayerKind.LAYERNORM, rows * h, [out],
+                   weight_elems=2 * h)
     # Tied LM head: the vocab-projection GEMM runs against the shared
     # embedding table; the fused softmax-cross-entropy emits one loss
     # element per token rather than materializing the logits.
     net.add_layer(
-        Layer(name="lm_head", kind=LayerKind.FC, out_elems=spec.seq,
+        Layer(name="lm_head", kind=LayerKind.FC, out_elems=rows,
               weight_elems=spec.embedding_elems,
-              gemms=(token_fc_gemm(spec.seq, spec.vocab, spec.hidden),),
+              gemms=(token_fc_gemm(rows, spec.vocab, h),),
               weight_group=tie_group),
         inputs=[final])
 
     net.validate()
     return net
+
+
+def build_transformer(spec: TransformerSpec) -> Network:
+    """Build ``spec`` as a DAG: embedding, blocks, tied LM head."""
+    return _stack(Network(spec.name), spec, spec.seq,
+                  attention_gemms(spec.seq, spec.heads, spec.head_dim),
+                  "tokens", f"{spec.name}_embed")
 
 
 def build_transformer_decode(spec: TransformerSpec,
@@ -171,65 +176,9 @@ def build_transformer_decode(spec: TransformerSpec,
     ctx = spec.seq if context is None else context
     if ctx <= 0:
         raise ValueError("decode context must be positive")
-    net = Network(f"{spec.name}-decode")
-    tie_group = f"{spec.name}_decode_embed"
-    h = spec.hidden
-
-    net.add_layer(input_layer("token", 1))
-    net.add_layer(
-        Layer(name="embed", kind=LayerKind.EMBEDDING, out_elems=h,
-              weight_elems=spec.embedding_elems, stream_elems=2 * h,
-              weight_group=tie_group),
-        inputs=["token"])
-
-    src = "embed"
-    for index in range(spec.blocks):
-        p = f"b{index}_"
-        ln1 = _cheap(net, p + "ln1", LayerKind.LAYERNORM, h, [src],
-                     weight_elems=2 * h)
-        qkv = _projection_rows(net, p + "qkv", 1, 3 * h, h, ln1)
-        attn = net.add_layer(
-            Layer(name=p + "attn", kind=LayerKind.ATTENTION, out_elems=h,
-                  gemms=decode_attention_gemms(ctx, spec.heads,
-                                               spec.head_dim)),
-            inputs=[qkv]).name
-        proj = _projection_rows(net, p + "proj", 1, h, h, attn)
-        res1 = _cheap(net, p + "res1", LayerKind.ELTWISE, h,
-                      [src, proj], stream_mult=3)
-        ln2 = _cheap(net, p + "ln2", LayerKind.LAYERNORM, h, [res1],
-                     weight_elems=2 * h)
-        ffn1 = _projection_rows(net, p + "ffn1", 1, spec.ffn_mult * h,
-                                h, ln2)
-        gelu = _cheap(net, p + "gelu", LayerKind.GELU,
-                      spec.ffn_mult * h, [ffn1])
-        ffn2 = _projection_rows(net, p + "ffn2", 1, h,
-                                spec.ffn_mult * h, gelu)
-        src = _cheap(net, p + "res2", LayerKind.ELTWISE, h,
-                     [res1, ffn2], stream_mult=3)
-
-    final = _cheap(net, "ln_f", LayerKind.LAYERNORM, h, [src],
-                   weight_elems=2 * h)
-    net.add_layer(
-        Layer(name="lm_head", kind=LayerKind.FC, out_elems=1,
-              weight_elems=spec.embedding_elems,
-              gemms=(token_fc_gemm(1, spec.vocab, h),),
-              weight_group=tie_group),
-        inputs=[final])
-
-    net.validate()
-    return net
-
-
-def _projection_rows(net: Network, name: str, rows: int,
-                     out_features: int, in_features: int,
-                     src: str) -> str:
-    net.add_layer(
-        Layer(name=name, kind=LayerKind.FC,
-              out_elems=rows * out_features,
-              weight_elems=in_features * out_features,
-              gemms=(token_fc_gemm(rows, out_features, in_features),)),
-        inputs=[src])
-    return name
+    return _stack(Network(f"{spec.name}-decode"), spec, 1,
+                  decode_attention_gemms(ctx, spec.heads, spec.head_dim),
+                  "token", f"{spec.name}_decode_embed")
 
 
 def build_bert_large() -> Network:

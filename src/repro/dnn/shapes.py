@@ -8,6 +8,7 @@ intensity (activations, pooling, normalization, ...).
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 
@@ -65,6 +66,23 @@ class Gemm:
     def operand_elems(self) -> int:
         """Logical matrix elements (duplication included)."""
         return self.m * self.k + self.k * self.n + self.m * self.n
+
+
+def grad_gemms(fwd: Iterable[Gemm]) -> tuple[Gemm, ...]:
+    """The backward GEMMs of forward GEMMs ``fwd``: one (dX, dW) pair
+    per forward GEMM, in order.
+
+    For a forward GEMM ``[M,K]x[K,N]`` the backward pass computes
+    ``dX = dY.Wt`` (``[M,N]x[N,K]``) and ``dW = Xt.dY``
+    (``[K,M]x[M,N]``); both match the forward MAC count.  The im2col
+    duplication moves with the activation operand: dX's *output* and
+    dW's *input* are the duplicated matrices.
+    """
+    grads: list[Gemm] = []
+    for g in fwd:
+        grads.append(Gemm(g.m, g.k, g.n, c_reuse=g.a_reuse))   # dX
+        grads.append(Gemm(g.k, g.n, g.m, a_reuse=g.a_reuse))   # dW
+    return tuple(grads)
 
 
 def conv_gemm(out_positions: int, out_channels: int,

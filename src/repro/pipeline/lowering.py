@@ -45,7 +45,7 @@ from repro.collectives.ring_algorithm import Primitive
 from repro.core import pricing
 from repro.core.metrics import PipelineStats
 from repro.core.optable import ColumnarTimeline, OpTable
-from repro.core.schedule import _gate_plan, _OpStructure, vmem_pricer
+from repro.core.schedule import _OpStructure, _plan_fetches, vmem_pricer
 from repro.core.system import SystemConfig
 from repro.core.timeline import EngineKind
 from repro.dnn.graph import Network
@@ -58,8 +58,7 @@ from repro.pipeline.schedules import (OpKind, PipelineSchedule,
                                       build_schedule,
                                       parse_schedule_kind,
                                       structural_bubble_time)
-from repro.vmem.prefetch import (FetchSite, PrefetchContext,
-                                 PrefetchPolicy, PrefetchSchedule)
+from repro.vmem.prefetch import FetchSite, PrefetchSchedule
 
 
 @dataclass(frozen=True)
@@ -112,9 +111,10 @@ class PipelinePlan:
     replicas: int
     #: Virtual stages hosted per device (1 except ``interleaved``).
     chunks: int = 1
-    #: Derived from this plan only: its prefetch fetch sites, the gate
-    #: plans of policies that read no prices, and the op structures
-    #: emitted from it (see :func:`build_pipeline_ops`).
+    #: Derived from this plan only: the gate plans of policies that
+    #: read no prices (see :func:`~repro.core.schedule._plan_fetches`)
+    #: and the op structures emitted from it (see
+    #: :func:`build_pipeline_ops`).
     #: Never copied: ``dataclasses.replace`` starts an empty memo.
     _memo: dict = field(default_factory=dict, init=False, repr=False,
                         compare=False)
@@ -401,23 +401,13 @@ def _plan(net: Network, config: SystemConfig, batch: int,
         chunks=chunks)
 
 
-def _stage_fetch_microbatches(plan: PipelinePlan,
-                              stage: StageWork) -> tuple[int, ...]:
-    """Offloaded microbatches of one stage, in backward-slot order."""
-    program = plan.schedule.program(stage.index)
-    order = [slot.microbatch for slot in program.slots
-             if slot.kind is OpKind.B]
-    return tuple(m for m in order if stage.offloaded[m])
-
-
-def _stage_bwd_position(plan: PipelinePlan,
-                        stage: StageWork) -> dict[int, int]:
-    """Microbatch -> index of its B slot in program order (the stash
-    is consumed, and freed, by the activation-grad op)."""
-    program = plan.schedule.program(stage.index)
-    order = [slot.microbatch for slot in program.slots
-             if slot.kind is OpKind.B]
-    return {m: pos for pos, m in enumerate(order)}
+def _stage_bwd_order(plan: PipelinePlan,
+                     stage: StageWork) -> list[int]:
+    """One stage's microbatches in backward (B) slot order: the stash
+    is consumed, and freed, by the activation-grad op."""
+    return [slot.microbatch for slot
+            in plan.schedule.program(stage.index).slots
+            if slot.kind is OpKind.B]
 
 
 def _pipeline_seconds(plan: PipelinePlan,
@@ -442,58 +432,29 @@ def pipeline_pricer(plan: PipelinePlan, config: SystemConfig):
     return vmem_pricer(config, lambda: _pipeline_seconds(plan, config))
 
 
-def _fetch_sites(plan: PipelinePlan) \
-        -> tuple[tuple[tuple[float, ...], tuple[FetchSite, ...]], ...]:
-    """Per stage: its backward-step estimates and the fetch sites of
-    its offloaded microbatches, in backward-slot order.
-
-    Depends on the plan alone, so it is kept on the plan and every
-    design point sharing the plan prices the same sites.
-    """
-    cached = plan._memo.get("fetch-sites")
-    if cached is None:
-        per_stage = []
-        for stage in plan.stages:
-            positions = _stage_bwd_position(plan, stage)
-            sites = tuple(
-                FetchSite(producer=f"s{stage.index}:m{m}",
-                          use_step=positions[m], nbytes=stage.stash_bytes)
-                for m in _stage_fetch_microbatches(plan, stage))
-            per_stage.append(((stage.bwd_time,) * len(positions), sites))
-        cached = plan._memo["fetch-sites"] = tuple(per_stage)
-    return cached
-
-
 def plan_pipeline_prefetch(plan: PipelinePlan, config: SystemConfig,
                            pricer=None) \
         -> tuple[PrefetchSchedule, ...]:
-    """Run the configured prefetch policy over every stage's stash.
+    """Run the configured prefetch policy over every stage's stash (see
+    :func:`~repro.core.schedule._plan_fetches`).
 
     Each stage owns a private DMA channel, so the policy plans each
-    stage independently: the fetch sites are the stage's offloaded
-    microbatches in backward-slot order, and the step estimates are the
-    stage's per-microbatch backward (B) time.  Only ``cost-model``
-    prices the stash fetches and plans per design point; every other
-    policy plans once per plan (see
-    :func:`~repro.core.schedule._gate_plan`).
+    stage independently: the steps are the stage's B slots, each
+    estimated at its per-microbatch backward (B) time, and the sites
+    its offloaded microbatches in B-slot order.
     """
-    def build(policy: PrefetchPolicy) -> tuple[PrefetchSchedule, ...]:
-        fetch_pricer = (pricer if pricer is not None
-                        else pipeline_pricer(plan, config))
-        schedules = []
-        for stage, (step_seconds, sites) in zip(plan.stages,
-                                                _fetch_sites(plan)):
-            ctx = PrefetchContext(
-                n_steps=len(step_seconds), sites=sites,
-                step_seconds=step_seconds,
-                fetch_seconds=tuple(fetch_pricer(stage.stash_bytes)
-                                    for _ in sites),
-                window=config.prefetch_window,
-                stash=config.prefetch_stash)
-            schedules.append(policy.plan(ctx))
-        return tuple(schedules)
+    def channels():
+        for stage in plan.stages:
+            order = _stage_bwd_order(plan, stage)
+            yield ((stage.bwd_time,) * len(order), tuple(
+                FetchSite(producer=f"s{stage.index}:m{m}", use_step=step,
+                          nbytes=stage.stash_bytes)
+                for step, m in enumerate(order) if stage.offloaded[m]))
 
-    return _gate_plan(plan._memo, config, build)
+    return _plan_fetches(
+        plan._memo, config,
+        lambda: pipeline_pricer(plan, config) if pricer is None
+        else pricer, channels)
 
 
 def build_pipeline_ops(plan: PipelinePlan, config: SystemConfig,
@@ -540,9 +501,11 @@ def _emit_structure(plan: PipelinePlan, config: SystemConfig,
     stage_fetch: list[dict[int, tuple]] = []
     for stage, sched in zip(plan.stages, prefetch):
         waste_before = sched.waste_before()
+        fetched = [m for m in _stage_bwd_order(plan, stage)
+                   if stage.offloaded[m]]
         stage_fetch.append({
             m: (sched.issues[i], waste_before.get(i, ()))
-            for i, m in enumerate(_stage_fetch_microbatches(plan, stage))})
+            for i, m in enumerate(fetched)})
     structure = _OpStructure()
     ops = structure.table
     schedule = plan.schedule

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from repro.collectives.ring_algorithm import Primitive
 from repro.dnn.graph import Network
 from repro.dnn.layers import LayerKind
-from repro.dnn.shapes import Gemm
+from repro.dnn.shapes import Gemm, grad_gemms
 from repro.units import FP32_BYTES
 
 
@@ -74,14 +74,6 @@ def _shard_gemms(gemms: tuple[Gemm, ...], shards: int) -> tuple[Gemm, ...]:
                  for g in gemms)
 
 
-def _grad_gemms(fwd: tuple[Gemm, ...]) -> tuple[Gemm, ...]:
-    grads: list[Gemm] = []
-    for g in fwd:
-        grads.append(Gemm(g.m, g.k, g.n, c_reuse=g.a_reuse))   # dX
-        grads.append(Gemm(g.k, g.n, g.m, a_reuse=g.a_reuse))   # dW
-    return tuple(grads)
-
-
 def _resolve_gemms(net: Network, batch: int, shards: int | None) \
         -> list[tuple[tuple[Gemm, ...], tuple[Gemm, ...]]]:
     """Per layer, in layer order: its forward GEMMs at ``batch`` (split
@@ -100,7 +92,7 @@ def _resolve_gemms(net: Network, batch: int, shards: int | None) \
             fwd = tuple(layer.fwd_gemms(batch))
             if shards is not None:
                 fwd = _shard_gemms(fwd, shards)
-            pair = resolved[layer.gemms] = (fwd, _grad_gemms(fwd))
+            pair = resolved[layer.gemms] = (fwd, grad_gemms(fwd))
         out.append(pair)
     return out
 

@@ -3,8 +3,9 @@
 Combines the migration policy (:mod:`repro.vmem.policy`) with the
 Table I runtime API (:mod:`repro.vmem.runtime_api`) so examples can
 execute plans against the modeled address space, and exposes the plan
-summary (tensor list, traffic totals, footprints) that the system
-simulator's schedule builder consumes.
+summary (tensor list, traffic totals, footprints) to them.  The system
+simulator's schedule builder does not read it: it takes the policy's
+plan from :func:`repro.core.pricing.cached_migration`.
 """
 
 from __future__ import annotations

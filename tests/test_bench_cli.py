@@ -96,11 +96,25 @@ class TestMain:
     def test_check_passes_against_own_baseline(self, fake_suites,
                                                tmp_path):
         assert bench.main(["--update", "--root", str(tmp_path)]) == 0
+        assert bench.main(["--update", "--quick", "--root",
+                           str(tmp_path)]) == 0
         assert bench.main(["--quick", "--root", str(tmp_path)]) == 0
         assert bench.main(["--root", str(tmp_path)]) == 0
 
     def test_missing_baseline_fails(self, fake_suites, tmp_path):
         assert bench.main(["--quick", "--root", str(tmp_path)]) == 1
+
+    def test_missing_section_fails(self, fake_suites, tmp_path, capsys):
+        """A baseline file without the checked section fails like a
+        missing file, naming the suite, section and path."""
+        assert bench.main(["--update", "--root", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert bench.main(["--quick", "--root", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        for suite in bench.SUITES:
+            path = bench.bench_path(suite, tmp_path)
+            assert (f"{suite}: no quick section in {path} (run with "
+                    f"--update --quick to create it)") in err
 
     def test_doctored_baseline_fails(self, fake_suites, tmp_path,
                                      capsys):

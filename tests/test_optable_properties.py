@@ -118,7 +118,7 @@ class TestSchedulerEquivalence:
                 uids = [s.op.uid for s in col.ops_on(engine, channel)]
                 assert uids == [
                     uid for uid in range(len(program))
-                    if table.engines[uid] is engine
+                    if table.ops[uid].engine is engine
                     and channel in (None, table.channels[uid])]
 
     @given(op_programs())
@@ -131,7 +131,7 @@ class TestSchedulerEquivalence:
         busy = dict.fromkeys(EngineKind, 0.0)
         busy_per_channel: dict[tuple[EngineKind, int], float] = {}
         for uid in range(len(program)):
-            slot = (table.engines[uid], table.channels[uid])
+            slot = (table.ops[uid].engine, table.channels[uid])
             duration = table.durations[uid]
             assert col.prev_slot_finish[uid] == slot_free.get(slot, 0.0)
             assert col.start[uid] == max(
@@ -151,8 +151,8 @@ class TestSchedulerEquivalence:
 
 def column_lengths(table: OpTable) -> set[int]:
     return {len(column) for column in (
-        table.engines, table.codes, table.durations, table.deps,
-        table.tags, table.nbytes, table.channels)}
+        table.codes, table.durations, table.deps, table.tags,
+        table.nbytes, table.channels)}
 
 
 class TestContainerParity:

@@ -1,14 +1,14 @@
 """Full-result digest golden: one sha256 per simulated cell.
 
 The figure goldens pin a handful of scalars per experiment; this one
-pins *every* field of ``SimulationResult.to_dict()`` for 140 cells
+pins *every* field of ``SimulationResult.to_dict()`` for 148 cells
 spanning each mode the simulator runs: the paper's 6x8x2 grid and a
 model-parallel inference cell per design, plus inference under every
-prefetch policy, five pipeline schedules, four prefetch policies,
-three fault models, serving, and cluster cells on a device-centric
-and a memory-centric design.  Any change to any reported number changes a
-hash, so refactors of the simulator's internals must leave this file
-untouched.
+prefetch policy, five pipeline schedules, four prefetch policies on
+training and on a pipeline, three fault models, serving, and cluster
+cells on a device-centric and a memory-centric design.  Any change to
+any reported number changes a hash, so refactors of the simulator's
+internals must leave this file untouched.
 
 Floats are rounded to 12 significant digits before hashing: Python
 3.12's ``sum()`` compensates rounding error, so a few sums differ from
@@ -84,6 +84,13 @@ def digest_cells():
             prefetching = dataclasses.replace(config, prefetch_policy=policy)
             cells[f"prefetch/{design}/GoogLeNet/{policy}"] = (
                 lambda c=prefetching: simulate(c, "GoogLeNet", 128))
+            # A two-deep stash makes stride evict and re-fetch stashes.
+            staged = dataclasses.replace(
+                prefetching, pipeline_stages=4, pipeline_schedule="gpipe",
+                prefetch_stash=2)
+            cells[f"pipeline-prefetch/{design}/GPT2/{policy}"] = (
+                lambda c=staged: simulate(c, "GPT2", 64,
+                                          ParallelStrategy.PIPELINE))
         for fault in FAULT_MODELS:
             faulted = dataclasses.replace(config, fault_model=fault)
             cells[f"faults/{design}/VGG-E/{fault}"] = (

@@ -611,7 +611,8 @@ class TestInferenceSharing:
             for batch in batches:
                 table, result = cell(batch)
                 assert_same_table(table, fresh[batch][0])
-                assert table.engines == fresh[batch][0].engines
+                assert [op.engine for op in table.ops] \
+                    == [op.engine for op in fresh[batch][0].ops]
                 assert result == fresh[batch][1]
         finally:
             pricing.clear_caches()
