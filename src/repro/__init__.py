@@ -12,23 +12,40 @@ Public API quickstart::
     base = simulate(dc, "VGG-E", batch=512, strategy=ParallelStrategy.DATA)
     ours = simulate(mc, "VGG-E", batch=512, strategy=ParallelStrategy.DATA)
     print(f"speedup: {ours.speedup_over(base):.2f}x")
-"""
 
-from repro.core import (DESIGN_ORDER, LatencyBreakdown, PipelineStats,
-                        SimulationResult, SystemConfig,
-                        all_design_points, design_point,
-                        host_bandwidth_usage, simulate)
-from repro.dnn import (BENCHMARK_NAMES, WORKLOAD_NAMES, Network,
-                       build_network)
-from repro.training import ParallelStrategy
-from repro.units import harmonic_mean
+Each public name loads its defining module on first use (PEP 562), so
+``import repro`` and ``python -m repro list`` import no simulator.
+"""
 
 __version__ = "1.1.0"
 
-__all__ = [
-    "BENCHMARK_NAMES", "DESIGN_ORDER", "LatencyBreakdown", "Network",
-    "ParallelStrategy", "PipelineStats", "SimulationResult",
-    "SystemConfig", "WORKLOAD_NAMES", "all_design_points",
-    "build_network", "design_point", "harmonic_mean",
-    "host_bandwidth_usage", "simulate", "__version__",
-]
+#: Each public name and the module that defines it.
+_HOMES = {
+    "BENCHMARK_NAMES": "repro.dnn.registry",
+    "DESIGN_ORDER": "repro.core.design_points",
+    "LatencyBreakdown": "repro.core.metrics",
+    "Network": "repro.dnn.graph",
+    "ParallelStrategy": "repro.training.parallel",
+    "PipelineStats": "repro.core.metrics",
+    "SimulationResult": "repro.core.metrics",
+    "SystemConfig": "repro.core.system",
+    "WORKLOAD_NAMES": "repro.dnn.registry",
+    "all_design_points": "repro.core.design_points",
+    "build_network": "repro.dnn.registry",
+    "design_point": "repro.core.design_points",
+    "harmonic_mean": "repro.units",
+    "host_bandwidth_usage": "repro.core.simulator",
+    "simulate": "repro.core.simulator",
+}
+
+__all__ = [*_HOMES, "__version__"]
+
+
+def __getattr__(name: str):
+    home = _HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module 'repro' has no attribute {name!r}")
+    from importlib import import_module
+    value = getattr(import_module(home), name)
+    globals()[name] = value
+    return value

@@ -346,10 +346,11 @@ def _write_trace(args: argparse.Namespace) -> int:
             # Record the simulator's own phase spans over the very run
             # whose timeline is exported below.
             from repro import telemetry
+            from repro.telemetry.spans import span_recorder
             telemetry.enable(fresh=True)
             try:
                 timeline = iteration_timeline(*cell)
-                recorder = telemetry.span_recorder()
+                recorder = span_recorder()
                 host_spans = list(recorder.spans) if recorder else []
             finally:
                 telemetry.disable()

@@ -1,13 +1,1 @@
 """Accelerator device-node substrate (paper Table II, Figure 2)."""
-
-from repro.accelerator.device import BASELINE_DEVICE, DeviceSpec
-from repro.accelerator.generations import (GENERATIONS, KEPLER, MAXWELL,
-                                           PASCAL, TPUV2, VOLTA, generation)
-from repro.accelerator.hbm import HBM_900, MemorySpec
-from repro.accelerator.pe_array import PeArraySpec
-
-__all__ = [
-    "BASELINE_DEVICE", "DeviceSpec", "GENERATIONS", "HBM_900", "KEPLER",
-    "MAXWELL", "MemorySpec", "PASCAL", "PeArraySpec", "TPUV2", "VOLTA",
-    "generation",
-]

@@ -50,7 +50,7 @@ class CampaignPoint:
     overrides: Overrides = ()
     replacements: Overrides = ()
     label: str | None = None
-    #: Keyword arguments for :func:`repro.serving.simulate_serving`
+    #: Keyword arguments for :func:`repro.serving.server.simulate_serving`
     #: (as sorted pairs).  Non-empty turns this cell into a serving
     #: simulation instead of a training iteration.
     serving: Overrides = ()

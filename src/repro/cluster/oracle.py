@@ -18,8 +18,9 @@ it reserves -- and all three fall out of one ``simulate()`` (or
   which scales the slowdown a job suffers when the pool is
   oversubscribed and its overflow spills to a slower tier.
 
-Each distinct job class is simulated once per oracle instance; a
-cluster run prices in a handful of simulator invocations.
+Each distinct job class is simulated once per design point and
+process (:func:`repro.core.pricing.cached_cluster_cell`); a cluster
+run prices in a handful of simulator invocations.
 """
 
 from __future__ import annotations
@@ -110,38 +111,31 @@ class CostOracle:
 
     def __init__(self, config: SystemConfig) -> None:
         self.config = config
-        self._memo: dict[tuple, SimulationResult] = {}
 
     def _result(self, spec: JobSpec) -> SimulationResult:
-        # Two memo tiers: the per-instance dict (the seed's behavior)
-        # and the process-wide pricing memo, which shares one priced
-        # job class across every oracle of the same design point --
-        # each scheduling policy builds its own oracle, so without
-        # sharing the comparison re-simulates every class per policy.
+        # The process-wide pricing memo shares one priced job class
+        # across every oracle of the same design point -- each
+        # scheduling policy builds its own oracle, so without sharing
+        # the comparison re-simulates every class per policy.
         if spec.kind is JobKind.SERVING:
             key = ("serving", spec.network, spec.batch, spec.rate,
                    spec.trace_seed)
-            if key not in self._memo:
-                def run() -> SimulationResult:
-                    # Imported lazily: serving depends on repro.core.
-                    from repro.serving.server import simulate_serving
-                    return simulate_serving(
-                        self.config, spec.network, rate=spec.rate,
-                        n_requests=SERVING_REQUESTS,
-                        seed=spec.trace_seed, max_batch=spec.batch)
-                self._memo[key] = pricing.cached_cluster_cell(
-                    self.config, key, run)
-            return self._memo[key]
+
+            def run() -> SimulationResult:
+                # Imported lazily: serving depends on repro.core.
+                from repro.serving.server import simulate_serving
+                return simulate_serving(
+                    self.config, spec.network, rate=spec.rate,
+                    n_requests=SERVING_REQUESTS,
+                    seed=spec.trace_seed, max_batch=spec.batch)
+            return pricing.cached_cluster_cell(self.config, key, run)
         strategy = (ParallelStrategy.PIPELINE
                     if spec.kind is JobKind.PIPELINE
                     else ParallelStrategy.DATA)
-        key = (spec.kind.value, spec.network, spec.batch)
-        if key not in self._memo:
-            self._memo[key] = pricing.cached_cluster_cell(
-                self.config, key,
-                lambda: simulate(self.config, spec.network, spec.batch,
-                                 strategy))
-        return self._memo[key]
+        return pricing.cached_cluster_cell(
+            self.config, (spec.kind.value, spec.network, spec.batch),
+            lambda: simulate(self.config, spec.network, spec.batch,
+                             strategy))
 
     def profile(self, spec: JobSpec) -> JobProfile:
         """Price one job on this oracle's design point."""

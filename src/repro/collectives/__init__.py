@@ -1,19 +1,1 @@
 """Collective communication substrate (ring algorithm, Figure 9)."""
-
-from repro.collectives.multi_ring import (RingChannel, stripe_bytes,
-                                          striped_collective_time)
-from repro.collectives.ring_algorithm import (DEFAULT_SPEC, CollectiveSpec,
-                                              Primitive, all_gather_time,
-                                              all_reduce_time,
-                                              broadcast_time,
-                                              collective_time,
-                                              simulate_all_gather,
-                                              simulate_all_reduce,
-                                              simulate_broadcast)
-
-__all__ = [
-    "DEFAULT_SPEC", "CollectiveSpec", "Primitive", "RingChannel",
-    "all_gather_time", "all_reduce_time", "broadcast_time",
-    "collective_time", "simulate_all_gather", "simulate_all_reduce",
-    "simulate_broadcast", "stripe_bytes", "striped_collective_time",
-]

@@ -62,7 +62,7 @@ def simulate(config: SystemConfig, network: Network | str,
             :mod:`repro.pipeline` and populates ``result.pipeline``.
         mode: ``TRAINING`` (default) or ``INFERENCE``.  Request-level
             serving and multi-job cluster runs have their own entry
-            points (:func:`repro.serving.simulate_serving`,
+            points (:func:`repro.serving.server.simulate_serving`,
             :func:`repro.cluster.simulator.simulate_cluster`).
 
     Returns:

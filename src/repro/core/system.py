@@ -15,10 +15,12 @@ from repro.collectives.multi_ring import (RingChannel,
                                           striped_collective_time)
 from repro.collectives.ring_algorithm import (DEFAULT_SPEC, CollectiveSpec,
                                               Primitive)
+from repro.faults.model import FAULT_MODEL_ORDER
 from repro.host.cpu import CpuSocketSpec
 from repro.interconnect.builders import SystemTopology, VmemChannel, VmemTarget
 from repro.memnode.memory_node import MemoryNodeSpec
 from repro.units import US
+from repro.vmem.prefetch import PREFETCH_POLICY_ORDER
 
 
 @dataclass(frozen=True)
@@ -132,11 +134,6 @@ class SystemConfig:
     fault_model: str = "none"
 
     def __post_init__(self) -> None:
-        # Imported here: repro.vmem.prefetch is a leaf of the core
-        # layer and importing it at module scope would be circular for
-        # readers of repro.core.system's public names.
-        from repro.faults.model import FAULT_MODEL_ORDER
-        from repro.vmem.prefetch import PREFETCH_POLICY_ORDER
         if self.n_devices <= 0:
             raise ValueError("need at least one device")
         if self.collectives is None or self.vmem is None:

@@ -1,23 +1,1 @@
 """DNN workload substrate: layers, network DAGs, and Table III models."""
-
-from repro.dnn.builder import NetBuilder, TensorRef, conv_out_dim
-from repro.dnn.graph import Network, NetworkSummary, input_layer
-from repro.dnn.layers import (CHEAP_KINDS, RECURRENT_KINDS, WEIGHTED_KINDS,
-                              Layer, LayerKind)
-from repro.dnn.registry import (BENCHMARK_NAMES, CNN_NAMES, RNN_NAMES,
-                                TRANSFORMER_NAMES, WORKLOAD_NAMES,
-                                BenchmarkInfo, all_benchmarks,
-                                all_workloads, benchmark_info,
-                                build_network)
-from repro.dnn.shapes import (Gemm, attention_gemms, conv_gemm, fc_gemm,
-                              rnn_gemm, token_fc_gemm)
-
-__all__ = [
-    "BENCHMARK_NAMES", "CNN_NAMES", "RNN_NAMES", "TRANSFORMER_NAMES",
-    "WORKLOAD_NAMES", "CHEAP_KINDS", "RECURRENT_KINDS", "WEIGHTED_KINDS",
-    "BenchmarkInfo", "Gemm", "Layer", "LayerKind", "NetBuilder",
-    "Network", "NetworkSummary", "TensorRef", "all_benchmarks",
-    "all_workloads", "attention_gemms", "benchmark_info",
-    "build_network", "conv_gemm", "conv_out_dim", "fc_gemm",
-    "input_layer", "rnn_gemm", "token_fc_gemm",
-]

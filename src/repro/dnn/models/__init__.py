@@ -1,21 +1,1 @@
 """Model builders for the eight Table III benchmarks."""
-
-from repro.dnn.models.alexnet import build_alexnet
-from repro.dnn.models.googlenet import build_googlenet
-from repro.dnn.models.resnet import build_resnet34
-from repro.dnn.models.rnn import (RNN_SPECS, RnnSpec, build_rnn,
-                                  build_rnn_gemv, build_rnn_gru,
-                                  build_rnn_lstm1, build_rnn_lstm2)
-from repro.dnn.models.transformer import (TRANSFORMER_SPECS,
-                                          TransformerSpec,
-                                          build_bert_large,
-                                          build_gpt2, build_transformer)
-from repro.dnn.models.vgg import build_vgg_e
-
-__all__ = [
-    "RNN_SPECS", "RnnSpec", "TRANSFORMER_SPECS", "TransformerSpec",
-    "build_alexnet", "build_bert_large", "build_googlenet", "build_gpt2",
-    "build_resnet34", "build_rnn", "build_rnn_gemv", "build_rnn_gru",
-    "build_rnn_lstm1", "build_rnn_lstm2", "build_transformer",
-    "build_vgg_e",
-]

@@ -113,8 +113,3 @@ def decode_network(name: str, context: int | None = None) -> Network:
 def all_benchmarks() -> list[BenchmarkInfo]:
     """The paper's eight Table III rows (extensions excluded)."""
     return list(_BENCHMARKS)
-
-
-def all_workloads() -> list[BenchmarkInfo]:
-    """Every registered workload, extensions included."""
-    return list(_ALL)

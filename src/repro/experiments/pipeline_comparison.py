@@ -66,11 +66,6 @@ class PipelineComparison:
         zb = self.result(network, design, "pipeline/zb-h1")
         return one_f.pipeline.bubble_time - zb.pipeline.bubble_time
 
-    def best_variant(self, network: str, design: str) -> str:
-        """The variant with the highest throughput on a cell."""
-        return min(VARIANTS, key=lambda v: self.result(
-            network, design, v).iteration_time)
-
 
 def _workload(network: str, variant: str, batch: int,
               microbatches: int) -> WorkloadSpec:

@@ -12,16 +12,3 @@ run stays byte-identical.
 Select a model with ``SystemConfig(fault_model="storm")``, the
 ``--fault-models`` campaign axis, or ``python -m repro faults``.
 """
-
-from repro.faults.lowering import (active_fault_model, degraded_config,
-                                   healthy_config,
-                                   iteration_fault_stats,
-                                   record_fault_stats)
-from repro.faults.model import (FAULT_MODEL_ORDER, FAULT_MODELS,
-                                FaultModel, fault_model)
-
-__all__ = [
-    "FAULT_MODEL_ORDER", "FAULT_MODELS", "FaultModel",
-    "active_fault_model", "degraded_config", "fault_model",
-    "healthy_config", "iteration_fault_stats", "record_fault_stats",
-]

@@ -1,10 +1,1 @@
 """Host-side substrate: CPU sockets and the PCIe interface."""
-
-from repro.host.cpu import (HYPOTHETICAL_HC, POWER9, XEON,
-                            CpuBandwidthUsage, CpuSocketSpec, socket_usage)
-from repro.interconnect.link import PCIE_GEN3, PCIE_GEN4
-
-__all__ = [
-    "CpuBandwidthUsage", "CpuSocketSpec", "HYPOTHETICAL_HC", "PCIE_GEN3",
-    "PCIE_GEN4", "POWER9", "XEON", "socket_usage",
-]

@@ -1,21 +1,1 @@
 """Device-side interconnect substrate: links, topologies, rings."""
-
-from repro.interconnect.builders import (NO_VMEM, SystemTopology,
-                                         VmemChannel, VmemTarget,
-                                         build_dc_dla,
-                                         build_fig7a_derivative,
-                                         build_hc_dla, build_mc_dla_ring,
-                                         build_mc_dla_star)
-from repro.interconnect.link import (NVLINK, NVLINK2, PCIE_GEN3, PCIE_GEN4,
-                                     LinkSpec)
-from repro.interconnect.ring import Ring, RingSet
-from repro.interconnect.topology import (NodeId, NodeKind, Topology, device,
-                                         host, memory, switch)
-
-__all__ = [
-    "NO_VMEM", "NVLINK", "NVLINK2", "PCIE_GEN3", "PCIE_GEN4", "LinkSpec",
-    "NodeId", "NodeKind", "Ring", "RingSet", "SystemTopology", "Topology",
-    "VmemChannel", "VmemTarget", "build_dc_dla", "build_fig7a_derivative",
-    "build_hc_dla", "build_mc_dla_ring", "build_mc_dla_star", "device",
-    "host", "memory", "switch",
-]

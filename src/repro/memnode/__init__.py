@@ -1,21 +1,1 @@
 """Memory-node substrate (paper Figure 6, Table IV, Section V-C)."""
-
-from repro.memnode.dimm import (DDR4_8GB_RDIMM, DDR4_16GB_RDIMM,
-                                DDR4_32GB_LRDIMM, DDR4_64GB_LRDIMM,
-                                DDR4_128GB_LRDIMM, DIMM_CATALOG, DimmSpec,
-                                dimm_by_name)
-from repro.memnode.dma import DmaEngine
-from repro.memnode.memory_node import MemoryNodeSpec, node_with_dimm
-from repro.memnode.power import (DGX_DEVICE_COUNT, DGX_DEVICE_TDP_W,
-                                 DGX_SYSTEM_TDP_W, PowerReport,
-                                 max_pool_capacity, memory_node_power,
-                                 perf_per_watt_gain, table_iv)
-
-__all__ = [
-    "DDR4_128GB_LRDIMM", "DDR4_16GB_RDIMM", "DDR4_32GB_LRDIMM",
-    "DDR4_64GB_LRDIMM", "DDR4_8GB_RDIMM", "DGX_DEVICE_COUNT",
-    "DGX_DEVICE_TDP_W", "DGX_SYSTEM_TDP_W", "DIMM_CATALOG", "DimmSpec",
-    "DmaEngine", "MemoryNodeSpec", "PowerReport", "dimm_by_name",
-    "max_pool_capacity", "memory_node_power", "node_with_dimm",
-    "perf_per_watt_gain", "table_iv",
-]

@@ -14,10 +14,8 @@ from repro.memnode.dimm import DIMM_CATALOG, DimmSpec
 from repro.memnode.memory_node import MemoryNodeSpec, node_with_dimm
 from repro.units import TB
 
-#: DGX-1V system TDP and its device share.
+#: DGX-1V system TDP.
 DGX_SYSTEM_TDP_W = 3200.0
-DGX_DEVICE_TDP_W = 300.0
-DGX_DEVICE_COUNT = 8
 
 
 @dataclass(frozen=True)

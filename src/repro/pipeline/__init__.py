@@ -16,28 +16,3 @@ microbatch count are :class:`~repro.core.system.SystemConfig` fields
 ``pipeline_microbatches``), so campaigns sweep them through ordinary
 ``replacements``.
 """
-
-from repro.pipeline.lowering import (PipelinePlan, StageWork,
-                                     build_pipeline_ops, pipeline_stats,
-                                     plan_pipeline, resolve_stage_count)
-from repro.pipeline.partition import (PipelineStage, crossing_sends,
-                                      partition_stages, stage_of_layer,
-                                      stageable_layer_count)
-from repro.pipeline.schedules import (SCHEDULE_ALIASES, SCHEDULE_ORDER,
-                                      OpKind, PipelineSchedule,
-                                      ScheduleCosts, ScheduleKind, Slot,
-                                      StageProgram, build_schedule,
-                                      evaluate_makespan,
-                                      parse_schedule_kind,
-                                      structural_bubble_time)
-
-__all__ = [
-    "OpKind", "PipelinePlan", "PipelineSchedule", "PipelineStage",
-    "SCHEDULE_ALIASES", "SCHEDULE_ORDER", "ScheduleCosts",
-    "ScheduleKind", "Slot", "StageProgram", "StageWork",
-    "build_pipeline_ops", "build_schedule", "crossing_sends",
-    "evaluate_makespan", "parse_schedule_kind", "partition_stages",
-    "pipeline_stats", "plan_pipeline", "resolve_stage_count",
-    "stage_of_layer", "stageable_layer_count",
-    "structural_bubble_time",
-]

@@ -21,18 +21,3 @@ campaign --arrival-rates ...``), and
 ``experiments/serving_comparison.py`` replays the paper's six-design
 comparison under rising load until SLO collapse.
 """
-
-from repro.serving.batcher import BatchPolicy, form_batches, next_batch
-from repro.serving.server import (BatchLatencyModel, CompletedRequest,
-                                  ServingLedger, compute_stats,
-                                  percentile, run_continuous,
-                                  run_dynamic, simulate_serving)
-from repro.serving.traces import (Request, mmpp_trace, poisson_trace,
-                                  replayed_trace)
-
-__all__ = [
-    "BatchLatencyModel", "BatchPolicy", "CompletedRequest", "Request",
-    "ServingLedger", "compute_stats", "form_batches", "mmpp_trace",
-    "next_batch", "percentile", "poisson_trace", "replayed_trace",
-    "run_continuous", "run_dynamic", "simulate_serving",
-]

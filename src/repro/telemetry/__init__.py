@@ -27,29 +27,16 @@ byte-identical either way, and the CLI layer
     telemetry.disable()
 """
 
-from repro.telemetry.registry import (NOOP, Counter, Gauge, Histogram,
-                                      MetricsRegistry, counter,
-                                      disable_metrics, enable_metrics,
-                                      gauge, histogram,
-                                      metrics_registry, on_activation,
-                                      to_prometheus)
-from repro.telemetry.spans import (NOOP_SPAN, Span, SpanRecorder,
-                                   chrome_span_events, disable_tracing,
-                                   enable_tracing, span, span_recorder,
-                                   span_totals)
+from repro.telemetry.registry import (disable_metrics, enable_metrics,
+                                      metrics_registry)
+from repro.telemetry.spans import disable_tracing, enable_tracing
 
-__all__ = [
-    "NOOP", "NOOP_SPAN", "Counter", "Gauge", "Histogram",
-    "MetricsRegistry", "Span", "SpanRecorder", "chrome_span_events",
-    "counter", "disable", "disable_metrics", "disable_tracing",
-    "enable", "enable_metrics", "enable_tracing", "enabled", "gauge",
-    "histogram", "metrics_registry", "on_activation", "span",
-    "span_recorder", "span_totals", "to_prometheus",
-]
+__all__ = ["disable", "enable", "enabled"]
 
 
-def enable(fresh: bool = True) -> MetricsRegistry:
-    """Turn on both the metrics registry and the span tracer."""
+def enable(fresh: bool = True):
+    """Turn on both the metrics registry and the span tracer; return
+    the live :class:`~repro.telemetry.registry.MetricsRegistry`."""
     registry = enable_metrics(fresh)
     enable_tracing(fresh)
     return registry

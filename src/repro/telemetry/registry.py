@@ -21,7 +21,6 @@ snapshot in the Prometheus text exposition format.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_left
 from collections.abc import Callable, Sequence
 from typing import Any
@@ -338,8 +337,3 @@ def to_prometheus(snapshot: dict[str, Any]) -> str:
         lines.append(f"{name}_count{_labels_text(labels)} "
                      f"{entry['count']}")
     return "\n".join(lines) + "\n" if lines else ""
-
-
-def snapshot_json(snapshot: dict[str, Any]) -> str:
-    """The canonical JSON text of a snapshot (stable key order)."""
-    return json.dumps(snapshot, sort_keys=True)

@@ -29,7 +29,8 @@ from typing import Any
 
 from repro import telemetry
 from repro.telemetry.manifest import build_manifest, write_manifest
-from repro.telemetry.registry import to_prometheus
+from repro.telemetry.registry import metrics_registry, to_prometheus
+from repro.telemetry.spans import span_recorder, span_totals
 
 __all__ = ["TelemetrySession", "add_telemetry_argument",
            "artifact_paths", "eta_seconds", "summary_text"]
@@ -179,10 +180,10 @@ class TelemetrySession:
 
     def _finalize(self, error: str | None = None) -> None:
         wall = time.perf_counter() - self._t0
-        registry = telemetry.metrics_registry()
-        recorder = telemetry.span_recorder()
+        registry = metrics_registry()
+        recorder = span_recorder()
         self.snapshot = registry.snapshot() if registry else None
-        self.phases = telemetry.span_totals(
+        self.phases = span_totals(
             recorder.spans if recorder else ())
         paths = artifact_paths(self.tool, self.output)
 

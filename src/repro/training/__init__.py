@@ -1,10 +1,1 @@
 """Training-step modeling: parallelization and backprop expansion."""
-
-from repro.training.backprop import TrainingStep, expand
-from repro.training.parallel import (ParallelStrategy, PartitionedLayer,
-                                     SyncOp, partition, total_sync_bytes)
-
-__all__ = [
-    "ParallelStrategy", "PartitionedLayer", "SyncOp", "TrainingStep",
-    "expand", "partition", "total_sync_bytes",
-]

@@ -191,7 +191,8 @@ def partition(net: Network, batch: int, strategy: ParallelStrategy,
     if strategy is ParallelStrategy.PIPELINE:
         raise ValueError(
             "pipeline parallelism partitions the network into stages, "
-            "not per-layer shards; use repro.pipeline.plan_pipeline")
+            "not per-layer shards; use "
+            "repro.pipeline.lowering.plan_pipeline")
     if strategy is ParallelStrategy.DATA:
         return _partition_data(net, batch, n_devices)
     return _partition_model(net, batch, n_devices)

@@ -13,18 +13,11 @@ GB = 1024 * MB
 TB = 1024 * GB
 
 # Vendors quote link/memory bandwidth in decimal units (1 GB/s = 1e9 B/s).
-KBPS = 1e3
-MBPS = 1e6
 GBPS = 1e9
-TBPS = 1e12
 
 US = 1e-6
-MS = 1e-3
 
 FP32_BYTES = 4
-
-GIGA = 1e9
-TERA = 1e12
 
 
 def fmt_bytes(num_bytes: float) -> str:

@@ -1,29 +1,1 @@
 """DNN memory virtualization substrate (Table I, Figure 10)."""
-
-from repro.vmem.allocator import (OutOfRemoteMemoryError, PlacementPolicy,
-                                  RemoteAllocator, transfer_latency)
-from repro.vmem.driver import (PAGE_BYTES, AddressSpaceLayout, PageMapping,
-                               Tier, default_layout)
-from repro.vmem.manager import MemoryManager, MigrationPlan
-from repro.vmem.policy import (MigrationAction, MigrationPolicy, TensorPlan,
-                               offload_traffic_bytes,
-                               round_trip_traffic_bytes)
-from repro.vmem.prefetch import (ON_DEMAND, PREFETCH_POLICY_ORDER,
-                                 FetchIssue, FetchSite, PrefetchContext,
-                                 PrefetchPolicy, PrefetchSchedule,
-                                 WasteFetch, choose_victim,
-                                 collect_prefetch_stats, prefetch_policy)
-from repro.vmem.runtime_api import (CopyDirection, CopyEvent, DeviceRuntime,
-                                    RemotePtr)
-
-__all__ = [
-    "AddressSpaceLayout", "CopyDirection", "CopyEvent", "DeviceRuntime",
-    "FetchIssue", "FetchSite", "MemoryManager", "MigrationAction",
-    "MigrationPlan", "MigrationPolicy", "ON_DEMAND",
-    "OutOfRemoteMemoryError", "PAGE_BYTES", "PREFETCH_POLICY_ORDER",
-    "PageMapping", "PlacementPolicy", "PrefetchContext", "PrefetchPolicy",
-    "PrefetchSchedule", "RemoteAllocator", "RemotePtr", "TensorPlan",
-    "Tier", "WasteFetch", "choose_victim", "collect_prefetch_stats",
-    "default_layout", "offload_traffic_bytes", "prefetch_policy",
-    "round_trip_traffic_bytes", "transfer_latency",
-]

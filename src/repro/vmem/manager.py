@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 from repro.dnn.graph import Network
 from repro.vmem.policy import (MigrationAction, MigrationPolicy, TensorPlan,
-                               offload_traffic_bytes,
-                               round_trip_traffic_bytes)
+                               offload_traffic_bytes)
 from repro.vmem.runtime_api import CopyDirection, DeviceRuntime, RemotePtr
 
 
@@ -40,10 +39,6 @@ class MigrationPlan:
     @property
     def offload_bytes(self) -> int:
         return offload_traffic_bytes(list(self.tensors))
-
-    @property
-    def round_trip_bytes(self) -> int:
-        return round_trip_traffic_bytes(list(self.tensors))
 
     def tensor(self, producer: str) -> TensorPlan:
         for plan in self.tensors:

@@ -505,9 +505,9 @@ def collect_prefetch_stats(timeline: ColumnarTimeline, policy: str,
     the later of the two, so an earlier start means the timeline broke
     a dependency.
     """
-    # Imported here, not at module scope: repro.training (and through
-    # it repro.core.metrics) imports repro.vmem, so a top-level import
-    # would close an import cycle through the package __init__.
+    # Imported here, not at module scope: vmem sits below core in the
+    # layer map (core.system and core.schedule import this module), so
+    # the collector's reads of core's types stay inside the function.
     from repro.core.metrics import PrefetchStats
 
     index = _index_prefetches(timeline.table)

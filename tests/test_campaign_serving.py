@@ -149,7 +149,7 @@ class TestServingCampaign:
 
     def test_continuous_stats_report_zero_wait(self):
         from repro.core.design_points import design_point
-        from repro.serving import simulate_serving
+        from repro.serving.server import simulate_serving
         result = simulate_serving(
             design_point("MC-DLA(B)"), "GPT2", rate=20.0,
             n_requests=16, batcher="continuous", decode_steps=4,

@@ -15,6 +15,7 @@ from repro.cluster.policies import (QueueEntry, Release, earliest_start,
 from repro.cluster.pool import MemoryPool, spill_dilation, spill_penalty
 from repro.cluster.simulator import (_Ledger, fold_stats, percentile,
                                      simulate_cluster)
+from repro.core import pricing
 from repro.core.design_points import design_point
 from repro.core.metrics import ClusterStats, ExecutionMode, SimulationResult
 from repro.core.simulator import simulate
@@ -140,18 +141,27 @@ class TestCostOracle:
         assert repr(stall) in str(info.value)
         assert repr(vmem) in str(info.value)
 
-    def test_memoizes_by_job_class(self, mc_config):
+    def test_memoizes_by_job_class(self, mc_config, monkeypatch):
+        drives = []
+
+        def counting_simulate(*args, **kwargs):
+            drives.append(args)
+            return simulate(*args, **kwargs)
+
+        monkeypatch.setattr("repro.cluster.oracle.simulate",
+                            counting_simulate)
+        pricing.clear_caches()
         oracle = CostOracle(mc_config)
         spec = JobSpec(jid=0, arrival=0.0, kind=JobKind.TRAINING,
                        network="AlexNet", batch=512, iterations=3,
                        width=8)
         oracle.profile(spec)
-        n = len(oracle._memo)
+        assert len(drives) == 1
         oracle.profile(JobSpec(jid=1, arrival=9.0,
                                kind=JobKind.TRAINING,
                                network="AlexNet", batch=512,
                                iterations=7, width=2))
-        assert len(oracle._memo) == n  # same class, no new simulate
+        assert len(drives) == 1  # same class, no new simulate
 
 
 class TestMemoryPool:

@@ -28,11 +28,12 @@ from repro.core.trace import cluster_chrome_trace
 from repro.experiments.faults_comparison import (
     MODES, format_fault_comparison, run_fault_comparison, scalars_json)
 from repro.experiments.modes import mode_scenarios
-from repro.faults import (FAULT_MODEL_ORDER, FaultModel,
-                          active_fault_model, degraded_config,
-                          fault_model, healthy_config)
-from repro.serving import (BatchPolicy, ServingLedger, compute_stats,
-                           simulate_serving)
+from repro.faults.lowering import (active_fault_model, degraded_config,
+                                   healthy_config)
+from repro.faults.model import FAULT_MODEL_ORDER, FaultModel, fault_model
+from repro.serving.batcher import BatchPolicy
+from repro.serving.server import (ServingLedger, compute_stats,
+                                  simulate_serving)
 
 
 def faulted(design: str, model: str):

@@ -7,16 +7,27 @@ run manifest -- may load a module from outside the standard library.
 The checks run in a fresh interpreter, so modules the test runner has
 already imported cannot hide an import.  The same way, lowering one
 scenario in process (what ``repro trace`` does) must not load the
-campaign runner's process pool or the cluster scheduler.
+campaign runner's process pool or the cluster scheduler, ``repro
+list`` must load no simulator, and the simulator must not load the
+studies' own models.  No package ``__init__`` imports anything, so
+each name has one import path; the root's public names load on first
+use.
 """
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
+
+import pytest
+
+import repro
+from repro.core.simulator import simulate
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -63,46 +74,100 @@ def test_loads_only_the_standard_library():
     assert probe["foreign"] == []
 
 
-#: Imports what ``repro trace`` needs to lower one scenario and prints
-#: which process-pool modules came with it.
-TRACE_PROBE = """
-import json
-import sys
+def loaded(statement: str, modules) -> list[str]:
+    """Which of ``modules`` a fresh interpreter has loaded after
+    running ``statement``."""
+    probe = (f"{statement}\n"
+             "import json, sys\n"
+             f"print(json.dumps([name for name in {list(modules)!r}\n"
+             "                  if name in sys.modules]))\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    return json.loads(done.stdout.splitlines()[-1])
 
-import repro.campaign.points
-import repro.scenarios.lowering
 
-print(json.dumps([name for name in ("multiprocessing",
-                                    "concurrent.futures.process")
-                  if name in sys.modules]))
-"""
+#: What ``repro trace`` imports to lower one scenario.
+LOWERING = "import repro.campaign.points\nimport repro.scenarios.lowering"
+
+#: Every module of the package, by dotted name.
+MODULES = sorted(
+    ".".join(path.relative_to(SRC).with_suffix("").parts)
+    .removesuffix(".__init__")
+    for path in (SRC / "repro").rglob("*.py"))
 
 
 def test_lowering_a_scenario_loads_no_process_pool():
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    done = subprocess.run([sys.executable, "-c", TRACE_PROBE], env=env,
-                          capture_output=True, text=True, check=True)
-    assert json.loads(done.stdout.splitlines()[-1]) == []
-
-
-#: Imports what ``repro trace`` needs to lower one scenario and prints
-#: which cluster scheduler modules came with it.
-CLUSTER_PROBE = """
-import json
-import sys
-
-import repro.scenarios.lowering
-
-print(json.dumps([name for name in ("repro.cluster.simulator",
-                                    "repro.cluster.policies",
-                                    "repro.cluster.oracle",
-                                    "repro.cluster.pool")
-                  if name in sys.modules]))
-"""
+    assert loaded(LOWERING, ("multiprocessing",
+                             "concurrent.futures.process")) == []
 
 
 def test_lowering_a_scenario_loads_no_cluster_scheduler():
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    done = subprocess.run([sys.executable, "-c", CLUSTER_PROBE], env=env,
-                          capture_output=True, text=True, check=True)
-    assert json.loads(done.stdout.splitlines()[-1]) == []
+    assert loaded(LOWERING, ("repro.cluster.simulator",
+                             "repro.cluster.policies",
+                             "repro.cluster.oracle",
+                             "repro.cluster.pool")) == []
+
+
+def test_package_inits_import_nothing():
+    """Each name has one import path, its defining module: no package
+    ``__init__`` imports anything, except that ``repro.telemetry``
+    imports what its own switches call and the root imports only
+    inside its PEP 562 ``__getattr__``."""
+    for path in sorted((SRC / "repro").rglob("__init__.py")):
+        package = path.parent.relative_to(SRC).as_posix()
+        if package == "repro/telemetry":
+            continue
+        body = ast.parse(path.read_text()).body
+        if package == "repro":
+            assert [node.name for node in body
+                    if isinstance(node, ast.FunctionDef)] == ["__getattr__"]
+            body = [node for node in body
+                    if not isinstance(node, ast.FunctionDef)]
+        imports = [node.lineno for top in body for node in ast.walk(top)
+                   if isinstance(node, (ast.Import, ast.ImportFrom))]
+        assert imports == [], f"{path} imports on lines {imports}"
+
+
+def test_repro_list_loads_only_the_entry_point():
+    """``python -m repro list`` (and the installed ``repro list``)
+    loads no simulator module."""
+    statement = "from repro.__main__ import main\nmain(['list'])"
+    assert loaded(statement, MODULES) == ["repro", "repro.__main__"]
+
+
+def test_simulator_loads_no_runtime_api_or_power_model():
+    """Table I's runtime API, the Table IV power model and the device
+    generations are for their own studies, not for ``simulate()``."""
+    assert loaded("import repro.core.simulator", (
+        "repro.vmem.allocator", "repro.vmem.driver", "repro.vmem.manager",
+        "repro.vmem.runtime_api", "repro.memnode.power",
+        "repro.accelerator.generations")) == []
+
+
+class TestRootNames:
+    def test_every_public_name_resolves(self):
+        for name in repro.__all__:
+            assert getattr(repro, name) is not None
+        assert repro.simulate is simulate
+        with pytest.raises(AttributeError, match="no_such_name"):
+            repro.no_such_name
+
+    def test_quickstart_runs(self):
+        """The quickstart in the root docstring runs as written."""
+        lines = []
+        block = repro.__doc__.split("quickstart::\n", 1)[1]
+        for line in block.splitlines():
+            if line and not line.startswith("    "):
+                break
+            lines.append(line)
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        done = subprocess.run(
+            [sys.executable, "-c", textwrap.dedent("\n".join(lines))],
+            env=env, capture_output=True, text=True, check=True)
+        assert done.stdout.startswith("speedup: ")
+
+    def test_root_submodules_still_import(self):
+        assert loaded("from repro import bench, telemetry",
+                      ("repro.bench", "repro.telemetry")) \
+            == ["repro.bench", "repro.telemetry"]

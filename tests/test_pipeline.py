@@ -13,12 +13,12 @@ from repro.core.optable import schedule_ops
 from repro.core.simulator import iteration_timeline, simulate
 from repro.core.timeline import EngineKind
 from repro.dnn.registry import build_network
-from repro.pipeline import (ScheduleKind, build_pipeline_ops,
-                            build_schedule, crossing_sends,
-                            partition_stages, plan_pipeline,
-                            pipeline_stats, resolve_stage_count,
-                            stage_of_layer, stageable_layer_count,
-                            structural_bubble_time)
+from repro.pipeline.lowering import (build_pipeline_ops, pipeline_stats,
+                                     plan_pipeline, resolve_stage_count)
+from repro.pipeline.partition import (crossing_sends, partition_stages,
+                                      stage_of_layer, stageable_layer_count)
+from repro.pipeline.schedules import (ScheduleKind, build_schedule,
+                                      structural_bubble_time)
 from repro.scenarios.dsl import DesignSpec, Scenario, WorkloadSpec
 from repro.scenarios.runner import run_scenarios
 from repro.training.parallel import ParallelStrategy

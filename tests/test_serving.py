@@ -14,13 +14,14 @@ from repro.core.metrics import (ExecutionMode, ServingStats,
 from repro.core.schedule import plan_inference
 from repro.core.simulator import simulate
 from repro.dnn.registry import build_network, decode_network
-from repro.serving import (BatchLatencyModel, BatchPolicy, Request,
-                           compute_stats, form_batches, mmpp_trace,
-                           next_batch, percentile, poisson_trace,
-                           replayed_trace, run_continuous, run_dynamic,
-                           simulate_serving)
+from repro.serving.batcher import BatchPolicy, form_batches, next_batch
 from repro.serving.cli import main as serve_main
 from repro.serving.cli import resolve_design, resolve_network
+from repro.serving.server import (BatchLatencyModel, compute_stats,
+                                  percentile, run_continuous, run_dynamic,
+                                  simulate_serving)
+from repro.serving.traces import (Request, mmpp_trace, poisson_trace,
+                                  replayed_trace)
 from repro.training.parallel import ParallelStrategy
 
 

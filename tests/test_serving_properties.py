@@ -16,9 +16,9 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.serving import (BatchPolicy, compute_stats, form_batches,
-                           next_batch, replayed_trace, run_continuous,
-                           run_dynamic)
+from repro.serving.batcher import BatchPolicy, form_batches, next_batch
+from repro.serving.server import compute_stats, run_continuous, run_dynamic
+from repro.serving.traces import replayed_trace
 
 #: Inter-arrival gaps (seconds); zero gaps model simultaneous bursts.
 gaps = st.lists(st.floats(min_value=0.0, max_value=0.2,

@@ -22,13 +22,13 @@ from repro.core.metrics import ExecutionMode
 from repro.core.simulator import simulate
 from repro.telemetry.manifest import (WALL_CLOCK_FIELDS, build_manifest,
                                       config_fingerprint, write_manifest)
-from repro.telemetry.registry import (NOOP, MetricsRegistry,
-                                      to_prometheus)
+from repro.telemetry.registry import (NOOP, MetricsRegistry, counter,
+                                      gauge, histogram, to_prometheus)
 from repro.telemetry.session import (TelemetrySession, artifact_paths,
                                      eta_seconds, summary_text)
 from repro.telemetry.spans import (HOST_PID, NOOP_SPAN,
                                    chrome_span_events, span,
-                                   span_totals)
+                                   span_recorder, span_totals)
 from repro.training.parallel import ParallelStrategy
 
 
@@ -117,9 +117,9 @@ class TestRegistry:
 class TestDisabledPath:
     def test_handles_are_the_noop_singleton(self):
         assert telemetry.metrics_registry() is None
-        assert telemetry.counter("repro_x_total") is NOOP
-        assert telemetry.gauge("repro_g") is NOOP
-        assert telemetry.histogram("repro_h") is NOOP
+        assert counter("repro_x_total") is NOOP
+        assert gauge("repro_g") is NOOP
+        assert histogram("repro_h") is NOOP
         assert span("anything", k="v") is NOOP_SPAN
 
     def test_noop_allocates_nothing(self):
@@ -258,7 +258,7 @@ class TestSpans:
                 pass
             with span("inner"):
                 pass
-        spans = telemetry.span_recorder().spans
+        spans = span_recorder().spans
         by_name = {}
         for s in spans:
             by_name.setdefault(s.name, []).append(s)
@@ -275,7 +275,7 @@ class TestSpans:
     def test_chrome_span_events_schema(self, enabled):
         with span("phase", mode="x"):
             pass
-        events = chrome_span_events(telemetry.span_recorder().spans)
+        events = chrome_span_events(span_recorder().spans)
         meta = [e for e in events if e["ph"] == "M"]
         assert {e["name"] for e in meta} == {"process_name",
                                              "thread_name"}
@@ -289,7 +289,7 @@ class TestSpans:
     def test_simulate_records_phase_spans(self, enabled):
         simulate(design_point("MC-DLA(B)"), "AlexNet", 256,
                  ParallelStrategy.DATA)
-        names = [s.name for s in telemetry.span_recorder().spans]
+        names = [s.name for s in span_recorder().spans]
         assert {"plan", "price", "emit", "schedule"} <= set(names)
 
     @pytest.mark.parametrize("kind,network,strategy,mode", (
@@ -303,7 +303,7 @@ class TestSpans:
     def test_phase_spans_tile_the_driver(self, enabled, kind, network,
                                          strategy, mode):
         simulate(design_point("MC-DLA(B)"), network, 64, strategy, mode)
-        spans = telemetry.span_recorder().spans
+        spans = span_recorder().spans
         phases = ("plan", "price", "emit", "schedule", "collect")
         assert [s.name for s in spans] == list(phases)
         assert all(s.args == {"mode": kind} for s in spans)
@@ -631,7 +631,7 @@ class TestMergedTrace:
         try:
             cache = ResultCache(str(tmp_path / "cache"))
             run_campaign(points, cache=cache).raise_failures()
-            spans = list(telemetry.span_recorder().spans)
+            spans = list(span_recorder().spans)
         finally:
             telemetry.disable()
         timeline = iteration_timeline(design_point("MC-DLA(B)"),

@@ -19,12 +19,13 @@ from repro.core.trace import tag_category, to_chrome_trace
 from repro.dnn.layers import LayerKind
 from repro.dnn.registry import build_network
 from repro.naming import resolve_schedule
-from repro.pipeline import (OpKind, ScheduleCosts, ScheduleKind, Slot,
-                            StageProgram, build_schedule,
-                            evaluate_makespan,
-                            parse_schedule_kind, pipeline_stats,
-                            plan_pipeline, structural_bubble_time)
-from repro.pipeline.lowering import _layer_times
+from repro.pipeline.lowering import (_layer_times, pipeline_stats,
+                                     plan_pipeline)
+from repro.pipeline.schedules import (OpKind, ScheduleCosts, ScheduleKind,
+                                      Slot, StageProgram, build_schedule,
+                                      evaluate_makespan,
+                                      parse_schedule_kind,
+                                      structural_bubble_time)
 from repro.scenarios.paper import zero_bubble_suite
 from repro.scenarios.runner import run_suite
 from repro.training.parallel import ParallelStrategy

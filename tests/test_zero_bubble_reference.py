@@ -14,9 +14,9 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.pipeline import (OpKind, ScheduleCosts, ScheduleKind, Slot,
-                            StageProgram, build_schedule,
-                            evaluate_makespan)
+from repro.pipeline.schedules import (OpKind, ScheduleCosts, ScheduleKind,
+                                      Slot, StageProgram, build_schedule,
+                                      evaluate_makespan)
 
 # --- reference: the replaced implementation, unchanged ---------------
 
