@@ -1,8 +1,11 @@
 """The device-node: PE array + HBM + high-bandwidth links.
 
 Combines the compute model (:mod:`repro.accelerator.pe_array`) and the
-memory model (:mod:`repro.accelerator.hbm`) into the per-layer timing
-interface the training-step simulator consumes.
+memory model (:mod:`repro.accelerator.hbm`) into one timing primitive,
+:meth:`DeviceSpec.op_time` (one kernel: a GEMM sequence or a streaming
+pass).  Layers are timed from it in one place,
+:func:`repro.core.pricing.layer_times`, which every execution mode
+reads, pipeline stages and their zero-bubble B/W split included.
 """
 
 from __future__ import annotations
@@ -11,7 +14,6 @@ from dataclasses import dataclass, field
 
 from repro.accelerator.hbm import HBM_900, MemorySpec
 from repro.accelerator.pe_array import PeArraySpec
-from repro.dnn.layers import Layer
 from repro.interconnect.link import NVLINK, LinkSpec
 
 
@@ -41,34 +43,6 @@ class DeviceSpec:
     def aggregate_link_bw(self) -> float:
         """Total uni-directional link bandwidth (300 GB/s baseline)."""
         return self.n_links * self.link.uni_bw
-
-    # -- Layer timing -------------------------------------------------------
-
-    def layer_fwd_time(self, layer: Layer, batch: int) -> float:
-        """Forward-propagation time of one layer at a batch size."""
-        return self.op_time(layer.fwd_gemms(batch),
-                            layer.fwd_stream_bytes(batch))
-
-    def layer_bwd_time(self, layer: Layer, batch: int) -> float:
-        """Backward time: the dX and dW GEMMs, or the streaming pass."""
-        return self.op_time(layer.bwd_gemms(batch),
-                            layer.fwd_stream_bytes(batch))
-
-    def layer_bwd_split_time(self, layer: Layer,
-                             batch: int) -> tuple[float, float]:
-        """(activation-grad, weight-grad) split of the backward pass.
-
-        ``bwd_gemms`` interleaves (dX, dW) pairs per forward GEMM:
-        even indices propagate the activation gradient (the B op on a
-        zero-bubble schedule's critical path), odd indices produce the
-        weight gradient (the deferrable W op).  Streaming, GEMM-less
-        backward passes have no weight-grad component to defer.
-        """
-        gemms = layer.bwd_gemms(batch)
-        if gemms:
-            return (self.op_time(gemms[0::2], 0),
-                    self.op_time(gemms[1::2], 0))
-        return self.op_time((), layer.fwd_stream_bytes(batch)), 0.0
 
     def op_time(self, gemms, stream_bytes: int) -> float:
         """Time one kernel: a GEMM sequence, or a streaming pass."""

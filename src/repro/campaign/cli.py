@@ -27,6 +27,7 @@ import json
 import os
 import sys
 import time
+from operator import attrgetter
 
 from repro.campaign.cache import ResultCache, default_cache_dir
 from repro.campaign.runner import CampaignReport, CellOutcome
@@ -44,21 +45,64 @@ from repro.telemetry.session import (TelemetrySession,
                                      add_telemetry_argument, eta_seconds)
 from repro.vmem.prefetch import PREFETCH_POLICY_ORDER
 
-_CSV_FIELDS = (
-    "design", "network", "batch", "strategy", "n_devices",
-    "iteration_time", "throughput", "compute", "sync", "vmem",
-    "offload_bytes_per_device", "sync_bytes",
-    "host_traffic_bytes_per_device", "fits_in_device_memory",
-    "bubble_fraction", "mode", "latency_p50", "latency_p95",
-    "latency_p99", "goodput", "slo_attainment", "jct_p50", "jct_p95",
-    "queue_delay_mean", "pool_utilization", "preemptions",
-    "prefetch_policy", "stall_seconds", "prefetch_hit_rate",
-    "wasted_prefetch_bytes", "prefetch_evictions",
-    # Fault columns live between the prefetch block and "cached" so
-    # the first fifteen fields stay stable for downstream `cut`s.
-    "fault_model", "fault_events", "fault_retries", "shed_requests",
-    "timed_out_requests", "recovery_bytes", "availability", "cached",
+#: Every output column, in order, as (column, payload, field): the
+#: column reads ``field`` of ``payload``, a dotted attribute path from
+#: the cell's outcome (empty: the outcome itself), and is None when
+#: the payload is (a cell without that mode's stats).  A None
+#: ``field`` embeds the payload's ``to_dict()``; those five columns
+#: are JSON-only.  Fault columns sit between the prefetch block and
+#: "cached" so the first fifteen CSV fields stay stable for
+#: downstream `cut`s.
+_COLUMNS = (
+    ("design", "point", "name"),
+    ("network", "result", "network"),
+    ("batch", "result", "batch"),
+    ("strategy", "result.strategy", "value"),
+    ("n_devices", "result", "n_devices"),
+    ("iteration_time", "result", "iteration_time"),
+    ("throughput", "result", "throughput"),
+    ("compute", "result.breakdown", "compute"),
+    ("sync", "result.breakdown", "sync"),
+    ("vmem", "result.breakdown", "vmem"),
+    ("offload_bytes_per_device", "result", "offload_bytes_per_device"),
+    ("sync_bytes", "result", "sync_bytes"),
+    ("host_traffic_bytes_per_device", "result",
+     "host_traffic_bytes_per_device"),
+    ("fits_in_device_memory", "result", "fits_in_device_memory"),
+    ("bubble_fraction", "result.pipeline", "bubble_fraction"),
+    ("pipeline", "result.pipeline", None),
+    ("mode", "result.mode", "value"),
+    ("latency_p50", "result.serving", "latency_p50"),
+    ("latency_p95", "result.serving", "latency_p95"),
+    ("latency_p99", "result.serving", "latency_p99"),
+    ("goodput", "result.serving", "goodput"),
+    ("slo_attainment", "result.serving", "slo_attainment"),
+    ("serving", "result.serving", None),
+    ("jct_p50", "result.cluster", "jct_p50"),
+    ("jct_p95", "result.cluster", "jct_p95"),
+    ("queue_delay_mean", "result.cluster", "queue_delay_mean"),
+    ("pool_utilization", "result.cluster", "pool_utilization"),
+    ("preemptions", "result.cluster", "preemptions"),
+    ("cluster", "result.cluster", None),
+    ("prefetch_policy", "result.prefetch", "policy"),
+    ("stall_seconds", "result.prefetch", "stall_seconds"),
+    ("prefetch_hit_rate", "result.prefetch", "hit_rate"),
+    ("wasted_prefetch_bytes", "result.prefetch", "wasted_bytes"),
+    ("prefetch_evictions", "result.prefetch", "evictions"),
+    ("prefetch", "result.prefetch", None),
+    ("fault_model", "result.faults", "model"),
+    ("fault_events", "result.faults", "injected_events"),
+    ("fault_retries", "result.faults", "retries"),
+    ("shed_requests", "result.faults", "shed_requests"),
+    ("timed_out_requests", "result.faults", "timed_out_requests"),
+    ("recovery_bytes", "result.faults", "recovery_bytes"),
+    ("availability", "result.faults", "availability"),
+    ("faults", "result.faults", None),
+    ("cached", "", "cached"),
 )
+
+_CSV_FIELDS = tuple(column for column, _, field in _COLUMNS
+                    if field is not None)
 
 
 def _split(raw: str) -> list[str]:
@@ -296,97 +340,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _cell(outcome: CellOutcome, payload: str, field: str | None):
+    """One column of a cell's row (see :data:`_COLUMNS`)."""
+    source = attrgetter(payload)(outcome) if payload else outcome
+    if source is None:
+        return None
+    return source.to_dict() if field is None else getattr(source, field)
+
+
 def _rows(report: CampaignReport) -> list[dict]:
-    rows = []
-    for outcome in report.outcomes:
-        if not outcome.ok:
-            continue
-        result = outcome.result
-        rows.append({
-            "design": outcome.point.name,
-            "network": result.network,
-            "batch": result.batch,
-            "strategy": result.strategy.value,
-            "n_devices": result.n_devices,
-            "iteration_time": result.iteration_time,
-            "throughput": result.throughput,
-            "compute": result.breakdown.compute,
-            "sync": result.breakdown.sync,
-            "vmem": result.breakdown.vmem,
-            "offload_bytes_per_device": result.offload_bytes_per_device,
-            "sync_bytes": result.sync_bytes,
-            "host_traffic_bytes_per_device":
-                result.host_traffic_bytes_per_device,
-            "fits_in_device_memory": result.fits_in_device_memory,
-            "bubble_fraction": (result.pipeline.bubble_fraction
-                                if result.pipeline is not None
-                                else None),
-            "pipeline": (result.pipeline.to_dict()
-                         if result.pipeline is not None else None),
-            "mode": result.mode.value,
-            "latency_p50": (result.serving.latency_p50
-                            if result.serving is not None else None),
-            "latency_p95": (result.serving.latency_p95
-                            if result.serving is not None else None),
-            "latency_p99": (result.serving.latency_p99
-                            if result.serving is not None else None),
-            "goodput": (result.serving.goodput
-                        if result.serving is not None else None),
-            "slo_attainment": (result.serving.slo_attainment
-                               if result.serving is not None else None),
-            "serving": (result.serving.to_dict()
-                        if result.serving is not None else None),
-            "jct_p50": (result.cluster.jct_p50
-                        if result.cluster is not None else None),
-            "jct_p95": (result.cluster.jct_p95
-                        if result.cluster is not None else None),
-            "queue_delay_mean": (result.cluster.queue_delay_mean
-                                 if result.cluster is not None
-                                 else None),
-            "pool_utilization": (result.cluster.pool_utilization
-                                 if result.cluster is not None
-                                 else None),
-            "preemptions": (result.cluster.preemptions
-                            if result.cluster is not None else None),
-            "cluster": (result.cluster.to_dict()
-                        if result.cluster is not None else None),
-            "prefetch_policy": (result.prefetch.policy
-                                if result.prefetch is not None
-                                else None),
-            "stall_seconds": (result.prefetch.stall_seconds
-                              if result.prefetch is not None
-                              else None),
-            "prefetch_hit_rate": (result.prefetch.hit_rate
-                                  if result.prefetch is not None
-                                  else None),
-            "wasted_prefetch_bytes": (result.prefetch.wasted_bytes
-                                      if result.prefetch is not None
-                                      else None),
-            "prefetch_evictions": (result.prefetch.evictions
-                                   if result.prefetch is not None
-                                   else None),
-            "prefetch": (result.prefetch.to_dict()
-                         if result.prefetch is not None else None),
-            "fault_model": (result.faults.model
-                            if result.faults is not None else None),
-            "fault_events": (result.faults.injected_events
-                             if result.faults is not None else None),
-            "fault_retries": (result.faults.retries
-                              if result.faults is not None else None),
-            "shed_requests": (result.faults.shed_requests
-                              if result.faults is not None else None),
-            "timed_out_requests": (result.faults.timed_out_requests
-                                   if result.faults is not None
-                                   else None),
-            "recovery_bytes": (result.faults.recovery_bytes
-                               if result.faults is not None else None),
-            "availability": (result.faults.availability
-                             if result.faults is not None else None),
-            "faults": (result.faults.to_dict()
-                       if result.faults is not None else None),
-            "cached": outcome.cached,
-        })
-    return rows
+    return [{column: _cell(outcome, payload, field)
+             for column, payload, field in _COLUMNS}
+            for outcome in report.outcomes if outcome.ok]
 
 
 def _render(report: CampaignReport, fmt: str) -> str:
@@ -395,7 +360,7 @@ def _render(report: CampaignReport, fmt: str) -> str:
         return json.dumps(rows, indent=2)
     if fmt == "csv":
         buffer = io.StringIO()
-        # The structured "pipeline" sub-dict is JSON-only.
+        # The embedded payload dicts are JSON-only.
         writer = csv.DictWriter(buffer, fieldnames=_CSV_FIELDS,
                                 lineterminator="\n",
                                 extrasaction="ignore")

@@ -25,11 +25,10 @@ through:
   point sharing the structure re-prices, one price per distinct
   collective or DMA key;
 * the pipeline plans of :func:`repro.pipeline.lowering.plan_pipeline`
-  and the levels below them (stage partitions per stage count,
-  per-layer stage times per device, microbatch and B/W split), in the
-  same store; each plan carries its price-blind gate plans and the op
-  structures emitted from it (one per prefetch gate plan), re-priced
-  per design the same way;
+  and their stage partitions per stage count, in the same store; each
+  plan carries its price-blind gate plans and the op structures
+  emitted from it (one per prefetch gate plan), re-priced per design
+  the same way;
 * one memo per inference network shape of
   :func:`repro.core.schedule.plan_inference` (network, strategy,
   device count, virtualization, and the batch under model
@@ -38,10 +37,12 @@ through:
   batch and design point of the shape prices, compute included;
 * :func:`batch_latencies` -- the forward-only results of one design
   and network per batch size, shared by every serving latency model;
-* :func:`layer_times` -- per-layer (forward, backward) seconds for a
-  (device, batch, strategy, n_devices) cell, shared by every design
-  point with the same device model; each build times a distinct
-  kernel shape once;
+* :func:`layer_times` -- per-layer (forward, backward, weight-grad)
+  seconds for a (device, batch, strategy, n_devices) cell, with or
+  without the zero-bubble B/W split, shared by every design point
+  with the same device model; a pipeline times its stages from the
+  data-parallel single-device entry at its microbatch; each build
+  times a distinct kernel shape once;
 * :func:`collective_pricer` -- ring-collective latency per
   (model, primitive, nbytes);
 * :class:`MemoPricer` -- wraps a per-transfer DMA pricer with a
@@ -95,7 +96,7 @@ _CLUSTER_CELLS: dict = {}
 _MEMO_NAMES = ("partition", "migration", "layer-times", "collective",
                "dma", "cluster-cell", "iteration-plan", "op-structure",
                "gate-plan", "pipeline-plan", "pipeline-partition",
-               "stage-times", "inference-shape", "batch-latency")
+               "inference-shape", "batch-latency")
 _HITS: dict = dict.fromkeys(_MEMO_NAMES, NOOP)
 _MISSES: dict = dict.fromkeys(_MEMO_NAMES, NOOP)
 
@@ -185,17 +186,25 @@ def cached_migration(net: "Network", batch: int, virtualize: bool) \
 
 
 def layer_times(net: "Network", device: "DeviceSpec", batch: int,
-                strategy: ParallelStrategy, n_devices: int) \
-        -> dict[str, tuple[float, float]]:
-    """Per-layer ``name -> (fwd_seconds, bwd_seconds)`` for one cell.
+                strategy: ParallelStrategy, n_devices: int,
+                split: bool = False) \
+        -> dict[str, tuple[float, float, float]]:
+    """Per-layer ``name -> (fwd, bwd, wgrad)`` seconds for one cell.
+
+    Without ``split`` the whole backward is ``bwd`` and ``wgrad`` is
+    zero.  With it, the backward splits as a zero-bubble pipeline runs
+    it: ``bwd`` is the activation-grad (B) part, the even GEMMs of the
+    (dX, dW) interleave of :func:`~repro.dnn.shapes.grad_gemms`, and
+    ``wgrad`` the deferrable weight-grad (W) part, the odd ones; a
+    streaming backward has no W part.
 
     Times each distinct (GEMMs, stream bytes) kernel of the partition
     once, so layers of one shape share their timing; the schedule
-    builder, the plan-seconds walk, and the prefetch context all read
-    from the same dict.  Keyed on the device spec, so design points
-    sharing the baseline device share the entry.
+    builders, the plan-seconds walks, and the prefetch contexts all
+    read from the same dict.  Keyed on the device spec, so design
+    points sharing the baseline device share the entry.
     """
-    def build() -> dict[str, tuple[float, float]]:
+    def build() -> dict[str, tuple[float, float, float]]:
         timed: dict[tuple, float] = {}
 
         def op_time(gemms, stream_bytes: int) -> float:
@@ -205,14 +214,21 @@ def layer_times(net: "Network", device: "DeviceSpec", batch: int,
                 seconds = timed[key] = device.op_time(gemms, stream_bytes)
             return seconds
 
-        return {p.name: (op_time(p.fwd_gemms, p.fwd_stream_bytes),
-                         op_time(p.bwd_gemms, p.fwd_stream_bytes))
-                for p in cached_partition(net, batch, strategy,
-                                          n_devices)}
+        times = {}
+        for p in cached_partition(net, batch, strategy, n_devices):
+            stream = p.fwd_stream_bytes
+            if split:
+                bwd = op_time(p.bwd_gemms[0::2], stream)
+                wgrad = op_time(p.bwd_gemms[1::2], 0)
+            else:
+                bwd, wgrad = op_time(p.bwd_gemms, stream), 0.0
+            times[p.name] = (op_time(p.fwd_gemms, stream), bwd, wgrad)
+        return times
 
     return _memoized(
         _net_cache(net), ("layer-times", net.version, device, batch,
-                          strategy, n_devices), "layer-times", build)
+                          strategy, n_devices, split), "layer-times",
+        build)
 
 
 def _collective_memo(model: "CollectiveModel") -> dict:

@@ -29,7 +29,7 @@ from repro.core import pricing
 from repro.core.optable import OpTable
 from repro.core.system import SystemConfig
 from repro.core.timeline import EngineKind
-from repro.dnn.graph import Network
+from repro.dnn.graph import Network, weight_owners
 from repro.dnn.layers import LayerKind
 from repro.training.backprop import TrainingStep
 from repro.training.parallel import ParallelStrategy, PartitionedLayer
@@ -171,7 +171,7 @@ def _iteration_seconds(plan: IterationPlan,
         if plan.net.layer(name).kind is LayerKind.INPUT:
             continue
         part = plan.parts[name]
-        fwd_s, bwd_s = times[name]
+        fwd_s, bwd_s, _ = times[name]
         compute += fwd_s
         compute += bwd_s
         for sync in (part.fwd_sync, part.bwd_sync):
@@ -319,14 +319,7 @@ def plan_inference(net: Network, config: SystemConfig, batch: int,
     def shape() -> dict:
         streamed: dict[str, int] = {}
         if virtualizes:
-            seen_groups: set[str] = set()
-            for layer in net.layers:
-                if not layer.weight_elems:
-                    continue
-                if layer.weight_group:
-                    if layer.weight_group in seen_groups:
-                        continue
-                    seen_groups.add(layer.weight_group)
+            for layer in weight_owners(net.layers):
                 nbytes = layer.weight_bytes
                 if strategy is ParallelStrategy.MODEL:
                     # Model-parallel shards each weight matrix N-wise.

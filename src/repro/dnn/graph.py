@@ -10,6 +10,7 @@ producer -> consumer feature-map dependencies.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 from repro.dnn.layers import Layer, LayerKind
@@ -185,17 +186,7 @@ class Network:
 
     def weight_bytes(self) -> int:
         """Total unique weight bytes (shared groups counted once)."""
-        seen_groups: set[str] = set()
-        total = 0
-        for layer in self.layers:
-            if not layer.weight_elems:
-                continue
-            if layer.weight_group:
-                if layer.weight_group in seen_groups:
-                    continue
-                seen_groups.add(layer.weight_group)
-            total += layer.weight_bytes
-        return total
+        return sum(layer.weight_bytes for layer in weight_owners(self.layers))
 
     def feature_map_bytes(self, batch: int) -> int:
         """Total forward feature-map bytes at a batch size (all layers)."""
@@ -255,6 +246,24 @@ class NetworkSummary:
             footprint_mbytes=net.training_footprint_bytes(batch) / (1024 * 1024),
             fwd_gmacs=net.fwd_macs(batch) / 1e9,
         )
+
+
+def weight_owners(layers: Iterable[Layer]) -> Iterator[Layer]:
+    """The layers among ``layers`` that own a weight buffer, in order.
+
+    Every weighted layer owns its weights, except that layers sharing
+    a ``weight_group`` (a recurrent cell's timesteps, a tied embedding
+    and output head) share one buffer, owned by the group's first
+    member.  Ownership is local to the layers passed: a group spanning
+    two pipeline stages has an owner, and a buffer, in each.
+    """
+    seen: set[str] = set()
+    for layer in layers:
+        if not layer.weight_elems or layer.weight_group in seen:
+            continue
+        if layer.weight_group:
+            seen.add(layer.weight_group)
+        yield layer
 
 
 def input_layer(name: str, elems: int) -> Layer:

@@ -98,13 +98,15 @@ class Layer:
             the cell state for LSTMs).
         weight_elems: Trainable parameter count.  Recurrent cells report
             the full cell weights; weight *sharing* across timesteps is
-            handled by :mod:`repro.training` via ``weight_group``.
+            resolved by :func:`repro.dnn.graph.weight_owners` via
+            ``weight_group``.
         gemms: Forward-pass GEMMs.  Empty for element-wise layers.
         stream_elems: Elements touched per sample by an element-wise
             forward pass (read + write), used for memory-bound timing of
             layers without GEMMs.
         weight_group: Layers sharing this non-empty key share one physical
-            weight buffer (recurrent cells across timesteps).
+            weight buffer (recurrent cells across timesteps, a tied
+            embedding and output head).
     """
 
     name: str

@@ -40,7 +40,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.accelerator.device import DeviceSpec
 from repro.collectives.ring_algorithm import Primitive
 from repro.core import pricing
 from repro.core.metrics import PipelineStats
@@ -48,7 +47,7 @@ from repro.core.optable import ColumnarTimeline, OpTable
 from repro.core.schedule import _OpStructure, _plan_fetches, vmem_pricer
 from repro.core.system import SystemConfig
 from repro.core.timeline import EngineKind
-from repro.dnn.graph import Network
+from repro.dnn.graph import Network, weight_owners
 from repro.dnn.layers import LayerKind
 from repro.pipeline.partition import (PipelineStage, crossing_sends,
                                       partition_stages,
@@ -58,6 +57,7 @@ from repro.pipeline.schedules import (OpKind, PipelineSchedule,
                                       build_schedule,
                                       parse_schedule_kind,
                                       structural_bubble_time)
+from repro.training.parallel import ParallelStrategy
 from repro.vmem.prefetch import FetchSite, PrefetchSchedule
 
 
@@ -178,65 +178,12 @@ def _p2p_time(config: SystemConfig, nbytes: int) -> float:
     return config.device.link.latency + nbytes / bandwidth
 
 
-def _stage_weight_bytes(net: Network, stage: PipelineStage) -> int:
-    seen: set[str] = set()
-    total = 0
-    for name in stage.layer_names:
-        layer = net.layer(name)
-        if not layer.weight_elems:
-            continue
-        if layer.weight_group:
-            if layer.weight_group in seen:
-                continue
-            seen.add(layer.weight_group)
-        total += layer.weight_bytes
-    return total
-
-
-def _layer_times(net: Network, device: DeviceSpec, microbatch: int,
-                 split: bool) -> dict[str, tuple[float, float, float,
-                                                 bool]]:
-    """Per non-input layer: ``(fwd, bwd, wgrad, is_cheap)`` seconds
-    per microbatch.
-
-    Without ``split`` the whole backward lands in ``bwd`` and
-    ``wgrad`` is zero; with it, ``bwd`` is the activation-grad (B)
-    part and ``wgrad`` the deferrable dW part.  Memoized per network
-    version, device, microbatch and split: every design point sharing
-    the device times each layer once, and each distinct (GEMMs, stream
-    elements) layer shape is timed once per build.
-    """
-    def build() -> dict[str, tuple[float, float, float, bool]]:
-        timed: dict[tuple, tuple[float, float, float]] = {}
-        times = {}
-        for layer in net.layers:
-            if layer.kind is LayerKind.INPUT:
-                continue
-            key = (layer.gemms, layer.stream_elems)
-            seconds = timed.get(key)
-            if seconds is None:
-                fwd = device.layer_fwd_time(layer, microbatch)
-                if split:
-                    bwd, wgrad = device.layer_bwd_split_time(layer,
-                                                             microbatch)
-                else:
-                    bwd = device.layer_bwd_time(layer, microbatch)
-                    wgrad = 0.0
-                seconds = timed[key] = (fwd, bwd, wgrad)
-            times[layer.name] = (*seconds, layer.is_cheap)
-        return times
-
-    return pricing._memoized(
-        pricing._net_cache(net),
-        ("stage-times", net.version, device, microbatch, split),
-        "stage-times", build)
-
-
-def _stage_times(times: dict[str, tuple[float, float, float, bool]],
+def _stage_times(net: Network,
+                 times: dict[str, tuple[float, float, float]],
                  stage: PipelineStage,
                  virtualizes: bool) -> tuple[float, float, float]:
     """(fwd, bwd, wgrad) compute time of one stage per microbatch,
-    summed in layer order from :func:`_layer_times`.
+    summed in layer order from the layers' ``times``.
 
     Cheap layers are recomputed during backward instead of migrated
     (footnote 4), so on a virtualizing design their forward time is
@@ -244,14 +191,11 @@ def _stage_times(times: dict[str, tuple[float, float, float, bool]],
     """
     fwd = bwd = wgrad = 0.0
     for name in stage.layer_names:
-        entry = times.get(name)
-        if entry is None:
-            continue  # an input pseudo-layer
-        layer_fwd, layer_bwd, layer_wgrad, cheap = entry
+        layer_fwd, layer_bwd, layer_wgrad = times[name]
         fwd += layer_fwd
         bwd += layer_bwd
         wgrad += layer_wgrad
-        if cheap and virtualizes:
+        if virtualizes and net.layer(name).is_cheap:
             bwd += layer_fwd
     return fwd, bwd, wgrad
 
@@ -345,13 +289,16 @@ def _plan(net: Network, config: SystemConfig, batch: int,
     split = kind.splits_wgrad
 
     stages, sends = _partition(net, n_stages)
-    times = _layer_times(net, config.device, microbatch, split)
+    # Each stage device runs whole layers at the microbatch.
+    times = pricing.layer_times(net, config.device, microbatch,
+                                ParallelStrategy.DATA, 1, split)
 
     # Time every stage before building the schedule: the zb-auto
     # search ranks slot orderings against these very costs.
     timed = []
     for stage in stages:
-        fwd, bwd, wgrad = _stage_times(times, stage, config.virtualizes)
+        fwd, bwd, wgrad = _stage_times(net, times, stage,
+                                       config.virtualizes)
         bytes_to: dict[int, int] = {}
         for producer, to in sends[stage.index]:
             bytes_to[to] = bytes_to.get(to, 0) \
@@ -384,7 +331,8 @@ def _plan(net: Network, config: SystemConfig, batch: int,
         works.append(StageWork(
             index=stage.index, layer_names=stage.layer_names,
             fwd_time=fwd, bwd_time=bwd,
-            weight_bytes=_stage_weight_bytes(net, stage),
+            weight_bytes=sum(layer.weight_bytes for layer in weight_owners(
+                net.layer(name) for name in stage.layer_names)),
             stash_bytes=stash,
             sends=stage_sends,
             offloaded=offloaded,

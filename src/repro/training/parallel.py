@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 from repro.collectives.ring_algorithm import Primitive
-from repro.dnn.graph import Network
+from repro.dnn.graph import Network, weight_owners
 from repro.dnn.layers import LayerKind
 from repro.dnn.shapes import Gemm, grad_gemms
 from repro.units import FP32_BYTES
@@ -102,23 +102,6 @@ def _input_bytes(net: Network, name: str, batch: int) -> int:
         * batch * FP32_BYTES
 
 
-def _recurrent_sync_layers(net: Network) -> dict[str, int]:
-    """Map weight groups to the layer whose backward pass runs last.
-
-    Recurrent ``dW`` accumulates across timesteps; the all-reduce fires
-    after the group's final backward step, i.e. at the topologically
-    *first* member (backward runs in reverse).
-    """
-    firsts: dict[str, str] = {}
-    sizes: dict[str, int] = {}
-    for layer in net.layers:  # topological order
-        group = layer.weight_group
-        if group and group not in firsts:
-            firsts[group] = layer.name
-            sizes[group] = layer.weight_bytes
-    return {firsts[g]: sizes[g] for g in firsts}
-
-
 def _partition_data(net: Network, batch: int,
                     n_devices: int) -> list[PartitionedLayer]:
     # Weak scaling, Section II-C: every worker holds the full model and
@@ -126,18 +109,18 @@ def _partition_data(net: Network, batch: int,
     # the batch size is per worker, so per-device compute and feature
     # maps do not shrink as devices are added (the global batch grows).
     local_batch = batch
-    group_sync = _recurrent_sync_layers(net) if n_devices > 1 else {}
+    # Each weight buffer is all-reduced once, by its owner.  A shared
+    # group's dW accumulates across its members, so its all-reduce
+    # fires after the group's final backward step: at the
+    # topologically first member, which owns it (backward runs in
+    # reverse).
+    owners = ({layer.name for layer in weight_owners(net.layers)}
+              if n_devices > 1 else set())
     parts = []
     for layer, (fwd, bwd) in zip(net.layers,
                                  _resolve_gemms(net, local_batch, None)):
-        bwd_sync = None
-        if n_devices > 1 and layer.weight_elems:
-            if layer.weight_group:
-                if layer.name in group_sync:
-                    bwd_sync = SyncOp(Primitive.ALL_REDUCE,
-                                      group_sync[layer.name])
-            else:
-                bwd_sync = SyncOp(Primitive.ALL_REDUCE, layer.weight_bytes)
+        bwd_sync = (SyncOp(Primitive.ALL_REDUCE, layer.weight_bytes)
+                    if layer.name in owners else None)
         parts.append(PartitionedLayer(
             name=layer.name, kind=layer.kind,
             fwd_gemms=fwd, bwd_gemms=bwd,

@@ -113,15 +113,17 @@ class TestDeviceSpec:
     def test_layer_timing_positive(self):
         net = build_network("AlexNet")
         conv1 = net.layer("conv1")
-        fwd = BASELINE_DEVICE.layer_fwd_time(conv1, 64)
-        bwd = BASELINE_DEVICE.layer_bwd_time(conv1, 64)
+        stream = conv1.fwd_stream_bytes(64)
+        fwd = BASELINE_DEVICE.op_time(conv1.fwd_gemms(64), stream)
+        bwd = BASELINE_DEVICE.op_time(conv1.bwd_gemms(64), stream)
         assert 0 < fwd < bwd
 
     def test_backward_costs_about_twice_forward(self):
         net = build_network("VGG-E")
         conv = net.layer("conv3_1")
-        fwd = BASELINE_DEVICE.layer_fwd_time(conv, 64)
-        bwd = BASELINE_DEVICE.layer_bwd_time(conv, 64)
+        stream = conv.fwd_stream_bytes(64)
+        fwd = BASELINE_DEVICE.op_time(conv.fwd_gemms(64), stream)
+        bwd = BASELINE_DEVICE.op_time(conv.bwd_gemms(64), stream)
         assert 1.5 * fwd < bwd < 2.5 * fwd
 
     def test_op_time_empty_is_free(self):
@@ -155,5 +157,6 @@ class TestGenerations:
     def test_newer_devices_run_layers_faster(self):
         net = build_network("VGG-E")
         conv = net.layer("conv3_1")
-        times = [g.layer_fwd_time(conv, 64) for g in GENERATIONS]
+        times = [g.op_time(conv.fwd_gemms(64), conv.fwd_stream_bytes(64))
+                 for g in GENERATIONS]
         assert times == sorted(times, reverse=True)

@@ -185,7 +185,7 @@ class TestCrossProcessByteIdentity:
 
     def _run(self, cache_dir: Path, out: Path) -> str:
         result = subprocess.run(
-            [sys.executable, "-m", "repro", "campaign",
+            [sys.executable, "-B", "-m", "repro", "campaign",
              "--designs", "DC-DLA,MC-DLA(B)",
              "--networks", "AlexNet", "--strategies", "data",
              "--prefetch-policies", "on-demand,clairvoyant,stride",

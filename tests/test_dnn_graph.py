@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.dnn.graph import Network, NetworkSummary, input_layer
+from repro.dnn.graph import (Network, NetworkSummary, input_layer,
+                             weight_owners)
 from repro.dnn.layers import Layer, LayerKind
 from repro.dnn.shapes import fc_gemm
 from repro.units import FP32_BYTES
@@ -126,6 +127,28 @@ class TestAccounting:
             prev = f"cell{t}"
         assert net.weight_bytes() == 16 * FP32_BYTES
         assert net.learned_layer_count == 1
+
+    def test_weight_owners_are_local_to_the_layers_passed(self):
+        net = Network("tied")
+        net.add_layer(input_layer("in", 4))
+        specs = [("embed", LayerKind.EMBEDDING, 16, "t"),
+                 ("fc", LayerKind.FC, 8, ""),
+                 ("act", LayerKind.ACT, 0, ""),
+                 ("head", LayerKind.FC, 16, "t")]
+        prev = "in"
+        for name, kind, weights, group in specs:
+            net.add_layer(Layer(name=name, kind=kind, out_elems=4,
+                                weight_elems=weights, weight_group=group),
+                          inputs=[prev])
+            prev = name
+        layers = net.layers
+        # Unweighted layers own nothing; a group is owned once, by its
+        # first member among the layers passed.
+        assert [layer.name for layer in weight_owners(layers)] \
+            == ["embed", "fc"]
+        assert [layer.name for layer in weight_owners(layers[2:])] \
+            == ["fc", "head"]
+        assert net.weight_bytes() == (16 + 8) * FP32_BYTES
 
     def test_feature_map_bytes(self):
         net = linear_net(depth=2)

@@ -12,6 +12,7 @@ from repro.core.metrics import PipelineStats, SimulationResult
 from repro.core.optable import schedule_ops
 from repro.core.simulator import iteration_timeline, simulate
 from repro.core.timeline import EngineKind
+from repro.dnn.graph import weight_owners
 from repro.dnn.registry import build_network
 from repro.pipeline.lowering import (build_pipeline_ops, pipeline_stats,
                                      plan_pipeline, resolve_stage_count)
@@ -143,6 +144,28 @@ class TestLowering:
         assert all(stage.fwd_time > 0 for stage in plan.stages)
         assert all(stage.bwd_time > stage.fwd_time
                    for stage in plan.stages)
+
+    def test_shared_weights_are_held_by_every_stage_using_them(self):
+        # Weight ownership is stage-local: a group whose members span
+        # stages puts its buffer (and its drain all-reduce) on every
+        # stage holding a member.
+        config = _config(pipeline_stages=4)
+        rnn = build_network("RNN-GRU")
+        cell = rnn.layer("cell_t0").weight_bytes
+        assert rnn.weight_bytes() == cell == 190_316_544
+        stages = plan_pipeline(rnn, config, 64).stages
+        assert [stage.weight_bytes for stage in stages] == [cell] * 4
+
+        gpt2 = build_network("GPT2")
+        table = gpt2.layer("embed").weight_bytes
+        assert gpt2.layer("lm_head").weight_bytes == table
+        stages = plan_pipeline(gpt2, config, 64).stages
+        tied = [[layer.name for layer in weight_owners(
+            gpt2.layer(name) for name in stage.layer_names)
+            if layer.weight_group] for stage in stages]
+        assert tied == [["embed"], [], [], ["lm_head"]]
+        assert sum(stage.weight_bytes for stage in stages) \
+            == gpt2.weight_bytes() + table
 
     def test_ops_deterministic_and_channelled(self):
         net = build_network("GPT2")

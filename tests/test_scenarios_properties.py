@@ -134,7 +134,7 @@ for s in paper_suite(quick=True).scenarios:
 
     def _fingerprints(self, hash_seed: str) -> str:
         result = subprocess.run(
-            [sys.executable, "-c", self.PROGRAM],
+            [sys.executable, "-B", "-c", self.PROGRAM],
             capture_output=True, text=True, timeout=600,
             env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin",
                  "PYTHONHASHSEED": hash_seed})

@@ -197,7 +197,7 @@ class TestCrossProcessCache:
 
     def _run(self, cache_dir: Path, out: Path) -> str:
         result = subprocess.run(
-            [sys.executable, "-m", "repro", "claims", "--quick",
+            [sys.executable, "-B", "-m", "repro", "claims", "--quick",
              "--format", "json", "--cache-dir", str(cache_dir),
              "-o", str(out)],
             capture_output=True, text=True, timeout=600,

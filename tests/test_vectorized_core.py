@@ -478,14 +478,17 @@ class TestPipelineSharing:
         # 52 cells, 17 plans: GPT2 and BERT-Large under four zero-bubble
         # suite schedules, split by whether the design virtualizes, plus
         # GPT2 fill-drain (its two designs both virtualize).  Emitting
-        # per cell added 24,028 ops and searched 52 schedules.
+        # per cell added 24,028 ops and searched 52 schedules.  Stages
+        # are timed from 4 layer-time tables (two networks, with and
+        # without the B/W split), over one partition per network.
         assert len(cells) == 52
         assert adds[0] == 7252
         assert searches[0] == 17
         for memo, misses, hits in (("pipeline-plan", 17, 35),
                                    ("op-structure", 17, 35),
                                    ("pipeline-partition", 4, 13),
-                                   ("stage-times", 4, 13)):
+                                   ("layer-times", 4, 13),
+                                   ("partition", 2, 2)):
             assert counters[("repro_pricing_memo_misses_total",
                              memo)] == misses
             assert counters[("repro_pricing_memo_hits_total",

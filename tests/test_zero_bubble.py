@@ -19,8 +19,7 @@ from repro.core.trace import tag_category, to_chrome_trace
 from repro.dnn.layers import LayerKind
 from repro.dnn.registry import build_network
 from repro.naming import resolve_schedule
-from repro.pipeline.lowering import (_layer_times, pipeline_stats,
-                                     plan_pipeline)
+from repro.pipeline.lowering import pipeline_stats, plan_pipeline
 from repro.pipeline.schedules import (OpKind, ScheduleCosts, ScheduleKind,
                                       Slot, StageProgram, build_schedule,
                                       evaluate_makespan,
@@ -385,14 +384,19 @@ class TestSplitTiming:
     def test_split_conserves_total_backward(self):
         net = build_network("GPT2")
         device = design_point("DC-DLA").device
+        whole = pricing.layer_times(net, device, 8, ParallelStrategy.DATA,
+                                    1)
+        split = pricing.layer_times(net, device, 8, ParallelStrategy.DATA,
+                                    1, split=True)
         checked = 0
         for name in net.layer_names:
             layer = net.layer(name)
             if layer.kind is LayerKind.INPUT:
                 continue
-            dx, dw = device.layer_bwd_split_time(layer, 8)
-            total = device.layer_bwd_time(layer, 8)
-            assert dx + dw == pytest.approx(total, rel=1e-12)
+            fwd, dx, dw = split[name]
+            whole_fwd, whole_bwd, no_wgrad = whole[name]
+            assert (fwd, no_wgrad) == (whole_fwd, 0.0)
+            assert dx + dw == pytest.approx(whole_bwd, rel=1e-12)
             if layer.bwd_gemms(8):
                 assert dx > 0
                 checked += 1
@@ -402,18 +406,25 @@ class TestSplitTiming:
         assert checked > 0
 
     def test_pricing_memo_matches_device(self):
-        # Stage timing reads one per-layer table per device,
-        # microbatch and split, memoized with the network's plans.
+        # Stage timing reads the single-device data-parallel layer
+        # times at the microbatch, split into B and W, memoized with
+        # the network's plans: B is the even (dX) grad GEMMs, W the odd
+        # (dW) ones.
         net = build_network("GPT2")
         device = design_point("DC-DLA").device
         pricing.clear_caches()
-        times = _layer_times(net, device, 8, True)
-        assert _layer_times(net, device, 8, True) is times
-        assert times
-        for name, (fwd, dx, dw, _) in times.items():
+        times = pricing.layer_times(net, device, 8, ParallelStrategy.DATA,
+                                    1, split=True)
+        assert pricing.layer_times(net, device, 8, ParallelStrategy.DATA,
+                                   1, split=True) is times
+        assert list(times) == net.layer_names
+        for name, (fwd, dx, dw) in times.items():
             layer = net.layer(name)
-            assert fwd == device.layer_fwd_time(layer, 8)
-            assert (dx, dw) == device.layer_bwd_split_time(layer, 8)
+            grads = layer.bwd_gemms(8)
+            stream = layer.fwd_stream_bytes(8)
+            assert fwd == device.op_time(layer.fwd_gemms(8), stream)
+            assert dx == device.op_time(grads[0::2], stream)
+            assert dw == device.op_time(grads[1::2], 0)
 
 
 class TestZeroBubbleSimulation:
