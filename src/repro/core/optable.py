@@ -6,16 +6,18 @@ dominate the wall clock long before the arithmetic does.  This module
 keeps the *data* in parallel columns instead:
 
 * :class:`OpTable` -- the append-only struct-of-arrays op container
-  every emitter fills;
+  every emitter fills; it links each op to the previous op on its
+  (engine, channel) slot as the op is added (``slot_prev``);
 * :func:`schedule_ops` -- the deterministic list-scheduler recurrence,
-  run as a tight loop over the columns (the recurrence is a sequential
-  dependency chain, so a vectorized level-sweep would lose: the
-  evaluated graphs average under two ops per dependency level);
+  run as a tight loop over the columns that only takes maxima and adds
+  (the recurrence is a sequential dependency chain, so a vectorized
+  level-sweep would lose: the evaluated graphs average under two ops
+  per dependency level);
 * :class:`ColumnarTimeline` -- the scheduled result (``makespan``,
-  ``busy``, ``busy_per_channel``, ``busy_time``, ``finish_of``,
-  ``ops_on``, ``channels``, and a lazily materialized ``scheduled``
-  tuple of :class:`~repro.core.timeline.ScheduledOp` for trace
-  export).
+  ``busy``, ``busy_time``, ``finish_of``, ``slot_free``, ``ops_on``,
+  ``channels``, and, derived on first use, ``busy_per_channel``,
+  ``prev_slot_finish`` and the ``scheduled`` tuple of
+  :class:`~repro.core.timeline.ScheduledOp` for trace export).
 """
 
 from __future__ import annotations
@@ -73,18 +75,24 @@ class OpTable:
     """
 
     __slots__ = ("codes", "durations", "deps", "tags", "nbytes",
-                 "channels", "_ops", "_prefetch_index")
+                 "channels", "slot_prev", "_slot_last", "_ops",
+                 "_prefetch_index")
 
     def __init__(self) -> None:
-        #: Each op's :data:`ENGINE_CODE` -- the scheduler keys its slot
-        #: dicts on these (int hashing beats enum hashing by an order
-        #: of magnitude over a campaign's worth of ops).
+        #: Each op's :data:`ENGINE_CODE` (the ``ops`` view maps it back
+        #: through :data:`CODE_ENGINE`).
         self.codes: list[int] = []
         self.durations: list[float] = []
         self.deps: list[tuple[int, ...]] = []
         self.tags: list[str] = []
         self.nbytes: list[int] = []
         self.channels: list[int] = []
+        #: Each op's previous op on its (engine, channel) slot, -1 for
+        #: the slot's first op.  An engine runs its ops in issue order,
+        #: so this is the op whose finish frees the slot.
+        self.slot_prev: list[int] = []
+        #: Slot key ``channel * 4 + code`` -> the slot's last op.
+        self._slot_last: dict[int, int] = {}
         self._ops: list[Op] | None = None
         #: The structural index :func:`repro.vmem.prefetch.
         #: collect_prefetch_stats` reads (built on first use; shared by
@@ -108,7 +116,12 @@ class OpTable:
                     f"op {tag}: dependency on a later op (cycle)")
             if dep < 0:
                 raise ValueError(f"op {tag}: negative dependency uid")
-        self.codes.append(ENGINE_CODE[engine])
+        code = ENGINE_CODE[engine]
+        slot = channel * 4 + code
+        slot_last = self._slot_last
+        self.slot_prev.append(slot_last.get(slot, -1))
+        slot_last[slot] = uid
+        self.codes.append(code)
         self.durations.append(duration)
         self.deps.append(dep_tuple)
         self.tags.append(tag)
@@ -122,9 +135,9 @@ class OpTable:
 
     def _repriced(self, durations: list[float]) -> "OpTable":
         """A copy of this table with ``durations`` as its duration
-        column (checked by the caller).  Every other column is copied,
-        so appending to the copy never changes this table; the
-        structural prefetch index is shared."""
+        column (checked by the caller).  Every other column, slot links
+        included, is copied, so appending to the copy never changes
+        this table; the structural prefetch index is shared."""
         table = OpTable()
         table.codes = self.codes.copy()
         table.durations = durations
@@ -132,6 +145,8 @@ class OpTable:
         table.tags = self.tags.copy()
         table.nbytes = self.nbytes.copy()
         table.channels = self.channels.copy()
+        table.slot_prev = self.slot_prev.copy()
+        table._slot_last = self._slot_last.copy()
         table._prefetch_index = self._prefetch_index
         return table
 
@@ -155,33 +170,63 @@ class ColumnarTimeline:
 
     ``busy`` aggregates across channels (the SPMD view);
     ``busy_per_channel`` keeps the per-stage split pipeline metrics
-    need.  ``scheduled`` materializes per-op objects lazily, so
-    consumers that never iterate ops (the ``simulate()`` path) never
-    pay for them.
+    need.  ``busy_per_channel``, ``prev_slot_finish`` and ``scheduled``
+    are derived from the columns on first use, so consumers that never
+    read them (the ``simulate()`` path of a training or inference cell)
+    never pay for them.
     """
 
-    __slots__ = ("table", "start", "finish", "prev_slot_finish",
-                 "makespan", "busy", "busy_per_channel", "_scheduled")
+    __slots__ = ("table", "start", "finish", "makespan", "busy",
+                 "_prev_slot_finish", "_busy_per_channel", "_scheduled")
 
     def __init__(self, table: OpTable, start: list[float],
-                 finish: list[float], prev_slot_finish: list[float],
-                 makespan: float, busy: dict[EngineKind, float],
-                 busy_per_channel: dict[tuple[EngineKind, int], float]) \
-            -> None:
+                 finish: list[float], makespan: float,
+                 busy: dict[EngineKind, float]) -> None:
         self.table = table
         self.start = start
         self.finish = finish
-        #: Per op: the finish time of the previous op on its
-        #: (engine, channel) slot, 0.0 for the slot's first op.  The
-        #: prefetch-stats collector needs it to separate engine
-        #: serialization from dependency stalls.
-        self.prev_slot_finish = prev_slot_finish
         self.makespan = makespan
         self.busy = busy
-        self.busy_per_channel = busy_per_channel
+        self._prev_slot_finish: list[float] | None = None
+        self._busy_per_channel: dict[tuple[EngineKind, int], float] \
+            | None = None
         self._scheduled: tuple[ScheduledOp, ...] | None = None
 
     # -- Per-op surface ---------------------------------------------------
+
+    def slot_free(self, uid: int) -> float:
+        """When op ``uid``'s (engine, channel) slot fell free: the
+        finish of its slot predecessor (``table.slot_prev``), 0.0 for
+        the slot's first op -- the engine-ready time the scheduler saw
+        when it issued the op."""
+        prev = self.table.slot_prev[uid]
+        return self.finish[prev] if prev >= 0 else 0.0
+
+    @property
+    def prev_slot_finish(self) -> list[float]:
+        """:meth:`slot_free` of every op, in uid order."""
+        if self._prev_slot_finish is None:
+            self._prev_slot_finish = [
+                self.slot_free(uid) for uid in range(len(self.finish))]
+        return self._prev_slot_finish
+
+    @property
+    def busy_per_channel(self) -> dict[tuple[EngineKind, int], float]:
+        """Seconds each (engine, channel) slot executed ops, summed in
+        uid order."""
+        if self._busy_per_channel is None:
+            table = self.table
+            by_code: list[dict[int, float]] = [{}, {}, {}, {}]
+            for code, channel, duration in zip(
+                    table.codes, table.channels,
+                    table.durations[:len(self.finish)]):
+                busy = by_code[code]
+                busy[channel] = busy.get(channel, 0.0) + duration
+            self._busy_per_channel = {
+                (CODE_ENGINE[code], channel): seconds
+                for code in range(4)
+                for channel, seconds in by_code[code].items()}
+        return self._busy_per_channel
 
     @property
     def scheduled(self) -> tuple[ScheduledOp, ...]:
@@ -222,64 +267,40 @@ def schedule_ops(table: OpTable) -> ColumnarTimeline:
     """List-schedule an :class:`OpTable`; engines serialize, deps must
     finish first.
 
-    Op *i* starts at ``max(prev_slot_finish[i], finish of its deps,
-    0.0)`` and finishes ``duration[i]`` later, where
-    ``prev_slot_finish[i]`` is the finish of the previous op on its
-    (engine, channel) slot; busy times accumulate in uid order.  The
-    recurrence is a sequential chain, so it runs as one tight loop
-    over the columns.
+    Op *i* starts at the latest finish among its slot predecessor
+    (``table.slot_prev[i]``; none for a slot's first op) and its deps,
+    or at 0.0 when there are none, and finishes ``duration[i]`` later;
+    busy times accumulate in uid order.  The recurrence is a
+    sequential chain, so it runs as one tight loop over the columns,
+    taking only maxima and adds: ``finish`` carries one trailing 0.0,
+    which a slot's first op reads through its -1 link.
     """
     codes = table.codes
     durations = table.durations
     deps = table.deps
-    tab_channels = table.channels
-
-    # Slot state indexed by engine code; dict keys are plain-int
-    # channels (enum-keyed dicts would hash the enum several times per
-    # op -- measurable over a campaign grid).
-    free_by_code: list[dict[int, float]] = [{}, {}, {}, {}]
+    slot_prev = table.slot_prev
+    n = len(durations)
     busy_by_code: list[float] = [0.0, 0.0, 0.0, 0.0]
-    busy_ch_by_code: list[dict[int, float]] = [{}, {}, {}, {}]
-    finish: list[float] = []
-    start: list[float] = []
-    prev_slot: list[float] = []
-    finish_append = finish.append
-    start_append = start.append
-    prev_append = prev_slot.append
+    start: list[float] = [0.0] * n
+    finish: list[float] = [0.0] * (n + 1)
 
-    for i in range(len(durations)):
-        ready = 0.0
+    for i in range(n):
+        ready = finish[slot_prev[i]]
         for d in deps[i]:
             f = finish[d]
             if f > ready:
                 ready = f
-        code = codes[i]
-        channel = tab_channels[i]
-        slots = free_by_code[code]
-        free = slots.get(channel, 0.0)
-        begin = free if free > ready else ready
+        start[i] = ready
         duration = durations[i]
-        end = begin + duration
-        slots[channel] = end
-        busy_by_code[code] += duration
-        busy_ch = busy_ch_by_code[code]
-        busy_ch[channel] = busy_ch.get(channel, 0.0) + duration
-        prev_append(free)
-        start_append(begin)
-        finish_append(end)
+        finish[i] = ready + duration
+        busy_by_code[codes[i]] += duration
+    finish.pop()
 
     busy = {engine: busy_by_code[code]
             for engine, code in ENGINE_CODE.items()}
-    busy_per_channel = {
-        (CODE_ENGINE[code], channel): seconds
-        for code in range(4)
-        for channel, seconds in busy_ch_by_code[code].items()}
     makespan = max(finish, default=0.0)
     _SCHED_RUNS.inc()
-    _SCHED_OPS.inc(len(durations))
-    _SCHED_TABLE_OPS.observe(len(durations))
+    _SCHED_OPS.inc(n)
+    _SCHED_TABLE_OPS.observe(n)
     return ColumnarTimeline(table=table, start=start, finish=finish,
-                            prev_slot_finish=prev_slot,
-                            makespan=makespan, busy=busy,
-                            busy_per_channel=busy_per_channel)
-
+                            makespan=makespan, busy=busy)

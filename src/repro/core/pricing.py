@@ -44,7 +44,8 @@ through:
   data-parallel single-device entry at its microbatch; each build
   times a distinct kernel shape once;
 * :func:`collective_pricer` -- ring-collective latency per
-  (model, primitive, nbytes);
+  (model value, primitive, nbytes), so equal models of different
+  design points share their prices;
 * :class:`MemoPricer` -- wraps a per-transfer DMA pricer with a
   size-keyed memo;
 * :func:`cached_cluster_cell` -- cross-instance memo for the cluster
@@ -79,10 +80,14 @@ if TYPE_CHECKING:  # pragma: no cover - annotations only
 #: its cached plans with it.
 _NET_CACHES: "WeakKeyDictionary[Network, dict]" = WeakKeyDictionary()
 
-#: Every CollectiveModel carrying a per-instance time memo (stashed in
-#: the instance ``__dict__`` under this attribute -- keying a global
-#: dict on the model would hash its channel tuple on every lookup).
+#: Collective time memos, one per distinct CollectiveModel value:
+#: design points that build equal models (DC-DLA and DC-DLA(O), say)
+#: share one.  Each model object looks its memo up here once and keeps
+#: it in its instance ``__dict__`` under this attribute, so a price
+#: lookup never hashes the model's channel tuple.
 _COLLECTIVE_MEMO_ATTR = "_pricing_time_memo"
+_COLLECTIVE_MEMOS: dict = {}
+#: Every model object holding a memo (to detach on :func:`clear_caches`).
 _COLLECTIVE_MODELS: list = []
 
 #: (SystemConfig, job-class key) -> SimulationResult, shared across
@@ -121,8 +126,11 @@ def clear_caches() -> None:
     """Empty every pricing memo (cold-benchmark hygiene)."""
     _NET_CACHES.clear()
     for model in _COLLECTIVE_MODELS:
-        model.__dict__[_COLLECTIVE_MEMO_ATTR].clear()
+        del model.__dict__[_COLLECTIVE_MEMO_ATTR]
     _COLLECTIVE_MODELS.clear()
+    for memo in _COLLECTIVE_MEMOS.values():
+        memo.clear()
+    _COLLECTIVE_MEMOS.clear()
     _CLUSTER_CELLS.clear()
     # The design-point registry memo lives with the factories; imported
     # lazily because design_points sits above this module in the layer
@@ -235,10 +243,11 @@ def _collective_memo(model: "CollectiveModel") -> dict:
     # Frozen dataclasses still have a __dict__; stashing the memo there
     # (via object.__setattr__) skips hashing the model's channel tuple
     # on every price lookup, which profiling shows dominates the cost
-    # of a memo keyed (model, primitive, nbytes).
+    # of a memo keyed (model, primitive, nbytes).  The model is hashed
+    # once per object, to find the memo of its value.
     memo = model.__dict__.get(_COLLECTIVE_MEMO_ATTR)
     if memo is None:
-        memo = {}
+        memo = _COLLECTIVE_MEMOS.setdefault(model, {})
         object.__setattr__(model, _COLLECTIVE_MEMO_ATTR, memo)
         _COLLECTIVE_MODELS.append(model)
     return memo

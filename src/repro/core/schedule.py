@@ -552,28 +552,31 @@ def _emit_forward(structure: _OpStructure, net: Network,
     offloaded tensor's offload op.
     """
     ops = structure.table
+    preds_of, _ = net.neighbours()
     fwd_ready: dict[str, int | None] = {}
     fwd_sync_uid: dict[str, int] = {}
     offload_uid: dict[str, int] = {}     # producer -> its offload op
     offload_order: list[int] = []
     computes: list[int] = []             # the fetches' gate steps
-    for name in net.layer_names:
-        if net.layer(name).kind is LayerKind.INPUT:
+    for layer in net.layers:
+        name = layer.name
+        if layer.kind is LayerKind.INPUT:
             fwd_ready[name] = None
             continue
         part = parts[name]
 
-        preds = net.predecessors(name)
+        preds = preds_of[name]
         deps = [fwd_ready[p] for p in preds
                 if fwd_ready.get(p) is not None]
         # Layer-boundary collectives are chunk-pipelined with the
         # consumer's compute (NCCL-style): a layer may run one step
         # ahead of communication, so it waits on its *grandparents'*
         # all-gathers, not its parents'.
-        for p in preds:
-            for gp in net.predecessors(p):
-                if gp in fwd_sync_uid:
-                    deps.append(fwd_sync_uid[gp])
+        if fwd_sync_uid:
+            for p in preds:
+                for gp in preds_of[p]:
+                    if gp in fwd_sync_uid:
+                        deps.append(fwd_sync_uid[gp])
         # vDNN pinned-buffer back-pressure: at most `offload_window`
         # offloads may be outstanding before compute stalls.
         if len(offload_order) >= offload_window:
@@ -648,21 +651,23 @@ def _emit_structure(plan: IterationPlan, config: SystemConfig,
         plan.step.prefetch_sites, plan.migrated_shards)
 
     # ---- Backward propagation ------------------------------------------
+    _, succs_of = net.neighbours()
+    pipelined = plan.strategy is ParallelStrategy.MODEL
     waste_before = prefetch.waste_before()
     site_index = 0
     bwd_ready: dict[str, int] = {}
     bwd_sync_uid: dict[str, int] = {}
     bwd_computes: list[int] = []
-    for step_index, name in enumerate(plan.step.bwd_order):
+    for name in plan.step.bwd_order:
         part = plan.parts[name]
 
-        succs = net.successors(name)
+        succs = succs_of[name]
         deps = [bwd_ready[s] for s in succs if s in bwd_ready]
         # Pipelined gradient collectives: one step of run-ahead, so a
         # layer's backward waits on its grand-successors' dX reductions.
-        if plan.strategy is ParallelStrategy.MODEL:
+        if pipelined and bwd_sync_uid:
             for s in succs:
-                for gs in net.successors(s):
+                for gs in succs_of[s]:
                     if gs in bwd_sync_uid:
                         deps.append(bwd_sync_uid[gs])
         if not deps and fwd_ready.get(name) is not None:

@@ -10,10 +10,15 @@ producer -> consumer feature-map dependencies.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from repro.dnn.layers import Layer, LayerKind
+
+
+#: Layer name -> neighbouring layer names, in insertion order.
+Neighbours = Mapping[str, tuple[str, ...]]
 
 
 class Network:
@@ -37,19 +42,18 @@ class Network:
         #: keyed on ``(network, version)`` can never replay stale
         #: adjacency or pricing for a graph edited after caching.
         self._version = 0
-        self._adjacency: tuple[dict[str, int], dict[str, list[str]],
-                               dict[str, list[str]]] | None = None
+        self._adjacency: tuple[dict[str, int], Neighbours,
+                               Neighbours] | None = None
 
     @property
     def version(self) -> int:
         """Monotonic mutation counter (for external memo keys)."""
         return self._version
 
-    def _adj(self) -> tuple[dict[str, int], dict[str, list[str]],
-                            dict[str, list[str]]]:
+    def _adj(self) -> tuple[dict[str, int], Neighbours, Neighbours]:
         """(position, predecessors, successors) maps, built once.
 
-        Both neighbour lists are sorted by insertion position, and a
+        Both neighbour tuples are sorted by insertion position, and a
         producer named twice in one layer's inputs is one edge.  Built in
         one pass and cached until the next mutation: the simulator asks
         for neighbours hundreds of times per op table.
@@ -57,13 +61,15 @@ class Network:
         if self._adjacency is None:
             position = {n: i for i, n in enumerate(self._layers)}
             by_pos = position.__getitem__
-            preds = {n: sorted(set(srcs), key=by_pos)
+            preds = {n: tuple(sorted(set(srcs), key=by_pos))
                      for n, srcs in self._inputs.items()}
             succs: dict[str, list[str]] = {n: [] for n in self._layers}
             for n, srcs in preds.items():
                 for src in srcs:
                     succs[src].append(n)
-            self._adjacency = (position, preds, succs)
+            self._adjacency = (
+                position, MappingProxyType(preds), MappingProxyType(
+                    {n: tuple(consumers) for n, consumers in succs.items()}))
         return self._adjacency
 
     # -- Construction ------------------------------------------------------
@@ -115,6 +121,18 @@ class Network:
     @property
     def layers(self) -> list[Layer]:
         return list(self._layers.values())
+
+    def neighbours(self) -> tuple[Neighbours, Neighbours]:
+        """The cached ``(predecessors, successors)`` maps: every
+        layer's producers and consumers, in insertion order.
+
+        Read-only views of the maps :meth:`predecessors` and
+        :meth:`successors` copy from, valid until the next mutation;
+        an emitter reads them once per emission instead of copying a
+        neighbour list per layer.
+        """
+        _, preds, succs = self._adj()
+        return preds, succs
 
     def predecessors(self, name: str) -> list[str]:
         """Producers of ``name``, in topological (insertion) order."""

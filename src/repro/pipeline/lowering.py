@@ -458,15 +458,20 @@ def _emit_structure(plan: PipelinePlan, config: SystemConfig,
     ops = structure.table
     schedule = plan.schedule
     n_stages = schedule.n_stages
-    chan = plan.channel_of
+    window = config.offload_window
+    chan = [plan.channel_of(s) for s in range(n_stages)]
 
     targets = {s.index: tuple(to for to, _ in s.sends)
                for s in plan.stages}
     sources: dict[int, list[int]] = {s.index: [] for s in plan.stages}
+    # (sender, receiver) -> boundary bytes per microbatch, and the
+    # p2p time of sending them.
+    sent: dict[tuple[int, int], tuple[int, float]] = {}
     for stage in plan.stages:
-        for to, _ in stage.sends:
+        for to, nbytes in stage.sends:
             if stage.index not in sources[to]:
                 sources[to].append(stage.index)
+            sent[stage.index, to] = (nbytes, _p2p_time(config, nbytes))
 
     fwd_uid: dict[tuple[int, int], int] = {}
     act_send: dict[tuple[int, int, int], int] = {}
@@ -481,20 +486,21 @@ def _emit_structure(plan: PipelinePlan, config: SystemConfig,
         s = stage.index
         deps = [act_send[(p, s, m)] for p in sources[s]]
         # vDNN pinned-buffer back-pressure, per stage.
-        if len(offload_order[s]) >= config.offload_window:
-            deps.append(offload_order[s][-config.offload_window])
+        if len(offload_order[s]) >= window:
+            deps.append(offload_order[s][-window])
         uid = ops.add(EngineKind.COMPUTE, stage.fwd_time, deps,
-                      tag=f"fwd:s{s}:m{m}", channel=chan(s))
+                      tag=f"fwd:s{s}:m{m}", channel=chan[s])
         fwd_uid[(s, m)] = uid
-        for to, nbytes in stage.sends:
+        for to in targets[s]:
+            nbytes, seconds = sent[(s, to)]
             act_send[(s, to, m)] = ops.add(
-                EngineKind.COMM, _p2p_time(config, nbytes), [uid],
+                EngineKind.COMM, seconds, [uid],
                 tag=f"send-act:s{s}>s{to}:m{m}", nbytes=nbytes,
-                channel=chan(s))
+                channel=chan[s])
         if stage.offloaded[m]:
             uid_off = structure.transfer(EngineKind.DMA_OUT,
                                          stage.stash_bytes, [uid],
-                                         f"offload:s{s}:m{m}", chan(s))
+                                         f"offload:s{s}:m{m}", chan[s])
             offload_uid[(s, m)] = uid_off
             offload_order[s].append(uid_off)
 
@@ -511,19 +517,19 @@ def _emit_structure(plan: PipelinePlan, config: SystemConfig,
             issue, waste = stage_fetch[s][m]
             deps.append(structure.fetch(
                 issue, waste, bwd_uids[s], stage.stash_bytes,
-                [offload_uid[(s, m)]], f"prefetch:s{s}:m{m}", chan(s)))
+                [offload_uid[(s, m)]], f"prefetch:s{s}:m{m}", chan[s]))
         uid = ops.add(EngineKind.COMPUTE, stage.bwd_time, deps,
-                      tag=f"bwd:s{s}:m{m}", channel=chan(s))
+                      tag=f"bwd:s{s}:m{m}", channel=chan[s])
         bwd_uids[s].append(uid)
         bwd_uid[(s, m)] = uid
         last_grad_uid[s] = uid
         for p in sources[s]:
-            nbytes = next(b for to, b in plan.stages[p].sends
-                          if to == s)
+            # A gradient mirrors the activation it answers.
+            nbytes, seconds = sent[(p, s)]
             grad_send[(s, p, m)] = ops.add(
-                EngineKind.COMM, _p2p_time(config, nbytes), [uid],
+                EngineKind.COMM, seconds, [uid],
                 tag=f"send-grad:s{s}>s{p}:m{m}", nbytes=nbytes,
-                channel=chan(s))
+                channel=chan[s])
 
     def emit_wgrad(stage: StageWork, m: int) -> None:
         s = stage.index
@@ -531,7 +537,7 @@ def _emit_structure(plan: PipelinePlan, config: SystemConfig,
         # sit resident (wgrad_stash_bytes) until this op retires them.
         uid = ops.add(EngineKind.COMPUTE, stage.wgrad_time,
                       [bwd_uid[(s, m)]], tag=f"wgrad:s{s}:m{m}",
-                      channel=chan(s))
+                      channel=chan[s])
         last_grad_uid[s] = uid
 
     def ready(stage: StageWork, slot) -> bool:
@@ -580,7 +586,7 @@ def _emit_structure(plan: PipelinePlan, config: SystemConfig,
                 structure.sync(Primitive.ALL_REDUCE, stage.weight_bytes,
                                [last_grad_uid[stage.index]],
                                f"sync-dw:s{stage.index}",
-                               chan(stage.index))
+                               chan[stage.index])
     return structure
 
 

@@ -458,10 +458,14 @@ def _index_prefetches(table) -> _PrefetchIndex:
     for uid, code in enumerate(codes):
         if code == compute:
             deps = table.deps[uid]
-            fetches = tuple(d for d in deps if codes[d] == dma_in)
-            if fetches:
-                waits.append((uid, fetches, tuple(
-                    d for d in deps if codes[d] != dma_in)))
+            for d in deps:
+                if codes[d] == dma_in:
+                    break
+            else:
+                continue     # most compute ops wait on no fetch
+            waits.append((uid,
+                          tuple(d for d in deps if codes[d] == dma_in),
+                          tuple(d for d in deps if codes[d] != dma_in)))
         elif code == dma_out:
             dmas.setdefault(channels[uid], []).append(uid)
         elif code == dma_in:
@@ -493,11 +497,13 @@ def collect_prefetch_stats(timeline: ColumnarTimeline, policy: str,
     ``waste:`` tag.
 
     Reads the timeline's columns directly: no per-op objects are
-    materialized, and the scheduler's recorded per-slot previous-finish
-    column gives each op's engine-ready time.  Which compute ops wait
-    on fetches, and which DMAs share a channel with which collectives,
-    comes from the table's structural index, which a table shares with
-    every design point priced from the same emitted structure.
+    materialized, and the timeline's ``slot_free`` (the finish of the
+    op's slot predecessor, read through the table's ``slot_prev``
+    link) gives each op's engine-ready time.  Which
+    compute ops wait on fetches, and which DMAs share a channel with
+    which collectives, comes from the table's structural index, which
+    a table shares with every design point priced from the same
+    emitted structure.
 
     Raises ``RuntimeError`` naming the op when a compute op starts
     more than 1e-9 relative before its slot and its non-DMA
@@ -510,17 +516,18 @@ def collect_prefetch_stats(timeline: ColumnarTimeline, policy: str,
     # the collector's reads of core's types stay inside the function.
     from repro.core.metrics import PrefetchStats
 
-    index = _index_prefetches(timeline.table)
+    table = timeline.table
+    index = _index_prefetches(table)
     starts = timeline.start
     finishes = timeline.finish
-    prev_slot = timeline.prev_slot_finish
-    durations = timeline.table.durations
+    slot_free = timeline.slot_free
+    durations = table.durations
 
     late = jit = early = 0
     stall = 0.0
     for i, fetches, others in index.waits:
         # Released once its slot is free and its non-DMA deps are done.
-        unblocked = prev_slot[i]
+        unblocked = slot_free(i)
         for d in others:
             finish = finishes[d]
             if finish > unblocked:
@@ -530,7 +537,7 @@ def collect_prefetch_stats(timeline: ColumnarTimeline, policy: str,
             stall += start - unblocked
         elif start < unblocked * (1.0 - 1e-9):
             raise RuntimeError(
-                f"op {timeline.table.tags[i]} starts at {start!r}, before "
+                f"op {table.tags[i]} starts at {start!r}, before "
                 f"its slot and non-DMA dependencies release it at "
                 f"{unblocked!r}: the timeline broke a dependency")
         for d in fetches:

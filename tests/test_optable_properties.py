@@ -11,20 +11,32 @@ Hypothesis drives random DAG-shaped op programs through
   the engine-slot free time the scheduler saw when the op was issued;
 * busy totals are the uid-order sums of the durations;
 * stable event order: ``ops_on`` never reorders ops, even across
-  equal timestamps (zero-duration ops pile up on one instant).
+  equal timestamps (zero-duration ops pile up on one instant);
+* ``slot_prev`` links each op to the previous op on its (engine,
+  channel) slot, in every table and every re-priced copy.
 
 The recurrence and busy-sum invariants alone already fix the schedule
-uniquely, bit for bit.
+uniquely, bit for bit.  The same reference scheduler also schedules
+every op table of the paper's b512 grid and of GPT2 pipelines under
+every schedule kind identically.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.optable import OpTable, schedule_ops
+from repro.core.design_points import DESIGN_ORDER, design_point
+from repro.core.optable import CODE_ENGINE, OpTable, schedule_ops
+from repro.core.schedule import _OpStructure
+from repro.core.simulator import iteration_timeline
 from repro.core.timeline import EngineKind
+from repro.dnn.registry import BENCHMARK_NAMES
+from repro.pipeline.schedules import SCHEDULE_ORDER
+from repro.training.parallel import ParallelStrategy
 
 ENGINES = tuple(EngineKind)
 
@@ -70,12 +82,14 @@ def reference_schedule(program) -> dict:
     slot_free: dict[tuple[EngineKind, int], float] = {}
     busy = dict.fromkeys(EngineKind, 0.0)
     busy_per_channel: dict[tuple[EngineKind, int], float] = {}
+    prev_slot_finish: list[float] = []
     start: list[float] = []
     finish: list[float] = []
     for engine, duration, deps, channel, _ in program:
         slot = (engine, channel)
         ready = max((finish[d] for d in deps), default=0.0)
         begin = max(slot_free.get(slot, 0.0), ready, 0.0)
+        prev_slot_finish.append(slot_free.get(slot, 0.0))
         start.append(begin)
         finish.append(begin + duration)
         slot_free[slot] = finish[-1]
@@ -83,8 +97,27 @@ def reference_schedule(program) -> dict:
         busy_per_channel[slot] = busy_per_channel.get(slot, 0.0) + duration
     return {"start": start, "finish": finish, "busy": busy,
             "busy_per_channel": busy_per_channel,
+            "prev_slot_finish": prev_slot_finish,
             "makespan": max(finish, default=0.0),
             "channels": tuple(sorted({p[3] for p in program})) or (0,)}
+
+
+def reference_slot_prev(program) -> list[int]:
+    """Each op's previous uid on its (engine, channel) slot, or -1."""
+    last: dict[tuple[EngineKind, int], int] = {}
+    links = []
+    for uid, (engine, _, _, channel, _) in enumerate(program):
+        links.append(last.get((engine, channel), -1))
+        last[engine, channel] = uid
+    return links
+
+
+def table_program(table: OpTable) -> list[tuple]:
+    """An op table's columns as a raw program for the reference."""
+    return [(CODE_ENGINE[code], duration, deps, channel, nbytes)
+            for code, duration, deps, channel, nbytes in zip(
+                table.codes, table.durations, table.deps,
+                table.channels, table.nbytes)]
 
 
 class TestSchedulerEquivalence:
@@ -149,10 +182,89 @@ class TestSchedulerEquivalence:
         assert col.makespan == max(col.finish, default=0.0)
 
 
+class TestSlotLinks:
+    """``slot_prev`` is structural: recorded once, at emission, and
+    carried by every re-priced copy."""
+
+    @given(op_programs())
+    @settings(max_examples=100, deadline=None)
+    def test_links_previous_op_on_same_slot(self, program):
+        assert build_table(program).slot_prev \
+            == reference_slot_prev(program)
+
+    @given(op_programs())
+    @settings(max_examples=100, deadline=None)
+    def test_derived_views_match_reference(self, program):
+        ref = reference_schedule(program)
+        col = schedule_ops(build_table(program))
+        assert col.prev_slot_finish == ref["prev_slot_finish"]
+        assert col.busy_per_channel == ref["busy_per_channel"]
+
+    @given(op_programs(), st.sampled_from(ENGINES),
+           st.integers(min_value=0, max_value=3))
+    @settings(max_examples=100, deadline=None)
+    def test_repriced_copy_links_appended_op(self, program, engine,
+                                             channel):
+        structure = _OpStructure()
+        structure.table = table = build_table(program)
+        columns = (table.codes.copy(), table.durations.copy(),
+                   table.deps.copy(), table.tags.copy(),
+                   table.nbytes.copy(), table.channels.copy(),
+                   table.slot_prev.copy())
+        copy = structure.priced(lambda primitive, nbytes: 0.0,
+                                lambda nbytes: 0.0)
+        uid = copy.add(engine, 1.0, [], "late", channel=channel)
+        extended = program + [(engine, 1.0, [], channel, 0)]
+        assert uid == len(program)
+        assert copy.slot_prev == reference_slot_prev(extended)
+        assert (table.codes, table.durations, table.deps, table.tags,
+                table.nbytes, table.channels, table.slot_prev) == columns
+        ref = reference_schedule(extended)
+        col = schedule_ops(copy)
+        assert col.finish == ref["finish"]
+        assert col.prev_slot_finish == ref["prev_slot_finish"]
+
+
+def _real_tables():
+    """Every op table of the paper's b512 grid, then GPT2 b64 on four
+    stages under each schedule kind on DC-DLA and MC-DLA(B)."""
+    for design in DESIGN_ORDER:
+        for network in BENCHMARK_NAMES:
+            for strategy in (ParallelStrategy.DATA,
+                             ParallelStrategy.MODEL):
+                yield iteration_timeline(design_point(design), network,
+                                         512, strategy).table
+    for design in ("DC-DLA", "MC-DLA(B)"):
+        for kind in SCHEDULE_ORDER:
+            config = dataclasses.replace(
+                design_point(design), pipeline_stages=4,
+                pipeline_schedule=kind)
+            yield iteration_timeline(config, "GPT2", 64,
+                                     ParallelStrategy.PIPELINE).table
+
+
+class TestRealTables:
+    def test_every_table_schedules_like_the_reference(self):
+        tables = 0
+        for table in _real_tables():
+            program = table_program(table)
+            ref = reference_schedule(program)
+            col = schedule_ops(table)
+            assert table.slot_prev == reference_slot_prev(program)
+            assert col.start == ref["start"]
+            assert col.finish == ref["finish"]
+            assert col.busy == ref["busy"]
+            assert col.busy_per_channel == ref["busy_per_channel"]
+            assert col.prev_slot_finish == ref["prev_slot_finish"]
+            assert col.makespan == ref["makespan"]
+            tables += 1
+        assert tables == 96 + 2 * len(SCHEDULE_ORDER)
+
+
 def column_lengths(table: OpTable) -> set[int]:
     return {len(column) for column in (
         table.codes, table.durations, table.deps, table.tags,
-        table.nbytes, table.channels)}
+        table.nbytes, table.channels, table.slot_prev)}
 
 
 class TestContainerParity:

@@ -28,6 +28,7 @@ import pytest
 from repro.accelerator.device import DeviceSpec
 from repro.accelerator.pe_array import PeArraySpec
 from repro.cluster.simulator import simulate_cluster
+from repro.collectives.ring_algorithm import Primitive
 from repro.core import pricing
 from repro.core.design_points import DESIGN_ORDER, design_point
 from repro.core.metrics import ExecutionMode, SimulationResult
@@ -40,6 +41,7 @@ from repro.core.schedule import (_emit_inference, _inference_seconds,
                                  plan_iteration, plan_training_prefetch,
                                  vmem_pricer)
 from repro.core.simulator import iteration_timeline, simulate
+from repro.core.system import CollectiveModel
 from repro.core.timeline import EngineKind
 from repro.dnn.layers import Layer, LayerKind
 from repro.dnn.registry import (BENCHMARK_NAMES, benchmark_info,
@@ -78,6 +80,7 @@ def assert_same_table(actual: OpTable, expected: OpTable) -> None:
     assert actual.tags == expected.tags
     assert actual.nbytes == expected.nbytes
     assert actual.channels == expected.channels
+    assert actual.slot_prev == expected.slot_prev
 
 
 def check_cell(config, network: str, batch: int,
@@ -376,6 +379,58 @@ class TestStructureSharing:
         # the collectives again (2,160 when one did).
         assert lookups("dma") == 1312
         assert lookups("collective") == 1080
+
+
+class TestCollectivePrices:
+    """Design points whose collective models are equal values share
+    one price memo."""
+
+    @staticmethod
+    def _timed_keys(monkeypatch) -> list[tuple]:
+        """Every ``(model, primitive, nbytes)`` ``CollectiveModel.time``
+        is called with, in call order."""
+        calls = []
+        time = CollectiveModel.time
+
+        def recording(self, primitive, nbytes):
+            calls.append((self, primitive, nbytes))
+            return time(self, primitive, nbytes)
+
+        monkeypatch.setattr(CollectiveModel, "time", recording)
+        return calls
+
+    def test_equal_models_share_one_memo(self, monkeypatch):
+        calls = self._timed_keys(monkeypatch)
+        pricing.clear_caches()
+        dc = design_point("DC-DLA").collectives
+        dc_o = design_point("DC-DLA(O)").collectives
+        assert dc == dc_o and dc is not dc_o
+        seconds = pricing.collective_pricer(dc)(Primitive.ALL_REDUCE,
+                                                1 << 24)
+        assert pricing.collective_pricer(dc_o)(
+            Primitive.ALL_REDUCE, 1 << 24) == seconds
+        assert len(calls) == 1
+        # clear_caches empties the shared memo and detaches it from
+        # every model object that held it.
+        pricing.clear_caches()
+        assert pricing.collective_pricer(dc_o)(
+            Primitive.ALL_REDUCE, 1 << 24) == seconds
+        assert len(calls) == 2
+        pricing.clear_caches()
+
+    def test_grid_times_each_distinct_collective_once(self, monkeypatch):
+        """Six design points build four distinct collective models; a
+        grid pass times each (model, primitive, bytes) key once (858
+        times for 572 keys when each model object had its own memo)."""
+        calls = self._timed_keys(monkeypatch)
+        pricing.clear_caches()
+        try:
+            for config, network, strategy in _grid_cells():
+                simulate(config, network, 512, strategy)
+        finally:
+            pricing.clear_caches()
+        assert len({model for model, _, _ in calls}) == 4
+        assert len(calls) == len(set(calls)) == 572
 
 
 def _suite_pipeline_cells():

@@ -426,10 +426,9 @@ class TestStats:
         ops.add(EngineKind.COMPUTE, 1.0, [0, 1], tag="bwd:a")
         timeline = ColumnarTimeline(
             table=ops, start=[0.0, 0.0, 1.0], finish=[2.0, 1.0, 2.0],
-            prev_slot_finish=[0.0, 0.0, 0.0], makespan=2.0,
+            makespan=2.0,
             busy={EngineKind.COMPUTE: 1.0, EngineKind.COMM: 2.0,
-                  EngineKind.DMA_IN: 1.0, EngineKind.DMA_OUT: 0.0},
-            busy_per_channel={})
+                  EngineKind.DMA_IN: 1.0, EngineKind.DMA_OUT: 0.0})
         with pytest.raises(RuntimeError, match="op bwd:a starts at 1.0"):
             collect_prefetch_stats(timeline, ON_DEMAND)
         # The scheduler itself starts it once the collective is done.
