@@ -16,9 +16,10 @@ as cacheable as training cells in the campaign engine.
 
 from __future__ import annotations
 
-import enum
 import random
 from dataclasses import dataclass
+
+from repro.enums import Enum
 
 #: Names accepted by :func:`generate_jobs` (and the campaign axis).
 JOB_MIX_NAMES = ("training", "transformer", "serving", "balanced")
@@ -40,7 +41,7 @@ DEFAULT_FLEET_DEVICES = 16
 POLICY_NAMES = ("fifo", "sjf", "pool-fit", "gang")
 
 
-class JobKind(enum.Enum):
+class JobKind(Enum):
     """What a queued job runs once placed."""
 
     TRAINING = "training"    # data-parallel iterations, width 1..node

@@ -21,14 +21,14 @@ the 8-node DC-DLA ring at an 8 MB synchronization size).
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
+from repro.enums import Enum
 from repro.units import KB, US
 
 
-class Primitive(enum.Enum):
+class Primitive(Enum):
     ALL_GATHER = "all-gather"
     ALL_REDUCE = "all-reduce"
     BROADCAST = "broadcast"
@@ -119,91 +119,3 @@ def collective_time(primitive: Primitive, n_nodes: int, nbytes: float,
                     spec: CollectiveSpec = DEFAULT_SPEC) -> float:
     """Dispatch on the primitive (see the per-primitive functions)."""
     return _TIME_FNS[primitive](n_nodes, nbytes, ring_bw, spec)
-
-
-# -- Functional reference implementations --------------------------------
-#
-# These execute the actual ring data movement on small integer vectors so
-# tests can verify that the latency models above correspond to schedules
-# that really compute the right answer.
-
-
-def simulate_all_gather(contributions: list[list[int]]) -> list[list[int]]:
-    """Run the ring all-gather schedule; returns each node's buffer."""
-    n = len(contributions)
-    if n < 2:
-        raise ValueError("need at least 2 nodes")
-    buffers: list[list[list[int] | None]] = [
-        [None] * n for _ in range(n)]
-    for i in range(n):
-        buffers[i][i] = list(contributions[i])
-    # Step s: node i forwards segment (i - s) mod n to node i + 1.
-    for step in range(n - 1):
-        moves = []
-        for i in range(n):
-            seg = (i - step) % n
-            sent = buffers[i][seg]
-            if sent is None:
-                raise AssertionError("ring schedule lost a segment")
-            moves.append(((i + 1) % n, seg, list(sent)))
-        for dst, seg, payload in moves:
-            buffers[dst][seg] = payload
-    return [sum((seg for seg in buf if seg is not None), [])
-            for buf in buffers]
-
-
-def simulate_all_reduce(vectors: list[list[int]]) -> list[list[int]]:
-    """Run ring reduce-scatter + all-gather; returns each node's sum."""
-    n = len(vectors)
-    if n < 2:
-        raise ValueError("need at least 2 nodes")
-    length = len(vectors[0])
-    if any(len(v) != length for v in vectors):
-        raise ValueError("vectors must have equal length")
-    bounds = [(seg * length) // n for seg in range(n + 1)]
-    partial = [list(v) for v in vectors]
-    # Reduce-scatter: after n-1 steps node i holds the full sum of
-    # segment (i + 1) mod n.
-    for step in range(n - 1):
-        moves = []
-        for i in range(n):
-            seg = (i - step) % n
-            lo, hi = bounds[seg], bounds[seg + 1]
-            moves.append(((i + 1) % n, seg, partial[i][lo:hi]))
-        for dst, seg, payload in moves:
-            lo, hi = bounds[seg], bounds[seg + 1]
-            for offset, value in enumerate(payload):
-                partial[dst][lo + offset] += value
-    # All-gather the reduced segments.
-    owners = {(i + 1) % n: i for i in range(n)}
-    reduced: list[list[int] | None] = [None] * n
-    for seg, owner in owners.items():
-        lo, hi = bounds[seg], bounds[seg + 1]
-        reduced[seg] = partial[owner][lo:hi]
-    result_template = [seg for seg in reduced if seg is not None]
-    flat = sum(result_template, [])
-    return [list(flat) for _ in range(n)]
-
-
-def simulate_broadcast(root_vector: list[int], n_nodes: int,
-                       chunk: int = 4) -> list[list[int]]:
-    """Run the pipelined ring broadcast; returns each node's buffer."""
-    if n_nodes < 2:
-        raise ValueError("need at least 2 nodes")
-    if chunk <= 0:
-        raise ValueError("chunk must be positive")
-    chunks = [root_vector[i:i + chunk]
-              for i in range(0, len(root_vector), chunk)] or [[]]
-    received: list[list[list[int]]] = [[] for _ in range(n_nodes)]
-    received[0] = [list(c) for c in chunks]
-    # Stage t: node i forwards its (t - i)-th chunk to node i + 1.
-    stages = (n_nodes - 2) + len(chunks)
-    for stage in range(stages + 1):
-        moves = []
-        for i in range(n_nodes - 1):
-            idx = stage - i
-            if 0 <= idx < len(chunks) and idx < len(received[i]):
-                moves.append((i + 1, list(received[i][idx])))
-        for dst, payload in moves:
-            received[dst].append(payload)
-    return [sum(buf, []) for buf in received]

@@ -7,12 +7,12 @@ layer can persist them as JSON.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
 from collections.abc import Sequence
 from typing import Any
 
+from repro.enums import Enum
 from repro.records import record
 from repro.training.parallel import ParallelStrategy
 
@@ -68,7 +68,7 @@ def resolve_metric(result: "SimulationResult", path: str) -> float:
         f"not a number")
 
 
-class ExecutionMode(enum.Enum):
+class ExecutionMode(Enum):
     """What one ``simulate()`` call models.
 
     ``TRAINING`` is the paper's iteration (forward + backward +

@@ -7,7 +7,9 @@ keeps the *data* in parallel columns instead:
 
 * :class:`OpTable` -- the append-only struct-of-arrays op container
   every emitter fills; it links each op to the previous op on its
-  (engine, channel) slot as the op is added (``slot_prev``);
+  (engine, channel) slot as the op is added (``slot_prev``), and a
+  table re-priced from it shares its structural columns until its
+  first append;
 * :func:`schedule_ops` -- the deterministic list-scheduler recurrence,
   run as a tight loop over the columns that only takes maxima and adds
   (the recurrence is a sequential dependency chain, so a vectorized
@@ -15,8 +17,8 @@ keeps the *data* in parallel columns instead:
   per dependency level);
 * :class:`ColumnarTimeline` -- the scheduled result (``makespan``,
   ``busy``, ``busy_time``, ``finish_of``, ``slot_free``, ``ops_on``,
-  ``channels``, and, derived on first use, ``busy_per_channel``,
-  ``prev_slot_finish`` and the ``scheduled`` tuple of
+  ``channels``, and, derived on first use, the per-channel busy
+  seconds and the ``scheduled`` tuple of
   :class:`~repro.core.timeline.ScheduledOp` for trace export).
 """
 
@@ -75,7 +77,7 @@ class OpTable:
     """
 
     __slots__ = ("codes", "durations", "deps", "tags", "nbytes",
-                 "channels", "slot_prev", "_slot_last", "_ops",
+                 "channels", "slot_prev", "_slot_last", "_shared", "_ops",
                  "_prefetch_index")
 
     def __init__(self) -> None:
@@ -93,6 +95,10 @@ class OpTable:
         self.slot_prev: list[int] = []
         #: Slot key ``channel * 4 + code`` -> the slot's last op.
         self._slot_last: dict[int, int] = {}
+        #: True while every column but ``durations`` (and the slot map)
+        #: is shared with other tables (see :meth:`_repriced`); the
+        #: first :meth:`add` copies them.
+        self._shared = False
         self._ops: list[Op] | None = None
         #: The structural index :func:`repro.vmem.prefetch.
         #: collect_prefetch_stats` reads (built on first use; shared by
@@ -116,6 +122,8 @@ class OpTable:
                     f"op {tag}: dependency on a later op (cycle)")
             if dep < 0:
                 raise ValueError(f"op {tag}: negative dependency uid")
+        if self._shared:
+            self._own_columns()
         code = ENGINE_CODE[engine]
         slot = channel * 4 + code
         slot_last = self._slot_last
@@ -133,21 +141,35 @@ class OpTable:
     def __len__(self) -> int:
         return len(self.durations)
 
+    def _own_columns(self) -> None:
+        """Copy the shared structural columns and slot map, so an
+        append changes no other table."""
+        self.codes = self.codes.copy()
+        self.deps = self.deps.copy()
+        self.tags = self.tags.copy()
+        self.nbytes = self.nbytes.copy()
+        self.channels = self.channels.copy()
+        self.slot_prev = self.slot_prev.copy()
+        self._slot_last = self._slot_last.copy()
+        self._shared = False
+
     def _repriced(self, durations: list[float]) -> "OpTable":
-        """A copy of this table with ``durations`` as its duration
-        column (checked by the caller).  Every other column, slot links
-        included, is copied, so appending to the copy never changes
-        this table; the structural prefetch index is shared."""
+        """A table with ``durations`` as its duration column (checked
+        by the caller) that shares every other column of this one,
+        slot links and the structural prefetch index included.  Both
+        tables copy the shared columns on their next :meth:`add`, so
+        an append to one never changes the other."""
         table = OpTable()
-        table.codes = self.codes.copy()
+        table.codes = self.codes
         table.durations = durations
-        table.deps = self.deps.copy()
-        table.tags = self.tags.copy()
-        table.nbytes = self.nbytes.copy()
-        table.channels = self.channels.copy()
-        table.slot_prev = self.slot_prev.copy()
-        table._slot_last = self._slot_last.copy()
+        table.deps = self.deps
+        table.tags = self.tags
+        table.nbytes = self.nbytes
+        table.channels = self.channels
+        table.slot_prev = self.slot_prev
+        table._slot_last = self._slot_last
         table._prefetch_index = self._prefetch_index
+        table._shared = self._shared = True
         return table
 
     @property
@@ -169,15 +191,15 @@ class ColumnarTimeline:
     """Scheduled outcome of an :class:`OpTable`.
 
     ``busy`` aggregates across channels (the SPMD view);
-    ``busy_per_channel`` keeps the per-stage split pipeline metrics
-    need.  ``busy_per_channel``, ``prev_slot_finish`` and ``scheduled``
-    are derived from the columns on first use, so consumers that never
-    read them (the ``simulate()`` path of a training or inference cell)
-    never pay for them.
+    ``busy_time(engine, channel)`` and ``busy_per_channel`` keep the
+    per-stage split pipeline metrics need.  The per-channel sums (one
+    engine's at a time) and ``scheduled`` are derived from the columns
+    on first use, so consumers that never read them (the ``simulate()``
+    path of a training or inference cell) never pay for them.
     """
 
     __slots__ = ("table", "start", "finish", "makespan", "busy",
-                 "_prev_slot_finish", "_busy_per_channel", "_scheduled")
+                 "_channel_busy", "_scheduled")
 
     def __init__(self, table: OpTable, start: list[float],
                  finish: list[float], makespan: float,
@@ -187,9 +209,8 @@ class ColumnarTimeline:
         self.finish = finish
         self.makespan = makespan
         self.busy = busy
-        self._prev_slot_finish: list[float] | None = None
-        self._busy_per_channel: dict[tuple[EngineKind, int], float] \
-            | None = None
+        #: Engine code -> channel -> busy seconds, per code on first use.
+        self._channel_busy: dict[int, dict[int, float]] = {}
         self._scheduled: tuple[ScheduledOp, ...] | None = None
 
     # -- Per-op surface ---------------------------------------------------
@@ -202,31 +223,27 @@ class ColumnarTimeline:
         prev = self.table.slot_prev[uid]
         return self.finish[prev] if prev >= 0 else 0.0
 
-    @property
-    def prev_slot_finish(self) -> list[float]:
-        """:meth:`slot_free` of every op, in uid order."""
-        if self._prev_slot_finish is None:
-            self._prev_slot_finish = [
-                self.slot_free(uid) for uid in range(len(self.finish))]
-        return self._prev_slot_finish
+    def _busy_on(self, code: int) -> dict[int, float]:
+        """Seconds each channel of the engine with this code executed
+        ops, summed in uid order (derived on first use)."""
+        busy = self._channel_busy.get(code)
+        if busy is None:
+            busy = self._channel_busy[code] = {}
+            table = self.table
+            for op_code, channel, duration in zip(
+                    table.codes, table.channels,
+                    table.durations[:len(self.finish)]):
+                if op_code == code:
+                    busy[channel] = busy.get(channel, 0.0) + duration
+        return busy
 
     @property
     def busy_per_channel(self) -> dict[tuple[EngineKind, int], float]:
         """Seconds each (engine, channel) slot executed ops, summed in
         uid order."""
-        if self._busy_per_channel is None:
-            table = self.table
-            by_code: list[dict[int, float]] = [{}, {}, {}, {}]
-            for code, channel, duration in zip(
-                    table.codes, table.channels,
-                    table.durations[:len(self.finish)]):
-                busy = by_code[code]
-                busy[channel] = busy.get(channel, 0.0) + duration
-            self._busy_per_channel = {
-                (CODE_ENGINE[code], channel): seconds
-                for code in range(4)
-                for channel, seconds in by_code[code].items()}
-        return self._busy_per_channel
+        return {(engine, channel): seconds
+                for engine, code in ENGINE_CODE.items()
+                for channel, seconds in self._busy_on(code).items()}
 
     @property
     def scheduled(self) -> tuple[ScheduledOp, ...]:
@@ -255,7 +272,7 @@ class ColumnarTimeline:
         channel)."""
         if channel is None:
             return self.busy.get(engine, 0.0)
-        return self.busy_per_channel.get((engine, channel), 0.0)
+        return self._busy_on(ENGINE_CODE[engine]).get(channel, 0.0)
 
     @property
     def channels(self) -> tuple[int, ...]:

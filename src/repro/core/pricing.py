@@ -12,10 +12,12 @@ This module is the memo layer the core routes those derivations
 through:
 
 * :func:`cached_partition` / :func:`cached_migration` -- per-network
-  partitioning and migration planning, keyed on the network's
-  mutation ``version`` so a network edited after caching can never
-  replay stale plans (networks are weakly referenced; test-local
-  graphs do not pin memory);
+  partitioning and training steps (the forward/backward orders with
+  the migration policy's offload, prefetch and recompute sites, one
+  per virtualization setting and shared by every batch), keyed on the
+  network's mutation ``version`` so a network edited after caching
+  can never replay stale plans (networks are weakly referenced;
+  test-local graphs do not pin memory);
 * the training iteration plans of
   :func:`repro.core.schedule.plan_iteration`, in the same per-network
   store, each carrying a private memo of the prefetch gate plans of
@@ -68,7 +70,7 @@ from repro.telemetry.registry import NOOP, on_activation
 from repro.training.backprop import TrainingStep, expand
 from repro.training.parallel import (ParallelStrategy, PartitionedLayer,
                                      partition)
-from repro.vmem.policy import MigrationPolicy, TensorPlan
+from repro.vmem.policy import MigrationPolicy
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from repro.accelerator.device import DeviceSpec
@@ -176,21 +178,17 @@ def cached_partition(net: "Network", batch: int,
         lambda: partition(net, batch, strategy, n_devices))
 
 
-def cached_migration(net: "Network", batch: int, virtualize: bool) \
-        -> tuple[list[TensorPlan], TrainingStep]:
-    """Memoized migration plan + forward/backward expansion.
-
-    Returns ``(tensor_plans, training_step)`` for the default
+def cached_migration(net: "Network", virtualize: bool) -> TrainingStep:
+    """Memoized training step of the default
     :class:`~repro.vmem.policy.MigrationPolicy` at this ``virtualize``
-    setting -- the only policy shape ``plan_iteration`` builds.
-    """
-    def build() -> tuple[list[TensorPlan], TrainingStep]:
-        plans = MigrationPolicy(virtualize=virtualize).plan(net, batch)
-        return plans, expand(net, plans)
+    setting (the only policy ``plan_iteration`` builds).
 
-    return _memoized(_net_cache(net),
-                     ("migration", net.version, batch, virtualize),
-                     "migration", build)
+    The migration rule reads no batch, so the step is keyed without
+    one: every batch of a network shares it.
+    """
+    policy = MigrationPolicy(virtualize=virtualize)
+    return _memoized(_net_cache(net), ("migration", net.version, virtualize),
+                     "migration", lambda: expand(net, policy))
 
 
 def layer_times(net: "Network", device: "DeviceSpec", batch: int,

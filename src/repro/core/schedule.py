@@ -13,7 +13,8 @@ collective and DMA durations per design point; training and inference
 share one forward emitter.  Design points that differ only in their
 interconnect and memory pool emit the same training op DAG, so
 :func:`build_iteration_ops` emits each DAG once per iteration plan and
-gives every design its own priced copy, as
+gives every design its own priced table, which shares the
+structure's other columns, as
 :func:`repro.pipeline.lowering.build_pipeline_ops` does for pipelines.
 :func:`build_inference_ops` emits each forward-only DAG once per
 network shape, and also prices its compute durations per cell, so
@@ -33,7 +34,6 @@ from repro.dnn.graph import Network, weight_owners
 from repro.dnn.layers import LayerKind
 from repro.training.backprop import TrainingStep
 from repro.training.parallel import ParallelStrategy, PartitionedLayer
-from repro.vmem.policy import MigrationAction
 from repro.vmem.prefetch import (ON_DEMAND, FetchIssue, FetchSite,
                                  PrefetchContext, PrefetchSchedule,
                                  WasteFetch, _index_prefetches,
@@ -97,33 +97,36 @@ def _plan_bytes(plan: IterationPlan) -> tuple[int, int, int]:
 
 def plan_iteration(net: Network, config: SystemConfig, batch: int,
                    strategy: ParallelStrategy) -> IterationPlan:
-    """Partition the network and derive the migration plan.
+    """Partition the network and take its training step.
 
     Memoized per network: every design point with the same device
     count and virtualization setting shares one plan object (and with
-    it the op structures emitted from it).
+    it the op structures emitted from it), and every batch shares the
+    training step (:func:`repro.core.pricing.cached_migration`).
     """
     n_devices = config.n_devices
     virtualizes = config.virtualizes
-
-    def build() -> IterationPlan:
-        parts = {p.name: p for p in pricing.cached_partition(
-            net, batch, strategy, n_devices)}
-        tensor_plans, step = pricing.cached_migration(net, batch,
-                                                      virtualizes)
-        migrated = {
-            plan.producer: parts[plan.producer].out_shard_bytes
-            for plan in tensor_plans
-            if plan.action is MigrationAction.OFFLOAD
-        }
-        return IterationPlan(net=net, batch=batch, strategy=strategy,
-                             parts=parts, step=step,
-                             migrated_shards=migrated)
-
     return pricing._memoized(
         pricing._net_cache(net),
         ("iteration-plan", net.version, batch, strategy, n_devices,
-         virtualizes), "iteration-plan", build)
+         virtualizes), "iteration-plan",
+        lambda: iteration_plan(
+            net, batch, strategy,
+            pricing.cached_partition(net, batch, strategy, n_devices),
+            pricing.cached_migration(net, virtualizes)))
+
+
+def iteration_plan(net: Network, batch: int, strategy: ParallelStrategy,
+                   parts: Iterable[PartitionedLayer],
+                   step: TrainingStep) -> IterationPlan:
+    """The plan of one partition and training step, not memoized:
+    each tensor the step offloads migrates its per-device output
+    shard."""
+    by_name = {part.name: part for part in parts}
+    return IterationPlan(
+        net=net, batch=batch, strategy=strategy, parts=by_name, step=step,
+        migrated_shards={producer: by_name[producer].out_shard_bytes
+                         for producer in step.offloaded})
 
 
 def contention_fraction(compute_seconds: float,
@@ -461,9 +464,10 @@ class _OpStructure:
     durations, except those ``compute`` maps a layer to (each layer's
     forward compute op in an inference structure, shared by every
     batch of a network shape): :meth:`priced` gives them the cell's
-    forward times.  Every priced table shares the prefetch index
+    forward times.  Every priced table shares the structural columns
+    and the prefetch index
     :func:`~repro.vmem.prefetch.collect_prefetch_stats` reads, built
-    once before the first priced copy.
+    once before the first priced table.
     """
 
     __slots__ = ("table", "comm", "dma", "compute")
@@ -509,10 +513,12 @@ class _OpStructure:
 
     def priced(self, collective, pricer: pricing.MemoPricer,
                times: dict | None = None) -> OpTable:
-        """A fresh table with one design point's collective and DMA
-        prices, each distinct key priced once for all of its ops, and
-        the forward times ``times`` gives each op in ``compute``; the
-        structure itself is never modified."""
+        """A table with one design point's collective and DMA prices,
+        each distinct key priced once for all of its ops, and the
+        forward times ``times`` gives each op in ``compute``.  It
+        shares the structure's other columns (see
+        :meth:`OpTable._repriced`), so the structure itself is never
+        modified."""
         _index_prefetches(self.table)
         tags = self.table.tags
         durations = self.table.durations.copy()

@@ -30,11 +30,12 @@ export and tests.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
+from repro.enums import Enum
 
-class EngineKind(enum.Enum):
+
+class EngineKind(Enum):
     """The four concurrent engines of one device-node."""
 
     COMPUTE = "compute"

@@ -14,7 +14,8 @@ from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
 
-from repro.dnn.layers import Layer, LayerKind
+from repro.dnn.layers import Layer, LayerKind, check_batch
+from repro.units import FP32_BYTES
 
 
 #: Layer name -> neighbouring layer names, in insertion order.
@@ -44,6 +45,7 @@ class Network:
         self._version = 0
         self._adjacency: tuple[dict[str, int], Neighbours,
                                Neighbours] | None = None
+        self._totals: tuple[int, int, int] | None = None
 
     @property
     def version(self) -> int:
@@ -72,6 +74,18 @@ class Network:
                     {n: tuple(consumers) for n, consumers in succs.items()}))
         return self._adjacency
 
+    def _sizes(self) -> tuple[int, int, int]:
+        """(unique weight bytes, summed and peak feature-map elements
+        per sample), computed once and cached until the next mutation,
+        like the adjacency: the byte totals scale them by the batch."""
+        if self._totals is None:
+            elems = [layer.out_elems for layer in self._layers.values()]
+            self._totals = (
+                sum(layer.weight_bytes
+                    for layer in weight_owners(self._layers.values())),
+                sum(elems), max(elems, default=0))
+        return self._totals
+
     # -- Construction ------------------------------------------------------
 
     def add_layer(self, layer: Layer, inputs: list[str] | None = None) -> Layer:
@@ -86,6 +100,7 @@ class Network:
         self._inputs[layer.name] = list(inputs or [])
         self._version += 1
         self._adjacency = None
+        self._totals = None
         return layer
 
     def validate(self) -> None:
@@ -165,24 +180,11 @@ class Network:
         during forward propagation").  A layer with no consumers is its
         own last consumer.
         """
-        succs = self.successors(name)
+        try:
+            succs = self._adj()[2][name]
+        except KeyError:
+            raise self._unknown(name) from None
         return succs[-1] if succs else name
-
-    def reuse_distance(self, name: str) -> int:
-        """Layers between last forward use and first backward use.
-
-        With forward order ``0..L-1`` and backward order ``L-1..0``, a
-        tensor produced by layer *i* and last consumed in forward by
-        layer *j* is next needed by layer *j*'s backward pass; the gap is
-        the number of layer computations in between -- the scheduling
-        slack available to hide its migration.
-        """
-        position = self._adj()[0]
-        total = len(self._layers)
-        last_use = position[self.last_forward_consumer(name)]
-        # Forward steps remaining after last use, plus backward steps
-        # until control returns to the consumer.
-        return 2 * (total - 1 - last_use)
 
     @property
     def learned_layer_count(self) -> int:
@@ -204,11 +206,12 @@ class Network:
 
     def weight_bytes(self) -> int:
         """Total unique weight bytes (shared groups counted once)."""
-        return sum(layer.weight_bytes for layer in weight_owners(self.layers))
+        return self._sizes()[0]
 
     def feature_map_bytes(self, batch: int) -> int:
         """Total forward feature-map bytes at a batch size (all layers)."""
-        return sum(layer.out_bytes(batch) for layer in self.layers)
+        check_batch(batch)
+        return self._sizes()[1] * batch * FP32_BYTES
 
     def virtualized_bytes(self, batch: int) -> int:
         """Feature-map bytes subject to offload (cheap layers excluded)."""
@@ -230,9 +233,9 @@ class Network:
         pair of the largest activation buffers suffices, on top of the
         (unique) weights.
         """
-        peak = max((layer.out_bytes(batch) for layer in self.layers),
-                   default=0)
-        return self.weight_bytes() + 2 * peak
+        check_batch(batch)
+        weights, _, peak = self._sizes()
+        return weights + 2 * peak * batch * FP32_BYTES
 
     def fwd_macs(self, batch: int) -> int:
         return sum(layer.fwd_macs(batch) for layer in self.layers)

@@ -17,14 +17,14 @@ semantics (forward/backward expansion, synchronization sizing) live in
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 
 from repro.dnn.shapes import Gemm, grad_gemms
+from repro.enums import Enum
 from repro.units import FP32_BYTES
 
 
-class LayerKind(enum.Enum):
+class LayerKind(Enum):
     """Taxonomy of layer types used across the benchmark families."""
 
     INPUT = "input"
@@ -143,12 +143,12 @@ class Layer:
 
     def out_bytes(self, batch: int) -> int:
         """Output feature-map bytes at a given batch size."""
-        _check_batch(batch)
+        check_batch(batch)
         return self.out_elems * batch * FP32_BYTES
 
     def fwd_macs(self, batch: int) -> int:
         """Forward multiply-accumulate count at a given batch size."""
-        _check_batch(batch)
+        check_batch(batch)
         return sum(g.at_batch(batch).macs for g in self.gemms)
 
     def bwd_macs(self, batch: int) -> int:
@@ -157,7 +157,7 @@ class Layer:
 
     def fwd_gemms(self, batch: int) -> list[Gemm]:
         """Concrete forward GEMMs at a given batch size."""
-        _check_batch(batch)
+        check_batch(batch)
         return [g.at_batch(batch) for g in self.gemms]
 
     def bwd_gemms(self, batch: int) -> tuple[Gemm, ...]:
@@ -167,10 +167,11 @@ class Layer:
 
     def fwd_stream_bytes(self, batch: int) -> int:
         """Bytes streamed by an element-wise forward pass."""
-        _check_batch(batch)
+        check_batch(batch)
         return self.stream_elems * batch * FP32_BYTES
 
 
-def _check_batch(batch: int) -> None:
+def check_batch(batch: int) -> None:
+    """Reject a batch size that is not positive."""
     if batch <= 0:
         raise ValueError("batch must be positive")

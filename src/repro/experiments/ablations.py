@@ -14,9 +14,9 @@ Four ablations, each isolating one modeling/design decision:
 All but the recompute rule are declared scenarios run through
 :func:`repro.scenarios.runner.run_study` (the window depth rides on
 ``DesignSpec.replacements``, the 7(a) derivative is the registered
-``MC-DLA(7a)`` design); the recompute ablation rebuilds iteration
-plans by hand because the knob lives on the migration-policy side,
-below ``simulate()``.
+``MC-DLA(7a)`` design); the recompute ablation builds its iteration
+plans itself (:func:`repro.core.schedule.iteration_plan`) because the
+knob lives on the migration-policy side, below ``simulate()``.
 """
 
 from __future__ import annotations
@@ -86,23 +86,19 @@ def _recompute_plan(net: Network, batch: int, config: SystemConfig,
                     recompute: bool) -> IterationPlan:
     """The data-parallel iteration plan with the recompute knob set.
 
-    Built by hand (not through ``plan_iteration``'s memo), so each
-    call returns a new plan with its own op structures.
+    Built outside ``plan_iteration``'s memo, so each call returns a
+    new plan with its own op structures.
     """
-    from repro.core.schedule import IterationPlan
+    from repro.core.schedule import iteration_plan
     from repro.training.backprop import expand
     from repro.training.parallel import partition
-    from repro.vmem.policy import MigrationAction, MigrationPolicy
+    from repro.vmem.policy import MigrationPolicy
 
-    plans = MigrationPolicy(recompute_cheap=recompute).plan(net, batch)
-    parts = {p.name: p for p in partition(
-        net, batch, ParallelStrategy.DATA, config.n_devices)}
-    migrated = {p.producer: parts[p.producer].out_shard_bytes
-                for p in plans if p.action is MigrationAction.OFFLOAD}
-    return IterationPlan(net=net, batch=batch,
-                         strategy=ParallelStrategy.DATA, parts=parts,
-                         step=expand(net, plans),
-                         migrated_shards=migrated)
+    strategy = ParallelStrategy.DATA
+    return iteration_plan(
+        net, batch, strategy,
+        partition(net, batch, strategy, config.n_devices),
+        expand(net, MigrationPolicy(recompute_cheap=recompute)))
 
 
 def _recompute_rows(batch: int) -> list[AblationRow]:

@@ -23,16 +23,16 @@ Topologies built here:
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
+from repro.enums import Enum
 from repro.interconnect.link import NVLINK, PCIE_GEN3, LinkSpec
 from repro.interconnect.ring import Ring, RingSet
 from repro.interconnect.topology import (NodeId, Topology, device, host,
                                          memory, switch)
 
 
-class VmemTarget(enum.Enum):
+class VmemTarget(Enum):
     """Where a design's virtualization traffic lands."""
 
     NONE = "none"          # oracle: no migration

@@ -9,13 +9,13 @@ builders for the paper's concrete topologies live in
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
+from repro.enums import Enum
 from repro.interconnect.link import LinkSpec
 
 
-class NodeKind(enum.Enum):
+class NodeKind(Enum):
     DEVICE = "device"     # GPU/TPU accelerator (paper: device-node)
     MEMORY = "memory"     # capacity-optimized memory-node
     HOST = "host"         # host CPU socket

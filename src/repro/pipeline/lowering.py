@@ -32,8 +32,8 @@ Design points that differ only in their interconnect and memory pool
 share a pipeline's partition, stage times, schedule and op DAG, so
 :func:`plan_pipeline` is memoized per network and each plan keeps the
 op structures emitted from it; :func:`build_pipeline_ops` gives every
-design its own copy with the stash-DMA and ``sync-dw`` durations
-priced on that design's models.
+design its own table, sharing the structure's other columns, with the
+stash-DMA and ``sync-dw`` durations priced on that design's models.
 """
 
 from __future__ import annotations

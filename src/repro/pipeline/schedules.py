@@ -25,12 +25,13 @@ at the stage's 1F1B warmup to stay under the same memory bound.
 
 from __future__ import annotations
 
-import enum
 import functools
 from dataclasses import dataclass, field
 
+from repro.enums import Enum
 
-class ScheduleKind(enum.Enum):
+
+class ScheduleKind(Enum):
     GPIPE = "gpipe"
     ONE_F_ONE_B = "1f1b"
     ZB_H1 = "zb-h1"
@@ -81,7 +82,7 @@ def parse_schedule_kind(raw: str) -> ScheduleKind:
             + ", ".join(SCHEDULE_ORDER)) from None
 
 
-class OpKind(enum.Enum):
+class OpKind(Enum):
     """What a slot computes: forward, activation-grad, weight-grad."""
 
     F = "F"
@@ -447,29 +448,6 @@ def _makespan(seqs: list[_Seq], costs: ScheduleCosts,
             f"schedule deadlocked after {emitted}/{total} slots in "
             "analytic evaluation (inconsistent stage programs)")
     return max(engine_free) if engine_free else 0.0
-
-
-def evaluate_makespan(programs: tuple[StageProgram, ...],
-                      costs: ScheduleCosts) -> float:
-    """Analytic makespan of slot programs under the simulator's model.
-
-    Mirrors the emitter's semantics -- one in-order compute engine per
-    stage, F gated on the upstream activation send, B gated on the
-    downstream gradient send (or the stage's own F at the loss stage),
-    W gated on its own B -- but prices sends as fixed latencies rather
-    than occupying a COMM engine.  It is the auto-scheduler's cheap
-    inner-loop objective; the found schedule is validated by replaying
-    through ``simulate()``.  A slot that can never become ready (a W
-    ahead of its own B, say) raises the named "deadlocked"
-    RuntimeError.
-    """
-    _check_stage_costs(costs, len(programs))
-    dense: dict[int, int] = {}
-    seqs = [tuple((_CODE_OF_KIND[slot.kind],
-                   dense.setdefault(slot.microbatch, len(dense)))
-                  for slot in program.slots)
-            for program in programs]
-    return _makespan(seqs, costs, len(dense))
 
 
 def _auto_zero_bubble_params(n_stages: int, n_microbatches: int,

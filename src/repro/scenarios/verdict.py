@@ -16,16 +16,16 @@ follows the suite's claim order.
 from __future__ import annotations
 
 import csv
-import enum
 import io
 import json
 from dataclasses import dataclass
 
+from repro.enums import Enum
 from repro.experiments.report import format_table
 from repro.records import record
 
 
-class Status(enum.Enum):
+class Status(Enum):
     PASS = "PASS"
     FAIL = "FAIL"
     ERROR = "ERROR"

@@ -15,7 +15,6 @@ Two strategies, matching the evaluation:
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -23,10 +22,11 @@ from repro.collectives.ring_algorithm import Primitive
 from repro.dnn.graph import Network, weight_owners
 from repro.dnn.layers import LayerKind
 from repro.dnn.shapes import Gemm, grad_gemms
+from repro.enums import Enum
 from repro.units import FP32_BYTES
 
 
-class ParallelStrategy(enum.Enum):
+class ParallelStrategy(Enum):
     DATA = "data-parallel"
     MODEL = "model-parallel"
     #: Microbatched pipeline parallelism (GPipe / 1F1B): stages are

@@ -12,14 +12,14 @@ nodes (``BW_AWARE``), letting the device read both concurrently:
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
 
+from repro.enums import Enum
 from repro.vmem.driver import PAGE_BYTES, AddressSpaceLayout, PageMapping, Tier
 
 
-class PlacementPolicy(enum.Enum):
+class PlacementPolicy(Enum):
     LOCAL = "LOCAL"
     BW_AWARE = "BW_AWARE"
 

@@ -13,16 +13,16 @@ device.  Pages are placed by :mod:`repro.vmem.allocator`.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
+from repro.enums import Enum
 from repro.units import GB, MB
 
 #: GPU large-page granularity used for remote placement.
 PAGE_BYTES = 2 * MB
 
 
-class Tier(enum.Enum):
+class Tier(Enum):
     """The three memory regions a page can live in."""
 
     LOCAL = "device-local"

@@ -4,8 +4,10 @@ Combines the migration policy (:mod:`repro.vmem.policy`) with the
 Table I runtime API (:mod:`repro.vmem.runtime_api`) so examples can
 execute plans against the modeled address space, and exposes the plan
 summary (tensor list, traffic totals, footprints) to them.  The system
-simulator's schedule builder does not read it: it takes the policy's
-plan from :func:`repro.core.pricing.cached_migration`.
+simulator builds no such per-tensor records: it takes its training
+step from :func:`repro.core.pricing.cached_migration`, which applies
+the same rule (:meth:`~repro.vmem.policy.MigrationPolicy.action`) to
+each layer once per network, for every batch.
 """
 
 from __future__ import annotations

@@ -16,14 +16,14 @@ decide, per feature map, one of three actions:
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 from repro.dnn.graph import Network
-from repro.dnn.layers import LayerKind
+from repro.dnn.layers import Layer, LayerKind
+from repro.enums import Enum
 
 
-class MigrationAction(enum.Enum):
+class MigrationAction(Enum):
     OFFLOAD = "offload"
     RECOMPUTE = "recompute"
     RESIDENT = "resident"
@@ -56,21 +56,30 @@ class MigrationPolicy:
     #: Apply the recompute-cheap-layers optimization.
     recompute_cheap: bool = True
 
+    def action(self, layer: Layer) -> MigrationAction:
+        """The one keep/recompute/offload rule for ``layer``'s output.
+
+        It reads only the layer's kind, never the batch, so a network's
+        training step (:func:`repro.training.backprop.expand`) is built
+        once for every batch size.
+        """
+        if layer.kind is LayerKind.INPUT or not self.virtualize:
+            return MigrationAction.RESIDENT
+        if self.recompute_cheap and layer.is_cheap:
+            return MigrationAction.RECOMPUTE
+        return MigrationAction.OFFLOAD
+
     def plan(self, net: Network, batch: int) -> list[TensorPlan]:
-        """Derive per-tensor migration plans in topological order."""
+        """Derive per-tensor migration plans in topological order (the
+        records the Table I runtime API executes; see
+        :mod:`repro.vmem.manager`)."""
         plans = []
         for layer in net.layers:
-            nbytes = layer.out_bytes(batch)
             last_use = net.last_forward_consumer(layer.name)
-            if layer.kind is LayerKind.INPUT or not self.virtualize:
-                action = MigrationAction.RESIDENT
-            elif layer.is_cheap and self.recompute_cheap:
-                action = MigrationAction.RECOMPUTE
-            else:
-                action = MigrationAction.OFFLOAD
             plans.append(TensorPlan(
-                producer=layer.name, nbytes=nbytes, action=action,
-                offload_after=last_use, prefetch_before=last_use))
+                producer=layer.name, nbytes=layer.out_bytes(batch),
+                action=self.action(layer), offload_after=last_use,
+                prefetch_before=last_use))
         return plans
 
 

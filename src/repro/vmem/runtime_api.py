@@ -17,9 +17,9 @@ events whose completion times follow the Figure 10 latency algebra.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 
+from repro.enums import Enum
 from repro.units import GBPS
 from repro.vmem.allocator import (PlacementPolicy, RemoteAllocator,
                                   transfer_latency)
@@ -27,7 +27,7 @@ from repro.vmem.driver import (PAGE_BYTES, AddressSpaceLayout, PageMapping,
                                default_layout)
 
 
-class CopyDirection(enum.Enum):
+class CopyDirection(Enum):
     """``cudaMemcpyAsync`` directions, extended per Table I."""
 
     HOST_TO_LOCAL = "HostToDevice"

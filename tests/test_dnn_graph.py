@@ -5,8 +5,23 @@ import pytest
 from repro.dnn.graph import (Network, NetworkSummary, input_layer,
                              weight_owners)
 from repro.dnn.layers import Layer, LayerKind
+from repro.dnn.registry import WORKLOAD_NAMES, build_network
 from repro.dnn.shapes import fc_gemm
 from repro.units import FP32_BYTES
+
+
+def reuse_distance(net: Network, name: str) -> int:
+    """Layers between ``name``'s last forward use and its first
+    backward use: the reference model of vDNN's reuse distance.
+
+    With forward order ``0..L-1`` and backward order ``L-1..0``, a
+    tensor last consumed in forward by layer *j* is next needed by
+    layer *j*'s backward pass; the gap is the forward steps left after
+    *j* plus the backward steps until control returns to *j* -- the
+    scheduling slack available to hide its migration.
+    """
+    last_use = net.layer_names.index(net.last_forward_consumer(name))
+    return 2 * (len(net) - 1 - last_use)
 
 
 def linear_net(depth=3):
@@ -105,9 +120,9 @@ class TestOrdering:
 
     def test_reuse_distance_shrinks_toward_output(self):
         net = linear_net(depth=5)
-        distances = [net.reuse_distance(f"fc{i}") for i in range(1, 6)]
+        distances = [reuse_distance(net, f"fc{i}") for i in range(1, 6)]
         assert distances == sorted(distances, reverse=True)
-        assert net.reuse_distance("fc5") == 0
+        assert reuse_distance(net, "fc5") == 0
 
 
 class TestAccounting:
@@ -165,6 +180,44 @@ class TestAccounting:
         shallow = linear_net(depth=2).training_footprint_bytes(4)
         deep = linear_net(depth=8).training_footprint_bytes(4)
         assert deep > shallow
+
+    @pytest.mark.parametrize("name", WORKLOAD_NAMES)
+    def test_cached_totals_equal_the_layer_walks(self, name):
+        """The totals kept per network version, scaled by the batch,
+        are the sums and maxima of every layer at that batch."""
+        net = build_network(name)
+        weights = sum(layer.weight_bytes
+                      for layer in weight_owners(net.layers))
+        for batch in (1, 3, 64, 512):
+            maps = sum(layer.out_bytes(batch) for layer in net.layers)
+            peak = max(layer.out_bytes(batch) for layer in net.layers)
+            assert net.weight_bytes() == weights
+            assert net.feature_map_bytes(batch) == maps
+            assert net.training_footprint_bytes(batch) \
+                == 2 * weights + maps
+            assert net.inference_footprint_bytes(batch) \
+                == weights + 2 * peak
+
+    def test_add_layer_invalidates_cached_totals(self):
+        net = linear_net(depth=2)
+        weights = net.weight_bytes()
+        maps = net.feature_map_bytes(2)
+        assert net.inference_footprint_bytes(2) \
+            == weights + 2 * 2 * 10 * FP32_BYTES
+        net.add_layer(Layer(name="wide", kind=LayerKind.FC, out_elems=50,
+                            weight_elems=500, gemms=(fc_gemm(50, 10),)),
+                      inputs=["fc2"])
+        assert net.weight_bytes() == weights + 500 * FP32_BYTES
+        assert net.feature_map_bytes(2) == maps + 2 * 50 * FP32_BYTES
+        assert net.inference_footprint_bytes(2) \
+            == net.weight_bytes() + 2 * 2 * 50 * FP32_BYTES
+
+    def test_byte_totals_check_the_batch(self):
+        net = linear_net(depth=2)
+        for total in (net.feature_map_bytes, net.training_footprint_bytes,
+                      net.inference_footprint_bytes):
+            with pytest.raises(ValueError, match="batch"):
+                total(0)
 
     def test_macs_aggregation(self):
         net = linear_net(depth=3)

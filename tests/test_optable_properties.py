@@ -6,8 +6,8 @@ Hypothesis drives random DAG-shaped op programs through
 * identical start/finish/busy/makespan to a plain reference list
   scheduler over the raw program (bitwise float equality -- both walk
   ops in uid order and accumulate in the same sequence);
-* every op starts at ``max(prev_slot_finish, latest dep finish, 0.0)``
-  and finishes ``duration`` later, and ``prev_slot_finish`` is exactly
+* every op starts at ``max(slot_free, latest dep finish, 0.0)``
+  and finishes ``duration`` later, and ``slot_free`` is exactly
   the engine-slot free time the scheduler saw when the op was issued;
 * busy totals are the uid-order sums of the durations;
 * stable event order: ``ops_on`` never reorders ops, even across
@@ -102,6 +102,11 @@ def reference_schedule(program) -> dict:
             "channels": tuple(sorted({p[3] for p in program})) or (0,)}
 
 
+def prev_slot_finish(timeline) -> list[float]:
+    """The timeline's ``slot_free`` of every op, in uid order."""
+    return [timeline.slot_free(uid) for uid in range(len(timeline.finish))]
+
+
 def reference_slot_prev(program) -> list[int]:
     """Each op's previous uid on its (engine, channel) slot, or -1."""
     last: dict[tuple[EngineKind, int], int] = {}
@@ -129,6 +134,8 @@ class TestSchedulerEquivalence:
 
         assert col.makespan == ref["makespan"]
         assert col.busy == ref["busy"]
+        for (engine, channel), busy in ref["busy_per_channel"].items():
+            assert col.busy_time(engine, channel) == busy
         assert col.busy_per_channel == ref["busy_per_channel"]
         assert col.channels == ref["channels"]
         for uid in range(len(program)):
@@ -166,9 +173,9 @@ class TestSchedulerEquivalence:
         for uid in range(len(program)):
             slot = (table.ops[uid].engine, table.channels[uid])
             duration = table.durations[uid]
-            assert col.prev_slot_finish[uid] == slot_free.get(slot, 0.0)
+            assert col.slot_free(uid) == slot_free.get(slot, 0.0)
             assert col.start[uid] == max(
-                col.prev_slot_finish[uid],
+                col.slot_free(uid),
                 max((col.finish[d] for d in table.deps[uid]),
                     default=0.0),
                 0.0)
@@ -197,7 +204,7 @@ class TestSlotLinks:
     def test_derived_views_match_reference(self, program):
         ref = reference_schedule(program)
         col = schedule_ops(build_table(program))
-        assert col.prev_slot_finish == ref["prev_slot_finish"]
+        assert prev_slot_finish(col) == ref["prev_slot_finish"]
         assert col.busy_per_channel == ref["busy_per_channel"]
 
     @given(op_programs(), st.sampled_from(ENGINES),
@@ -222,7 +229,35 @@ class TestSlotLinks:
         ref = reference_schedule(extended)
         col = schedule_ops(copy)
         assert col.finish == ref["finish"]
-        assert col.prev_slot_finish == ref["prev_slot_finish"]
+        assert prev_slot_finish(col) == ref["prev_slot_finish"]
+
+    def test_priced_table_shares_columns_until_first_append(self):
+        structure = _OpStructure()
+        table = structure.table
+        table.add(EngineKind.COMPUTE, 1.0, [], "fwd:a")
+        structure.transfer(EngineKind.DMA_OUT, 64, [0], "offload:a")
+        table.add(EngineKind.COMPUTE, 2.0, [0], "fwd:b", channel=1)
+        priced, sibling = (
+            structure.priced(lambda primitive, nbytes: 0.0,
+                             lambda nbytes: 0.5) for _ in range(2))
+        names = ("codes", "deps", "tags", "nbytes", "channels",
+                 "slot_prev", "_slot_last")
+        assert all(getattr(priced, name) is getattr(table, name)
+                   for name in names)
+        assert priced.durations == [1.0, 0.5, 2.0] == sibling.durations
+        assert priced.durations is not table.durations
+
+        priced.add(EngineKind.COMPUTE, 1.0, [2], "late", channel=1)
+        assert not any(getattr(priced, name) is getattr(table, name)
+                       for name in names)
+        assert all(getattr(sibling, name) is getattr(table, name)
+                   for name in names)
+        assert priced.slot_prev == [-1, -1, -1, 2]
+        assert table.slot_prev == sibling.slot_prev == [-1, -1, -1]
+        # The structure copies too once it has been priced from.
+        table.add(EngineKind.COMM, 0.0, [0], "structure-late")
+        assert len(table.codes) == 4
+        assert len(sibling.codes) == len(sibling.durations) == 3
 
 
 def _real_tables():
@@ -255,7 +290,7 @@ class TestRealTables:
             assert col.finish == ref["finish"]
             assert col.busy == ref["busy"]
             assert col.busy_per_channel == ref["busy_per_channel"]
-            assert col.prev_slot_finish == ref["prev_slot_finish"]
+            assert prev_slot_finish(col) == ref["prev_slot_finish"]
             assert col.makespan == ref["makespan"]
             tables += 1
         assert tables == 96 + 2 * len(SCHEDULE_ORDER)

@@ -17,8 +17,11 @@ use.
 from __future__ import annotations
 
 import ast
+import enum
+import importlib
 import json
 import os
+import pickle
 import subprocess
 import sys
 import textwrap
@@ -28,6 +31,7 @@ import pytest
 
 import repro
 from repro.core.simulator import simulate
+from repro.enums import Enum
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -171,3 +175,35 @@ class TestRootNames:
         assert loaded("from repro import bench, telemetry",
                       ("repro.bench", "repro.telemetry")) \
             == ["repro.bench", "repro.telemetry"]
+
+
+class TestEnumerations:
+    """Every enumeration derives from :class:`repro.enums.Enum`, whose
+    members hash by identity (in C) instead of through the Python-level
+    ``enum.Enum.__hash__``."""
+
+    @staticmethod
+    def _enumerations() -> list[type]:
+        found = []
+        for name in MODULES:
+            for value in vars(importlib.import_module(name)).values():
+                if (isinstance(value, type)
+                        and issubclass(value, enum.Enum)
+                        and value.__module__ == name
+                        and value is not Enum):
+                    found.append(value)
+        return found
+
+    def test_every_enumeration_hashes_by_identity(self):
+        enumerations = self._enumerations()
+        assert len(enumerations) == 15
+        for cls in enumerations:
+            assert issubclass(cls, Enum), cls
+            for member in cls:
+                assert hash(member) == object.__hash__(member)
+                assert cls(member.value) is member
+                assert pickle.loads(pickle.dumps(member)) is member
+
+    def test_enum_base_imports_only_the_standard_library(self):
+        assert loaded("import repro.enums", MODULES) \
+            == ["repro", "repro.enums"]

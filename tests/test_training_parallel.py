@@ -3,11 +3,60 @@
 import pytest
 
 from repro.collectives.ring_algorithm import Primitive
-from repro.dnn.registry import build_network
-from repro.training.backprop import expand
+from repro.dnn.graph import Network
+from repro.dnn.layers import LayerKind
+from repro.dnn.registry import WORKLOAD_NAMES, build_network
+from repro.training.backprop import TrainingStep, expand
 from repro.training.parallel import (ParallelStrategy, SyncOp, partition,
                                      total_sync_bytes)
-from repro.vmem.policy import MigrationPolicy
+from repro.vmem.policy import MigrationAction, MigrationPolicy, TensorPlan
+
+
+def reference_plans(net: Network, policy: MigrationPolicy,
+                    batch: int) -> list[TensorPlan]:
+    """The per-tensor records with the keep/recompute/offload rule
+    written inline, as :meth:`MigrationPolicy.plan` derived them before
+    the rule became :meth:`MigrationPolicy.action`."""
+    plans = []
+    for layer in net.layers:
+        successors = net.successors(layer.name)
+        last_use = successors[-1] if successors else layer.name
+        if layer.kind is LayerKind.INPUT or not policy.virtualize:
+            action = MigrationAction.RESIDENT
+        elif layer.is_cheap and policy.recompute_cheap:
+            action = MigrationAction.RECOMPUTE
+        else:
+            action = MigrationAction.OFFLOAD
+        plans.append(TensorPlan(
+            producer=layer.name, nbytes=layer.out_bytes(batch),
+            action=action, offload_after=last_use,
+            prefetch_before=last_use))
+    return plans
+
+
+def record_step(net: Network, plans: list[TensorPlan]) -> TrainingStep:
+    """The reference expansion: the training step built from the
+    policy's per-tensor records, as the simulator built it before
+    :func:`expand` applied the policy's rule to each layer directly."""
+    fwd = tuple(net.layer_names)
+    bwd = tuple(name for name in reversed(fwd)
+                if net.layer(name).kind is not LayerKind.INPUT)
+    prefetch: dict[str, list[str]] = {}
+    recompute: dict[str, list[str]] = {}
+    for plan in plans:
+        assert plan.offload_after == plan.prefetch_before
+        if plan.action is MigrationAction.OFFLOAD:
+            prefetch.setdefault(plan.prefetch_before, []).append(
+                plan.producer)
+        elif plan.action is MigrationAction.RECOMPUTE:
+            recompute.setdefault(plan.prefetch_before, []).append(
+                plan.producer)
+    return TrainingStep(
+        network=net.name, fwd_order=fwd, bwd_order=bwd,
+        recompute_sites={k: tuple(v) for k, v in recompute.items()},
+        prefetch_sites={k: tuple(v) for k, v in prefetch.items()},
+        offloaded=tuple(plan.producer for plan in plans
+                        if plan.action is MigrationAction.OFFLOAD))
 
 
 class TestDataParallel:
@@ -124,8 +173,7 @@ class TestValidation:
 class TestTrainingStep:
     def test_backward_is_reverse_forward_without_inputs(self):
         net = build_network("AlexNet")
-        plans = MigrationPolicy().plan(net, 64)
-        step = expand(net, plans)
+        step = expand(net, MigrationPolicy())
         assert step.fwd_order[0] == "data"
         assert "data" not in step.bwd_order
         non_input = [n for n in step.fwd_order if n != "data"]
@@ -133,8 +181,7 @@ class TestTrainingStep:
 
     def test_prefetch_and_recompute_sites_partition_tensors(self):
         net = build_network("AlexNet")
-        plans = MigrationPolicy().plan(net, 64)
-        step = expand(net, plans)
+        step = expand(net, MigrationPolicy())
         prefetched = {p for ps in step.prefetch_sites.values()
                       for p in ps}
         recomputed = {p for ps in step.recompute_sites.values()
@@ -145,6 +192,19 @@ class TestTrainingStep:
 
     def test_oracle_step_has_no_sites(self):
         net = build_network("AlexNet")
-        plans = MigrationPolicy(virtualize=False).plan(net, 64)
-        step = expand(net, plans)
+        step = expand(net, MigrationPolicy(virtualize=False))
         assert not step.prefetch_sites and not step.recompute_sites
+
+    @pytest.mark.parametrize("recompute_cheap", (True, False))
+    @pytest.mark.parametrize("virtualize", (True, False))
+    @pytest.mark.parametrize("name", WORKLOAD_NAMES)
+    def test_step_equals_the_record_based_step(self, name, virtualize,
+                                               recompute_cheap):
+        net = build_network(name)
+        policy = MigrationPolicy(virtualize=virtualize,
+                                 recompute_cheap=recompute_cheap)
+        step = expand(net, policy)
+        for batch in (1, 64):
+            plans = policy.plan(net, batch)
+            assert plans == reference_plans(net, policy, batch)
+            assert step == record_step(net, plans)

@@ -48,6 +48,8 @@ from repro.dnn.registry import (BENCHMARK_NAMES, benchmark_info,
                                 build_network)
 from repro.dnn.shapes import Gemm, fc_gemm
 from repro.experiments.ablations import _recompute_plan
+from repro.experiments.fig14_batch_sensitivity import \
+    BATCH_SIZES as FIG14_BATCHES
 from repro.faults.lowering import degraded_config, healthy_config
 from repro.pipeline.lowering import (_pipeline_seconds, pipeline_pricer,
                                     plan_pipeline)
@@ -379,6 +381,40 @@ class TestStructureSharing:
         # the collectives again (2,160 when one did).
         assert lookups("dma") == 1312
         assert lookups("collective") == 1080
+
+    def test_batch_sweep_takes_one_step_per_virtualization(self):
+        """The migration rule reads no batch: fig14's batch sweep of one
+        network on every design and strategy builds the ``migration``
+        memo once per virtualization setting (DC-DLA(O) keeps every
+        tensor resident) and shares it across the 16 iteration plans."""
+        pricing.clear_caches()
+        net = build_network("VGG-E")
+        registry = enable_metrics(fresh=True)
+        try:
+            plans = [plan_iteration(net, config, batch, strategy)
+                     for batch in FIG14_BATCHES
+                     for config in map(design_point, DESIGN_ORDER)
+                     for strategy in (ParallelStrategy.DATA,
+                                      ParallelStrategy.MODEL)]
+            counters = {
+                (entry["name"], entry["labels"].get("memo")):
+                    entry["value"]
+                for entry in registry.snapshot()["counters"]}
+        finally:
+            disable_metrics()
+        try:
+            assert counters[("repro_pricing_memo_misses_total",
+                             "iteration-plan")] == 16
+            assert counters[("repro_pricing_memo_misses_total",
+                             "migration")] == 2
+            assert counters[("repro_pricing_memo_hits_total",
+                             "migration")] == 14
+            # Every plan holds one of the two memoized steps.
+            assert {id(plan.step) for plan in plans} == {
+                id(pricing.cached_migration(net, virtualize))
+                for virtualize in (False, True)}
+        finally:
+            pricing.clear_caches()
 
 
 class TestCollectivePrices:

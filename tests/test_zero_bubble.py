@@ -20,9 +20,10 @@ from repro.dnn.layers import LayerKind
 from repro.dnn.registry import build_network
 from repro.naming import resolve_schedule
 from repro.pipeline.lowering import pipeline_stats, plan_pipeline
-from repro.pipeline.schedules import (OpKind, ScheduleCosts, ScheduleKind,
-                                      Slot, StageProgram, build_schedule,
-                                      evaluate_makespan,
+from repro.pipeline.schedules import (_CODE_OF_KIND, OpKind,
+                                      ScheduleCosts, ScheduleKind, Slot,
+                                      StageProgram, _check_stage_costs,
+                                      _makespan, build_schedule,
                                       parse_schedule_kind,
                                       structural_bubble_time)
 from repro.scenarios.paper import zero_bubble_suite
@@ -31,6 +32,30 @@ from repro.training.parallel import ParallelStrategy
 
 SPLIT_KINDS = (ScheduleKind.ZB_H1, ScheduleKind.INTERLEAVED,
                ScheduleKind.ZB_AUTO)
+
+
+def evaluate_makespan(programs: tuple[StageProgram, ...],
+                      costs: ScheduleCosts) -> float:
+    """The zb-auto search's analytic makespan (``schedules._makespan``)
+    of any slot programs, hand-built ones included.
+
+    It mirrors the emitter's semantics -- one in-order compute engine
+    per stage, F gated on the upstream activation send, B gated on the
+    downstream gradient send (or the stage's own F at the loss stage),
+    W gated on its own B -- but prices sends as fixed latencies rather
+    than occupying a COMM engine.  Costs sized for another stage count
+    raise the search's named ValueError, and a slot that can never
+    become ready (a W ahead of its own B, say) its "deadlocked"
+    RuntimeError.  Microbatch ids need not be ``range(M)``: they are
+    renumbered densely, in order of first use.
+    """
+    _check_stage_costs(costs, len(programs))
+    dense: dict[int, int] = {}
+    seqs = [tuple((_CODE_OF_KIND[slot.kind],
+                   dense.setdefault(slot.microbatch, len(dense)))
+                  for slot in program.slots)
+            for program in programs]
+    return _makespan(seqs, costs, len(dense))
 
 
 def _config(design="MC-DLA(B)", **replacements):

@@ -15,8 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.pipeline.schedules import (OpKind, ScheduleCosts, ScheduleKind,
-                                      Slot, StageProgram, build_schedule,
-                                      evaluate_makespan)
+                                      Slot, StageProgram, build_schedule)
+from test_zero_bubble import evaluate_makespan
 
 # --- reference: the replaced implementation, unchanged ---------------
 
